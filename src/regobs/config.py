@@ -9,6 +9,7 @@ shortest round-trip floats) used for the reproducible config echo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import EDGES, Domain, Rect
@@ -137,9 +138,12 @@ class _Reader:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {raw!r}")
+        return value
 
     def int(self, key: str, default):
         raw = self._raw(key)
@@ -176,6 +180,8 @@ class _Reader:
             values = tuple(float(part.strip()) for part in raw.split(","))
         except ValueError:
             raise ConfigError(f"{key} must be a comma-separated list of numbers") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} must contain finite numbers only")
         if count is not None and len(values) != count:
             raise ConfigError(f"{key} must have {count} values, got {len(values)}")
         return values
@@ -269,6 +275,9 @@ def parse_config(text: str) -> ExperimentConfig:
     t_final = r.float("simulation.T", 5.0)
     if t_final <= dt:
         raise ConfigError("simulation.T must be > simulation.dt")
+    steps = t_final / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError("simulation.T must be a whole number of simulation.dt steps")
     n_coeffs = n_modes * n_modes
     x0_field1 = r.floats("simulation.x0_field1", n_coeffs)
     x0_field2 = r.floats("simulation.x0_field2", n_coeffs)

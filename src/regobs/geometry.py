@@ -1,9 +1,12 @@
-"""Rectangular-domain geometry shared by the basis, sensor and region code."""
+"""Rectangular-domain geometry and the Gauss-Legendre interval rule shared by
+the basis, sensor and region code."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from numpy.polynomial.legendre import leggauss
 
 EDGES = ("bottom", "top", "left", "right")
 
@@ -96,3 +99,9 @@ def segment_distance(point, a, b) -> float:
     t = ((px - ax) * dx + (py - ay) * dy) / seg2
     t = min(1.0, max(0.0, t))
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def gauss_nodes(lo: float, hi: float, n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi]."""
+    x, w = leggauss(n)
+    return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w

@@ -16,11 +16,12 @@ from .config import ConfigError, ExperimentConfig, render_config
 from .geometry import Rect
 from .observer import (
     NotDetectableError,
-    ObserverGain,
+    _full_sensor_matrix,
+    _plant_trajectory,
+    _simulate,
+    _zero_gain,
     design_gain,
     reduced_output_map,
-    simulate_full_order,
-    simulate_reduced_order,
     split_unstable_stable,
 )
 from .region import BoundarySegment, DecayFit, build_collar, fit_decay
@@ -110,16 +111,15 @@ def _initial_state(cfg: ExperimentConfig, n: int) -> np.ndarray:
     return np.concatenate([x1, x2])
 
 
-def _zero_gain(block, obs_map, split, target_margin, sensor_matrix) -> ObserverGain:
-    closed = np.sort(np.linalg.eigvals(np.asarray(block, dtype=float)).real)[::-1]
-    return ObserverGain(
-        H=np.zeros((np.asarray(block).shape[0], np.atleast_2d(obs_map).shape[0])),
-        split=split,
-        target_margin=target_margin,
-        closed_loop_eigs=closed,
-        residual=float("nan"),
-        sensor_matrix=sensor_matrix,
-    )
+def _estimator(kind: str, model, c: np.ndarray, mf: int, x0: np.ndarray):
+    """Block, observation map and sensor matrix the gain of one estimator is
+    designed on, and the true initial value of the state it estimates."""
+    if kind == "reduced":
+        _, _, _, a_ww, _, _ = model.partition(mf)
+        x_w0 = x0[model.n_modes:] if mf == 1 else x0[:model.n_modes]
+        return a_ww, reduced_output_map(model, c, mf), c, x_w0
+    c_full = _full_sensor_matrix(c, model.n_modes, mf)
+    return model.stacked_a(), c_full, c_full, x0
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
@@ -132,6 +132,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         raise ConfigError("observer requires ≥ 1 sensor")
     modes, model = _build_model(cfg)
     mf = cfg.observer.measured_field
+    sim = cfg.simulation
     c = output_matrix(cfg.sensors, cfg.domain, modes)
     _, _, _, a_ww, _, _ = model.partition(mf)
     groups = group_values(np.diag(a_ww), modes)
@@ -139,53 +140,28 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     norm_region, region_note = _norm_region(cfg)
 
     x0 = _initial_state(cfg, model.n_modes)
-    x_m0 = x0[:model.n_modes] if mf == 1 else x0[model.n_modes:]
-    x_w0 = x0[model.n_modes:] if mf == 1 else x0[:model.n_modes]
-    y0 = c @ x_m0
+    x = _plant_trajectory(model, None, x0, sim.dt, sim.t_final)
 
     wanted = ("reduced", "full") if cfg.observer.estimators == "both" else (cfg.observer.estimators,)
     summaries: dict[str, EstimatorSummary] = {}
     trajectories = {}
 
     for kind in wanted:
-        if kind == "reduced":
-            obs_map = reduced_output_map(model, c, mf)
-            split = split_unstable_stable(a_ww, cfg.observer.margin)
-            block = a_ww
-        else:
-            block = model.stacked_a()
-            c_full = np.zeros((c.shape[0], 2 * model.n_modes))
-            if mf == 1:
-                c_full[:, : model.n_modes] = c
-            else:
-                c_full[:, model.n_modes :] = c
-            obs_map = c_full
-            split = split_unstable_stable(block, cfg.observer.margin)
+        block, obs_map, sensor_matrix, truth0 = _estimator(kind, model, c, mf, x0)
+        split = split_unstable_stable(block, cfg.observer.margin)
         try:
             gain = design_gain(block, obs_map, split, cfg.observer.target_margin,
-                               sensor_matrix=c if kind == "reduced" else obs_map)
+                               sensor_matrix=sensor_matrix)
             not_detectable = False
             detail = "gain placed all unstable modes at the target margin"
         except NotDetectableError as exc:
-            gain = _zero_gain(block, obs_map, split, cfg.observer.target_margin,
-                              c if kind == "reduced" else obs_map)
+            gain = _zero_gain(block, obs_map.shape[0], split, cfg.observer.target_margin,
+                              exc.residual, sensor_matrix)
             not_detectable = True
             detail = str(exc)
 
-        if kind == "reduced":
-            phi0 = (x_w0 - gain.H @ y0) if cfg.simulation.estimator_init == "truth" else -gain.H @ y0
-            traj = simulate_reduced_order(
-                model, cfg.sensors, gain, None, x0, phi0, cfg.simulation.dt,
-                cfg.simulation.t_final, measured_field=mf,
-                region=norm_region, norm_weight=cfg.output.norm,
-            )
-        else:
-            zhat0 = x0.copy() if cfg.simulation.estimator_init == "truth" else np.zeros(2 * model.n_modes)
-            traj = simulate_full_order(
-                model, cfg.sensors, gain, None, x0, zhat0, cfg.simulation.dt,
-                cfg.simulation.t_final, measured_field=mf,
-                region=norm_region, norm_weight=cfg.output.norm,
-            )
+        xhat0 = truth0 if sim.estimator_init == "truth" else np.zeros_like(truth0)
+        traj = _simulate(kind, model, c, gain, x, xhat0, sim.dt, mf, norm_region, cfg.output.norm)
         summary = EstimatorSummary(
             kind=kind,
             j_unstable=split.j_unstable,

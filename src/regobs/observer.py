@@ -1,5 +1,5 @@
 """Unstable/stable spectral splitting, detectability gain design, and exact
-co-simulation of the full-order and reduced-order exponential estimators.
+simulation of the full-order and reduced-order exponential estimators.
 
 The gain shifts only the finitely many unstable eigendirections: on the
 unstable block the equation H_u O_u = A_u + margin*I is solved by minimum-norm
@@ -8,9 +8,11 @@ solvable precisely when the unstable observation columns have full rank.  A
 residual above tolerance therefore signals that the sensor suite cannot
 stabilize the error dynamics (NotDetectableError).
 
-Both estimators are co-simulated with the plant through one stacked matrix
-exponential, so the discrete trajectory satisfies the continuous error
-dynamics exactly at the sample instants.
+Both estimators are built so that the estimation error obeys autonomous
+dynamics e' = F e.  A simulation propagates the plant and the error, each
+with its own exact matrix exponential, and recovers the estimator state from
+the two, so the discrete trajectory satisfies the continuous error dynamics
+exactly at the sample instants.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy.linalg
 
 from .region import error_norm_series
 from .sensing import output_matrix
-from .spectral import ModalModel, Propagator, _input_at
+from .spectral import ModalModel, Propagator
 
 MAX_STATE_NORM = 1e12
 
@@ -110,6 +112,16 @@ class ObserverGain:
         return float(-np.max(self.closed_loop_eigs.real))
 
 
+def _zero_gain(block, q: int, split: UnstableSplit, target_margin: float, residual: float,
+               sensor_matrix) -> ObserverGain:
+    """Zero gain: the closed loop is the open-loop block.  Used when no mode is
+    unstable, and as the open-loop record of a NotDetectable design."""
+    block = np.atleast_2d(np.asarray(block, dtype=float))
+    closed = np.sort(np.linalg.eigvals(block).real)[::-1]
+    return ObserverGain(H=np.zeros((block.shape[0], q)), split=split, target_margin=target_margin,
+                        closed_loop_eigs=closed, residual=residual, sensor_matrix=sensor_matrix)
+
+
 def design_gain(
     block: np.ndarray,
     obs_map: np.ndarray,
@@ -134,11 +146,7 @@ def design_gain(
     q = obs_map.shape[0]
     j = split.j_unstable
     if j == 0:
-        h = np.zeros((n, q))
-        closed = np.sort(np.linalg.eigvals(block))[::-1]
-        return ObserverGain(H=h, split=split, target_margin=target_margin,
-                            closed_loop_eigs=closed, residual=0.0,
-                            sensor_matrix=sensor_matrix)
+        return _zero_gain(block, q, split, target_margin, 0.0, sensor_matrix)
     idx = list(split.unstable)
     lam_u = split.eigenvalues[idx]
     target = np.diag(lam_u + target_margin)
@@ -209,7 +217,7 @@ def estimator_matrices(model: ModalModel, gain: ObserverGain, sensor_matrix: np.
 
 @dataclass(eq=False)
 class Trajectory:
-    """Time-sampled record of one co-simulation.
+    """Time-sampled record of one estimator simulation.
 
     x1/x2 are the true modal states; estimator_state is z_hat (full order,
     both fields stacked) or phi (reduced order); x2_hat is the recovered
@@ -238,30 +246,99 @@ def _steps(dt: float, t_final: float) -> int:
     return int(round(t_final / dt))
 
 
-def _run_guarded(prop: Propagator, s0: np.ndarray, steps: int, u):
-    """Propagate with the divergence guard; truncates on non-finite values or
-    sup-norm above MAX_STATE_NORM and reports instead of clipping."""
-    out = np.empty((steps + 1, prop.n))
-    out[0] = s0
-    for k in range(steps):
-        uk = _input_at(u, k, prop.Phi.shape[1])
-        nxt = prop.step(out[k], uk)
-        if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > MAX_STATE_NORM:
-            msg = (f"state norm exceeded {MAX_STATE_NORM:.0e} at t index {k + 1}; "
-                   "run truncated (non-detectable dynamics diverge)")
-            return out[: k + 1], True, msg
-        out[k + 1] = nxt
-    return out, False, ""
+def _field_slices(n: int, measured_field: int):
+    """Slices (measured, unmeasured) of a stacked [x1; x2] state."""
+    if measured_field not in (1, 2):
+        raise ValueError("measured_field must be 1 or 2")
+    first, second = slice(0, n), slice(n, 2 * n)
+    return (first, second) if measured_field == 1 else (second, first)
 
 
-def _split_stacked(x0: np.ndarray, n: int, measured_field: int):
+def _full_sensor_matrix(c: np.ndarray, n: int, measured_field: int) -> np.ndarray:
+    """Sensor matrix C_full (q x 2n) of the stacked state: C on the measured
+    field's columns, zero on the other field's."""
+    c_full = np.zeros((c.shape[0], 2 * n))
+    c_full[:, _field_slices(n, measured_field)[0]] = c
+    return c_full
+
+
+def _plant_trajectory(model: ModalModel, u, x0: np.ndarray, dt: float, t_final: float) -> np.ndarray:
+    """Exact samples (steps + 1, 2n) of the plant x' = A x + B u."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != 2 * n:
+    if x0.shape[0] != 2 * model.n_modes:
         raise ValueError("x0 must stack both fields, shape (2 n_modes,)")
-    x1_0, x2_0 = x0[:n], x0[n:]
-    if measured_field == 1:
-        return x1_0, x2_0
-    return x2_0, x1_0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Propagator(model.stacked_a(), dt, model.stacked_b()).run(x0, _steps(dt, t_final), u)
+
+
+def _diverged_at(*states: np.ndarray) -> int | None:
+    """First sample index after t = 0 at which a state is non-finite or its
+    sup-norm exceeds MAX_STATE_NORM; None when there is none."""
+    bad = np.zeros(states[0].shape[0], dtype=bool)
+    for s in states:
+        bad |= ~np.isfinite(s).all(axis=1) | (np.abs(s).max(axis=1) > MAX_STATE_NORM)
+    hits = np.flatnonzero(bad[1:])
+    return int(hits[0]) + 1 if hits.size else None
+
+
+def _simulate(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x: np.ndarray,
+              xhat0: np.ndarray, dt: float, measured_field: int, region, norm_weight: str) -> Trajectory:
+    """Estimator run on a plant trajectory x from `_plant_trajectory`.
+
+    xhat0 is the initial estimate of the unmeasured field (reduced) or of the
+    stacked state (full).  The estimation error obeys the autonomous dynamics
+    e' = F e, with F = A_ww - H C A_mw (reduced) or A - H C_full (full), and
+    is propagated exactly; the estimator state is recovered from the plant
+    and the error, phi = x_w + e - H y or z_hat = x + e.  The run is
+    truncated before the first sample at which the plant or the estimator
+    state is non-finite or exceeds MAX_STATE_NORM in sup-norm.
+    """
+    n = model.n_modes
+    meas, unmeas = _field_slices(n, measured_field)
+    h = gain.H
+    if kind == "reduced":
+        _, a_mw, _, a_ww, _, _ = model.partition(measured_field)
+        f = a_ww - (h @ c) @ a_mw
+        estimated = unmeas
+    else:
+        if h.shape != (2 * n, c.shape[0]):
+            raise ValueError("full-order gain must have shape (2 n_modes, q)")
+        f = model.stacked_a() - h @ _full_sensor_matrix(c, n, measured_field)
+        estimated = slice(0, 2 * n)
+    e0 = np.asarray(xhat0, dtype=float).reshape(-1) - x[0, estimated]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = Propagator(f, dt).run(e0, x.shape[0] - 1)
+        y = x[:, meas] @ c.T
+        state = x[:, estimated] + e
+        if kind == "reduced":
+            state -= y @ h.T
+    k = _diverged_at(x, state)
+    msg = ""
+    if k is not None:
+        msg = (f"state norm exceeded {MAX_STATE_NORM:.0e} at t index {k}; "
+               "run truncated (non-detectable dynamics diverge)")
+        x, e, y, state = x[:k], e[:k], y[:k], state[:k]
+    if kind == "reduced":
+        x_w_hat, e_w = state + y @ h.T, e
+    else:
+        x_w_hat, e_w = state[:, unmeas], e[:, unmeas]
+    traj = Trajectory(
+        kind=kind,
+        times=dt * np.arange(x.shape[0]),
+        x1=x[:, :n],
+        x2=x[:, n:],
+        y=y,
+        estimator_state=state,
+        x2_hat=x_w_hat,
+        mode_abs_err=np.abs(e_w),
+        diverged=k is not None,
+        divergence_message=msg,
+    )
+    if region is not None:
+        fields = (e,) if kind == "reduced" else (e[:, :n], e[:, n:])
+        traj.err_gamma = np.sqrt(sum(
+            error_norm_series(f, model.domain, model.mode_set, region, norm_weight) ** 2 for f in fields))
+    return traj
 
 
 def simulate_reduced_order(
@@ -277,7 +354,7 @@ def simulate_reduced_order(
     region=None,
     norm_weight: str = "l2",
 ) -> Trajectory:
-    """Co-simulate the plant with the reduced-order estimator.
+    """Simulate the plant with the reduced-order estimator.
 
     The estimator state phi obeys phi' = F_red phi + G_y x_m + G_u u, with the
     measured-field injection synthesized exactly from the plant dynamics (the
@@ -285,41 +362,11 @@ def simulate_reduced_order(
     The recovered estimate is x2_hat = phi + H y and its error obeys
     e' = F_red e exactly at the sample instants.
     """
-    n = model.n_modes
     c = output_matrix(sensors, model.domain, model.mode_set)
-    f_red, g_y, g_u = estimator_matrices(model, gain, sensor_matrix=c, measured_field=measured_field)
-    a_mm, a_mw, a_wm, a_ww, b_m, b_w = model.partition(measured_field)
-    steps = _steps(dt, t_final)
-    m = np.zeros((3 * n, 3 * n))
-    m[:n, :n], m[:n, n : 2 * n] = a_mm, a_mw
-    m[n : 2 * n, :n], m[n : 2 * n, n : 2 * n] = a_wm, a_ww
-    m[2 * n :, :n], m[2 * n :, 2 * n :] = g_y, f_red
-    b = np.vstack([b_m, b_w, g_u]) if model.n_inputs else None
-    x_m0, x_w0 = _split_stacked(x0, n, measured_field)
-    phi0 = np.asarray(phi0, dtype=float).reshape(n)
-    s0 = np.concatenate([x_m0, x_w0, phi0])
-    prop = Propagator(m, dt, b)
-    states, diverged, msg = _run_guarded(prop, s0, steps, u)
-    k = states.shape[0]
-    times = dt * np.arange(k)
-    x_m, x_w, phi = states[:, :n], states[:, n : 2 * n], states[:, 2 * n :]
-    y = x_m @ c.T
-    x_w_hat = phi + y @ gain.H.T
-    traj = Trajectory(
-        kind="reduced",
-        times=times,
-        x1=x_m if measured_field == 1 else x_w,
-        x2=x_w if measured_field == 1 else x_m,
-        y=y,
-        estimator_state=phi,
-        x2_hat=x_w_hat,
-        mode_abs_err=np.abs(x_w_hat - x_w),
-        diverged=diverged,
-        divergence_message=msg,
-    )
-    if region is not None:
-        traj.err_gamma = error_norm_series(x_w_hat - x_w, model.domain, model.mode_set, region, norm_weight)
-    return traj
+    x = _plant_trajectory(model, u, x0, dt, t_final)
+    meas, _ = _field_slices(model.n_modes, measured_field)
+    xhat0 = np.asarray(phi0, dtype=float).reshape(model.n_modes) + gain.H @ (c @ x[0, meas])
+    return _simulate("reduced", model, c, gain, x, xhat0, dt, measured_field, region, norm_weight)
 
 
 def simulate_full_order(
@@ -335,61 +382,13 @@ def simulate_full_order(
     region=None,
     norm_weight: str = "l2",
 ) -> Trajectory:
-    """Co-simulate the plant with the full-order estimator
+    """Simulate the plant with the full-order estimator
     z_hat' = A z_hat + B u + H (y - C_full z_hat); the stacked error obeys
     e' = (A - H C_full) e exactly at the sample instants.
 
     err_gamma combines both field errors, sqrt(|e1|_G^2 + |e2|_G^2).
     """
-    n = model.n_modes
     c = output_matrix(sensors, model.domain, model.mode_set)
-    q = c.shape[0]
-    c_full = np.zeros((q, 2 * n))
-    if measured_field == 1:
-        c_full[:, :n] = c
-    elif measured_field == 2:
-        c_full[:, n:] = c
-    else:
-        raise ValueError("measured_field must be 1 or 2")
-    a = model.stacked_a()
-    b = model.stacked_b()
-    if gain.H.shape != (2 * n, q):
-        raise ValueError("full-order gain must have shape (2 n_modes, q)")
-    hc = gain.H @ c_full
-    steps = _steps(dt, t_final)
-    m = np.zeros((4 * n, 4 * n))
-    m[: 2 * n, : 2 * n] = a
-    m[2 * n :, : 2 * n] = hc
-    m[2 * n :, 2 * n :] = a - hc
-    bb = np.vstack([b, b]) if model.n_inputs else None
-    x0 = np.asarray(x0, dtype=float).reshape(2 * n)
-    xhat0 = np.asarray(xhat0, dtype=float).reshape(2 * n)
-    prop = Propagator(m, dt, bb)
-    states, diverged, msg = _run_guarded(prop, np.concatenate([x0, xhat0]), steps, u)
-    k = states.shape[0]
-    times = dt * np.arange(k)
-    x = states[:, : 2 * n]
-    zhat = states[:, 2 * n :]
-    x1, x2 = x[:, :n], x[:, n:]
-    y = (x1 if measured_field == 1 else x2) @ c.T
-    unmeasured = slice(n, 2 * n) if measured_field == 1 else slice(0, n)
-    x_w = x[:, unmeasured]
-    x_w_hat = zhat[:, unmeasured]
-    traj = Trajectory(
-        kind="full",
-        times=times,
-        x1=x1,
-        x2=x2,
-        y=y,
-        estimator_state=zhat,
-        x2_hat=x_w_hat,
-        mode_abs_err=np.abs(x_w_hat - x_w),
-        diverged=diverged,
-        divergence_message=msg,
-    )
-    if region is not None:
-        e = zhat - x
-        n1 = error_norm_series(e[:, :n], model.domain, model.mode_set, region, norm_weight)
-        n2 = error_norm_series(e[:, n:], model.domain, model.mode_set, region, norm_weight)
-        traj.err_gamma = np.sqrt(n1**2 + n2**2)
-    return traj
+    x = _plant_trajectory(model, u, x0, dt, t_final)
+    xhat0 = np.asarray(xhat0, dtype=float).reshape(2 * model.n_modes)
+    return _simulate("full", model, c, gain, x, xhat0, dt, measured_field, region, norm_weight)

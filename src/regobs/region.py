@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .geometry import EDGES, Domain, Rect, edge_segment, segment_distance
+from .geometry import EDGES, Domain, Rect, edge_segment, gauss_nodes, segment_distance
 from .spectral import ModeSet, eval_matrix, eigenvalues
 
 NORM_WEIGHTS = ("l2", "sobolev_half")
@@ -73,11 +72,6 @@ class CollarRegion:
         return segment_distance(point, a, b) < self.radius
 
 
-def _gauss_nodes(lo: float, hi: float, n: int):
-    x, w = leggauss(n)
-    return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
-
-
 def region_quadrature(region, domain: Domain):
     """Quadrature nodes (K, 2) and weights (K,) of a region.
 
@@ -88,7 +82,7 @@ def region_quadrature(region, domain: Domain):
         return region.points, region.weights
     if isinstance(region, BoundarySegment):
         a, b = edge_segment(domain, region.edge, region.lo, region.hi)
-        s, w = _gauss_nodes(0.0, 1.0, region.n_quad)
+        s, w = gauss_nodes(0.0, 1.0, region.n_quad)
         pts = np.outer(1.0 - s, a) + np.outer(s, b)
         length = math.hypot(b[0] - a[0], b[1] - a[1])
         return pts, w * length
@@ -96,8 +90,8 @@ def region_quadrature(region, domain: Domain):
         rect = region.rect
         if not rect.inside(domain):
             raise ValueError("internal rectangle outside domain")
-        xs, wx = _gauss_nodes(rect.lo1, rect.hi1, region.n_quad)
-        ys, wy = _gauss_nodes(rect.lo2, rect.hi2, region.n_quad)
+        xs, wx = gauss_nodes(rect.lo1, rect.hi1, region.n_quad)
+        ys, wy = gauss_nodes(rect.lo2, rect.hi2, region.n_quad)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()]), np.outer(wx, wy).ravel()
     raise TypeError(f"unsupported region {type(region).__name__}")
@@ -113,8 +107,8 @@ def build_collar(gamma: BoundarySegment, radius: float, domain: Domain, n_quad: 
     hi1 = min(domain.beta1, max(a[0], b[0]) + radius)
     lo2 = max(domain.alpha2, min(a[1], b[1]) - radius)
     hi2 = min(domain.beta2, max(a[1], b[1]) + radius)
-    xs, wx = _gauss_nodes(lo1, hi1, n_quad)
-    ys, wy = _gauss_nodes(lo2, hi2, n_quad)
+    xs, wx = gauss_nodes(lo1, hi1, n_quad)
+    ys, wy = gauss_nodes(lo2, hi2, n_quad)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     w = np.outer(wx, wy).ravel()

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import expm
 
-from .geometry import Domain, Rect
+from .geometry import Domain, Rect, gauss_nodes
 from .spectral import ModalModel, ModeIndex, ModeSet, eval_matrix
 
 ZONE_WEIGHTS = ("uniform", "separable_sine", "tabulated")
@@ -69,11 +68,6 @@ def _check_sensor(sensor: SensorSpec, domain: Domain) -> None:
     else:
         if not domain.contains(sensor.location, closed=False):
             raise ValueError("pointwise sensor location outside open domain")
-
-
-def _gauss_nodes(lo: float, hi: float, n: int):
-    x, w = leggauss(n)
-    return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
 def _sine_integral(k: int, alpha: float, length: float, lo: float, hi: float) -> float:
@@ -126,8 +120,8 @@ def _zone_row(sensor: ZoneSensor, domain: Domain, modes: ModeSet, n_quad: int) -
 def zone_row_quadrature(sensor: ZoneSensor, domain: Domain, modes: ModeSet, n_quad: int = 32) -> np.ndarray:
     """Output row of a zone sensor by tensor quadrature over its support."""
     rect = sensor.rect
-    xs, wx = _gauss_nodes(rect.lo1, rect.hi1, n_quad)
-    ys, wy = _gauss_nodes(rect.lo2, rect.hi2, n_quad)
+    xs, wx = gauss_nodes(rect.lo1, rect.hi1, n_quad)
+    ys, wy = gauss_nodes(rect.lo2, rect.hi2, n_quad)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     weights = np.outer(wx, wy).ravel()
@@ -310,25 +304,27 @@ def strategic_rank_test(c: np.ndarray, groups, q: int | None = None, tol_rank: f
 def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float, n_quad: int = 64) -> np.ndarray:
     """Finite-horizon observability Gramian W = int_0^T e^{M's} O'O e^{Ms} ds.
 
-    Gauss-Legendre quadrature on [0, T]; the truncated system is weakly
-    observable through O iff W is positive definite.  A diagonal M is
-    propagated by scalar exponentials.
+    The truncated system is weakly observable through O iff W is positive
+    definite.  For a diagonal M = diag(d) the integral is closed-form,
+    W = O'O * K with K_ij = (e^{(d_i+d_j)T} - 1)/(d_i+d_j), and K_ij = T
+    where d_i + d_j = 0; otherwise Gauss-Legendre quadrature with n_quad
+    nodes on [0, T].
     """
     if t_horizon <= 0:
         raise ValueError("t_horizon must be > 0")
     m = np.atleast_2d(np.asarray(m, dtype=float))
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     oto = obs.T @ obs
-    nodes, weights = _gauss_nodes(0.0, t_horizon, n_quad)
-    n = m.shape[0]
-    w = np.zeros((n, n))
-    diagonal = not np.any(m - np.diag(np.diag(m)))
-    if diagonal:
+    if not np.any(m - np.diag(np.diag(m))):
         d = np.diag(m)
-        for s, wk in zip(nodes, weights):
-            e = np.exp(d * s)
-            w += wk * (e[:, None] * oto * e[None, :])
+        d_sum = d[:, None] + d[None, :]
+        k = np.full_like(d_sum, float(t_horizon))
+        nz = d_sum != 0.0
+        k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
+        w = oto * k
     else:
+        nodes, weights = gauss_nodes(0.0, t_horizon, n_quad)
+        w = np.zeros_like(m)
         for s, wk in zip(nodes, weights):
             es = expm(m * s)
             w += wk * (es.T @ oto @ es)

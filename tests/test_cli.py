@@ -35,6 +35,19 @@ class TestExitCodes:
         assert main(["rank", "--config", str(bad)]) == 1
         assert "simulation.dt" in capsys.readouterr().err
 
+    def test_non_finite_number_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "nan.cfg"
+        bad.write_text(BETA3_CONFIG.replace("beta_couple = 3.0", "beta_couple = nan"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert "coefficients.beta_couple must be finite" in capsys.readouterr().err
+
+    def test_horizon_not_whole_steps_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "steps.cfg"
+        bad.write_text(BETA3_CONFIG + "simulation.dt = 0.4\nsimulation.T = 1.0\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert "whole number of simulation.dt steps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_sensor_run_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty.cfg"
         empty.write_text("")

@@ -43,6 +43,11 @@ class TestDefaults:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("dt, t_final", [(0.01, 5.0), (0.01, 3.0), (0.1, 0.3)])
+    def test_whole_step_horizon_accepted_despite_round_off(self, dt, t_final):
+        cfg = parse_config(MINIMAL + f"simulation.dt = {dt}\nsimulation.T = {t_final}\n")
+        assert cfg.simulation.t_final == t_final
+
     def test_negative_dt(self):
         with pytest.raises(ConfigError, match=r"simulation\.dt must be > 0"):
             parse_config(MINIMAL + "simulation.dt = -1\n")

@@ -182,6 +182,16 @@ class TestGramian:
         with pytest.raises(ValueError):
             observability_gramian(np.eye(2), np.eye(2), 0.0)
 
+    def test_closed_form_zero_sum_limit(self):
+        # d_i + d_j = 0 gives the integral of 1 over [0, T]: exactly T O'O
+        d = np.array([0.7, -0.7, 0.0])
+        obs = np.array([[1.0, 2.0, -1.5]])
+        w = observability_gramian(np.diag(d), obs, 1.5)
+        assert w[0, 1] == w[1, 0] == 2.0 * 1.5
+        assert w[2, 2] == 1.5**2 * 1.5
+        near = observability_gramian(np.diag([0.7, -0.7 + 1e-9, 0.0]), obs, 1.5)
+        assert near[0, 1] == pytest.approx(3.0, rel=1e-8)
+
     def test_quadrature_matches_dense_path(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((4, 4)) - 2 * np.eye(4)
