@@ -40,7 +40,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--config", required=True, help="path to the config file")
     sweep.add_argument("--grid", required=True, type=int, help="lattice size per axis (>= 2)")
     sweep.add_argument("--out", required=True, help="output directory")
-    sweep.add_argument("--workers", type=int, default=1, help="worker threads for the sweep")
 
     sub.add_parser("version", help="print the package version")
     return parser
@@ -80,7 +79,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    result = placement_sweep(cfg, args.grid, workers=args.workers)
+    result = placement_sweep(cfg, args.grid)
     path = emit_sweep(result, args.out)
     n_strategic = sum(1 for row in result.rows if row.strategic)
     print(f"sweep complete: {len(result.rows)} positions, {n_strategic} strategic")

@@ -1,11 +1,12 @@
-"""Rectangular-domain geometry and the Gauss-Legendre interval rule shared by
-the basis, sensor and region code."""
+"""Rectangular-domain geometry, the Gauss-Legendre interval rule and the
+sine-product integrals shared by the basis, sensor and region code."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 EDGES = ("bottom", "top", "left", "right")
@@ -87,21 +88,30 @@ def edge_segment(domain: Domain, edge: str, lo: float, hi: float):
     return (x, lo), (x, hi)
 
 
-def segment_distance(point, a, b) -> float:
-    """Euclidean distance from a point to the segment [a, b]."""
-    px, py = point
+def segment_distance(points, a, b):
+    """Distance from a point, or from each row of a (K, 2) array, to the segment
+    [a, b] of nonzero length (edge segments satisfy hi > lo)."""
+    px, py = np.asarray(points, dtype=float).T
     ax, ay = a
     bx, by = b
     dx, dy = bx - ax, by - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+    t = np.clip(((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def gauss_nodes(lo: float, hi: float, n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi]."""
     x, w = leggauss(n)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+
+
+def _cos_integral(k: float, e: float, lo: float, hi: float) -> float:
+    # int_lo^hi cos(k x + e) dx, with the k -> 0 limit handled exactly
+    if abs(k) < 1e-14:
+        return (hi - lo) * math.cos(e)
+    return (math.sin(k * hi + e) - math.sin(k * lo + e)) / k
+
+
+def _sine_product_integral(a: float, b: float, c: float, d: float, lo: float, hi: float) -> float:
+    # int_lo^hi sin(a x + b) sin(c x + d) dx via product-to-sum
+    return 0.5 * (_cos_integral(a - c, b - d, lo, hi) - _cos_integral(a + c, b + d, lo, hi))

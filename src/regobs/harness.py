@@ -7,7 +7,6 @@ or absolute paths, so identical config text produces byte-identical outputs.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +154,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             not_detectable = False
             detail = "gain placed all unstable modes at the target margin"
         except NotDetectableError as exc:
-            gain = _zero_gain(block, obs_map.shape[0], split, cfg.observer.target_margin,
-                              exc.residual, sensor_matrix)
+            gain = _zero_gain(obs_map.shape[0], split, cfg.observer.target_margin, exc.residual, sensor_matrix)
             not_detectable = True
             detail = str(exc)
 
@@ -235,7 +233,7 @@ def _sensor_at(sensor, b1: float, b2: float):
                       weight=sensor.weight, samples=sensor.samples)
 
 
-def placement_sweep(cfg: ExperimentConfig, grid_n: int, workers: int = 1) -> SweepResult:
+def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     """Evaluate sensor placements over an interior lattice.
 
     The first sensor's location (or zone center) is varied over a
@@ -280,12 +278,7 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int, workers: int = 1) -> Swe
             triggered = ()
         return SweepRow(b1=b1, b2=b2, strategic=verdict, min_gramian_eig=min_eig, triggered=triggered)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(evaluate, positions))
-    else:
-        rows = tuple(evaluate(p) for p in positions)
-    return SweepResult(grid_n=grid_n, rows=rows)
+    return SweepResult(grid_n=grid_n, rows=tuple(evaluate(p) for p in positions))
 
 
 # --- file emission -------------------------------------------------------------

@@ -29,6 +29,10 @@ from .spectral import ModalModel, Propagator
 MAX_STATE_NORM = 1e12
 
 
+class GainDesignError(RuntimeError):
+    """The designed closed-loop spectrum misses the prescribed margin."""
+
+
 class NotDetectableError(RuntimeError):
     """The unstable-block rank condition fails for the given sensors."""
 
@@ -94,8 +98,9 @@ class ObserverGain:
     """Output-injection gain with the split it was designed on.
 
     H is n x q in the coordinates of the block (modal for diagonal blocks);
-    rows indexed by stable modes are zero.  closed_loop_eigs is the recomputed
-    spectrum of block - H @ obs_map.
+    rows indexed by stable modes are zero.  closed_loop_eigs is the spectrum
+    of block - H @ obs_map, read off the split: eig(diag(lambda_u) - H_u O_u)
+    and the stable eigenvalues (the matrix is block upper-triangular there).
     """
 
     H: np.ndarray
@@ -112,14 +117,13 @@ class ObserverGain:
         return float(-np.max(self.closed_loop_eigs.real))
 
 
-def _zero_gain(block, q: int, split: UnstableSplit, target_margin: float, residual: float,
+def _zero_gain(q: int, split: UnstableSplit, target_margin: float, residual: float,
                sensor_matrix) -> ObserverGain:
     """Zero gain: the closed loop is the open-loop block.  Used when no mode is
     unstable, and as the open-loop record of a NotDetectable design."""
-    block = np.atleast_2d(np.asarray(block, dtype=float))
-    closed = np.sort(np.linalg.eigvals(block).real)[::-1]
-    return ObserverGain(H=np.zeros((block.shape[0], q)), split=split, target_margin=target_margin,
-                        closed_loop_eigs=closed, residual=residual, sensor_matrix=sensor_matrix)
+    return ObserverGain(H=np.zeros((len(split.eigenvalues), q)), split=split, target_margin=target_margin,
+                        closed_loop_eigs=np.sort(split.eigenvalues)[::-1], residual=residual,
+                        sensor_matrix=sensor_matrix)
 
 
 def design_gain(
@@ -146,7 +150,7 @@ def design_gain(
     q = obs_map.shape[0]
     j = split.j_unstable
     if j == 0:
-        return _zero_gain(block, q, split, target_margin, 0.0, sensor_matrix)
+        return _zero_gain(q, split, target_margin, 0.0, sensor_matrix)
     idx = list(split.unstable)
     lam_u = split.eigenvalues[idx]
     target = np.diag(lam_u + target_margin)
@@ -170,14 +174,14 @@ def design_gain(
         h[idx, :] = h_u
     else:
         h = split.basis[:, idx] @ h_u
-    closed = np.linalg.eigvals(block - h @ obs_map)
+    stable_eigs = split.eigenvalues[list(split.stable)]
+    closed = np.concatenate([np.linalg.eigvals(np.diag(lam_u) - h_u @ o_u), stable_eigs])
     closed = np.sort_complex(closed)[::-1]
     if np.abs(closed.imag).max() <= 1e-8 * max(1.0, np.abs(closed).max()):
         closed = closed.real
-    stable_eigs = split.eigenvalues[list(split.stable)]
     worst = max((-target_margin, *stable_eigs.tolist()))
     if np.max(np.real(closed)) > worst + tol_eig:
-        raise RuntimeError("closed-loop spectrum misses the prescribed margin")
+        raise GainDesignError("closed-loop spectrum misses the prescribed margin")
     return ObserverGain(H=h, split=split, target_margin=target_margin,
                         closed_loop_eigs=np.asarray(closed), residual=residual,
                         sensor_matrix=sensor_matrix)
@@ -335,9 +339,9 @@ def _simulate(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x
         divergence_message=msg,
     )
     if region is not None:
-        fields = (e,) if kind == "reduced" else (e[:, :n], e[:, n:])
-        traj.err_gamma = np.sqrt(sum(
-            error_norm_series(f, model.domain, model.mode_set, region, norm_weight) ** 2 for f in fields))
+        fields = e if kind == "reduced" else np.vstack([e[:, :n], e[:, n:]])
+        norms = error_norm_series(fields, model.domain, model.mode_set, region, norm_weight)
+        traj.err_gamma = np.sqrt(np.sum(norms.reshape(-1, e.shape[0]) ** 2, axis=0))
     return traj
 
 

@@ -2,10 +2,11 @@
 and exponential decay-rate fitting.
 
 The exact fractional trace norm is out of scope; the default metric is the
-quadrature L2 norm of the restricted field, with a modal Sobolev surrogate
-(weights sqrt(1 + |lambda_m|) on indicator-projected coefficients) as an
-option.  On a fixed truncation all these norms are equivalent, so decay-rate
-and convergence statements do not depend on the choice.
+L2 norm of the restricted field, read off the region's Gram matrix, with a
+modal Sobolev surrogate (weights sqrt(1 + |lambda_m|) on indicator-projected
+coefficients) as an option.  On a fixed truncation all these norms are
+equivalent, so decay-rate and convergence statements do not depend on the
+choice.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EDGES, Domain, Rect, edge_segment, gauss_nodes, segment_distance
+from .geometry import EDGES, Domain, Rect, _sine_product_integral, edge_segment, gauss_nodes, segment_distance
 from .spectral import ModeSet, eval_matrix, eigenvalues
 
 NORM_WEIGHTS = ("l2", "sobolev_half")
@@ -69,7 +70,7 @@ class CollarRegion:
         if not self.domain.contains(point, closed=False):
             return False
         a, b = edge_segment(self.domain, self.gamma.edge, self.gamma.lo, self.gamma.hi)
-        return segment_distance(point, a, b) < self.radius
+        return bool(segment_distance(point, a, b) < self.radius)
 
 
 def region_quadrature(region, domain: Domain):
@@ -112,8 +113,7 @@ def build_collar(gamma: BoundarySegment, radius: float, domain: Domain, n_quad: 
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     w = np.outer(wx, wy).ravel()
-    dist = np.array([segment_distance(p, a, b) for p in pts])
-    member = dist < radius
+    member = segment_distance(pts, a, b) < radius
     return CollarRegion(gamma=gamma, radius=radius, domain=domain,
                         points=pts[member], weights=w[member])
 
@@ -126,25 +126,40 @@ def restrict_trace(coeffs: np.ndarray, domain: Domain, modes: ModeSet, region) -
     return eval_matrix(domain, modes, pts) @ np.asarray(coeffs, dtype=float)
 
 
-def _norm_operators(domain: Domain, modes: ModeSet, region, weight: str):
+def _sine_gram_1d(n: int, alpha: float, length: float, lo: float, hi: float) -> np.ndarray:
+    # I[i-1, k-1] = int_lo^hi sin(i pi (x - alpha)/L) sin(k pi (x - alpha)/L) dx
+    a = [i * math.pi / length for i in range(1, n + 1)]
+    return np.array([[_sine_product_integral(ai, -ai * alpha, ak, -ak * alpha, lo, hi) for ak in a] for ai in a])
+
+
+def region_gram(region, domain: Domain, modes: ModeSet) -> np.ndarray:
+    """Gram matrix G[m, m'] = int_region phi_m phi_m': exact and separable,
+    (4/(L1 L2)) I1[i, i'] I2[j, j'], for an InternalRectangle; the region
+    quadrature for a collar or boundary segment."""
+    if isinstance(region, InternalRectangle):
+        rect = region.rect
+        if not rect.inside(domain):
+            raise ValueError("internal rectangle outside domain")
+        i1 = _sine_gram_1d(modes.max_i, domain.alpha1, domain.length1, rect.lo1, rect.hi1)
+        i2 = _sine_gram_1d(modes.max_j, domain.alpha2, domain.length2, rect.lo2, rect.hi2)
+        ii = np.array([m.i - 1 for m in modes])
+        jj = np.array([m.j - 1 for m in modes])
+        return 4.0 / (domain.length1 * domain.length2) * i1[np.ix_(ii, ii)] * i2[np.ix_(jj, jj)]
     pts, w = region_quadrature(region, domain)
     phi = eval_matrix(domain, modes, pts) if pts.shape[0] else np.zeros((0, len(modes)))
-    if weight == "l2":
-        return phi, w, None
-    if weight == "sobolev_half":
-        sob = np.sqrt(1.0 + np.abs(eigenvalues(modes, domain)))
-        return phi, w, sob
-    raise ValueError(f"unknown norm weight {weight!r}; expected one of {NORM_WEIGHTS}")
+    return phi.T @ (w[:, None] * phi)
 
 
 def error_norm_series(err_coeffs: np.ndarray, domain: Domain, modes: ModeSet, region, weight: str = "l2") -> np.ndarray:
-    """Region-restricted norm of each row of err_coeffs (T, n_modes)."""
+    """Region-restricted norm of each row e of err_coeffs (T, n_modes):
+    sqrt(e'Ge) for l2, sqrt(sum sob (Ge)^2) for sobolev_half (G = region_gram)."""
+    if weight not in NORM_WEIGHTS:
+        raise ValueError(f"unknown norm weight {weight!r}; expected one of {NORM_WEIGHTS}")
     err = np.atleast_2d(np.asarray(err_coeffs, dtype=float))
-    phi, w, sob = _norm_operators(domain, modes, region, weight)
-    vals = err @ phi.T
-    if sob is None:
-        return np.sqrt(np.maximum((vals**2) @ w, 0.0))
-    projected = (vals * w) @ phi  # indicator-projected modal coefficients
+    projected = err @ region_gram(region, domain, modes)
+    if weight == "l2":
+        return np.sqrt(np.maximum(np.sum(projected * err, axis=1), 0.0))
+    sob = np.sqrt(1.0 + np.abs(eigenvalues(modes, domain)))
     return np.sqrt(np.maximum((projected**2) @ sob, 0.0))
 
 

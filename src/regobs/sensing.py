@@ -18,7 +18,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import expm
 
-from .geometry import Domain, Rect, gauss_nodes
+from .geometry import Domain, Rect, _sine_product_integral, gauss_nodes
 from .spectral import ModalModel, ModeIndex, ModeSet, eval_matrix
 
 ZONE_WEIGHTS = ("uniform", "separable_sine", "tabulated")
@@ -76,45 +76,23 @@ def _sine_integral(k: int, alpha: float, length: float, lo: float, hi: float) ->
     return (math.cos(c * (lo - alpha)) - math.cos(c * (hi - alpha))) / c
 
 
-def _cos_integral(k: float, e: float, lo: float, hi: float) -> float:
-    # int_lo^hi cos(k x + e) dx, with the k -> 0 limit handled exactly
-    if abs(k) < 1e-14:
-        return (hi - lo) * math.cos(e)
-    return (math.sin(k * hi + e) - math.sin(k * lo + e)) / k
-
-
-def _sine_product_integral(a: float, b: float, c: float, d: float, lo: float, hi: float) -> float:
-    # int_lo^hi sin(a x + b) sin(c x + d) dx via product-to-sum
-    return 0.5 * (_cos_integral(a - c, b - d, lo, hi) - _cos_integral(a + c, b + d, lo, hi))
-
-
 def _zone_row(sensor: ZoneSensor, domain: Domain, modes: ModeSet, n_quad: int) -> np.ndarray:
+    if sensor.weight == "tabulated":
+        # tensor Gauss-Legendre quadrature against the interpolated weight
+        return zone_row_quadrature(sensor, domain, modes, n_quad)
     rect = sensor.rect
+
+    def axis_integral(k, alpha, length, lo, hi):
+        # int_lo^hi sin(k pi (x - alpha)/L) f(x) dx, f the weight's factor on this axis
+        if sensor.weight == "uniform":
+            return _sine_integral(k, alpha, length, lo, hi)
+        a, w = k * math.pi / length, hi - lo
+        return _sine_product_integral(a, -a * alpha, math.pi / w, -math.pi * lo / w, lo, hi)
+
+    i1 = {i: axis_integral(i, domain.alpha1, domain.length1, rect.lo1, rect.hi1) for i in {m.i for m in modes}}
+    i2 = {j: axis_integral(j, domain.alpha2, domain.length2, rect.lo2, rect.hi2) for j in {m.j for m in modes}}
     norm = 2.0 / math.sqrt(domain.length1 * domain.length2)
-    if sensor.weight == "uniform":
-        i1 = {i: _sine_integral(i, domain.alpha1, domain.length1, rect.lo1, rect.hi1)
-              for i in {m.i for m in modes}}
-        i2 = {j: _sine_integral(j, domain.alpha2, domain.length2, rect.lo2, rect.hi2)
-              for j in {m.j for m in modes}}
-        return np.array([norm * i1[m.i] * i2[m.j] for m in modes])
-    if sensor.weight == "separable_sine":
-        w1 = rect.hi1 - rect.lo1
-        w2 = rect.hi2 - rect.lo2
-        i1 = {}
-        for i in {m.i for m in modes}:
-            a = i * math.pi / domain.length1
-            i1[i] = _sine_product_integral(
-                a, -a * domain.alpha1, math.pi / w1, -math.pi * rect.lo1 / w1, rect.lo1, rect.hi1
-            )
-        i2 = {}
-        for j in {m.j for m in modes}:
-            a = j * math.pi / domain.length2
-            i2[j] = _sine_product_integral(
-                a, -a * domain.alpha2, math.pi / w2, -math.pi * rect.lo2 / w2, rect.lo2, rect.hi2
-            )
-        return np.array([norm * i1[m.i] * i2[m.j] for m in modes])
-    # tabulated: tensor Gauss-Legendre quadrature against the interpolated weight
-    return zone_row_quadrature(sensor, domain, modes, n_quad)
+    return np.array([norm * i1[m.i] * i2[m.j] for m in modes])
 
 
 def zone_row_quadrature(sensor: ZoneSensor, domain: Domain, modes: ModeSet, n_quad: int = 32) -> np.ndarray:
@@ -301,14 +279,14 @@ def strategic_rank_test(c: np.ndarray, groups, q: int | None = None, tol_rank: f
     )
 
 
-def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float, n_quad: int = 64) -> np.ndarray:
+def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> np.ndarray:
     """Finite-horizon observability Gramian W = int_0^T e^{M's} O'O e^{Ms} ds.
 
     The truncated system is weakly observable through O iff W is positive
     definite.  For a diagonal M = diag(d) the integral is closed-form,
     W = O'O * K with K_ij = (e^{(d_i+d_j)T} - 1)/(d_i+d_j), and K_ij = T
-    where d_i + d_j = 0; otherwise Gauss-Legendre quadrature with n_quad
-    nodes on [0, T].
+    where d_i + d_j = 0; otherwise it is exact by Van Loan's block
+    exponential, E = exp([[-M', O'O], [0, M]] T) and W = E_22' E_12.
     """
     if t_horizon <= 0:
         raise ValueError("t_horizon must be > 0")
@@ -323,11 +301,9 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float, n_qu
         k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
         w = oto * k
     else:
-        nodes, weights = gauss_nodes(0.0, t_horizon, n_quad)
-        w = np.zeros_like(m)
-        for s, wk in zip(nodes, weights):
-            es = expm(m * s)
-            w += wk * (es.T @ oto @ es)
+        n = m.shape[0]
+        e = expm(np.block([[-m.T, oto], [np.zeros_like(m), m]]) * t_horizon)
+        w = e[n:, n:].T @ e[:n, n:]
     return 0.5 * (w + w.T)
 
 

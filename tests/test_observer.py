@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_sensor_configs
 from regobs import (
     Coefficients,
     Domain,
+    GainDesignError,
     InternalRectangle,
     ModeIndex,
     ModeSet,
@@ -119,6 +122,39 @@ class TestDesignGain:
         assert split.j_unstable == 1
         gain = design_gain(a, c_full, split, 1.0, sensor_matrix=c_full)
         assert np.max(np.real(gain.closed_loop_eigs)) <= -1.0 + 1e-9
+
+    def test_missed_margin_is_typed_error(self):
+        # The sensor at b1 = 0.5 is blind to the unstable mode (2, 1); a loose
+        # tol_detect lets the residual test pass, and that mode stays unstable.
+        model = make_model(6.0)
+        c = output_matrix([PointwiseSensor((0.5, 0.43))], UNIT, model.mode_set)
+        split = split_unstable_stable(model.A22, 0.0)
+        with pytest.raises(GainDesignError, match="misses the prescribed margin"):
+            design_gain(model.A22, reduced_output_map(model, c), split, 1.0, tol_detect=10.0)
+        assert issubclass(GainDesignError, RuntimeError)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(2.0, 8.0),
+        target_margin=st.floats(0.2, 3.0),
+        kind=st.sampled_from(["reduced", "full"]),
+        locations=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=2, max_size=3),
+    )
+    def test_spectrum_matches_dense_eigvals(self, beta, target_margin, kind, locations):
+        model = make_model(beta, n=3)
+        c = output_matrix([PointwiseSensor(loc) for loc in locations], UNIT, model.mode_set)
+        if kind == "reduced":
+            block, obs_map = model.A22, reduced_output_map(model, c)
+        else:
+            block, obs_map = model.stacked_a(), np.hstack([c, np.zeros_like(c)])
+        split = split_unstable_stable(block, 0.0)
+        try:
+            gain = design_gain(block, obs_map, split, target_margin)
+        except NotDetectableError:
+            assume(False)
+        dense = np.sort_complex(np.linalg.eigvals(block - gain.H @ obs_map))[::-1]
+        scale = max(1.0, float(np.abs(dense).max()))
+        assert np.abs(gain.closed_loop_eigs - dense).max() <= 1e-10 * scale
 
     def test_not_detectable_iff_unstable_rank_fails(self):
         # Exact in the q >= J regime the construction targets: J = 1 at

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,18 +15,29 @@ from regobs import (
     Rect,
     assemble_exchange_model,
     build_collar,
+    eigenvalues,
+    eval_matrix,
     fit_decay,
     gamma_error_norm,
+    load_config,
     output_matrix,
     restrict_trace,
     simulate_reduced_order,
 )
-from regobs.region import error_norm_series, region_quadrature
+from regobs.geometry import edge_segment, gauss_nodes
+from regobs.region import error_norm_series, region_gram, region_quadrature
 from regobs.observer import ObserverGain, split_unstable_stable
 
 UNIT = Domain()
 PI2 = math.pi**2
 FULL_SQUARE = InternalRectangle(Rect(0.0, 1.0, 0.0, 1.0))
+COLLAR_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "boundary_collar.cfg"
+
+
+def quadrature_gram(region, domain, modes):
+    pts, w = region_quadrature(region, domain)
+    phi = eval_matrix(domain, modes, pts)
+    return phi.T @ (w[:, None] * phi)
 
 
 class TestRestrictTrace:
@@ -121,7 +133,66 @@ class TestGammaErrorNorm:
         assert abs(fits[0] - fits[1]) / abs(fits[0]) < 0.02
 
 
+class TestRegionGram:
+    def test_rectangle_closed_form_matches_quadrature(self):
+        domain = Domain(0.0, 1.0, 0.0, 1.3)
+        modes = ModeSet.square(8)
+        region = InternalRectangle(Rect(0.13, 0.58, 0.71, 1.17))
+        exact = region_gram(region, domain, modes)
+        quad = quadrature_gram(region, domain, modes)
+        assert np.abs(exact - quad).max() <= 1e-12 * np.abs(quad).max()
+
+    def test_full_domain_gram_is_identity(self):
+        modes = ModeSet.square(4)
+        assert np.abs(region_gram(FULL_SQUARE, UNIT, modes) - np.eye(16)).max() < 1e-14
+
+    @pytest.mark.parametrize("weight", ["l2", "sobolev_half"])
+    def test_collar_norm_matches_nodewise_quadrature(self, weight):
+        # the Gram form against the norm evaluated at every quadrature node
+        modes = ModeSet.square(5)
+        collar = build_collar(BoundarySegment("left", 0.2, 0.7), 0.15, UNIT)
+        err = np.random.default_rng(3).standard_normal((7, 25))
+        vals = err @ eval_matrix(UNIT, modes, collar.points).T
+        if weight == "l2":
+            nodewise = np.sqrt((vals**2) @ collar.weights)
+        else:
+            sob = np.sqrt(1.0 + np.abs(eigenvalues(modes, UNIT)))
+            nodewise = np.sqrt((((vals * collar.weights) @ eval_matrix(UNIT, modes, collar.points)) ** 2) @ sob)
+        got = error_norm_series(err, UNIT, modes, collar, weight)
+        assert np.abs(got - nodewise).max() <= 1e-12 * nodewise.max()
+
+    def test_unknown_weight_rejected(self):
+        with pytest.raises(ValueError):
+            error_norm_series(np.zeros((1, 4)), UNIT, ModeSet.square(2), FULL_SQUARE, "h1")
+
+
 class TestCollar:
+    def test_members_match_scalar_distance_rule(self):
+        def scalar_distance(point, a, b):
+            px, py = point
+            (ax, ay), (bx, by) = a, b
+            dx, dy = bx - ax, by - ay
+            t = min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)))
+            return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+        cfg = load_config(str(COLLAR_CONFIG))
+        gamma, radius, domain = cfg.region, cfg.collar_radius, cfg.domain
+        collar = build_collar(gamma, radius, domain, gamma.n_quad)
+        a, b = edge_segment(domain, gamma.edge, gamma.lo, gamma.hi)
+        lo1 = max(domain.alpha1, min(a[0], b[0]) - radius)
+        hi1 = min(domain.beta1, max(a[0], b[0]) + radius)
+        lo2 = max(domain.alpha2, min(a[1], b[1]) - radius)
+        hi2 = min(domain.beta2, max(a[1], b[1]) + radius)
+        xs, wx = gauss_nodes(lo1, hi1, gamma.n_quad)
+        ys, wy = gauss_nodes(lo2, hi2, gamma.n_quad)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        member = np.array([scalar_distance(p, a, b) < radius for p in pts])
+        assert 0 < member.sum() < member.size
+        assert np.array_equal(collar.points, pts[member])
+        assert np.array_equal(collar.weights, np.outer(wx, wy).ravel()[member])
+        assert all(collar.contains(p) for p in collar.points[::17])
+
     def test_membership_examples(self):
         gamma = BoundarySegment("bottom", 0.25, 0.75)
         collar = build_collar(gamma, 0.1, UNIT)

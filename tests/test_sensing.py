@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import random_sensor_configs
 from regobs import (
@@ -22,6 +23,7 @@ from regobs import (
     output_matrix,
     strategic_rank_test,
 )
+from regobs.geometry import gauss_nodes
 from regobs.sensing import group_values, zone_row_quadrature
 
 UNIT = Domain()
@@ -202,6 +204,26 @@ class TestGramian:
         k = (np.exp((d[:, None] + d[None, :]) * 1.5) - 1.0) / (d[:, None] + d[None, :])
         assert np.abs(w_diag - (obs.T @ obs) * k).max() < 1e-10
         assert w_dense.shape == (4, 4) and np.allclose(w_dense, w_dense.T)
+
+    def test_van_loan_on_rotated_diagonal_matches_closed_form(self):
+        # M = Q diag(d) Q' is not diagonal, so the block exponential runs;
+        # the Gramian of (M, O Q') is Q W_diag Q'.
+        d = np.array([0.7, -0.7, 0.0, -2.5, -4.0])
+        obs = np.random.default_rng(5).standard_normal((2, 5))
+        q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((5, 5)))
+        closed = q @ observability_gramian(np.diag(d), obs, 1.5) @ q.T
+        van_loan = observability_gramian(q @ np.diag(d) @ q.T, obs @ q.T, 1.5)
+        assert np.abs(van_loan - closed).max() <= 1e-12 * np.abs(closed).max()
+
+    def test_van_loan_matches_fine_gauss_rule(self):
+        rng = np.random.default_rng(2)
+        m = rng.standard_normal((4, 4)) - 2 * np.eye(4)
+        obs = rng.standard_normal((2, 4))
+        oto = obs.T @ obs
+        nodes, weights = gauss_nodes(0.0, 1.5, 256)
+        quad = sum(wk * expm(m.T * s) @ oto @ expm(m * s) for s, wk in zip(nodes, weights))
+        w = observability_gramian(m, obs, 1.5)
+        assert np.abs(w - quad).max() <= 1e-10 * np.abs(quad).max()
 
     def test_singularity_agrees_with_rank_verdict(self):
         model = model_with_beta(1.0, n=3)
