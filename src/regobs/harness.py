@@ -23,7 +23,7 @@ from .observer import (
     reduced_output_map,
     split_unstable_stable,
 )
-from .region import BoundarySegment, DecayFit, build_collar, fit_decay
+from .region import BoundarySegment, DecayFit, build_collar, fit_decay, region_gram
 from .sensing import (
     PointwiseSensor,
     PredicateInapplicableError,
@@ -137,6 +137,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     groups = group_values(np.diag(a_ww), modes)
     strategic = strategic_rank_test(c, groups)
     norm_region, region_note = _norm_region(cfg)
+    gram = region_gram(norm_region, cfg.domain, modes)
 
     x0 = _initial_state(cfg, model.n_modes)
     x = _plant_trajectory(model, None, x0, sim.dt, sim.t_final)
@@ -159,7 +160,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             detail = str(exc)
 
         xhat0 = truth0 if sim.estimator_init == "truth" else np.zeros_like(truth0)
-        traj = _simulate(kind, model, c, gain, x, xhat0, sim.dt, mf, norm_region, cfg.output.norm)
+        traj = _simulate(kind, model, c, gain, x, xhat0, sim.dt, mf, gram, cfg.output.norm)
         summary = EstimatorSummary(
             kind=kind,
             j_unstable=split.j_unstable,

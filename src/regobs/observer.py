@@ -9,10 +9,15 @@ residual above tolerance therefore signals that the sensor suite cannot
 stabilize the error dynamics (NotDetectableError).
 
 Both estimators are built so that the estimation error obeys autonomous
-dynamics e' = F e.  A simulation propagates the plant and the error, each
-with its own exact matrix exponential, and recovers the estimator state from
-the two, so the discrete trajectory satisfies the continuous error dynamics
-exactly at the sample instants.
+dynamics e' = F e.  A simulation propagates the plant and the error exactly
+and recovers the estimator state from the two, so the discrete trajectory
+satisfies the continuous error dynamics at the sample instants.  Without
+input the plant is n independent 2 x 2 mode blocks with closed-form
+exponentials; a designed gain is nonzero only on the J unstable coordinates
+of the split, so F is diagonal outside J rows there and all samples follow
+from scalar exponentials, one J x J exponential and the coupling of the J
+rows to the rest.  A dense matrix exponential remains for nonzero inputs and
+for gains without that structure.
 """
 
 from __future__ import annotations
@@ -22,11 +27,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .region import error_norm_series
+from .region import gram_norm_series, region_gram
 from .sensing import output_matrix
-from .spectral import ModalModel, Propagator
+from .spectral import ModalModel, ModePairs, Propagator, propagate_few_rows
 
 MAX_STATE_NORM = 1e12
+# Singular values of the unstable observation block at or below RANK_TOL
+# times the largest singular value of the whole observation map are
+# round-off: the absolute scale strategic_rank_test uses (its tol_rank).
+RANK_TOL = 1e-10
+# Rows of a gain in eigen coordinates below this share of its largest entry
+# are round-off of forming H = V_u h_u, and are treated as zero.
+GAIN_ROUNDOFF = 1e-13
 
 
 class GainDesignError(RuntimeError):
@@ -67,18 +79,26 @@ class UnstableSplit:
         return p
 
 
+def _is_diagonal(block: np.ndarray) -> bool:
+    return np.count_nonzero(block) == np.count_nonzero(np.diag(block))
+
+
 def split_unstable_stable(block: np.ndarray, margin: float = 0.0) -> UnstableSplit:
     """Split a diagonalizable block into unstable and stable eigendirections.
 
-    Diagonal blocks keep their natural mode coordinates; symmetric blocks are
+    Diagonal blocks keep their natural mode coordinates; a block made of
+    per-mode symmetric 2 x 2 blocks (the stacked exchange matrix) takes the
+    closed-form eigenbasis of ModePairs; other symmetric blocks are
     diagonalized orthogonally.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     block = np.atleast_2d(np.asarray(block, dtype=float))
-    if not np.any(block - np.diag(np.diag(block))):
+    if _is_diagonal(block):
         eigs = np.diag(block).astype(float).copy()
         basis = None
+    elif (pairs := ModePairs.of_block(block)) is not None:
+        eigs, basis = pairs.rates, pairs.basis()
     elif np.allclose(block, block.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(block).max()))):
         eigs, basis = np.linalg.eigh(block)
     else:
@@ -161,11 +181,20 @@ def design_gain(
     h_u = target @ np.linalg.pinv(o_u)
     residual = float(np.linalg.norm(h_u @ o_u - target))
     scale = max(1.0, float(np.linalg.norm(target)))
-    if residual > tol_detect * scale:
+    # pinv truncates relative to o_u's own largest singular value, so a block
+    # of pure round-off is inverted with residual 0: test it on the absolute
+    # scale of the whole observation map as well
+    sv = np.linalg.svd(o_u, compute_uv=False)
+    sigma_min = float(sv[-1]) if sv.size else 0.0
+    rank_floor = RANK_TOL * float(np.linalg.norm(obs_map, 2))
+    unsolved = residual > tol_detect * scale
+    if unsolved or sigma_min <= rank_floor:
         col_norms = np.linalg.norm(o_u, axis=0)
         blind = tuple(idx[k] for k in range(j) if col_norms[k] <= tol_detect * max(1.0, col_norms.max()))
+        why = (f"residual {residual:.3e}" if unsolved else
+               f"smallest singular value {sigma_min:.3e} at or below {rank_floor:.3e}")
         raise NotDetectableError(
-            f"unstable block not observable through the sensors (residual {residual:.3e})",
+            f"unstable block not observable through the sensors ({why})",
             residual=residual,
             blind_positions=blind,
         )
@@ -266,13 +295,62 @@ def _full_sensor_matrix(c: np.ndarray, n: int, measured_field: int) -> np.ndarra
     return c_full
 
 
+def _mode_pairs(model: ModalModel) -> ModePairs | None:
+    return ModePairs.of_blocks(model.A11, model.A12, model.A21, model.A22)
+
+
 def _plant_trajectory(model: ModalModel, u, x0: np.ndarray, dt: float, t_final: float) -> np.ndarray:
-    """Exact samples (steps + 1, 2n) of the plant x' = A x + B u."""
+    """Exact samples (steps + 1, 2n) of the plant x' = A x + B u: closed-form
+    per-mode 2 x 2 exponentials when u == 0, a dense Propagator otherwise."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != 2 * model.n_modes:
         raise ValueError("x0 must stack both fields, shape (2 n_modes,)")
+    steps = _steps(dt, t_final)
+    pairs = _mode_pairs(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        return Propagator(model.stacked_a(), dt, model.stacked_b()).run(x0, _steps(dt, t_final), u)
+        if pairs is not None and (u is None or model.n_inputs == 0 or not np.any(u)):
+            return pairs.samples(x0, dt, steps)
+        return Propagator(model.stacked_a(), dt, model.stacked_b()).run(x0, steps, u)
+
+
+def _identity(x):
+    return x
+
+
+def _error_trajectory(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, e0: np.ndarray,
+                      dt: float, steps: int, measured_field: int) -> np.ndarray:
+    """Exact samples of the estimation error e' = F e, F = block - H obs_map.
+
+    In split coordinates (the modes for the reduced estimator, the per-mode
+    2 x 2 eigenbasis for the full one) block is diagonal, and a designed gain
+    is nonzero only on the J unstable rows, so propagate_few_rows applies.  A
+    gain with more nonzero rows than the split has unstable coordinates is
+    propagated with the dense F.
+    """
+    h = gain.H
+    if kind == "reduced":
+        a_ww = model.partition(measured_field)[3]
+        obs_map = reduced_output_map(model, c, measured_field)
+        structured = _is_diagonal(a_ww)
+        rates, to_split, from_split = np.diag(a_ww), _identity, _identity
+    else:
+        obs_map = _full_sensor_matrix(c, model.n_modes, measured_field)
+        pairs = _mode_pairs(model)
+        structured = pairs is not None
+        if structured:
+            rates, to_split, from_split = pairs.rates, pairs.to_eigen, pairs.from_eigen
+    if structured:
+        hz = to_split(h.T).T
+        size = np.abs(hz).max(axis=1, initial=0.0)
+        rows = np.flatnonzero(size > GAIN_ROUNDOFF * size.max(initial=0.0))
+        if rows.size <= gain.split.j_unstable:
+            f_rows = -hz[rows] @ to_split(obs_map)
+            f_rows[np.arange(rows.size), rows] += rates[rows]
+            e = from_split(propagate_few_rows(rates, rows, f_rows, to_split(e0), dt, steps))
+            e[0] = e0
+            return e
+    block = a_ww if kind == "reduced" else model.stacked_a()
+    return Propagator(block - h @ obs_map, dt).run(e0, steps)
 
 
 def _diverged_at(*states: np.ndarray) -> int | None:
@@ -286,7 +364,7 @@ def _diverged_at(*states: np.ndarray) -> int | None:
 
 
 def _simulate(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x: np.ndarray,
-              xhat0: np.ndarray, dt: float, measured_field: int, region, norm_weight: str) -> Trajectory:
+              xhat0: np.ndarray, dt: float, measured_field: int, gram, norm_weight: str) -> Trajectory:
     """Estimator run on a plant trajectory x from `_plant_trajectory`.
 
     xhat0 is the initial estimate of the unmeasured field (reduced) or of the
@@ -295,23 +373,21 @@ def _simulate(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x
     is propagated exactly; the estimator state is recovered from the plant
     and the error, phi = x_w + e - H y or z_hat = x + e.  The run is
     truncated before the first sample at which the plant or the estimator
-    state is non-finite or exceeds MAX_STATE_NORM in sup-norm.
+    state is non-finite or exceeds MAX_STATE_NORM in sup-norm.  gram is the
+    target region's Gram matrix (region.region_gram) for err_gamma, or None.
     """
     n = model.n_modes
     meas, unmeas = _field_slices(n, measured_field)
     h = gain.H
     if kind == "reduced":
-        _, a_mw, _, a_ww, _, _ = model.partition(measured_field)
-        f = a_ww - (h @ c) @ a_mw
         estimated = unmeas
     else:
         if h.shape != (2 * n, c.shape[0]):
             raise ValueError("full-order gain must have shape (2 n_modes, q)")
-        f = model.stacked_a() - h @ _full_sensor_matrix(c, n, measured_field)
         estimated = slice(0, 2 * n)
     e0 = np.asarray(xhat0, dtype=float).reshape(-1) - x[0, estimated]
     with np.errstate(over="ignore", invalid="ignore"):
-        e = Propagator(f, dt).run(e0, x.shape[0] - 1)
+        e = _error_trajectory(kind, model, c, gain, e0, dt, x.shape[0] - 1, measured_field)
         y = x[:, meas] @ c.T
         state = x[:, estimated] + e
         if kind == "reduced":
@@ -338,11 +414,15 @@ def _simulate(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x
         diverged=k is not None,
         divergence_message=msg,
     )
-    if region is not None:
+    if gram is not None:
         fields = e if kind == "reduced" else np.vstack([e[:, :n], e[:, n:]])
-        norms = error_norm_series(fields, model.domain, model.mode_set, region, norm_weight)
+        norms = gram_norm_series(fields, gram, model.domain, model.mode_set, norm_weight)
         traj.err_gamma = np.sqrt(np.sum(norms.reshape(-1, e.shape[0]) ** 2, axis=0))
     return traj
+
+
+def _region_gram(model: ModalModel, region):
+    return None if region is None else region_gram(region, model.domain, model.mode_set)
 
 
 def simulate_reduced_order(
@@ -370,7 +450,8 @@ def simulate_reduced_order(
     x = _plant_trajectory(model, u, x0, dt, t_final)
     meas, _ = _field_slices(model.n_modes, measured_field)
     xhat0 = np.asarray(phi0, dtype=float).reshape(model.n_modes) + gain.H @ (c @ x[0, meas])
-    return _simulate("reduced", model, c, gain, x, xhat0, dt, measured_field, region, norm_weight)
+    return _simulate("reduced", model, c, gain, x, xhat0, dt, measured_field,
+                     _region_gram(model, region), norm_weight)
 
 
 def simulate_full_order(
@@ -395,4 +476,5 @@ def simulate_full_order(
     c = output_matrix(sensors, model.domain, model.mode_set)
     x = _plant_trajectory(model, u, x0, dt, t_final)
     xhat0 = np.asarray(xhat0, dtype=float).reshape(2 * model.n_modes)
-    return _simulate("full", model, c, gain, x, xhat0, dt, measured_field, region, norm_weight)
+    return _simulate("full", model, c, gain, x, xhat0, dt, measured_field,
+                     _region_gram(model, region), norm_weight)

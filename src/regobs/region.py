@@ -153,10 +153,19 @@ def region_gram(region, domain: Domain, modes: ModeSet) -> np.ndarray:
 def error_norm_series(err_coeffs: np.ndarray, domain: Domain, modes: ModeSet, region, weight: str = "l2") -> np.ndarray:
     """Region-restricted norm of each row e of err_coeffs (T, n_modes):
     sqrt(e'Ge) for l2, sqrt(sum sob (Ge)^2) for sobolev_half (G = region_gram)."""
+    return gram_norm_series(err_coeffs, region_gram(region, domain, modes), domain, modes, weight)
+
+
+def gram_norm_series(err_coeffs: np.ndarray, gram: np.ndarray, domain: Domain, modes: ModeSet,
+                     weight: str = "l2") -> np.ndarray:
+    """error_norm_series for a region whose Gram matrix G is already built."""
     if weight not in NORM_WEIGHTS:
         raise ValueError(f"unknown norm weight {weight!r}; expected one of {NORM_WEIGHTS}")
     err = np.atleast_2d(np.asarray(err_coeffs, dtype=float))
-    projected = err @ region_gram(region, domain, modes)
+    # Subnormal coefficients (decayed fast modes) change no norm above 1e-300
+    # but make the matrix product several times slower: flush them to zero.
+    err = np.where(np.abs(err) < np.finfo(float).tiny, 0.0, err)
+    projected = err @ gram
     if weight == "l2":
         return np.sqrt(np.maximum(np.sum(projected * err, axis=1), 0.0))
     sob = np.sqrt(1.0 + np.abs(eigenvalues(modes, domain)))

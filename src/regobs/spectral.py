@@ -222,8 +222,137 @@ def assemble_exchange_model(
     )
 
 
+def exp_samples(rates: np.ndarray, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """Samples z0 * exp(rates t_k) at t_k = k dt, k = 0..steps, of the
+    decoupled scalar dynamics z' = diag(rates) z; shape (steps + 1, len(rates))."""
+    return np.exp(np.outer(dt * np.arange(steps + 1), rates)) * z0
+
+
+@dataclass(frozen=True, eq=False)
+class ModePairs:
+    """Closed-form eigendecomposition of a 2n x 2n matrix whose nonzeros are
+    n symmetric 2 x 2 blocks [[a_i, b_i], [b_i, d_i]] on the coordinate pairs
+    (i, n + i), such as the stacked exchange matrix [[A11, A12], [A21, A22]].
+
+    The orthogonal eigenbasis has column i = (cos_i, sin_i) and column n + i =
+    (-sin_i, cos_i) on pair i; rates holds the eigenvalues in that column
+    order, rates[i] >= rates[n + i].
+    """
+
+    rates: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+    @classmethod
+    def of_blocks(cls, a11, a12, a21, a22) -> "ModePairs | None":
+        """Pairs of the block matrix [[a11, a12], [a21, a22]]; None unless the
+        four n x n blocks are diagonal and a12 = a21."""
+        blocks = (a11, a12, a21, a22)
+        diags = [np.diag(b) for b in blocks]
+        if any(np.count_nonzero(b) != np.count_nonzero(g) for b, g in zip(blocks, diags)):
+            return None
+        a, b, b21, d = diags
+        if not np.array_equal(b, b21):
+            return None
+        mean, half = 0.5 * (a + d), 0.5 * (a - d)
+        r = np.hypot(half, b)
+        # the rotation by theta, tan(2 theta) = b / half, diagonalizes the pair
+        theta = 0.5 * np.arctan2(b, half)
+        return cls(rates=np.concatenate([mean + r, mean - r]), cos=np.cos(theta), sin=np.sin(theta))
+
+    @classmethod
+    def of_block(cls, block: np.ndarray) -> "ModePairs | None":
+        n2 = block.shape[0]
+        if n2 % 2 or block.shape != (n2, n2):
+            return None
+        n = n2 // 2
+        return cls.of_blocks(block[:n, :n], block[:n, n:], block[n:, :n], block[n:, n:])
+
+    @property
+    def n(self) -> int:
+        return self.cos.shape[0]
+
+    def to_eigen(self, x: np.ndarray) -> np.ndarray:
+        """Eigen coordinates V^T x of stacked states x (..., 2n)."""
+        x1, x2 = x[..., :self.n], x[..., self.n:]
+        return np.concatenate([self.cos * x1 + self.sin * x2, self.cos * x2 - self.sin * x1], axis=-1)
+
+    def from_eigen(self, z: np.ndarray) -> np.ndarray:
+        """Stacked states V z of eigen coordinates z (..., 2n)."""
+        zp, zm = z[..., :self.n], z[..., self.n:]
+        return np.concatenate([self.cos * zp - self.sin * zm, self.sin * zp + self.cos * zm], axis=-1)
+
+    def basis(self) -> np.ndarray:
+        """The eigenbasis V as a dense 2n x 2n matrix."""
+        n = self.n
+        i = np.arange(n)
+        v = np.zeros((2 * n, 2 * n))
+        v[i, i], v[n + i, i] = self.cos, self.sin
+        v[i, n + i], v[n + i, n + i] = -self.sin, self.cos
+        return v
+
+    def samples(self, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
+        """Exact samples (steps + 1, 2n) of x' = M x; row 0 is x0 itself."""
+        x = self.from_eigen(exp_samples(self.rates, self.to_eigen(x0), dt, steps))
+        x[0] = x0
+        return x
+
+
+NEAR_SPECTRUM = 1e-2
+
+
+def propagate_few_rows(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarray,
+                       dt: float, steps: int) -> np.ndarray:
+    """Exact samples (steps + 1, N) of z' = F z, where F equals diag(rates)
+    outside the few rows `rows` and f_rows (J x N) holds those J rows.
+
+    The other coordinates S decay as scalars, z_S(t_k) = exp(d_S t_k) z_S(0).
+    They drive the J coordinates R through the step recursion
+
+        z_R(k + 1) = E z_R(k) + Gamma z_S(k),   E = exp(F_RR dt),
+        Gamma[:, s] = int_0^dt exp(F_RR (dt - tau)) F_RS[:, s] exp(d_s tau) dtau.
+
+    Column s of Gamma is (E - exp(d_s dt)) (F_RR - d_s)^-1 F_RS[:, s] when
+    sigma_min(F_RR - d_s) dt >= NEAR_SPECTRUM, where the difference loses at
+    most two of the digits that the exponentials carry.  Nearer to the
+    spectrum of F_RR it cancels, and the column is read off the (J + 1)-order
+    block exponential exp([[F_RR, F_RS[:, s]], [0, d_s]] dt) instead (Van
+    Loan, "Computing integrals involving the matrix exponential", IEEE TAC
+    1978), which stays exact when d_s is an eigenvalue of F_RR.
+    """
+    rows = np.asarray(rows, dtype=int)
+    z = exp_samples(rates, z0, dt, steps)
+    if rows.size == 0:
+        return z
+    others = np.setdiff1d(np.arange(rates.shape[0]), rows)
+    j = rows.size
+    f_rr, f_rs, d_s = f_rows[:, rows], f_rows[:, others], rates[others]
+    step = expm(f_rr * dt)
+    shifted = f_rr - d_s[:, None, None] * np.eye(j)
+    far = np.linalg.svd(shifted, compute_uv=False)[:, -1] * dt >= NEAR_SPECTRUM
+    gamma = np.empty((others.size, j))
+    x = np.linalg.solve(shifted[far], f_rs.T[far][..., None])[..., 0]
+    gamma[far] = x @ step.T - np.exp(d_s[far] * dt)[:, None] * x
+    near = np.flatnonzero(~far)
+    blocks = np.zeros((near.size, j + 1, j + 1))
+    blocks[:, :j, :j] = f_rr * dt
+    blocks[:, :j, j] = f_rs.T[near] * dt
+    blocks[:, j, j] = d_s[near] * dt
+    gamma[near] = expm(blocks)[:, :j, j]
+    drive = z[:, others] @ gamma
+    zr = np.empty((steps + 1, j))
+    zr[0] = z0[rows]
+    for k in range(steps):
+        zr[k + 1] = step @ zr[k] + drive[k]
+    z[:, rows] = zr
+    return z
+
+
 class Propagator:
-    """Exact one-step propagator of dx/dt = M x + B u under zero-order hold.
+    """Exact one-step propagator of dx/dt = M x + B u under zero-order hold,
+    by one dense matrix exponential.  It is the test oracle of the
+    structured closed forms (ModePairs, propagate_few_rows) and the path for
+    nonzero inputs and for dense error dynamics.
 
     E = exp(M dt) and Phi = int_0^dt exp(M s) ds B are computed once from the
     augmented-matrix exponential

@@ -18,6 +18,7 @@ from regobs import (
     ObserverGain,
     PointwiseSensor,
     Rect,
+    ZoneSensor,
     assemble_exchange_model,
     design_gain,
     estimator_matrices,
@@ -132,6 +133,24 @@ class TestDesignGain:
         with pytest.raises(GainDesignError, match="misses the prescribed margin"):
             design_gain(model.A22, reduced_output_map(model, c), split, 1.0, tol_detect=10.0)
         assert issubclass(GainDesignError, RuntimeError)
+
+    def test_round_off_blind_zone_sensor_not_detectable(self):
+        # The tabulated weight is odd about the zone centre, so the sensor is
+        # blind to the unstable mode (1, 1) up to round-off; pinv alone would
+        # invert that round-off into a gain of ~1e16 with residual 0.
+        model = make_model(3.0)
+        sensor = ZoneSensor(Rect(0.3, 0.7, 0.3, 0.7), weight="tabulated", samples=((1, 1), (-1, -1)))
+        c = output_matrix([sensor], UNIT, model.mode_set)
+        groups = group_modes_by_eigenvalue(model)
+        assert not strategic_rank_test(c, groups).strategic
+        split = split_unstable_stable(model.A22, 0.0)
+        with pytest.raises(NotDetectableError, match="smallest singular value") as err:
+            design_gain(model.A22, reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
+        assert err.value.blind_positions == (model.mode_set.position(ModeIndex(1, 1)),)
+        c_full = np.hstack([c, np.zeros_like(c)])
+        a = model.stacked_a()
+        with pytest.raises(NotDetectableError):
+            design_gain(a, c_full, split_unstable_stable(a, 0.0), 1.0, sensor_matrix=c_full)
 
     @settings(max_examples=40, deadline=None)
     @given(
