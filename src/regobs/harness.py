@@ -111,14 +111,15 @@ def _initial_state(cfg: ExperimentConfig, n: int) -> np.ndarray:
 
 
 def _estimator(kind: str, model, c: np.ndarray, mf: int, x0: np.ndarray):
-    """Block, observation map and sensor matrix the gain of one estimator is
+    """Block (for the full estimator the closed-form ModePairs of the stacked
+    matrix), observation map and sensor matrix the gain of one estimator is
     designed on, and the true initial value of the state it estimates."""
     if kind == "reduced":
         _, _, _, a_ww, _, _ = model.partition(mf)
         x_w0 = x0[model.n_modes:] if mf == 1 else x0[:model.n_modes]
         return a_ww, reduced_output_map(model, c, mf), c, x_w0
     c_full = _full_sensor_matrix(c, model.n_modes, mf)
-    return model.stacked_a(), c_full, c_full, x0
+    return model.mode_pairs, c_full, c_full, x0
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):

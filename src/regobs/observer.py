@@ -79,33 +79,33 @@ class UnstableSplit:
         return p
 
 
-def _is_diagonal(block: np.ndarray) -> bool:
-    return np.count_nonzero(block) == np.count_nonzero(np.diag(block))
+def _eigenpairs(block):
+    """Eigenvalues and eigenbasis of a split's block; basis None for a
+    diagonal block, whose coordinates are the modes themselves."""
+    if isinstance(block, ModePairs):
+        return block.rates, block.basis()
+    block = np.atleast_2d(np.asarray(block, dtype=float))
+    if not np.any(block - np.diag(np.diag(block))):
+        return np.diag(block).astype(float).copy(), None
+    if np.allclose(block, block.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(block).max()))):
+        return np.linalg.eigh(block)
+    vals, vecs = scipy.linalg.eig(block)
+    if np.abs(vals.imag).max() > 1e-10 * max(1.0, np.abs(vals).max()):
+        raise ValueError("block has complex spectrum; real diagonalizable blocks only")
+    return vals.real, vecs.real
 
 
-def split_unstable_stable(block: np.ndarray, margin: float = 0.0) -> UnstableSplit:
+def split_unstable_stable(block, margin: float = 0.0) -> UnstableSplit:
     """Split a diagonalizable block into unstable and stable eigendirections.
 
-    Diagonal blocks keep their natural mode coordinates; a block made of
-    per-mode symmetric 2 x 2 blocks (the stacked exchange matrix) takes the
-    closed-form eigenbasis of ModePairs; other symmetric blocks are
-    diagonalized orthogonally.
+    block is a matrix or the ModePairs of the stacked exchange matrix
+    (ModalModel.mode_pairs), which brings its closed-form eigenbasis.
+    Diagonal blocks keep their natural mode coordinates; other symmetric
+    blocks are diagonalized orthogonally.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    block = np.atleast_2d(np.asarray(block, dtype=float))
-    if _is_diagonal(block):
-        eigs = np.diag(block).astype(float).copy()
-        basis = None
-    elif (pairs := ModePairs.of_block(block)) is not None:
-        eigs, basis = pairs.rates, pairs.basis()
-    elif np.allclose(block, block.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(block).max()))):
-        eigs, basis = np.linalg.eigh(block)
-    else:
-        vals, vecs = scipy.linalg.eig(block)
-        if np.abs(vals.imag).max() > 1e-10 * max(1.0, np.abs(vals).max()):
-            raise ValueError("block has complex spectrum; real diagonalizable blocks only")
-        eigs, basis = vals.real, vecs.real
+    eigs, basis = _eigenpairs(block)
     order = sorted(range(len(eigs)), key=lambda k: (-eigs[k], k))
     unstable = tuple(k for k in order if eigs[k] >= -margin)
     stable = tuple(k for k in order if eigs[k] < -margin)
@@ -157,16 +157,17 @@ def design_gain(
 ) -> ObserverGain:
     """Gain placing every unstable eigendirection at -target_margin.
 
-    obs_map is the observation matrix the gain multiplies in the error
-    dynamics (C for the full system, the sensor-composed coupling rows for
-    the reduced system).  sensor_matrix optionally records the raw C used to
-    factor the gain through the measurements.
+    block is what the split was taken of (a matrix, or ModalModel.mode_pairs
+    for the stacked exchange matrix); the design reads it only through the
+    split.  obs_map is the observation matrix the gain multiplies in the
+    error dynamics (C for the full system, the sensor-composed coupling rows
+    for the reduced system).  sensor_matrix optionally records the raw C used
+    to factor the gain through the measurements.
     """
     if target_margin <= 0:
         raise ValueError("target_margin must be > 0")
-    block = np.atleast_2d(np.asarray(block, dtype=float))
     obs_map = np.atleast_2d(np.asarray(obs_map, dtype=float))
-    n = block.shape[0]
+    n = split.eigenvalues.shape[0]
     q = obs_map.shape[0]
     j = split.j_unstable
     if j == 0:
@@ -295,10 +296,6 @@ def _full_sensor_matrix(c: np.ndarray, n: int, measured_field: int) -> np.ndarra
     return c_full
 
 
-def _mode_pairs(model: ModalModel) -> ModePairs | None:
-    return ModePairs.of_blocks(model.A11, model.A12, model.A21, model.A22)
-
-
 def _plant_trajectory(model: ModalModel, u, x0: np.ndarray, dt: float, t_final: float) -> np.ndarray:
     """Exact samples (steps + 1, 2n) of the plant x' = A x + B u: closed-form
     per-mode 2 x 2 exponentials when u == 0, a dense Propagator otherwise."""
@@ -306,10 +303,9 @@ def _plant_trajectory(model: ModalModel, u, x0: np.ndarray, dt: float, t_final: 
     if x0.shape[0] != 2 * model.n_modes:
         raise ValueError("x0 must stack both fields, shape (2 n_modes,)")
     steps = _steps(dt, t_final)
-    pairs = _mode_pairs(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        if pairs is not None and (u is None or model.n_inputs == 0 or not np.any(u)):
-            return pairs.samples(x0, dt, steps)
+        if u is None or model.n_inputs == 0 or not np.any(u):
+            return model.mode_pairs.samples(x0, dt, steps)
         return Propagator(model.stacked_a(), dt, model.stacked_b()).run(x0, steps, u)
 
 
@@ -322,33 +318,29 @@ def _error_trajectory(kind: str, model: ModalModel, c: np.ndarray, gain: Observe
     """Exact samples of the estimation error e' = F e, F = block - H obs_map.
 
     In split coordinates (the modes for the reduced estimator, the per-mode
-    2 x 2 eigenbasis for the full one) block is diagonal, and a designed gain
-    is nonzero only on the J unstable rows, so propagate_few_rows applies.  A
-    gain with more nonzero rows than the split has unstable coordinates is
-    propagated with the dense F.
+    2 x 2 eigenbasis ModalModel.mode_pairs for the full one) block is
+    diagonal, and a designed gain is nonzero only on the J unstable rows, so
+    propagate_few_rows applies.  A gain with more nonzero rows than the split
+    has unstable coordinates is propagated with the dense F.
     """
     h = gain.H
     if kind == "reduced":
         a_ww = model.partition(measured_field)[3]
         obs_map = reduced_output_map(model, c, measured_field)
-        structured = _is_diagonal(a_ww)
         rates, to_split, from_split = np.diag(a_ww), _identity, _identity
     else:
         obs_map = _full_sensor_matrix(c, model.n_modes, measured_field)
-        pairs = _mode_pairs(model)
-        structured = pairs is not None
-        if structured:
-            rates, to_split, from_split = pairs.rates, pairs.to_eigen, pairs.from_eigen
-    if structured:
-        hz = to_split(h.T).T
-        size = np.abs(hz).max(axis=1, initial=0.0)
-        rows = np.flatnonzero(size > GAIN_ROUNDOFF * size.max(initial=0.0))
-        if rows.size <= gain.split.j_unstable:
-            f_rows = -hz[rows] @ to_split(obs_map)
-            f_rows[np.arange(rows.size), rows] += rates[rows]
-            e = from_split(propagate_few_rows(rates, rows, f_rows, to_split(e0), dt, steps))
-            e[0] = e0
-            return e
+        pairs = model.mode_pairs
+        rates, to_split, from_split = pairs.rates, pairs.to_eigen, pairs.from_eigen
+    hz = to_split(h.T).T
+    size = np.abs(hz).max(axis=1, initial=0.0)
+    rows = np.flatnonzero(size > GAIN_ROUNDOFF * size.max(initial=0.0))
+    if rows.size <= gain.split.j_unstable:
+        f_rows = -hz[rows] @ to_split(obs_map)
+        f_rows[np.arange(rows.size), rows] += rates[rows]
+        e = from_split(propagate_few_rows(rates, rows, f_rows, to_split(e0), dt, steps))
+        e[0] = e0
+        return e
     block = a_ww if kind == "reduced" else model.stacked_a()
     return Propagator(block - h @ obs_map, dt).run(e0, steps)
 

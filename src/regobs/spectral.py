@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -168,6 +169,12 @@ class ModalModel:
     def stacked_a(self) -> np.ndarray:
         return np.block([[self.A11, self.A12], [self.A21, self.A22]])
 
+    @cached_property
+    def mode_pairs(self) -> "ModePairs":
+        """Closed-form eigendecomposition of stacked_a(): one symmetric 2 x 2
+        block per mode, read off the block diagonals."""
+        return ModePairs.of_blocks(np.diag(self.A11), np.diag(self.A12), np.diag(self.A22))
+
     def stacked_b(self) -> np.ndarray:
         return np.vstack([self.B1, self.B2])
 
@@ -224,15 +231,22 @@ def assemble_exchange_model(
 
 def exp_samples(rates: np.ndarray, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     """Samples z0 * exp(rates t_k) at t_k = k dt, k = 0..steps, of the
-    decoupled scalar dynamics z' = diag(rates) z; shape (steps + 1, len(rates))."""
-    return np.exp(np.outer(dt * np.arange(steps + 1), rates)) * z0
+    decoupled scalar dynamics z' = diag(rates) z; shape (steps + 1, len(rates)).
+
+    A coordinate that starts at 0 stays exactly 0, also where its exponential
+    would overflow."""
+    z = np.zeros((steps + 1, rates.shape[0]))
+    live = np.flatnonzero(z0)
+    z[:, live] = np.exp(np.outer(dt * np.arange(steps + 1), rates[live])) * z0[live]
+    return z
 
 
 @dataclass(frozen=True, eq=False)
 class ModePairs:
     """Closed-form eigendecomposition of a 2n x 2n matrix whose nonzeros are
     n symmetric 2 x 2 blocks [[a_i, b_i], [b_i, d_i]] on the coordinate pairs
-    (i, n + i), such as the stacked exchange matrix [[A11, A12], [A21, A22]].
+    (i, n + i), such as the stacked exchange matrix [[A11, A12], [A21, A22]]
+    (ModalModel.mode_pairs).
 
     The orthogonal eigenbasis has column i = (cos_i, sin_i) and column n + i =
     (-sin_i, cos_i) on pair i; rates holds the eigenvalues in that column
@@ -244,29 +258,13 @@ class ModePairs:
     sin: np.ndarray
 
     @classmethod
-    def of_blocks(cls, a11, a12, a21, a22) -> "ModePairs | None":
-        """Pairs of the block matrix [[a11, a12], [a21, a22]]; None unless the
-        four n x n blocks are diagonal and a12 = a21."""
-        blocks = (a11, a12, a21, a22)
-        diags = [np.diag(b) for b in blocks]
-        if any(np.count_nonzero(b) != np.count_nonzero(g) for b, g in zip(blocks, diags)):
-            return None
-        a, b, b21, d = diags
-        if not np.array_equal(b, b21):
-            return None
+    def of_blocks(cls, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> "ModePairs":
+        """Pairs of the blocks [[a_i, b_i], [b_i, d_i]], given as three length-n arrays."""
         mean, half = 0.5 * (a + d), 0.5 * (a - d)
         r = np.hypot(half, b)
         # the rotation by theta, tan(2 theta) = b / half, diagonalizes the pair
         theta = 0.5 * np.arctan2(b, half)
         return cls(rates=np.concatenate([mean + r, mean - r]), cos=np.cos(theta), sin=np.sin(theta))
-
-    @classmethod
-    def of_block(cls, block: np.ndarray) -> "ModePairs | None":
-        n2 = block.shape[0]
-        if n2 % 2 or block.shape != (n2, n2):
-            return None
-        n = n2 // 2
-        return cls.of_blocks(block[:n, :n], block[:n, n:], block[n:, :n], block[n:, n:])
 
     @property
     def n(self) -> int:
@@ -318,7 +316,10 @@ def propagate_few_rows(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarr
     spectrum of F_RR it cancels, and the column is read off the (J + 1)-order
     block exponential exp([[F_RR, F_RS[:, s]], [0, d_s]] dt) instead (Van
     Loan, "Computing integrals involving the matrix exponential", IEEE TAC
-    1978), which stays exact when d_s is an eigenvalue of F_RR.
+    1978), which stays exact when d_s is an eigenvalue of F_RR.  The block
+    exponential would be exact for every column, but scaling and squaring it
+    for the fast stable modes, where |d_s| dt is large, costs far more than
+    the resolvent.
     """
     rows = np.asarray(rows, dtype=int)
     z = exp_samples(rates, z0, dt, steps)
