@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import EDGES, Domain, Rect
+from .observer import _steps
 from .region import BoundarySegment, InternalRectangle
 from .sensing import PointwiseSensor, ZoneSensor, _check_sensor
 from .spectral import Coefficients
@@ -275,9 +276,10 @@ def parse_config(text: str) -> ExperimentConfig:
     t_final = r.float("simulation.T", 5.0)
     if t_final <= dt:
         raise ConfigError("simulation.T must be > simulation.dt")
-    steps = t_final / dt
-    if abs(steps - round(steps)) > 1e-9 * steps:
-        raise ConfigError("simulation.T must be a whole number of simulation.dt steps")
+    try:
+        _steps(dt, t_final)
+    except ValueError:
+        raise ConfigError("simulation.T must be a whole number of simulation.dt steps") from None
     n_coeffs = n_modes * n_modes
     x0_field1 = r.floats("simulation.x0_field1", n_coeffs)
     x0_field2 = r.floats("simulation.x0_field2", n_coeffs)

@@ -15,12 +15,12 @@ from .config import ConfigError, ExperimentConfig, render_config
 from .geometry import Rect
 from .observer import (
     NotDetectableError,
-    _full_sensor_matrix,
+    _estimator_maps,
+    _field_slices,
     _plant_trajectory,
     _simulate,
     _zero_gain,
     design_gain,
-    reduced_output_map,
     split_unstable_stable,
 )
 from .region import BoundarySegment, DecayFit, build_collar, fit_decay, region_gram
@@ -110,18 +110,6 @@ def _initial_state(cfg: ExperimentConfig, n: int) -> np.ndarray:
     return np.concatenate([x1, x2])
 
 
-def _estimator(kind: str, model, c: np.ndarray, mf: int, x0: np.ndarray):
-    """Block (for the full estimator the closed-form ModePairs of the stacked
-    matrix), observation map and sensor matrix the gain of one estimator is
-    designed on, and the true initial value of the state it estimates."""
-    if kind == "reduced":
-        _, _, _, a_ww, _, _ = model.partition(mf)
-        x_w0 = x0[model.n_modes:] if mf == 1 else x0[:model.n_modes]
-        return a_ww, reduced_output_map(model, c, mf), c, x_w0
-    c_full = _full_sensor_matrix(c, model.n_modes, mf)
-    return model.mode_pairs, c_full, c_full, x0
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     """Full pipeline: assemble, rank test, gain design, simulate, fit, emit.
 
@@ -148,7 +136,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     trajectories = {}
 
     for kind in wanted:
-        block, obs_map, sensor_matrix, truth0 = _estimator(kind, model, c, mf, x0)
+        block, obs_map, sensor_matrix = _estimator_maps(kind, model, c, mf)
+        truth0 = x0[_field_slices(model.n_modes, mf)[1]] if kind == "reduced" else x0
         split = split_unstable_stable(block, cfg.observer.margin)
         try:
             gain = design_gain(block, obs_map, split, cfg.observer.target_margin,

@@ -11,13 +11,13 @@ stabilize the error dynamics (NotDetectableError).
 Both estimators are built so that the estimation error obeys autonomous
 dynamics e' = F e.  A simulation propagates the plant and the error exactly
 and recovers the estimator state from the two, so the discrete trajectory
-satisfies the continuous error dynamics at the sample instants.  Without
-input the plant is n independent 2 x 2 mode blocks with closed-form
-exponentials; a designed gain is nonzero only on the J unstable coordinates
-of the split, so F is diagonal outside J rows there and all samples follow
-from scalar exponentials, one J x J exponential and the coupling of the J
-rows to the rest.  A dense matrix exponential remains for nonzero inputs and
-for gains without that structure.
+satisfies the continuous error dynamics at the sample instants.  The plant
+is n independent 2 x 2 mode blocks with closed-form exponentials, and a
+piecewise-constant input adds its closed-form zero-order-hold response in
+the same eigen coordinates.  In the coordinates of the split F is diagonal
+outside the rows where the gain is nonzero, so the error follows from scalar
+exponentials, one exponential of the order of those rows and their coupling
+to the rest: J rows for a designed gain, every row for a dense one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .region import gram_norm_series, region_gram
 from .sensing import output_matrix
-from .spectral import ModalModel, ModePairs, Propagator, propagate_few_rows
+from .spectral import ModalModel, ModePairs, propagate_few_rows
 
 MAX_STATE_NORM = 1e12
 # Singular values of the unstable observation block at or below RANK_TOL
@@ -275,9 +275,14 @@ class Trajectory:
 
 
 def _steps(dt: float, t_final: float) -> int:
-    if dt <= 0 or t_final < dt:
+    """Number of dt steps in the horizon t_final, which must be a whole
+    number of them up to a relative round-off of 1e-9."""
+    if not (dt > 0 and t_final >= dt):
         raise ValueError("need dt > 0 and t_final >= dt")
-    return int(round(t_final / dt))
+    steps = t_final / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError("t_final must be a whole number of dt steps")
+    return int(round(steps))
 
 
 def _field_slices(n: int, measured_field: int):
@@ -296,17 +301,42 @@ def _full_sensor_matrix(c: np.ndarray, n: int, measured_field: int) -> np.ndarra
     return c_full
 
 
+def _estimator_maps(kind: str, model: ModalModel, c: np.ndarray, measured_field: int):
+    """(block, obs_map, sensor_matrix) of one estimator: the block its gain
+    is designed on and its error dynamics start from, the observation map
+    the gain multiplies in F = block - H obs_map, and the sensor matrix the
+    gain factors through.  The reduced estimator has A_ww, C A_mw and C; the
+    full one the closed-form ModePairs of the stacked matrix and C_full."""
+    if kind == "reduced":
+        a_ww = model.partition(measured_field)[3]
+        return a_ww, reduced_output_map(model, c, measured_field), c
+    c_full = _full_sensor_matrix(c, model.n_modes, measured_field)
+    return model.mode_pairs, c_full, c_full
+
+
+def _input_drive(model: ModalModel, u, steps: int) -> np.ndarray | None:
+    """Zero-order-hold drive B u_k (steps, 2n) of the plant, None without
+    input; u is None, a constant (p,) vector or a (steps, p) schedule."""
+    if u is None:
+        return None
+    u = np.asarray(u, dtype=float)
+    p = model.n_inputs
+    if u.shape not in ((p,), (steps, p)):
+        raise ValueError(f"u must have shape ({p},) or ({steps}, {p}), got {u.shape}")
+    return np.broadcast_to(u, (steps, p)) @ model.stacked_b().T
+
+
 def _plant_trajectory(model: ModalModel, u, x0: np.ndarray, dt: float, t_final: float) -> np.ndarray:
-    """Exact samples (steps + 1, 2n) of the plant x' = A x + B u: closed-form
-    per-mode 2 x 2 exponentials when u == 0, a dense Propagator otherwise."""
+    """Exact samples (steps + 1, 2n) of the plant x' = A x + B u, u held
+    constant over each step: closed-form per-mode 2 x 2 exponentials and
+    their zero-order-hold input response."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != 2 * model.n_modes:
         raise ValueError("x0 must stack both fields, shape (2 n_modes,)")
     steps = _steps(dt, t_final)
+    drive = _input_drive(model, u, steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        if u is None or model.n_inputs == 0 or not np.any(u):
-            return model.mode_pairs.samples(x0, dt, steps)
-        return Propagator(model.stacked_a(), dt, model.stacked_b()).run(x0, steps, u)
+        return model.mode_pairs.samples(x0, dt, steps, drive)
 
 
 def _identity(x):
@@ -319,30 +349,24 @@ def _error_trajectory(kind: str, model: ModalModel, c: np.ndarray, gain: Observe
 
     In split coordinates (the modes for the reduced estimator, the per-mode
     2 x 2 eigenbasis ModalModel.mode_pairs for the full one) block is
-    diagonal, and a designed gain is nonzero only on the J unstable rows, so
-    propagate_few_rows applies.  A gain with more nonzero rows than the split
-    has unstable coordinates is propagated with the dense F.
+    diagonal, so F equals it outside the rows where the gain is nonzero and
+    propagate_few_rows applies to any gain: a designed gain has the J
+    unstable rows, a dense one all of them.  Rows below GAIN_ROUNDOFF of the
+    largest are round-off of forming H and count as zero.
     """
-    h = gain.H
+    block, obs_map, _ = _estimator_maps(kind, model, c, measured_field)
     if kind == "reduced":
-        a_ww = model.partition(measured_field)[3]
-        obs_map = reduced_output_map(model, c, measured_field)
-        rates, to_split, from_split = np.diag(a_ww), _identity, _identity
+        rates, to_split, from_split = np.diag(block), _identity, _identity
     else:
-        obs_map = _full_sensor_matrix(c, model.n_modes, measured_field)
-        pairs = model.mode_pairs
-        rates, to_split, from_split = pairs.rates, pairs.to_eigen, pairs.from_eigen
-    hz = to_split(h.T).T
+        rates, to_split, from_split = block.rates, block.to_eigen, block.from_eigen
+    hz = to_split(gain.H.T).T
     size = np.abs(hz).max(axis=1, initial=0.0)
     rows = np.flatnonzero(size > GAIN_ROUNDOFF * size.max(initial=0.0))
-    if rows.size <= gain.split.j_unstable:
-        f_rows = -hz[rows] @ to_split(obs_map)
-        f_rows[np.arange(rows.size), rows] += rates[rows]
-        e = from_split(propagate_few_rows(rates, rows, f_rows, to_split(e0), dt, steps))
-        e[0] = e0
-        return e
-    block = a_ww if kind == "reduced" else model.stacked_a()
-    return Propagator(block - h @ obs_map, dt).run(e0, steps)
+    f_rows = -hz[rows] @ to_split(obs_map)
+    f_rows[np.arange(rows.size), rows] += rates[rows]
+    e = from_split(propagate_few_rows(rates, rows, f_rows, to_split(e0), dt, steps))
+    e[0] = e0
+    return e
 
 
 def _diverged_at(*states: np.ndarray) -> int | None:
@@ -436,7 +460,9 @@ def simulate_reduced_order(
     measured-field injection synthesized exactly from the plant dynamics (the
     auxiliary output is algebraic in the modal states, never differenced).
     The recovered estimate is x2_hat = phi + H y and its error obeys
-    e' = F_red e exactly at the sample instants.
+    e' = F_red e exactly at the sample instants.  u is None, a constant (p,)
+    input or a (steps, p) schedule, held over each step; t_final must be a
+    whole number of dt steps.
     """
     c = output_matrix(sensors, model.domain, model.mode_set)
     x = _plant_trajectory(model, u, x0, dt, t_final)
@@ -463,7 +489,8 @@ def simulate_full_order(
     z_hat' = A z_hat + B u + H (y - C_full z_hat); the stacked error obeys
     e' = (A - H C_full) e exactly at the sample instants.
 
-    err_gamma combines both field errors, sqrt(|e1|_G^2 + |e2|_G^2).
+    err_gamma combines both field errors, sqrt(|e1|_G^2 + |e2|_G^2).  u and
+    t_final are as in simulate_reduced_order.
     """
     c = output_matrix(sensors, model.domain, model.mode_set)
     x = _plant_trajectory(model, u, x0, dt, t_final)

@@ -229,15 +229,30 @@ def assemble_exchange_model(
     )
 
 
-def exp_samples(rates: np.ndarray, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """Samples z0 * exp(rates t_k) at t_k = k dt, k = 0..steps, of the
-    decoupled scalar dynamics z' = diag(rates) z; shape (steps + 1, len(rates)).
+def exp_samples(rates: np.ndarray, z0: np.ndarray, dt: float, steps: int,
+                drive: np.ndarray | None = None) -> np.ndarray:
+    """Samples at t_k = k dt, k = 0..steps, of the decoupled scalar dynamics
+    z' = diag(rates) z + w, z(0) = z0, where w is held at drive[k] over
+    [t_k, t_{k+1}) (zero-order hold; drive (steps, N), None for w = 0);
+    shape (steps + 1, len(rates)).
 
-    A coordinate that starts at 0 stays exactly 0, also where its exponential
-    would overflow."""
+    The free response is one broadcast of z0 * exp(rates t_k); a coordinate
+    that starts at 0 stays exactly 0 there, also where its exponential would
+    overflow.  The forced response adds the elementwise recursion
+    f_{k+1} = exp(rates dt) f_k + phi drive[k], f_0 = 0, with
+    phi = (exp(rates dt) - 1) / rates, which is dt at a rate of exactly 0."""
     z = np.zeros((steps + 1, rates.shape[0]))
     live = np.flatnonzero(z0)
     z[:, live] = np.exp(np.outer(dt * np.arange(steps + 1), rates[live])) * z0[live]
+    if drive is not None:
+        moving = rates != 0
+        phi = np.full(rates.shape, float(dt))
+        phi[moving] = np.expm1(rates[moving] * dt) / rates[moving]
+        decay, push = np.exp(rates * dt), drive * phi
+        forced = np.zeros(rates.shape[0])
+        for k in range(steps):
+            forced = decay * forced + push[k]
+            z[k + 1] += forced
     return z
 
 
@@ -289,9 +304,13 @@ class ModePairs:
         v[i, n + i], v[n + i, n + i] = -self.sin, self.cos
         return v
 
-    def samples(self, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
-        """Exact samples (steps + 1, 2n) of x' = M x; row 0 is x0 itself."""
-        x = self.from_eigen(exp_samples(self.rates, self.to_eigen(x0), dt, steps))
+    def samples(self, x0: np.ndarray, dt: float, steps: int, drive: np.ndarray | None = None) -> np.ndarray:
+        """Exact samples (steps + 1, 2n) of x' = M x + w, where w is held at
+        drive[k] (steps, 2n) over [t_k, t_{k+1}) (None for w = 0); row 0 is x0
+        itself."""
+        if drive is not None:
+            drive = self.to_eigen(drive)
+        x = self.from_eigen(exp_samples(self.rates, self.to_eigen(x0), dt, steps, drive))
         x[0] = x0
         return x
 
@@ -335,10 +354,16 @@ def propagate_few_rows(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarr
     x = np.linalg.solve(shifted[far], f_rs.T[far][..., None])[..., 0]
     gamma[far] = x @ step.T - np.exp(d_s[far] * dt)[:, None] * x
     near = np.flatnonzero(~far)
-    blocks = np.zeros((near.size, j + 1, j + 1))
+    # The row appended below each block keeps it from being triangular:
+    # scipy's expm squares a triangular input with a plain divided difference
+    # of its diagonal exponentials, which cancels where d_s nearly equals an
+    # eigenvalue of F_RR, the case these columns are for.  The row feeds
+    # nothing back, so the leading (J + 1) block is the Van Loan exponential.
+    blocks = np.zeros((near.size, j + 2, j + 2))
     blocks[:, :j, :j] = f_rr * dt
     blocks[:, :j, j] = f_rs.T[near] * dt
     blocks[:, j, j] = d_s[near] * dt
+    blocks[:, j + 1, 0] = 1.0
     gamma[near] = expm(blocks)[:, :j, j]
     drive = z[:, others] @ gamma
     zr = np.empty((steps + 1, j))
@@ -351,9 +376,9 @@ def propagate_few_rows(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarr
 
 class Propagator:
     """Exact one-step propagator of dx/dt = M x + B u under zero-order hold,
-    by one dense matrix exponential.  It is the test oracle of the
-    structured closed forms (ModePairs, propagate_few_rows) and the path for
-    nonzero inputs and for dense error dynamics.
+    by one dense matrix exponential.  It is the engine of propagate() and the
+    test oracle of the structured closed forms (ModePairs, exp_samples,
+    propagate_few_rows) that every simulation uses.
 
     E = exp(M dt) and Phi = int_0^dt exp(M s) ds B are computed once from the
     augmented-matrix exponential

@@ -1,7 +1,10 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from regobs import PointwiseSensor, parse_config
+from regobs import PointwiseSensor, parse_config, spectral
 
 # Detectable two-sensor configuration with one unstable mode (beta = 3).
 BETA3_CONFIG = """\
@@ -70,3 +73,14 @@ def random_sensor_configs(seed=0, n_configs=50, q_choices=(1, 3), lo=0.1, hi=0.9
             sensors.append(PointwiseSensor(loc))
         configs.append(sensors)
     return configs
+
+
+@contextmanager
+def no_dense_propagator():
+    """Fail if a dense spectral.Propagator is built inside the block; run
+    dense oracles outside it."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("dense Propagator built inside a simulation")
+
+    with mock.patch.object(spectral.Propagator, "__init__", refuse):
+        yield

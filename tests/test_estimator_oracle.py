@@ -5,7 +5,9 @@ phi' = F_red phi + G_y x_m + G_u u for the reduced-order estimator and
 [x; z_hat] with z_hat' = A z_hat + B u + H C_full (x - z_hat) for the
 full-order one, and propagates the stack with one dense Propagator, stepping
 and guarding sample by sample.  It also keeps G_y and G_u of
-estimator_matrices verified.
+estimator_matrices verified.  The simulations run under no_dense_propagator:
+random dense gains and actuated plants take the same structured path as
+designed gains without input.
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from regobs import (
     split_unstable_stable,
 )
 from regobs.observer import MAX_STATE_NORM
+from conftest import no_dense_propagator
 
 UNIT = Domain()
 RTOL = 1e-10
@@ -134,7 +137,8 @@ def test_reduced_matches_dense_cosimulation(seed, n_side, q, mf, beta, actuated)
     x0 = rng.standard_normal(2 * n)
     phi0 = rng.standard_normal(n)
     dt, steps = 0.05, 30
-    traj = simulate_reduced_order(model, sensors, gain, u, x0, phi0, dt, dt * steps, measured_field=mf)
+    with no_dense_propagator():
+        traj = simulate_reduced_order(model, sensors, gain, u, x0, phi0, dt, dt * steps, measured_field=mf)
     _assert_matches(traj, *dense_reduced(model, c, gain, u, x0, phi0, dt, steps, mf), dt)
 
 
@@ -149,7 +153,8 @@ def test_full_matches_dense_cosimulation(seed, n_side, q, mf, beta, actuated):
     x0 = rng.standard_normal(2 * n)
     xhat0 = rng.standard_normal(2 * n)
     dt, steps = 0.05, 30
-    traj = simulate_full_order(model, sensors, gain, u, x0, xhat0, dt, dt * steps, measured_field=mf)
+    with no_dense_propagator():
+        traj = simulate_full_order(model, sensors, gain, u, x0, xhat0, dt, dt * steps, measured_field=mf)
     _assert_matches(traj, *dense_full(model, c, gain, u, x0, xhat0, dt, steps, mf), dt)
 
 
@@ -166,14 +171,16 @@ def test_diverging_run_truncates_at_dense_index():
     reduced_gain = ObserverGain(H=np.zeros((n, 1)), split=split_unstable_stable(model.A22),
                                 target_margin=1.0, closed_loop_eigs=np.diag(model.A22),
                                 residual=float("nan"), sensor_matrix=c)
-    traj = simulate_reduced_order(model, blind, reduced_gain, None, x0, np.zeros(n), dt, dt * steps)
+    with no_dense_propagator():
+        traj = simulate_reduced_order(model, blind, reduced_gain, None, x0, np.zeros(n), dt, dt * steps)
     oracle = dense_reduced(model, c, reduced_gain, None, x0, np.zeros(n), dt, steps, 1)
     assert oracle[-1] is not None and oracle[-1] < steps
     _assert_matches(traj, *oracle, dt)
 
     full_gain = ObserverGain(H=np.zeros((2 * n, 1)), split=split_unstable_stable(model.stacked_a()),
                              target_margin=1.0, closed_loop_eigs=np.zeros(2 * n), residual=float("nan"))
-    traj = simulate_full_order(model, blind, full_gain, None, x0, np.zeros(2 * n), dt, dt * steps)
+    with no_dense_propagator():
+        traj = simulate_full_order(model, blind, full_gain, None, x0, np.zeros(2 * n), dt, dt * steps)
     oracle = dense_full(model, c, full_gain, None, x0, np.zeros(2 * n), dt, steps, 1)
     assert oracle[-1] is not None and oracle[-1] < steps
     _assert_matches(traj, *oracle, dt)

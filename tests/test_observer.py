@@ -335,6 +335,25 @@ class TestSimulateReduced:
         assert np.abs(plant - open_loop).max() < 1e-12
         assert np.abs(traj_u.x1 - traj.x1).max() > 1e-3  # the input actually acts
 
+    @pytest.mark.parametrize("shape", [(103, 1), (99, 1), (2,)])
+    def test_input_shape_checked(self, shape):
+        # 100 steps and one actuator: only a (1,) constant or a (100, 1)
+        # schedule fits; a longer schedule is not cut, a shorter not run out
+        from regobs import ZoneSensor, input_matrix
+
+        b1 = input_matrix([ZoneSensor(Rect(0.3, 0.7, 0.3, 0.7))], UNIT, ModeSet.square(2))
+        model = assemble_exchange_model(Coefficients(1.0, 0.1, 3.0), UNIT, ModeSet.square(2), b1=b1)
+        c, gain = make_gain(model, STRATEGIC_PAIR)
+        with pytest.raises(ValueError, match="u must have shape"):
+            simulate_reduced_order(model, STRATEGIC_PAIR, gain, np.ones(shape), np.ones(8), np.zeros(4), 0.01, 1.0)
+
+    def test_horizon_must_be_whole_steps(self):
+        # dt = 0.4 does not divide t_final = 1.0; rounding would stop at t = 0.8
+        model = make_model(3.0)
+        c, gain = make_gain(model, STRATEGIC_PAIR)
+        with pytest.raises(ValueError, match="whole number of dt steps"):
+            simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, np.ones(8), np.zeros(4), 0.4, 1.0)
+
     def test_estimate_recovery_identity(self):
         model = make_model(3.0)
         c, gain = make_gain(model, STRATEGIC_PAIR)

@@ -1,20 +1,20 @@
 """Structured exact propagation against the dense Propagator oracle.
 
-Without input the plant is propagated by the closed-form per-mode 2 x 2
-exponentials (spectral.ModePairs) and the estimation error by
-spectral.propagate_few_rows in split coordinates.  The dense Propagator stays
-the reference: every structured result here is compared with it to a
-worst-case relative error of RTOL.
+Every simulation takes one path: the plant, with or without input, is
+propagated by the closed-form per-mode 2 x 2 exponentials and their
+zero-order-hold input response (spectral.ModePairs), and the estimation
+error by spectral.propagate_few_rows in split coordinates, for designed and
+arbitrary gains alike.  The dense Propagator is only the reference: every
+structured result here is compared with it to a worst-case relative error of
+RTOL, and no simulation may build one.
 """
 
 import os
 import re
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regobs import (
@@ -32,16 +32,16 @@ from regobs import (
     output_matrix,
     parse_config,
     propagate,
-    reduced_output_map,
     run_experiment,
     simulate_full_order,
     simulate_reduced_order,
     split_unstable_stable,
 )
-from regobs import harness, observer, spectral
-from regobs.observer import _error_trajectory, _full_sensor_matrix, _plant_trajectory
+from regobs import harness, observer
+from regobs.observer import _error_trajectory, _estimator_maps, _full_sensor_matrix, _plant_trajectory
 from regobs.region import region_gram
-from conftest import BETA3_CONFIG
+from regobs.spectral import ModePairs
+from conftest import BETA3_CONFIG, no_dense_propagator
 from test_estimator_oracle import dense_full, dense_reduced
 
 UNIT = Domain()
@@ -54,30 +54,8 @@ def _assert_close(got, ref):
     assert np.abs(got - ref).max() <= RTOL * np.abs(ref).max()
 
 
-@contextmanager
-def _no_dense_in_observer():
-    """Fail if the observer falls back to a dense Propagator; the oracle
-    below still uses the real one."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense Propagator used where the structured path applies")
-
-    with mock.patch.object(observer, "Propagator", refuse):
-        yield
-
-
 def _model(beta, n_side, alpha=1.0, gamma=0.1):
     return assemble_exchange_model(Coefficients(alpha, gamma, beta), UNIT, ModeSet.square(n_side))
-
-
-def _design(kind, model, c, mf):
-    """(block, obs_map, sensor_matrix) a gain of this estimator is designed
-    on, as in harness.run_experiment: the full estimator's block is the
-    closed-form ModePairs of the stacked matrix."""
-    if kind == "reduced":
-        _, _, _, a_ww, _, _ = model.partition(mf)
-        return a_ww, reduced_output_map(model, c, mf), c
-    c_full = _full_sensor_matrix(c, model.n_modes, mf)
-    return model.mode_pairs, c_full, c_full
 
 
 def _unstable_rows_gain(split, h_u):
@@ -91,7 +69,7 @@ def _unstable_rows_gain(split, h_u):
 
 
 def _dense_error(kind, model, c, h, e0, dt, steps, mf):
-    _, obs_map, _ = _design(kind, model, c, mf)
+    _, obs_map, _ = _estimator_maps(kind, model, c, mf)
     block = model.partition(mf)[3] if kind == "reduced" else model.stacked_a()
     return Propagator(block - h @ obs_map, dt).run(e0, steps)
 
@@ -104,16 +82,47 @@ def _dense_error_trajectory(kind, model, c, gain, e0, dt, steps, mf):
     return _dense_error(kind, model, c, gain.H, e0, dt, steps, mf)
 
 
-@settings(max_examples=40, deadline=None)
+def _stacked_pairs(a, b, d):
+    """Dense 2n x 2n matrix with the symmetric blocks [[a_i, b_i], [b_i, d_i]]
+    on the coordinate pairs (i, n + i)."""
+    return np.block([[np.diag(a), np.diag(b)], [np.diag(b), np.diag(d)]])
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_side=st.sampled_from([1, 2, 3]), beta=st.floats(0.0, 8.0),
-       alpha=st.floats(0.05, 2.0), gamma=st.floats(0.05, 2.0), dt=st.sampled_from([0.01, 0.05, 0.2]))
-def test_closed_form_plant_matches_dense(seed, n_side, beta, alpha, gamma, dt):
-    model = _model(beta, n_side, alpha, gamma)
-    x0 = np.random.default_rng(seed).standard_normal(2 * model.n_modes)
+       alpha=st.floats(0.05, 2.0), gamma=st.floats(0.05, 2.0), dt=st.sampled_from([0.01, 0.05, 0.2]),
+       inputs=st.sampled_from(["none", "constant", "schedule"]),
+       fields=st.sampled_from([(), (1,), (2,), (1, 2)]), zero_rate=st.booleans())
+@example(seed=1, n_side=2, beta=3.0, alpha=1.0, gamma=0.1, dt=0.05, inputs="schedule", fields=(1, 2),
+         zero_rate=True)
+def test_closed_form_plant_matches_dense(seed, n_side, beta, alpha, gamma, dt, inputs, fields, zero_rate):
+    # fields lists the fields the p actuators act on; a zero_rate case
+    # propagates ModePairs.of_blocks directly, with one pair [[s, s], [s, s]],
+    # s > 0, whose eigenvalue mean - hypot(0, s) = 0 is exact, so the input
+    # response takes its phi = dt limit there
+    rng = np.random.default_rng(seed)
+    modes = ModeSet.square(n_side)
+    n, p = len(modes), int(rng.integers(1, 3)) if fields else 0
+    b1, b2 = (rng.standard_normal((n, p)) if f in fields else None for f in (1, 2))
+    model = assemble_exchange_model(Coefficients(alpha, gamma, beta), UNIT, modes, b1=b1, b2=b2)
+    x0 = rng.standard_normal(2 * n)
     steps = 40
-    with _no_dense_in_observer():
-        x = _plant_trajectory(model, None, x0, dt, dt * steps)
-    _assert_close(x, propagate(model, x0, dt, steps))
+    u = {"none": None, "constant": rng.uniform(-2.0, 2.0, p),
+         "schedule": rng.uniform(-2.0, 2.0, (steps, p))}[inputs]
+    if zero_rate:
+        a, b, d = np.diag(model.A11).copy(), np.diag(model.A12).copy(), np.diag(model.A22).copy()
+        a[0] = b[0] = d[0] = rng.uniform(0.5, 3.0)
+        pairs = ModePairs.of_blocks(a, b, d)
+        assert pairs.rates[n] == 0.0
+        drive = None if u is None else np.broadcast_to(u, (steps, p)) @ model.stacked_b().T
+        with no_dense_propagator():
+            x = pairs.samples(x0, dt, steps, drive)
+        ref = propagate(_stacked_pairs(a, b, d), x0, dt, steps, u, b=model.stacked_b())
+    else:
+        with no_dense_propagator():
+            x = _plant_trajectory(model, u, x0, dt, dt * steps)
+        ref = propagate(model, x0, dt, steps, u)
+    _assert_close(x, ref)
     assert np.array_equal(x[0], x0)
 
 
@@ -122,16 +131,19 @@ def test_closed_form_plant_matches_dense(seed, n_side, beta, alpha, gamma, dt):
        n_side=st.sampled_from([1, 2, 3]), beta=st.sampled_from([1.0, 3.0, 6.0]) | st.floats(0.5, 8.0),
        q=st.sampled_from([1, 2, 3]), mf=st.sampled_from([1, 2]), designed=st.booleans(),
        target_margin=st.floats(0.2, 3.0), confluent=st.booleans())
+@example(seed=18, kind="full", n_side=2, beta=3.0, q=1, mf=1, designed=True, target_margin=1.0,
+         confluent=True)
 def test_error_propagation_matches_dense(seed, kind, n_side, beta, q, mf, designed, target_margin, confluent):
     # beta = 6, n_side = 2 has J = 3 with a repeated unstable eigenvalue in
     # both estimators; designed gains need q = 3 there, the others put random
     # rows on the J unstable coordinates.  A confluent design places -m on
-    # the rate of a stable coordinate.
+    # the rate of a stable coordinate; in the example it is -76.1, and the
+    # Van Loan block is large enough for scipy's expm to square it.
     rng = np.random.default_rng(seed)
     model = _model(beta, n_side)
     sensors = [PointwiseSensor(tuple(rng.uniform(0.1, 0.9, 2))) for _ in range(q)]
     c = output_matrix(sensors, UNIT, model.mode_set)
-    block, obs_map, sensor_matrix = _design(kind, model, c, mf)
+    block, obs_map, sensor_matrix = _estimator_maps(kind, model, c, mf)
     split = split_unstable_stable(block, 0.0)
     if confluent and split.stable:
         target_margin = -split.eigenvalues[split.stable[int(rng.integers(len(split.stable)))]]
@@ -147,7 +159,7 @@ def test_error_propagation_matches_dense(seed, kind, n_side, beta, q, mf, design
                         closed_loop_eigs=np.zeros(h.shape[0]), residual=0.0)
     e0 = rng.standard_normal(h.shape[0])
     dt, steps = 0.05, 40
-    with _no_dense_in_observer():
+    with no_dense_propagator():
         e = _error_trajectory(kind, model, c, gain, e0, dt, steps, mf)
     _assert_close(e, _dense_error(kind, model, c, h, e0, dt, steps, mf))
 
@@ -162,14 +174,14 @@ def test_confluent_target_margin(kind, mf, beta, n_side, q):
     model = _model(beta, n_side)
     sensors = [PointwiseSensor(tuple(rng.uniform(0.1, 0.9, 2))) for _ in range(q)]
     c = output_matrix(sensors, UNIT, model.mode_set)
-    block, obs_map, sensor_matrix = _design(kind, model, c, mf)
+    block, obs_map, sensor_matrix = _estimator_maps(kind, model, c, mf)
     split = split_unstable_stable(block, 0.0)
     rate = split.eigenvalues[split.stable[0]]
     gain = design_gain(block, obs_map, split, -rate, sensor_matrix=sensor_matrix)
     assert -gain.target_margin == rate
     e0 = rng.standard_normal(gain.H.shape[0])
     dt, steps = 0.05, 60
-    with _no_dense_in_observer():
+    with no_dense_propagator():
         e = _error_trajectory(kind, model, c, gain, e0, dt, steps, mf)
     _assert_close(e, _dense_error(kind, model, c, gain.H, e0, dt, steps, mf))
 
@@ -193,7 +205,7 @@ def test_diverging_zero_gain_truncates_at_dense_index(seed, n_side, beta, scale,
     full = ObserverGain(H=np.zeros((2 * n, 1)), split=split_unstable_stable(model.mode_pairs),
                         target_margin=1.0, closed_loop_eigs=np.zeros(2 * n), residual=float("nan"))
     phi0, xhat0 = rng.standard_normal(n), rng.standard_normal(2 * n)
-    with _no_dense_in_observer():
+    with no_dense_propagator():
         traj_r = simulate_reduced_order(model, sensors, reduced, None, x0, phi0, dt, dt * steps, mf)
         traj_f = simulate_full_order(model, sensors, full, None, x0, xhat0, dt, dt * steps, mf)
     for traj, oracle in ((traj_r, dense_reduced(model, c, reduced, None, x0, phi0, dt, steps, mf)),
@@ -223,7 +235,7 @@ def test_zero_start_on_unstable_modes_stays_zero_past_overflow(mf):
     x0 = rng.standard_normal(2 * n)
     x0[np.concatenate([growing, growing])] = 0.0
     dt, steps = 0.5, 200
-    with _no_dense_in_observer():
+    with no_dense_propagator():
         x = _plant_trajectory(model, None, x0, dt, dt * steps)
     _assert_close(x, propagate(model, x0, dt, steps))
 
@@ -235,7 +247,7 @@ def test_zero_start_on_unstable_modes_stays_zero_past_overflow(mf):
     full = ObserverGain(H=np.zeros((2 * n, 1)), split=split_unstable_stable(model.mode_pairs),
                         target_margin=1.0, closed_loop_eigs=np.zeros(2 * n), residual=float("nan"))
     x_w0 = x0[n:] if mf == 1 else x0[:n]
-    with _no_dense_in_observer():
+    with no_dense_propagator():
         traj_r = simulate_reduced_order(model, sensors, reduced, None, x0, x_w0, dt, dt * steps, mf)
         traj_f = simulate_full_order(model, sensors, full, None, x0, x0, dt, dt * steps, mf)
     for traj, oracle in ((traj_r, dense_reduced(model, c, reduced, None, x0, x_w0, dt, steps, mf)),
@@ -307,12 +319,8 @@ def test_shipped_configs_match_dense_path_without_propagator(name, tmp_path, mon
         dense.setattr(harness, "_plant_trajectory", _dense_plant)
         dense.setattr(observer, "_error_trajectory", _dense_error_trajectory)
         ref_report, _ = run_experiment(cfg, str(tmp_path / "ref"))
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("dense Propagator built for a run without input")
-
-    monkeypatch.setattr(spectral.Propagator, "__init__", refuse)
-    report, _ = run_experiment(cfg, str(tmp_path / "fast"))
+    with no_dense_propagator():
+        report, _ = run_experiment(cfg, str(tmp_path / "fast"))
     assert report.manifest == ref_report.manifest
     for fname in report.manifest:
         with open(tmp_path / "ref" / fname, "rb") as ref, open(tmp_path / "fast" / fname, "rb") as got:
