@@ -274,12 +274,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if dt <= 0:
         raise ConfigError("simulation.dt must be > 0")
     t_final = r.float("simulation.T", 5.0)
-    if t_final <= dt:
-        raise ConfigError("simulation.T must be > simulation.dt")
     try:
         _steps(dt, t_final)
     except ValueError:
-        raise ConfigError("simulation.T must be a whole number of simulation.dt steps") from None
+        # the API's horizon rule: at least one step, and whole steps
+        why = "be >= simulation.dt" if t_final < dt else "be a whole number of simulation.dt steps"
+        raise ConfigError(f"simulation.T must {why}") from None
     n_coeffs = n_modes * n_modes
     x0_field1 = r.floats("simulation.x0_field1", n_coeffs)
     x0_field2 = r.floats("simulation.x0_field2", n_coeffs)

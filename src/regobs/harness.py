@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, render_config
-from .geometry import Rect
 from .observer import (
     NotDetectableError,
     _estimator_maps,
@@ -26,12 +25,11 @@ from .observer import (
 from .region import BoundarySegment, DecayFit, build_collar, fit_decay, region_gram
 from .sensing import (
     PointwiseSensor,
-    PredicateInapplicableError,
     StrategicReport,
-    ZoneSensor,
+    _lattice_rows,
+    _lattice_triggered,
+    _stacked_rank_test,
     group_values,
-    nonstrategic_pointwise_predicate,
-    nonstrategic_zone_predicate,
     observability_gramian,
     output_matrix,
     strategic_rank_test,
@@ -216,14 +214,6 @@ def _feasible_interval(cfg: ExperimentConfig, sensor):
     return (d.alpha1 + h1, d.beta1 - h1), (d.alpha2 + h2, d.beta2 - h2)
 
 
-def _sensor_at(sensor, b1: float, b2: float):
-    if isinstance(sensor, PointwiseSensor):
-        return PointwiseSensor(location=(b1, b2))
-    h1, h2 = sensor.rect.half_widths
-    return ZoneSensor(rect=Rect(b1 - h1, b1 + h1, b2 - h2, b2 + h2),
-                      weight=sensor.weight, samples=sensor.samples)
-
-
 def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     """Evaluate sensor placements over an interior lattice.
 
@@ -231,7 +221,9 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     grid_n x grid_n lattice at fractions k/(grid_n + 1) of the feasible span;
     remaining sensors stay fixed.  Each position records the strategic
     verdict, the smallest observability-Gramian eigenvalue of the
-    unmeasured-field block, and the closed-form predicate triggers.
+    unmeasured-field block, and the closed-form predicate triggers.  The
+    positions are evaluated one lattice row (fixed b1) at a time, each row
+    with stacked calls; a row bounds the stacks' memory.
     """
     if grid_n < 2:
         raise ConfigError("sweep grid must be >= 2")
@@ -242,34 +234,25 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     _, _, _, a_ww, _, _ = model.partition(mf)
     groups = group_values(np.diag(a_ww), modes)
     varied = cfg.sensors[0]
-    rest = cfg.sensors[1:]
     (lo1, hi1), (lo2, hi2) = _feasible_interval(cfg, varied)
     fracs = [k / (grid_n + 1) for k in range(1, grid_n + 1)]
-    positions = [
-        (lo1 + (hi1 - lo1) * f1, lo2 + (hi2 - lo2) * f2)
-        for f1 in fracs
-        for f2 in fracs
-    ]
-
-    def evaluate(pos):
-        b1, b2 = pos
-        sensor = _sensor_at(varied, b1, b2)
-        sensors = (sensor, *rest)
-        c = output_matrix(sensors, cfg.domain, modes)
-        verdict = strategic_rank_test(c, groups).strategic
+    xs = [lo1 + (hi1 - lo1) * f for f in fracs]
+    ys = [lo2 + (hi2 - lo2) * f for f in fracs]
+    rest = cfg.sensors[1:]
+    fixed = output_matrix(rest, cfg.domain, modes) if rest else np.zeros((0, len(modes)))
+    fixed = np.broadcast_to(fixed, (grid_n, *fixed.shape))
+    triggered = _lattice_triggered(varied, cfg.domain, modes, xs, ys)
+    rows = []
+    for b1, varied_rows, row_triggered in zip(xs, _lattice_rows(varied, cfg.domain, modes, xs, ys), triggered):
+        c = np.concatenate([varied_rows[:, None, :], fixed], axis=1)
+        *_, strategic = _stacked_rank_test(c, groups)
         w = observability_gramian(a_ww, c, cfg.observer.gramian_horizon)
-        min_eig = float(np.linalg.eigvalsh(w)[0])
-        try:
-            if isinstance(sensor, PointwiseSensor):
-                pred = nonstrategic_pointwise_predicate(sensor, cfg.domain, modes)
-            else:
-                pred = nonstrategic_zone_predicate(sensor, cfg.domain, modes)
-            triggered = pred.modes
-        except PredicateInapplicableError:
-            triggered = ()
-        return SweepRow(b1=b1, b2=b2, strategic=verdict, min_gramian_eig=min_eig, triggered=triggered)
-
-    return SweepResult(grid_n=grid_n, rows=tuple(evaluate(p) for p in positions))
+        min_eig = np.linalg.eigvalsh(w)[:, 0]
+        rows.extend(
+            SweepRow(b1=b1, b2=b2, strategic=bool(s), min_gramian_eig=float(e), triggered=t)
+            for b2, s, e, t in zip(ys, strategic, min_eig, row_triggered)
+        )
+    return SweepResult(grid_n=grid_n, rows=tuple(rows))
 
 
 # --- file emission -------------------------------------------------------------

@@ -23,6 +23,7 @@ to the rest: J rows for a designed gain, every row for a dense one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -54,17 +55,38 @@ class NotDetectableError(RuntimeError):
         self.blind_positions = blind_positions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnstableSplit:
     """Spectral partition of a block: eigendirections with Re >= -margin are
     unstable.  For diagonal blocks the coordinates are the modes themselves
-    (basis None); otherwise indices refer to the eigenbasis columns."""
+    (basis None); otherwise indices refer to the eigenbasis columns.  The
+    basis may be given as a ModePairs, whose dense matrix is built only when
+    `basis` is read."""
 
     eigenvalues: np.ndarray = field(repr=False)
     unstable: tuple[int, ...]
     stable: tuple[int, ...]
     margin: float
-    basis: np.ndarray | None = field(default=None, repr=False)
+
+    def __init__(self, eigenvalues, unstable, stable, margin, basis=None):
+        for name, value in (("eigenvalues", eigenvalues), ("unstable", unstable), ("stable", stable),
+                            ("margin", margin), ("_eigenbasis", basis)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def basis(self) -> np.ndarray | None:
+        if isinstance(self._eigenbasis, ModePairs):
+            return self._eigenbasis.basis()
+        return self._eigenbasis
+
+    def unstable_basis(self) -> np.ndarray | None:
+        """The unstable eigenbasis columns (n x J); None for a diagonal block."""
+        basis, idx = self._eigenbasis, list(self.unstable)
+        if not isinstance(basis, ModePairs):
+            return None if basis is None else basis[:, idx]
+        unit = np.zeros((len(idx), 2 * basis.n))
+        unit[np.arange(len(idx)), idx] = 1.0
+        return basis.from_eigen(unit).T
 
     @property
     def j_unstable(self) -> int:
@@ -81,9 +103,10 @@ class UnstableSplit:
 
 def _eigenpairs(block):
     """Eigenvalues and eigenbasis of a split's block; basis None for a
-    diagonal block, whose coordinates are the modes themselves."""
+    diagonal block, whose coordinates are the modes themselves, and the
+    ModePairs itself for the stacked exchange matrix."""
     if isinstance(block, ModePairs):
-        return block.rates, block.basis()
+        return block.rates, block
     block = np.atleast_2d(np.asarray(block, dtype=float))
     if not np.any(block - np.diag(np.diag(block))):
         return np.diag(block).astype(float).copy(), None
@@ -175,10 +198,11 @@ def design_gain(
     idx = list(split.unstable)
     lam_u = split.eigenvalues[idx]
     target = np.diag(lam_u + target_margin)
-    if split.basis is None:
+    v_u = split.unstable_basis()
+    if v_u is None:
         o_u = obs_map[:, idx]
     else:
-        o_u = obs_map @ split.basis[:, idx]
+        o_u = obs_map @ v_u
     h_u = target @ np.linalg.pinv(o_u)
     residual = float(np.linalg.norm(h_u @ o_u - target))
     scale = max(1.0, float(np.linalg.norm(target)))
@@ -199,11 +223,11 @@ def design_gain(
             residual=residual,
             blind_positions=blind,
         )
-    if split.basis is None:
+    if v_u is None:
         h = np.zeros((n, q))
         h[idx, :] = h_u
     else:
-        h = split.basis[:, idx] @ h_u
+        h = v_u @ h_u
     stable_eigs = split.eigenvalues[list(split.stable)]
     closed = np.concatenate([np.linalg.eigvals(np.diag(lam_u) - h_u @ o_u), stable_eigs])
     closed = np.sort_complex(closed)[::-1]

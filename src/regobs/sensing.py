@@ -22,6 +22,8 @@ from .geometry import Domain, Rect, _sine_product_integral, gauss_nodes
 from .spectral import ModalModel, ModeIndex, ModeSet, eval_matrix
 
 ZONE_WEIGHTS = ("uniform", "separable_sine", "tabulated")
+# Default rank tolerance, relative to the largest singular value of C.
+TOL_RANK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,21 +78,26 @@ def _sine_integral(k: int, alpha: float, length: float, lo: float, hi: float) ->
     return (math.cos(c * (lo - alpha)) - math.cos(c * (hi - alpha))) / c
 
 
+def _axis_integrals(weight: str, ks, alpha: float, length: float, lo: float, hi: float) -> dict[int, float]:
+    """int_lo^hi sin(k pi (x - alpha)/L) f(x) dx for each k, f the factor of a
+    closed-form zone weight on this axis (1, or the sine bump over [lo, hi])."""
+    out = {}
+    for k in ks:
+        if weight == "uniform":
+            out[k] = _sine_integral(k, alpha, length, lo, hi)
+        else:
+            a, w = k * math.pi / length, hi - lo
+            out[k] = _sine_product_integral(a, -a * alpha, math.pi / w, -math.pi * lo / w, lo, hi)
+    return out
+
+
 def _zone_row(sensor: ZoneSensor, domain: Domain, modes: ModeSet, n_quad: int) -> np.ndarray:
     if sensor.weight == "tabulated":
         # tensor Gauss-Legendre quadrature against the interpolated weight
         return zone_row_quadrature(sensor, domain, modes, n_quad)
     rect = sensor.rect
-
-    def axis_integral(k, alpha, length, lo, hi):
-        # int_lo^hi sin(k pi (x - alpha)/L) f(x) dx, f the weight's factor on this axis
-        if sensor.weight == "uniform":
-            return _sine_integral(k, alpha, length, lo, hi)
-        a, w = k * math.pi / length, hi - lo
-        return _sine_product_integral(a, -a * alpha, math.pi / w, -math.pi * lo / w, lo, hi)
-
-    i1 = {i: axis_integral(i, domain.alpha1, domain.length1, rect.lo1, rect.hi1) for i in {m.i for m in modes}}
-    i2 = {j: axis_integral(j, domain.alpha2, domain.length2, rect.lo2, rect.hi2) for j in {m.j for m in modes}}
+    i1 = _axis_integrals(sensor.weight, {m.i for m in modes}, domain.alpha1, domain.length1, rect.lo1, rect.hi1)
+    i2 = _axis_integrals(sensor.weight, {m.j for m in modes}, domain.alpha2, domain.length2, rect.lo2, rect.hi2)
     norm = 2.0 / math.sqrt(domain.length1 * domain.length2)
     return np.array([norm * i1[m.i] * i2[m.j] for m in modes])
 
@@ -149,6 +156,41 @@ def output_matrix(sensors, domain: Domain, modes: ModeSet, n_quad: int = 32) -> 
 def input_matrix(actuators, domain: Domain, modes: ModeSet, n_quad: int = 32) -> np.ndarray:
     """Modal actuator columns (n_modes x p); descriptors mirror sensors."""
     return output_matrix(actuators, domain, modes, n_quad).T
+
+
+def _moved(sensor: SensorSpec, x: float, y: float) -> SensorSpec:
+    """The sensor relocated to (x, y): its location, or its support's centre."""
+    if isinstance(sensor, PointwiseSensor):
+        return PointwiseSensor(location=(x, y))
+    h1, h2 = sensor.rect.half_widths
+    return ZoneSensor(rect=Rect(x - h1, x + h1, y - h2, y + h2), weight=sensor.weight, samples=sensor.samples)
+
+
+def _lattice_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, ys, n_quad: int = 32):
+    """Output rows of the sensor moved to each point of the lattice xs x ys:
+    yields, for each x, the (len(ys), n_modes) rows of the points (x, y).
+
+    The rows equal output_matrix's.  A pointwise sensor takes one evaluation
+    per x.  The closed-form zone weights are separable, so each axis
+    integral is taken once per distinct coordinate and the rows are their
+    outer product; a tabulated weight keeps its quadrature per point.
+    """
+    if isinstance(sensor, PointwiseSensor):
+        for x in xs:
+            yield eval_matrix(domain, modes, np.column_stack([np.full(len(ys), x), ys]))
+        return
+    if sensor.weight == "tabulated":
+        for x in xs:
+            yield np.vstack([_zone_row(_moved(sensor, x, y), domain, modes, n_quad) for y in ys])
+        return
+    h1, h2 = sensor.rect.half_widths
+    ii, jj = [m.i for m in modes], [m.j for m in modes]
+    i1 = [_axis_integrals(sensor.weight, set(ii), domain.alpha1, domain.length1, x - h1, x + h1) for x in xs]
+    i2 = [_axis_integrals(sensor.weight, set(jj), domain.alpha2, domain.length2, y - h2, y + h2) for y in ys]
+    by_mode2 = np.array([[axis[j] for j in jj] for axis in i2])
+    norm = 2.0 / math.sqrt(domain.length1 * domain.length2)
+    for axis in i1:
+        yield norm * np.array([axis[i] for i in ii]) * by_mode2
 
 
 # --- eigenvalue grouping and the strategic rank condition ---------------------
@@ -242,7 +284,37 @@ class StrategicReport:
         return tuple(out)
 
 
-def strategic_rank_test(c: np.ndarray, groups, q: int | None = None, tol_rank: float = 1e-10) -> StrategicReport:
+def _stacked_rank_test(stack: np.ndarray, groups, q: int | None = None, tol_rank: float = TOL_RANK):
+    """The rank test on a (P, rows, n) stack of output matrices, with one
+    batched svd per distinct group multiplicity m over the (P, G_m, rows, m)
+    group blocks.
+
+    Returns the (P, len(groups)) ranks, each group's (P, k) singular values,
+    the (P, len(groups)) mask of offending groups and the (P,) verdicts.
+    """
+    p = stack.shape[0]
+    if q is None:
+        q = stack.shape[1]
+    ranks = np.zeros((p, len(groups)), dtype=int)
+    svals = [np.zeros((p, 0))] * len(groups)
+    if q and stack.shape[1]:
+        scale = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        by_mult: dict[int, list[int]] = {}
+        for k, group in enumerate(groups):
+            by_mult.setdefault(group.multiplicity, []).append(k)
+        for ks in by_mult.values():
+            cols = np.array([groups[k].positions for k in ks])
+            s = np.linalg.svd(np.swapaxes(stack[:, :, cols], 1, 2), compute_uv=False)
+            ranks[:, ks] = np.where(scale[:, None] > 0, np.sum(s > (tol_rank * scale)[:, None, None], axis=-1), 0)
+            for g, k in enumerate(ks):
+                svals[k] = s[:, g]
+    mult = np.array([group.multiplicity for group in groups], dtype=int)
+    offending = ranks < mult
+    strategic = (q >= mult.max(initial=0)) & ~offending.any(axis=1)
+    return ranks, svals, offending, strategic
+
+
+def strategic_rank_test(c: np.ndarray, groups, q: int | None = None, tol_rank: float = TOL_RANK) -> StrategicReport:
     """Rank test of the group blocks G_n = C[:, group columns].
 
     Rank counts singular values above tol_rank * sigma_max, where sigma_max is
@@ -251,31 +323,21 @@ def strategic_rank_test(c: np.ndarray, groups, q: int | None = None, tol_rank: f
     are pure round-off (an exactly blind sensor) at rank 0.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
+    groups = list(groups)
     if q is None:
         q = c.shape[0]
-    scale = np.linalg.svd(c, compute_uv=False)[0] if c.size else 0.0
-    blocks = []
-    offending = []
-    for k, group in enumerate(groups):
-        sub = c[:, list(group.positions)] if q else np.zeros((0, group.multiplicity))
-        if sub.size:
-            svals = np.linalg.svd(sub, compute_uv=False)
-            rank = int(np.sum(svals > tol_rank * scale)) if scale > 0 else 0
-        else:
-            svals = np.zeros(0)
-            rank = 0
-        blocks.append(GroupRank(group=group, rank=rank, singular_values=tuple(float(s) for s in svals)))
-        if rank < group.multiplicity:
-            offending.append(k)
-    max_mult = max(g.multiplicity for g in groups) if groups else 0
-    strategic = (q >= max_mult) and not offending
+    ranks, svals, offending, strategic = _stacked_rank_test(c[None], groups, q, tol_rank)
+    blocks = tuple(
+        GroupRank(group=group, rank=int(ranks[0, k]), singular_values=tuple(float(s) for s in svals[k][0]))
+        for k, group in enumerate(groups)
+    )
     return StrategicReport(
         q=q,
         tol_rank=tol_rank,
-        blocks=tuple(blocks),
-        strategic=strategic,
-        offending=tuple(offending),
-        max_multiplicity=max_mult,
+        blocks=blocks,
+        strategic=bool(strategic[0]),
+        offending=tuple(int(k) for k in np.flatnonzero(offending[0])),
+        max_multiplicity=max((g.multiplicity for g in groups), default=0),
     )
 
 
@@ -287,12 +349,13 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
     W = O'O * K with K_ij = (e^{(d_i+d_j)T} - 1)/(d_i+d_j), and K_ij = T
     where d_i + d_j = 0; otherwise it is exact by Van Loan's block
     exponential, E = exp([[-M', O'O], [0, M]] T) and W = E_22' E_12.
+    obs may be a (P, q, n) stack of maps; W then has shape (P, n, n).
     """
     if t_horizon <= 0:
         raise ValueError("t_horizon must be > 0")
     m = np.atleast_2d(np.asarray(m, dtype=float))
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    oto = obs.T @ obs
+    oto = np.swapaxes(obs, -1, -2) @ obs
     if not np.any(m - np.diag(np.diag(m))):
         d = np.diag(m)
         d_sum = d[:, None] + d[None, :]
@@ -302,9 +365,11 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
         w = oto * k
     else:
         n = m.shape[0]
-        e = expm(np.block([[-m.T, oto], [np.zeros_like(m), m]]) * t_horizon)
-        w = e[n:, n:].T @ e[:n, n:]
-    return 0.5 * (w + w.T)
+        block = np.zeros((*oto.shape[:-2], 2 * n, 2 * n))
+        block[..., :n, :n], block[..., :n, n:], block[..., n:, n:] = -m.T, oto, m
+        e = expm(block * t_horizon)
+        w = np.swapaxes(e[..., n:, n:], -1, -2) @ e[..., :n, n:]
+    return 0.5 * (w + np.swapaxes(w, -1, -2))
 
 
 # --- closed-form non-strategicness predicates ---------------------------------
@@ -330,16 +395,27 @@ def _axis_denominator(ratio: float, max_den: int, tol_rat: float) -> int | None:
     return None
 
 
-def _vanishing_modes(domain: Domain, modes: ModeSet, x_center: float, y_center: float, tol_rat: float):
-    r1 = (x_center - domain.alpha1) / domain.length1
-    r2 = (y_center - domain.alpha2) / domain.length2
-    q1 = _axis_denominator(r1, modes.max_i, tol_rat)
-    q2 = _axis_denominator(r2, modes.max_j, tol_rat)
+def _vanishing_modes(modes: ModeSet, q1: int | None, q2: int | None) -> PredicateResult:
     hit = tuple(
         m for m in modes
         if (q1 is not None and m.i % q1 == 0) or (q2 is not None and m.j % q2 == 0)
     )
     return PredicateResult(triggered=bool(hit), modes=hit, axis_denominators=(q1, q2))
+
+
+def _centre_denominators(domain: Domain, modes: ModeSet, xs, ys, tol_rat: float):
+    """_axis_denominator of each coordinate's ratio along its axis: q1 for
+    each x in xs, q2 for each y in ys."""
+    q1 = [_axis_denominator((x - domain.alpha1) / domain.length1, modes.max_i, tol_rat) for x in xs]
+    q2 = [_axis_denominator((y - domain.alpha2) / domain.length2, modes.max_j, tol_rat) for y in ys]
+    return q1, q2
+
+
+def _require_symmetric(sensor: ZoneSensor) -> None:
+    if sensor.weight == "tabulated":
+        arr = np.asarray(sensor.samples, dtype=float)
+        if not (np.allclose(arr, arr[::-1, :]) and np.allclose(arr, arr[:, ::-1])):
+            raise PredicateInapplicableError("zone weight is not symmetric about the support center")
 
 
 def nonstrategic_pointwise_predicate(
@@ -353,7 +429,8 @@ def nonstrategic_pointwise_predicate(
     """
     _check_sensor(sensor, domain)
     b1, b2 = sensor.location
-    return _vanishing_modes(domain, modes, b1, b2, tol_rat)
+    (q1,), (q2,) = _centre_denominators(domain, modes, [b1], [b2], tol_rat)
+    return _vanishing_modes(modes, q1, q2)
 
 
 def nonstrategic_zone_predicate(
@@ -367,9 +444,28 @@ def nonstrategic_zone_predicate(
     back to the rank test.
     """
     _check_sensor(sensor, domain)
-    if sensor.weight == "tabulated":
-        arr = np.asarray(sensor.samples, dtype=float)
-        if not (np.allclose(arr, arr[::-1, :]) and np.allclose(arr, arr[:, ::-1])):
-            raise PredicateInapplicableError("zone weight is not symmetric about the support center")
+    _require_symmetric(sensor)
     cx, cy = sensor.rect.center
-    return _vanishing_modes(domain, modes, cx, cy, tol_rat)
+    (q1,), (q2,) = _centre_denominators(domain, modes, [cx], [cy], tol_rat)
+    return _vanishing_modes(modes, q1, q2)
+
+
+def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, ys, tol_rat: float = 1e-9):
+    """Modes the closed-form predicate flags for the sensor moved to each
+    point of the lattice xs x ys: for each x, the flagged modes of every
+    (x, y), all () where the predicate does not apply.
+
+    The same flags as the predicates, with the denominators found once per
+    distinct coordinate instead of once per point.
+    """
+    if isinstance(sensor, ZoneSensor):
+        try:
+            _require_symmetric(sensor)
+        except PredicateInapplicableError:
+            return [[()] * len(ys) for _ in xs]
+        # the moved support's centre, computed as Rect.center does
+        h1, h2 = sensor.rect.half_widths
+        xs = [0.5 * ((x - h1) + (x + h1)) for x in xs]
+        ys = [0.5 * ((y - h2) + (y + h2)) for y in ys]
+    q1s, q2s = _centre_denominators(domain, modes, xs, ys, tol_rat)
+    return [[_vanishing_modes(modes, q1, q2).modes for q2 in q2s] for q1 in q1s]

@@ -74,6 +74,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert "not_detectable=true" in capsys.readouterr().out
 
+    def test_one_step_run_exits_zero(self, tmp_path, capsys):
+        cfg = tmp_path / "one_step.cfg"
+        cfg.write_text(BETA3_CONFIG + "simulation.dt = 0.5\nsimulation.T = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.0", "0.5"]
+
 
 class TestRank:
     def test_rank_prints_report(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from conftest import random_sensor_configs
 from regobs import (
     Coefficients,
+    ConfigError,
     Domain,
     GainDesignError,
     InternalRectangle,
@@ -25,6 +26,7 @@ from regobs import (
     fit_decay,
     group_modes_by_eigenvalue,
     output_matrix,
+    parse_config,
     propagate,
     reduced_output_map,
     simulate_full_order,
@@ -353,6 +355,23 @@ class TestSimulateReduced:
         c, gain = make_gain(model, STRATEGIC_PAIR)
         with pytest.raises(ValueError, match="whole number of dt steps"):
             simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, np.ones(8), np.zeros(4), 0.4, 1.0)
+
+    @pytest.mark.parametrize("t_final", [0.4, 0.2])
+    def test_one_step_horizon_agrees_with_config(self, t_final):
+        # T == dt is one step for the API and the config alike; T < dt is
+        # rejected by both
+        model = make_model(3.0)
+        c, gain = make_gain(model, STRATEGIC_PAIR)
+        text = f"simulation.dt = 0.4\nsimulation.T = {t_final}\n"
+        if t_final >= 0.4:
+            traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, np.ones(8), np.zeros(4), 0.4, t_final)
+            assert traj.times.tolist() == [0.0, 0.4]
+            assert parse_config(text).simulation.t_final == t_final
+        else:
+            with pytest.raises(ValueError, match="t_final >= dt"):
+                simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, np.ones(8), np.zeros(4), 0.4, t_final)
+            with pytest.raises(ConfigError, match=r"simulation\.T must be >= simulation\.dt"):
+                parse_config(text)
 
     def test_estimate_recovery_identity(self):
         model = make_model(3.0)
