@@ -246,8 +246,9 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     for b1, varied_rows, row_triggered in zip(xs, _lattice_rows(varied, cfg.domain, modes, xs, ys), triggered):
         c = np.concatenate([varied_rows[:, None, :], fixed], axis=1)
         *_, strategic = _stacked_rank_test(c, groups)
-        w = observability_gramian(a_ww, c, cfg.observer.gramian_horizon)
-        min_eig = np.linalg.eigvalsh(w)[:, 0]
+        # no name holds the (grid_n, n, n) Gramians, so the next row's stack
+        # is built after this one is freed
+        min_eig = np.linalg.eigvalsh(observability_gramian(a_ww, c, cfg.observer.gramian_horizon))[:, 0]
         rows.extend(
             SweepRow(b1=b1, b2=b2, strategic=bool(s), min_gramian_eig=float(e), triggered=t)
             for b2, s, e, t in zip(ys, strategic, min_eig, row_triggered)

@@ -362,14 +362,16 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
         k = np.full_like(d_sum, float(t_horizon))
         nz = d_sum != 0.0
         k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
-        w = oto * k
+        w = np.multiply(oto, k, out=oto)  # in place: a stack of Gramians is the sweep's largest array
     else:
         n = m.shape[0]
         block = np.zeros((*oto.shape[:-2], 2 * n, 2 * n))
         block[..., :n, :n], block[..., :n, n:], block[..., n:, n:] = -m.T, oto, m
         e = expm(block * t_horizon)
         w = np.swapaxes(e[..., n:, n:], -1, -2) @ e[..., :n, n:]
-    return 0.5 * (w + np.swapaxes(w, -1, -2))
+    w = w + np.swapaxes(w, -1, -2)
+    w *= 0.5
+    return w
 
 
 # --- closed-form non-strategicness predicates ---------------------------------

@@ -194,6 +194,17 @@ class TestGramian:
         near = observability_gramian(np.diag([0.7, -0.7 + 1e-9, 0.0]), obs, 1.5)
         assert near[0, 1] == pytest.approx(3.0, rel=1e-8)
 
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["closed_form", "van_loan"])
+    def test_stack_matches_one_map_at_a_time(self, diagonal):
+        rng = np.random.default_rng(5)
+        m = np.diag(-rng.uniform(0.5, 3.0, 4)) if diagonal else rng.standard_normal((4, 4)) - 2 * np.eye(4)
+        stack = rng.standard_normal((3, 2, 4))
+        w = observability_gramian(m, stack, 1.5)
+        assert w.shape == (3, 4, 4)
+        for wp, obs in zip(w, stack):
+            one = observability_gramian(m, obs, 1.5)
+            assert np.abs(wp - one).max() <= 1e-13 * np.abs(one).max()
+
     def test_quadrature_matches_dense_path(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((4, 4)) - 2 * np.eye(4)
