@@ -11,7 +11,7 @@ import sys
 
 from . import __version__
 from .config import ConfigError, load_config
-from .harness import emit_sweep, placement_sweep, render_rank_report, run_experiment
+from .harness import emit_sweep, placement_sweep, rank_report, render_rank_report, run_experiment
 
 
 class _UsageError(SystemExit):
@@ -59,21 +59,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    from .sensing import group_values, output_matrix, strategic_rank_test
-    from .spectral import ModeSet, assemble_exchange_model
-    import numpy as np
-
     cfg = load_config(args.config)
-    modes = ModeSet.square(cfg.simulation.n_modes)
-    model = assemble_exchange_model(cfg.coefficients, cfg.domain, modes)
-    _, _, _, a_ww, _, _ = model.partition(cfg.observer.measured_field)
-    groups = group_values(np.diag(a_ww), modes)
-    if cfg.sensors:
-        c = output_matrix(cfg.sensors, cfg.domain, modes)
-    else:
-        c = np.zeros((0, len(modes)))
-    report = strategic_rank_test(c, groups)
-    sys.stdout.write(render_rank_report(report))
+    sys.stdout.write(render_rank_report(rank_report(cfg)))
     return 0
 
 

@@ -81,10 +81,21 @@ class RunReport:
         return self.estimators[self.primary].decay_fit
 
 
-def _build_model(cfg: ExperimentConfig):
+def _observed_model(cfg: ExperimentConfig, sensors):
+    """The config's modal model, its measured-field block a_ww, the eigenvalue
+    groups of a_ww and the output matrix of `sensors` (no rows for none)."""
     modes = ModeSet.square(cfg.simulation.n_modes)
     model = assemble_exchange_model(cfg.coefficients, cfg.domain, modes)
-    return modes, model
+    _, _, _, a_ww, _, _ = model.partition(cfg.observer.measured_field)
+    groups = group_values(np.diag(a_ww), modes)
+    c = output_matrix(sensors, cfg.domain, modes) if sensors else np.zeros((0, len(modes)))
+    return model, a_ww, groups, c
+
+
+def rank_report(cfg: ExperimentConfig) -> StrategicReport:
+    """Strategic rank test of the config's sensor suite (possibly empty)."""
+    _, _, groups, c = _observed_model(cfg, cfg.sensors)
+    return strategic_rank_test(c, groups)
 
 
 def _norm_region(cfg: ExperimentConfig):
@@ -116,15 +127,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     """
     if not cfg.sensors:
         raise ConfigError("observer requires ≥ 1 sensor")
-    modes, model = _build_model(cfg)
+    model, _, groups, c = _observed_model(cfg, cfg.sensors)
     mf = cfg.observer.measured_field
     sim = cfg.simulation
-    c = output_matrix(cfg.sensors, cfg.domain, modes)
-    _, _, _, a_ww, _, _ = model.partition(mf)
-    groups = group_values(np.diag(a_ww), modes)
     strategic = strategic_rank_test(c, groups)
     norm_region, region_note = _norm_region(cfg)
-    gram = region_gram(norm_region, cfg.domain, modes)
+    gram = region_gram(norm_region, cfg.domain, model.mode_set)
 
     x0 = _initial_state(cfg, model.n_modes)
     x = _plant_trajectory(model, None, x0, sim.dt, sim.t_final)
@@ -229,17 +237,13 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
         raise ConfigError("sweep grid must be >= 2")
     if not cfg.sensors:
         raise ConfigError("sweep requires ≥ 1 sensor")
-    modes, model = _build_model(cfg)
-    mf = cfg.observer.measured_field
-    _, _, _, a_ww, _, _ = model.partition(mf)
-    groups = group_values(np.diag(a_ww), modes)
+    model, a_ww, groups, fixed = _observed_model(cfg, cfg.sensors[1:])
+    modes = model.mode_set
     varied = cfg.sensors[0]
     (lo1, hi1), (lo2, hi2) = _feasible_interval(cfg, varied)
     fracs = [k / (grid_n + 1) for k in range(1, grid_n + 1)]
     xs = [lo1 + (hi1 - lo1) * f for f in fracs]
     ys = [lo2 + (hi2 - lo2) * f for f in fracs]
-    rest = cfg.sensors[1:]
-    fixed = output_matrix(rest, cfg.domain, modes) if rest else np.zeros((0, len(modes)))
     fixed = np.broadcast_to(fixed, (grid_n, *fixed.shape))
     triggered = _lattice_triggered(varied, cfg.domain, modes, xs, ys)
     rows = []
@@ -288,34 +292,22 @@ def emit_outputs(report: RunReport, trajectories, cfg: ExperimentConfig, out_dir
 
 
 def _write_trajectory_csv(path, cfg, primary, full, reduced):
-    n = cfg.simulation.n_modes**2
     modes = ModeSet.square(cfg.simulation.n_modes)
     header = ["t", "err_gamma", "err_full_order", "err_reduced_order"]
     header += [f"e_{m.i}_{m.j}" for m in modes]
-    lengths = [primary.times.shape[0]]
-    for traj in (full, reduced):
-        if traj is not None:
-            lengths.append(traj.times.shape[0])
-    rows = max(lengths)
-    dt = cfg.simulation.dt
+    rows = max(traj.times.shape[0] for traj in (primary, full, reduced) if traj is not None)
 
-    def series(traj):
-        return traj.err_gamma if traj is not None and traj.err_gamma is not None else None
+    def column(traj):
+        # one text cell per sample; a divergence truncates the series, so pad it
+        values = [] if traj is None or traj.err_gamma is None else traj.err_gamma.tolist()
+        return list(map(repr, values)) + [""] * (rows - len(values))
 
-    err_primary = series(primary)
-    err_full = series(full)
-    err_reduced = series(reduced)
+    times = [repr(k * cfg.simulation.dt) for k in range(rows)]
+    modal = [",".join(map(repr, row)) for row in primary.mode_abs_err.tolist()]
+    modal += [",".join([""] * len(modes))] * (rows - len(modal))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(rows):
-            cells = [_fmt(k * dt)]
-            cells.append(_fmt(err_primary[k]) if err_primary is not None and k < err_primary.shape[0] else "")
-            cells.append(_fmt(err_full[k]) if err_full is not None and k < err_full.shape[0] else "")
-            cells.append(_fmt(err_reduced[k]) if err_reduced is not None and k < err_reduced.shape[0] else "")
-            if k < primary.mode_abs_err.shape[0]:
-                cells.extend(_fmt(v) for v in primary.mode_abs_err[k])
-            else:
-                cells.extend("" for _ in range(n))
+        for cells in zip(times, column(primary), column(full), column(reduced), modal):
             fh.write(",".join(cells) + "\n")
 
 

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import expm
 
-from .geometry import Domain, Rect, _sine_product_integral, gauss_nodes
-from .spectral import ModalModel, ModeIndex, ModeSet, eval_matrix
+from .geometry import Domain, Rect, _sine_product_integral
+from .spectral import ModalModel, ModeIndex, ModeSet
 
 ZONE_WEIGHTS = ("uniform", "separable_sine", "tabulated")
 # Default rank tolerance, relative to the largest singular value of C.
@@ -78,67 +77,99 @@ def _sine_integral(k: int, alpha: float, length: float, lo: float, hi: float) ->
     return (math.cos(c * (lo - alpha)) - math.cos(c * (hi - alpha))) / c
 
 
-def _axis_integrals(weight: str, ks, alpha: float, length: float, lo: float, hi: float) -> dict[int, float]:
+def _axis_integrals(weight: str, ks, alpha: float, length: float, lo: float, hi: float) -> list[float]:
     """int_lo^hi sin(k pi (x - alpha)/L) f(x) dx for each k, f the factor of a
     closed-form zone weight on this axis (1, or the sine bump over [lo, hi])."""
-    out = {}
+    out = []
     for k in ks:
         if weight == "uniform":
-            out[k] = _sine_integral(k, alpha, length, lo, hi)
+            out.append(_sine_integral(k, alpha, length, lo, hi))
         else:
             a, w = k * math.pi / length, hi - lo
-            out[k] = _sine_product_integral(a, -a * alpha, math.pi / w, -math.pi * lo / w, lo, hi)
+            out.append(_sine_product_integral(a, -a * alpha, math.pi / w, -math.pi * lo / w, lo, hi))
     return out
 
 
-def _zone_row(sensor: ZoneSensor, domain: Domain, modes: ModeSet, n_quad: int) -> np.ndarray:
+# (theta - sin theta)/theta^2 = theta sum_n (-theta^2)^n/(2n + 3)!, to round-off for theta < 1
+_ODD_SERIES = np.array([(-1) ** n / math.factorial(2 * n + 3) for n in range(9)])
+
+
+def _hat_integrals(ks, alpha: float, length: float, lo: float, hi: float, n: int) -> np.ndarray:
+    """A[k, a] = int_lo^hi sin(k pi (x - alpha)/L) u_a(x) dx for the hat
+    functions u_a of n uniform nodes x_a on [lo, hi], whose combination
+    sum_a s_a u_a is the linear interpolant of the samples s_a.
+
+    With w = k pi/L, node spacing h and theta = w h, an interior hat gives
+    h sinc^2(theta/2) sin(w (x_a - alpha)); the half hats at the ends give half
+    of that plus or minus h (theta - sin theta)/theta^2 cos(w (x_a - alpha)).
+    Neither form cancels as theta -> 0: sinc is a plain quotient, and the odd
+    term is summed as its series below theta = 1.
+    """
+    w = np.asarray(ks, dtype=float)[:, None] * (math.pi / length)
+    h = (hi - lo) / (n - 1)
+    phase = w * (np.linspace(lo, hi, n) - alpha)
+    theta = w * h
+    out = h * (np.sin(theta / 2) / (theta / 2)) ** 2 * np.sin(phase)
+    out[:, [0, -1]] *= 0.5
+    odd = h * np.where(theta < 1.0, theta * np.polynomial.polynomial.polyval(theta**2, _ODD_SERIES),
+                       (theta - np.sin(theta)) / theta**2)[:, 0]
+    out[:, 0] += odd * np.cos(phase[:, 0])
+    out[:, -1] -= odd * np.cos(phase[:, -1])
+    return out
+
+
+def _weight_samples(sensor: SensorSpec) -> np.ndarray:
+    """S of the weight sum_ab S_ab u_a(x) v_b(y): the samples of a tabulated
+    weight, [[1]] for a pointwise sensor and the closed-form weights."""
+    if isinstance(sensor, ZoneSensor) and sensor.weight == "tabulated":
+        return np.asarray(sensor.samples, dtype=float)
+    return np.ones((1, 1))
+
+
+def _axis_factors(sensor: SensorSpec, axis: int, ks, alpha: float, length: float, lo: float, hi: float) -> np.ndarray:
+    """A[k, a] = int sin(k pi (x - alpha)/L) u_a(x) dx over the sensor's
+    extent [lo, hi] on one axis, for each k in ks: the sine at the point for a
+    pointwise sensor (lo == hi), the closed-form integral for the uniform and
+    sine-bump weights, the hat integrals of the sample grid for a tabulated one.
+    """
+    if isinstance(sensor, PointwiseSensor):
+        return np.sin(np.pi * (np.asarray(ks, dtype=float) * ((lo - alpha) / length)))[:, None]
     if sensor.weight == "tabulated":
-        # tensor Gauss-Legendre quadrature against the interpolated weight
-        return zone_row_quadrature(sensor, domain, modes, n_quad)
-    rect = sensor.rect
-    i1 = _axis_integrals(sensor.weight, {m.i for m in modes}, domain.alpha1, domain.length1, rect.lo1, rect.hi1)
-    i2 = _axis_integrals(sensor.weight, {m.j for m in modes}, domain.alpha2, domain.length2, rect.lo2, rect.hi2)
+        return _hat_integrals(ks, alpha, length, lo, hi, np.shape(sensor.samples)[axis])
+    return np.array(_axis_integrals(sensor.weight, ks, alpha, length, lo, hi))[:, None]
+
+
+def _sensor_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, spans1, spans2):
+    """Output rows of the sensor placed on each extent pair spans1 x spans2:
+    yields, for each (lo1, hi1) in spans1, the (len(spans2), n_modes) rows of
+    that extent with each (lo2, hi2).  A pointwise sensor's extent is (b, b).
+
+    Every weight is separable, f = sum_ab S_ab u_a(x) v_b(y), so
+    row[m] = (2/sqrt(L1 L2)) sum_ab A1[i_m, a] S_ab A2[j_m, b] with the
+    per-axis factors A of _axis_factors.  The second-axis factors are taken
+    once; for one-term weights the row is (norm A1) A2, product by product.
+    """
+    ki, pos_i = np.unique([m.i for m in modes], return_inverse=True)
+    kj, pos_j = np.unique([m.j for m in modes], return_inverse=True)
+    ki, kj = ki.tolist(), kj.tolist()
+    samples = _weight_samples(sensor)
     norm = 2.0 / math.sqrt(domain.length1 * domain.length2)
-    return np.array([norm * i1[m.i] * i2[m.j] for m in modes])
+    a2 = np.stack([_axis_factors(sensor, 1, kj, domain.alpha2, domain.length2, lo, hi)[pos_j]
+                   for lo, hi in spans2])
+    for lo, hi in spans1:
+        left = ((norm * _axis_factors(sensor, 0, ki, domain.alpha1, domain.length1, lo, hi)) @ samples)[pos_i]
+        # summed term by term from the first, so a one-term row keeps its signed zeros
+        rows = left[:, 0] * a2[..., 0]
+        for b in range(1, samples.shape[1]):
+            rows += left[:, b] * a2[..., b]
+        yield rows
 
 
-def zone_row_quadrature(sensor: ZoneSensor, domain: Domain, modes: ModeSet, n_quad: int = 32) -> np.ndarray:
-    """Output row of a zone sensor by tensor quadrature over its support."""
-    rect = sensor.rect
-    xs, wx = gauss_nodes(rect.lo1, rect.hi1, n_quad)
-    ys, wy = gauss_nodes(rect.lo2, rect.hi2, n_quad)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    weights = np.outer(wx, wy).ravel()
-    fvals = _weight_values(sensor, pts)
-    phi = eval_matrix(domain, modes, pts)
-    return phi.T @ (weights * fvals)
-
-
-def _weight_values(sensor: ZoneSensor, pts: np.ndarray) -> np.ndarray:
-    rect = sensor.rect
-    if sensor.weight == "uniform":
-        return np.ones(pts.shape[0])
-    if sensor.weight == "separable_sine":
-        w1 = rect.hi1 - rect.lo1
-        w2 = rect.hi2 - rect.lo2
-        return np.sin(np.pi * (pts[:, 0] - rect.lo1) / w1) * np.sin(np.pi * (pts[:, 1] - rect.lo2) / w2)
-    samples = np.asarray(sensor.samples, dtype=float)
-    interp = RegularGridInterpolator(
-        (np.linspace(rect.lo1, rect.hi1, samples.shape[0]),
-         np.linspace(rect.lo2, rect.hi2, samples.shape[1])),
-        samples,
-        method="linear",
-    )
-    return interp(pts)
-
-
-def output_matrix(sensors, domain: Domain, modes: ModeSet, n_quad: int = 32) -> np.ndarray:
+def output_matrix(sensors, domain: Domain, modes: ModeSet) -> np.ndarray:
     """Modal output operator C (q x n_modes) of a sensor suite.
 
-    Row i is <phi_m, f_i> over the zone support (closed form for the uniform
-    and separable-sine weights, quadrature for tabulated) or phi_m(b_i) for a
-    pointwise sensor.
+    Row i is <phi_m, f_i> over the zone support, or phi_m(b_i) for a pointwise
+    sensor, in closed form for every weight (_sensor_rows).
     """
     sensors = list(sensors)
     if not sensors:
@@ -147,50 +178,29 @@ def output_matrix(sensors, domain: Domain, modes: ModeSet, n_quad: int = 32) -> 
     for sensor in sensors:
         _check_sensor(sensor, domain)
         if isinstance(sensor, PointwiseSensor):
-            rows.append(eval_matrix(domain, modes, [sensor.location])[0])
+            b1, b2 = sensor.location
+            spans = [(b1, b1)], [(b2, b2)]
         else:
-            rows.append(_zone_row(sensor, domain, modes, n_quad))
+            r = sensor.rect
+            spans = [(r.lo1, r.hi1)], [(r.lo2, r.hi2)]
+        rows.append(next(_sensor_rows(sensor, domain, modes, *spans))[0])
     return np.vstack(rows)
 
 
-def input_matrix(actuators, domain: Domain, modes: ModeSet, n_quad: int = 32) -> np.ndarray:
+def input_matrix(actuators, domain: Domain, modes: ModeSet) -> np.ndarray:
     """Modal actuator columns (n_modes x p); descriptors mirror sensors."""
-    return output_matrix(actuators, domain, modes, n_quad).T
+    return output_matrix(actuators, domain, modes).T
 
 
-def _moved(sensor: SensorSpec, x: float, y: float) -> SensorSpec:
-    """The sensor relocated to (x, y): its location, or its support's centre."""
-    if isinstance(sensor, PointwiseSensor):
-        return PointwiseSensor(location=(x, y))
-    h1, h2 = sensor.rect.half_widths
-    return ZoneSensor(rect=Rect(x - h1, x + h1, y - h2, y + h2), weight=sensor.weight, samples=sensor.samples)
-
-
-def _lattice_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, ys, n_quad: int = 32):
-    """Output rows of the sensor moved to each point of the lattice xs x ys:
-    yields, for each x, the (len(ys), n_modes) rows of the points (x, y).
-
-    The rows equal output_matrix's.  A pointwise sensor takes one evaluation
-    per x.  The closed-form zone weights are separable, so each axis
-    integral is taken once per distinct coordinate and the rows are their
-    outer product; a tabulated weight keeps its quadrature per point.
+def _lattice_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, ys):
+    """Output rows of the sensor moved to each point of the lattice xs x ys
+    (its location, or its support's centre): yields, for each x, the
+    (len(ys), n_modes) rows of the points (x, y), equal to output_matrix's.
     """
-    if isinstance(sensor, PointwiseSensor):
-        for x in xs:
-            yield eval_matrix(domain, modes, np.column_stack([np.full(len(ys), x), ys]))
-        return
-    if sensor.weight == "tabulated":
-        for x in xs:
-            yield np.vstack([_zone_row(_moved(sensor, x, y), domain, modes, n_quad) for y in ys])
-        return
-    h1, h2 = sensor.rect.half_widths
-    ii, jj = [m.i for m in modes], [m.j for m in modes]
-    i1 = [_axis_integrals(sensor.weight, set(ii), domain.alpha1, domain.length1, x - h1, x + h1) for x in xs]
-    i2 = [_axis_integrals(sensor.weight, set(jj), domain.alpha2, domain.length2, y - h2, y + h2) for y in ys]
-    by_mode2 = np.array([[axis[j] for j in jj] for axis in i2])
-    norm = 2.0 / math.sqrt(domain.length1 * domain.length2)
-    for axis in i1:
-        yield norm * np.array([axis[i] for i in ii]) * by_mode2
+    h1, h2 = (0.0, 0.0) if isinstance(sensor, PointwiseSensor) else sensor.rect.half_widths
+    spans1 = [(x - h1, x + h1) for x in xs]
+    spans2 = [(y - h2, y + h2) for y in ys]
+    return _sensor_rows(sensor, domain, modes, spans1, spans2)
 
 
 # --- eigenvalue grouping and the strategic rank condition ---------------------

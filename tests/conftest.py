@@ -1,12 +1,17 @@
 import os
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.interpolate import RegularGridInterpolator
 
+import regobs
 from regobs import PointwiseSensor, parse_config, spectral
+from regobs.geometry import gauss_nodes
+from regobs.spectral import eval_matrix
 
 # Property tests draw the same examples on every run by default, seeded from
 # each test and with no example database, so the suite passes or fails the
@@ -86,6 +91,14 @@ def random_sensor_configs(seed=0, n_configs=50, q_choices=(1, 3), lo=0.1, hi=0.9
     return configs
 
 
+def python_env():
+    """Environment for a child Python process that imports the regobs under
+    test, however this process found it."""
+    src = str(Path(regobs.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 @contextmanager
 def no_dense_propagator():
     """Fail if a dense spectral.Propagator is built inside the block; run
@@ -95,3 +108,41 @@ def no_dense_propagator():
 
     with mock.patch.object(spectral.Propagator, "__init__", refuse):
         yield
+
+
+def _weight_values(sensor, pts):
+    rect = sensor.rect
+    if sensor.weight == "uniform":
+        return np.ones(pts.shape[0])
+    if sensor.weight == "separable_sine":
+        w1 = rect.hi1 - rect.lo1
+        w2 = rect.hi2 - rect.lo2
+        return np.sin(np.pi * (pts[:, 0] - rect.lo1) / w1) * np.sin(np.pi * (pts[:, 1] - rect.lo2) / w2)
+    samples = np.asarray(sensor.samples, dtype=float)
+    interp = RegularGridInterpolator(
+        (np.linspace(rect.lo1, rect.hi1, samples.shape[0]),
+         np.linspace(rect.lo2, rect.hi2, samples.shape[1])),
+        samples,
+        method="linear",
+    )
+    return interp(pts)
+
+
+def zone_row_quadrature(sensor, domain, modes, n_quad=32):
+    """Output row of a zone sensor by tensor Gauss-Legendre quadrature, the
+    oracle of the closed-form rows: n_quad nodes per axis on each cell where
+    the weight is smooth, which is the whole support for the uniform and
+    sine-bump weights and each interpolation cell of a tabulated weight."""
+    rect = sensor.rect
+    cells = np.shape(sensor.samples) if sensor.weight == "tabulated" else (2, 2)
+    edges1 = np.linspace(rect.lo1, rect.hi1, cells[0])
+    edges2 = np.linspace(rect.lo2, rect.hi2, cells[1])
+    rule2 = [gauss_nodes(lo, hi, n_quad) for lo, hi in zip(edges2[:-1], edges2[1:])]
+    ys, wy = np.concatenate([r[0] for r in rule2]), np.concatenate([r[1] for r in rule2])
+    row = np.zeros(len(modes))
+    for lo, hi in zip(edges1[:-1], edges1[1:]):
+        xs, wx = gauss_nodes(lo, hi, n_quad)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        row += eval_matrix(domain, modes, pts).T @ (np.outer(wx, wy).ravel() * _weight_values(sensor, pts))
+    return row

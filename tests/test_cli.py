@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import BETA3_CONFIG, STABLE_CONFIG
+from conftest import BETA3_CONFIG, STABLE_CONFIG, python_env
 from regobs import __version__
 from regobs.cli import main
 
@@ -115,7 +115,7 @@ class TestSubprocessEntry:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "regobs", "version"],
-            capture_output=True, text=True, check=False,
+            capture_output=True, text=True, check=False, env=python_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__

@@ -1,9 +1,23 @@
+import string
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from regobs import ConfigError, parse_config, render_config
-from regobs.config import ExperimentConfig
+from regobs.config import (
+    ESTIMATOR_CHOICES,
+    ESTIMATOR_INIT_CHOICES,
+    NORM_CHOICES,
+    ExperimentConfig,
+    ObserverSettings,
+    OutputSettings,
+    SimulationSettings,
+)
+from regobs.geometry import EDGES, Domain, Rect
 from regobs.region import BoundarySegment, InternalRectangle
 from regobs.sensing import PointwiseSensor, ZoneSensor
+from regobs.spectral import Coefficients
 
 MINIMAL = """\
 domain.alpha1 = 0.0
@@ -152,3 +166,74 @@ class TestEcho:
         b = parse_config(MINIMAL + "\n# comment\n")
         assert isinstance(a, ExperimentConfig)
         assert a == b
+
+
+def _span(draw, lo, length):
+    # a sub-interval [lo + f0 length, lo + f1 length] of the closed interval, f0 < f1
+    f0 = draw(st.floats(0.0, 0.9))
+    f1 = draw(st.floats(f0 + 0.05, 1.0))
+    return lo + length * f0, lo + length * f1
+
+
+@st.composite
+def valid_configs(draw):
+    a1, a2 = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    l1, l2 = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    domain = Domain(a1, a1 + l1, a2, a2 + l2)
+    n_quad = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        rect = Rect(*_span(draw, a1, l1), *_span(draw, a2, l2))
+        region, collar_radius = InternalRectangle(rect, n_quad), 0.1
+    else:
+        edge = draw(st.sampled_from(EDGES))
+        lo, hi = _span(draw, a1, l1) if edge in ("bottom", "top") else _span(draw, a2, l2)
+        region, collar_radius = BoundarySegment(edge, lo, hi, n_quad), draw(st.floats(1e-3, 5.0))
+    sensors = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            f1, f2 = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))
+            sensors.append(PointwiseSensor((a1 + l1 * f1, a2 + l2 * f2)))
+        else:
+            rect = Rect(*_span(draw, a1, l1), *_span(draw, a2, l2))
+            sensors.append(ZoneSensor(rect, draw(st.sampled_from(["uniform", "separable_sine"]))))
+    n_modes = draw(st.integers(1, 3))
+    field = st.none() | st.tuples(*[st.floats(-1e3, 1e3)] * n_modes**2)
+    dt = draw(st.floats(1e-3, 1.0))
+    fit_t_lo = draw(st.floats(-10.0, 10.0))
+    fit_t_hi = draw(st.none() | st.floats(1e-3, 10.0).map(lambda d: fit_t_lo + d))
+    return ExperimentConfig(
+        domain=domain,
+        coefficients=Coefficients(draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3)),
+                                  draw(st.floats(-1e3, 1e3))),
+        region=region,
+        collar_radius=collar_radius,
+        sensors=tuple(sensors),
+        observer=ObserverSettings(
+            target_margin=draw(st.floats(1e-3, 1e3)),
+            margin=draw(st.floats(0.0, 1e3)),
+            measured_field=draw(st.sampled_from([1, 2])),
+            estimators=draw(st.sampled_from(ESTIMATOR_CHOICES)),
+            gramian_horizon=draw(st.floats(1e-3, 1e3)),
+        ),
+        simulation=SimulationSettings(
+            n_modes=n_modes,
+            dt=dt,
+            t_final=dt * draw(st.integers(1, 1000)),
+            x0_seed=draw(st.integers(0, 2**32 - 1)),
+            x0_field1=draw(field),
+            x0_field2=draw(field),
+            estimator_init=draw(st.sampled_from(ESTIMATOR_INIT_CHOICES)),
+        ),
+        output=OutputSettings(
+            directory=draw(st.text(string.ascii_letters + string.digits + "_-./", min_size=1, max_size=12)),
+            norm=draw(st.sampled_from(NORM_CHOICES)),
+            plot=draw(st.booleans()),
+            fit_t_lo=fit_t_lo,
+            fit_t_hi=fit_t_hi,
+        ),
+    )
+
+
+@given(cfg=valid_configs())
+def test_render_parse_roundtrip_property(cfg):
+    assert parse_config(render_config(cfg)) == cfg

@@ -143,6 +143,8 @@ class TestDesignGain:
         model = make_model(3.0)
         sensor = ZoneSensor(Rect(0.3, 0.7, 0.3, 0.7), weight="tabulated", samples=((1, 1), (-1, -1)))
         c = output_matrix([sensor], UNIT, model.mode_set)
+        blind = c[0, model.mode_set.position(ModeIndex(1, 1))]
+        assert 0 < abs(blind) < 1e-15 * np.abs(c).max()
         groups = group_modes_by_eigenvalue(model)
         assert not strategic_rank_test(c, groups).strategic
         split = split_unstable_stable(model.A22, 0.0)

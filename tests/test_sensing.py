@@ -1,10 +1,12 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_sensor_configs
+from conftest import python_env, random_sensor_configs, zone_row_quadrature
 from regobs import (
     Coefficients,
     Domain,
@@ -24,7 +26,8 @@ from regobs import (
     strategic_rank_test,
 )
 from regobs.geometry import gauss_nodes
-from regobs.sensing import group_values, zone_row_quadrature
+from regobs.sensing import group_values
+from regobs.spectral import eval_matrix
 
 UNIT = Domain()
 PI2 = math.pi**2
@@ -41,6 +44,15 @@ class TestOutputMatrix:
         assert c[0, modes.position(ModeIndex(1, 1))] == pytest.approx(2.0, abs=1e-12)
         assert c[0, modes.position(ModeIndex(2, 1))] == pytest.approx(0.0, abs=1e-12)
 
+    def test_pointwise_rows_equal_eval_matrix(self):
+        # the separable row of a point is the eigenfunction evaluation, bit for bit
+        domain = Domain(-0.3, 1.7, 0.2, 1.5)
+        modes = ModeSet.square(6)
+        rng = np.random.default_rng(4)
+        points = np.column_stack([rng.uniform(-0.3, 1.7, 40), rng.uniform(0.2, 1.5, 40)])
+        c = output_matrix([PointwiseSensor(tuple(p)) for p in points.tolist()], domain, modes)
+        assert np.array_equal(c, eval_matrix(domain, modes, points))
+
     def test_uniform_zone_closed_form(self):
         sensor = ZoneSensor(Rect(0.25, 0.75, 0.25, 0.75))
         c = output_matrix([sensor], UNIT, ModeSet((ModeIndex(1, 1),)))
@@ -53,6 +65,40 @@ class TestOutputMatrix:
             closed = output_matrix([sensor], UNIT, modes)[0]
             quad = zone_row_quadrature(sensor, UNIT, modes, 32)
             assert np.abs(closed - quad).max() < 1e-9
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 4), (9, 9), (40, 3)])
+    def test_tabulated_matches_per_cell_quadrature(self, shape):
+        domain = Domain(0.0, 1.0, 0.0, 1.3)
+        modes = ModeSet.square(8)
+        samples = np.random.default_rng(shape[0] * shape[1]).uniform(-1.0, 1.0, shape)
+        sensor = ZoneSensor(Rect(0.17, 0.59, 0.35, 0.95), weight="tabulated", samples=tuple(map(tuple, samples)))
+        row = output_matrix([sensor], domain, modes)[0]
+        quad = zone_row_quadrature(sensor, domain, modes)
+        assert np.abs(row - quad).max() <= 1e-12 * np.abs(quad).max()
+
+    @pytest.mark.parametrize("edge_only", [False, True], ids=["smooth", "edge_only"])
+    def test_fine_tabulated_grid_matches_per_cell_quadrature(self, edge_only):
+        # 400 samples over a support 0.02 wide put w h below 2e-3 on the first
+        # axis, where the end hats' odd term runs on its series.  With samples
+        # only at x = 0, the domain edge, the row is that odd term alone.
+        domain = Domain(0.0, 1.0, 0.0, 1.3)
+        modes = ModeSet.square(8)
+        x = np.linspace(0.0, 1.0, 400)[:, None]
+        samples = np.cos(7.0 * x) + np.array([[0.3, -1.0, 0.5]]) * x**2
+        if edge_only:
+            samples[1:] = 0.0
+        lo1 = 0.0 if edge_only else 0.61
+        sensor = ZoneSensor(Rect(lo1, lo1 + 0.02, 0.2, 0.8), weight="tabulated", samples=tuple(map(tuple, samples)))
+        row = output_matrix([sensor], domain, modes)[0]
+        quad = zone_row_quadrature(sensor, domain, modes, n_quad=16)
+        assert np.abs(row - quad).max() <= 1e-12 * np.abs(quad).max()
+
+    def test_cli_import_leaves_out_scipy_interpolate(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, regobs.cli; print('scipy.interpolate' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=python_env(),
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_tabulated_constant_matches_uniform(self):
         rect = Rect(0.2, 0.6, 0.3, 0.7)
