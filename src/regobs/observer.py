@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .region import gram_norm_series, region_gram
 from .sensing import output_matrix
@@ -112,6 +111,9 @@ def _eigenpairs(block):
         return np.diag(block).astype(float).copy(), None
     if np.allclose(block, block.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(block).max()))):
         return np.linalg.eigh(block)
+    # imported on use: loading scipy.linalg is most of the CLI's start-up
+    import scipy.linalg
+
     vals, vecs = scipy.linalg.eig(block)
     if np.abs(vals.imag).max() > 1e-10 * max(1.0, np.abs(vals).max()):
         raise ValueError("block has complex spectrum; real diagonalizable blocks only")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 from .geometry import Domain, Rect, _sine_product_integral
 from .spectral import ModalModel, ModeIndex, ModeSet
@@ -374,6 +373,9 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
         k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
         w = np.multiply(oto, k, out=oto)  # in place: a stack of Gramians is the sweep's largest array
     else:
+        # imported on use: loading scipy.linalg is most of the CLI's start-up
+        from scipy.linalg import expm
+
         n = m.shape[0]
         block = np.zeros((*oto.shape[:-2], 2 * n, 2 * n))
         block[..., :n, :n], block[..., :n, n:], block[..., n:, n:] = -m.T, oto, m
@@ -426,7 +428,9 @@ def _centre_denominators(domain: Domain, modes: ModeSet, xs, ys, tol_rat: float)
 def _require_symmetric(sensor: ZoneSensor) -> None:
     if sensor.weight == "tabulated":
         arr = np.asarray(sensor.samples, dtype=float)
-        if not (np.allclose(arr, arr[::-1, :]) and np.allclose(arr, arr[:, ::-1])):
+        # exact: the predicate's flags rest on rows that vanish exactly, and a
+        # weight asymmetric by any amount leaves those rows nonzero
+        if not (np.array_equal(arr, arr[::-1, :]) and np.array_equal(arr, arr[:, ::-1])):
             raise PredicateInapplicableError("zone weight is not symmetric about the support center")
 
 

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .geometry import Domain
 
@@ -344,6 +343,9 @@ def propagate_few_rows(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarr
     z = exp_samples(rates, z0, dt, steps)
     if rows.size == 0:
         return z
+    # imported on use: loading scipy.linalg is most of the CLI's start-up
+    from scipy.linalg import expm
+
     others = np.setdiff1d(np.arange(rates.shape[0]), rows)
     j = rows.size
     f_rr, f_rs, d_s = f_rows[:, rows], f_rows[:, others], rates[others]
@@ -389,6 +391,9 @@ class Propagator:
     """
 
     def __init__(self, m: np.ndarray, dt: float, b: np.ndarray | None = None):
+        # imported on use: loading scipy.linalg is most of the CLI's start-up
+        from scipy.linalg import expm
+
         m = np.atleast_2d(np.asarray(m, dtype=float))
         if m.shape[0] != m.shape[1]:
             raise ValueError("M must be square")

@@ -1,11 +1,15 @@
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import BETA3_CONFIG, STABLE_CONFIG, python_env
 from regobs import __version__
 from regobs.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -119,3 +123,28 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
+
+    def test_commands_load_scipy_linalg_only_for_exponentials(self, tmp_path):
+        # A fresh process, because this one has scipy.linalg loaded already:
+        # nothing up to a run with no unstable mode (J = 0) needs a matrix
+        # exponential; a run with J >= 1 does.
+        stable, detectable = str(CONFIGS / "exchange_stable.cfg"), str(CONFIGS / "exchange_detectable.cfg")
+        commands = [
+            ["version"],
+            ["rank", "--config", stable],
+            ["sweep", "--config", stable, "--grid", "3", "--out", str(tmp_path / "sweep")],
+            ["run", "--config", stable, "--out", str(tmp_path / "stable")],
+            ["run", "--config", detectable, "--out", str(tmp_path / "detectable")],
+        ]
+        script = (
+            "import json, sys\n"
+            "from regobs.cli import main\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    loaded.append('scipy.linalg' in sys.modules)\n"
+            "print(json.dumps(loaded))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, check=True, env=python_env())
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]

@@ -26,7 +26,7 @@ from regobs import (
     strategic_rank_test,
 )
 from regobs.geometry import gauss_nodes
-from regobs.sensing import group_values
+from regobs.sensing import _lattice_triggered, group_values
 from regobs.spectral import eval_matrix
 
 UNIT = Domain()
@@ -95,10 +95,11 @@ class TestOutputMatrix:
 
     def test_cli_import_leaves_out_scipy_interpolate(self):
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, regobs.cli; print('scipy.interpolate' in sys.modules)"],
+            [sys.executable, "-c",
+             "import sys, regobs.cli; print('scipy.interpolate' in sys.modules, 'scipy.linalg' in sys.modules)"],
             capture_output=True, text=True, check=True, env=python_env(),
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_tabulated_constant_matches_uniform(self):
         rect = Rect(0.2, 0.6, 0.3, 0.7)
@@ -346,6 +347,25 @@ class TestPredicates:
         sensor = ZoneSensor(Rect(0.4, 0.6, 0.4, 0.6), weight="tabulated", samples=samples)
         with pytest.raises(PredicateInapplicableError):
             nonstrategic_zone_predicate(sensor, UNIT, ModeSet.square(2))
+
+    def test_nearly_symmetric_tabulated_weight_inapplicable(self):
+        # Asymmetric by 1e-6 in one sample: the rows of (2, 2) and (4, 4), which
+        # a symmetric weight centred at (0.5, 0.4) would zero, are 2.5e-9 and
+        # 8.3e-9 of max|C| and the rank test counts both modes as observed, so
+        # no predicate may flag them.
+        samples = ((1.0, 2.0, 1.0), (2.0, 4.0, 2.0), (1.0, 2.0, 1.0 + 1e-6))
+        sensor = ZoneSensor(Rect(0.4, 0.6, 0.3, 0.5), weight="tabulated", samples=samples)
+        modes = ModeSet.square(4)
+        with pytest.raises(PredicateInapplicableError):
+            nonstrategic_zone_predicate(sensor, UNIT, modes)
+        assert _lattice_triggered(sensor, UNIT, modes, [0.5], [0.4]) == [[()]]
+        c = output_matrix([sensor], UNIT, modes)
+        groups = group_modes_by_eigenvalue(model_with_beta(3.0, n=4))
+        report = strategic_rank_test(c, groups)
+        for mode in (ModeIndex(2, 2), ModeIndex(4, 4)):
+            assert 0 < abs(c[0, modes.position(mode)]) < 1e-8 * np.abs(c).max()
+            k = next(k for k, block in enumerate(report.blocks) if mode in block.group.modes)
+            assert report.blocks[k].rank == 1 and k not in report.offending
 
     def test_predicate_rank_agreement_on_lattice(self):
         # Every predicate hit inside the unstable set (beta = 6) must show up

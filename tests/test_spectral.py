@@ -1,10 +1,13 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
+from conftest import python_env
 from regobs import (
     Coefficients,
     Domain,
@@ -178,3 +181,56 @@ class TestPropagate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             propagate(np.eye(2), [1.0, 2.0, 3.0], dt=0.1, steps=1)
+
+
+# Each call below reaches one of the places that import scipy.linalg on use.
+# F's row 0 has F_RR = 0.5, equal to the rate of coordinate 1, so that
+# column of Gamma is read off a Van Loan block exponential.
+LAZY_SCIPY_SITES = {
+    "propagate_few_rows": (
+        "from regobs.spectral import propagate_few_rows\n"
+        "f_rows = np.array([[0.5, 0.3, -0.7, 0.2]])\n"
+        "rates = np.array([9.0, 0.5, -2.0, -40.0])\n"
+        "result = [propagate_few_rows(rates, [0], f_rows, np.array([1.0, -0.5, 0.25, 2.0]), 0.1, 20)]\n"
+    ),
+    "Propagator": (
+        "from regobs.spectral import Propagator\n"
+        "prop = Propagator(np.array([[-1.0, 0.4], [0.3, -2.0]]), 0.05, np.array([[1.0], [0.5]]))\n"
+        "result = [prop.E, prop.Phi]\n"
+    ),
+    "observability_gramian": (
+        "from regobs.sensing import observability_gramian\n"
+        "result = [observability_gramian(np.array([[-1.0, 0.5], [0.0, -2.0]]), np.array([[1.0, 0.3]]), 2.0)]\n"
+    ),
+    "split_unstable_stable": (
+        "from regobs.observer import split_unstable_stable\n"
+        "split = split_unstable_stable(np.array([[1.0, 2.0], [0.0, -3.0]]), margin=0.5)\n"
+        "result = [split.eigenvalues, split.basis, np.array(split.unstable)]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LAZY_SCIPY_SITES))
+def test_lazy_scipy_import_sites_run_cold(site, tmp_path):
+    # conftest loads scipy.linalg here (through scipy.interpolate), so only a
+    # fresh process shows that importing regobs leaves it out, that the site
+    # loads it itself, and that the cold call gives the same bits.
+    code = LAZY_SCIPY_SITES[site]
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import regobs\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        f"{code}"
+        "assert 'scipy.linalg' in sys.modules\n"
+        "np.savez(sys.argv[1], *result)\n"
+    )
+    out = tmp_path / "result.npz"
+    subprocess.run([sys.executable, "-c", script, str(out)], check=True, env=python_env(), timeout=60)
+    namespace = {"np": np}
+    exec(code, namespace)
+    with np.load(out) as cold:
+        got = [cold[f"arr_{k}"] for k in range(len(cold.files))]
+    assert len(got) == len(namespace["result"])
+    for a, b in zip(got, namespace["result"]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
