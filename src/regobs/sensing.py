@@ -293,10 +293,27 @@ class StrategicReport:
         return tuple(out)
 
 
+def _singular_values(blocks: np.ndarray) -> np.ndarray:
+    """Singular values of a stack of matrices, descending along the last axis.
+
+    A block with one row or one column has a single singular value, its
+    Euclidean norm; it is taken after dividing by the largest |entry|, so
+    squares of tiny entries cannot underflow, and for a 1 x 1 block it is |c|
+    exactly.  Blocks with at least two rows and two columns go to LAPACK's svd.
+    """
+    if min(blocks.shape[-2:]) != 1:
+        return np.linalg.svd(blocks, compute_uv=False)
+    peak = np.abs(blocks).max(axis=(-2, -1), initial=0.0)
+    unit = blocks / np.where(peak > 0, peak, 1.0)[..., None, None]
+    return (peak * np.sqrt(np.sum(unit * unit, axis=(-2, -1))))[..., None]
+
+
 def _stacked_rank_test(stack: np.ndarray, groups, q: int | None = None, tol_rank: float = TOL_RANK):
-    """The rank test on a (P, rows, n) stack of output matrices, with one
-    batched svd per distinct group multiplicity m over the (P, G_m, rows, m)
-    group blocks.
+    """The rank test on a (P, rows, n) stack of output matrices, with the
+    singular values of the (P, G_m, rows, m) group blocks taken together for
+    each distinct group multiplicity m (_singular_values): a vector block
+    (one row, or m = 1) has the scaled Euclidean norm as its only singular
+    value, every other block one batched svd.
 
     Returns the (P, len(groups)) ranks, each group's (P, k) singular values,
     the (P, len(groups)) mask of offending groups and the (P,) verdicts.
@@ -307,13 +324,13 @@ def _stacked_rank_test(stack: np.ndarray, groups, q: int | None = None, tol_rank
     ranks = np.zeros((p, len(groups)), dtype=int)
     svals = [np.zeros((p, 0))] * len(groups)
     if q and stack.shape[1]:
-        scale = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        scale = _singular_values(stack)[:, 0]
         by_mult: dict[int, list[int]] = {}
         for k, group in enumerate(groups):
             by_mult.setdefault(group.multiplicity, []).append(k)
         for ks in by_mult.values():
             cols = np.array([groups[k].positions for k in ks])
-            s = np.linalg.svd(np.swapaxes(stack[:, :, cols], 1, 2), compute_uv=False)
+            s = _singular_values(np.swapaxes(stack[:, :, cols], 1, 2))
             ranks[:, ks] = np.where(scale[:, None] > 0, np.sum(s > (tol_rank * scale)[:, None, None], axis=-1), 0)
             for g, k in enumerate(ks):
                 svals[k] = s[:, g]
@@ -350,15 +367,28 @@ def strategic_rank_test(c: np.ndarray, groups, q: int | None = None, tol_rank: f
     )
 
 
+def _diagonal_kernel(d: np.ndarray, t_horizon: float) -> np.ndarray:
+    """K_ij = int_0^T e^{(d_i+d_j)s} ds = expm1((d_i+d_j)T)/(d_i+d_j), and T
+    where d_i + d_j = 0: the Gramian kernel of M = diag(d), exactly symmetric.
+    Entries whose exponential overflows are inf."""
+    d_sum = d[:, None] + d[None, :]
+    k = np.full_like(d_sum, float(t_horizon))
+    nz = d_sum != 0.0
+    with np.errstate(over="ignore"):
+        k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
+    return k
+
+
 def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> np.ndarray:
     """Finite-horizon observability Gramian W = int_0^T e^{M's} O'O e^{Ms} ds.
 
     The truncated system is weakly observable through O iff W is positive
     definite.  For a diagonal M = diag(d) the integral is closed-form,
-    W = O'O * K with K_ij = (e^{(d_i+d_j)T} - 1)/(d_i+d_j), and K_ij = T
-    where d_i + d_j = 0; otherwise it is exact by Van Loan's block
-    exponential, E = exp([[-M', O'O], [0, M]] T) and W = E_22' E_12.
-    obs may be a (P, q, n) stack of maps; W then has shape (P, n, n).
+    W = O'O * K with the kernel K of _diagonal_kernel; otherwise it is exact
+    by Van Loan's block exponential, E = exp([[-M', O'O], [0, M]] T) and
+    W = E_22' E_12, symmetrized.  obs may be a (P, q, n) stack of maps; W then
+    has shape (P, n, n).  Raises ValueError when W is not finite (a horizon
+    too long for the growth rates of M).
     """
     if t_horizon <= 0:
         raise ValueError("t_horizon must be > 0")
@@ -366,12 +396,8 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     oto = np.swapaxes(obs, -1, -2) @ obs
     if not np.any(m - np.diag(np.diag(m))):
-        d = np.diag(m)
-        d_sum = d[:, None] + d[None, :]
-        k = np.full_like(d_sum, float(t_horizon))
-        nz = d_sum != 0.0
-        k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
-        w = np.multiply(oto, k, out=oto)  # in place: a stack of Gramians is the sweep's largest array
+        # O'O and K are exactly symmetric, so their product is too
+        w = np.multiply(oto, _diagonal_kernel(np.diag(m), t_horizon), out=oto)
     else:
         # imported on use: loading scipy.linalg is most of the CLI's start-up
         from scipy.linalg import expm
@@ -381,8 +407,10 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
         block[..., :n, :n], block[..., :n, n:], block[..., n:, n:] = -m.T, oto, m
         e = expm(block * t_horizon)
         w = np.swapaxes(e[..., n:, n:], -1, -2) @ e[..., :n, n:]
-    w = w + np.swapaxes(w, -1, -2)
-    w *= 0.5
+        w = w + np.swapaxes(w, -1, -2)
+        w *= 0.5
+    if not np.isfinite(w).all():
+        raise ValueError(f"observability Gramian overflows at t_horizon = {t_horizon!r}")
     return w
 
 
@@ -472,7 +500,7 @@ def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, y
     (x, y), all () where the predicate does not apply.
 
     The same flags as the predicates, with the denominators found once per
-    distinct coordinate instead of once per point.
+    distinct coordinate and the flagged modes once per distinct pair of them.
     """
     if isinstance(sensor, ZoneSensor):
         try:
@@ -484,4 +512,5 @@ def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, y
         xs = [0.5 * ((x - h1) + (x + h1)) for x in xs]
         ys = [0.5 * ((y - h2) + (y + h2)) for y in ys]
     q1s, q2s = _centre_denominators(domain, modes, xs, ys, tol_rat)
-    return [[_vanishing_modes(modes, q1, q2).modes for q2 in q2s] for q1 in q1s]
+    flagged = {pair: _vanishing_modes(modes, *pair).modes for pair in {(q1, q2) for q1 in q1s for q2 in q2s}}
+    return [[flagged[q1, q2] for q2 in q2s] for q1 in q1s]

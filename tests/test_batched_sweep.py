@@ -105,6 +105,26 @@ def test_batched_rows_match_per_position_loop(kind, domain, fixed):
         assert any(row.triggered for row in rows)
 
 
+@settings(max_examples=25, deadline=None)
+@given(q=st.integers(1, 3), beta=st.floats(0.5, 8.0), t_horizon=st.floats(0.1, 6.0), n_side=st.integers(2, 4),
+       tall=st.booleans(), kind=st.sampled_from(["pointwise", "uniform", "tabulated_symmetric"]))
+def test_sweep_gramians_match_per_position_loop(q, beta, t_horizon, n_side, tall, kind):
+    # the sweep's one kernel K and in-place (c'c) * K give each position's
+    # Gramian as observability_gramian does
+    cfg = parse_config(f"coefficients.beta_couple = {beta!r}\nsimulation.n_modes = {n_side}\n"
+                       f"observer.gramian_horizon = {t_horizon!r}\n" + (TALL if tall else ""))
+    fixed = (FIXED, PointwiseSensor((0.71, 0.19)))[: q - 1]
+    cfg = dataclasses.replace(cfg, sensors=(_varied(kind), *fixed))
+    rows = placement_sweep(cfg, 4).rows
+    reference = _per_position(cfg, rows)
+    assert [row.strategic for row in rows] == [r[0] for r in reference]
+    assert [row.triggered for row in rows] == [r[3] for r in reference]
+    for row, (_, min_eig, trace, _) in zip(rows, reference):
+        assert abs(row.min_gramian_eig - min_eig) <= 1e-12 * trace
+        if q == 1:
+            assert row.min_gramian_eig == min_eig
+
+
 def _fraction(snap, p, d, k):
     # a rational p/d that a predicate may detect, or k/997, which lies farther
     # than 1e-4 from every fraction with a denominator below 997

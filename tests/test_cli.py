@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,24 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--grid", "3", "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 10
+
+    def test_sweep_rejects_overflowing_gramian_horizon(self, tmp_path, capsys):
+        # the unstable mode's e^{2 d T} overflows at T = 400: a typed error,
+        # exit 1 and no sweep.csv, never a column of nan
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text((CONFIGS / "exchange_detectable.cfg").read_text() + "observer.gramian_horizon = 400.0\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--grid", "3", "--out", str(out)]) == 1
+        assert "observer.gramian_horizon" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_sweep_default_gramian_horizon_is_finite(self, tmp_path):
+        out = tmp_path / "out"
+        config = str(CONFIGS / "exchange_detectable.cfg")
+        assert main(["sweep", "--config", config, "--grid", "3", "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 9
+        assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
 
 
 class TestSubprocessEntry:

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import python_env, random_sensor_configs, zone_row_quadrature
@@ -26,7 +28,7 @@ from regobs import (
     strategic_rank_test,
 )
 from regobs.geometry import gauss_nodes
-from regobs.sensing import _lattice_triggered, group_values
+from regobs.sensing import TOL_RANK, _lattice_triggered, _singular_values, _stacked_rank_test, group_values
 from regobs.spectral import eval_matrix
 
 UNIT = Domain()
@@ -197,6 +199,23 @@ class TestStrategicRank:
         assert not report.strategic
         assert len(report.offending) == len(groups)
 
+    @pytest.mark.parametrize("shape", [(40, 1, 1), (6, 5, 1, 1), (40, 1, 3), (40, 3, 1), (8, 4, 1, 64), (8, 4, 64, 1)])
+    def test_vector_block_singular_value_is_scaled_norm(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for scale in (1.0, 1e-160, 1e150):
+            blocks = scale * rng.standard_normal(shape)
+            s = _singular_values(blocks)
+            svd = np.linalg.svd(blocks, compute_uv=False)
+            assert s.shape == svd.shape
+            assert np.all(np.abs(s - svd) <= 4 * np.spacing(svd))
+            if shape[-2:] == (1, 1):
+                # |c| exactly, as LAPACK returns it unless it first rescales a
+                # matrix whose norm lies outside about [1e-138, 1e138]
+                assert np.array_equal(s[..., 0], np.abs(blocks[..., 0, 0]))
+                if scale == 1.0:
+                    assert np.array_equal(s, svd)
+        assert not _singular_values(np.zeros(shape)).any()
+
     def test_row_augmentation_never_breaks_strategic(self):
         model = model_with_beta(1.0, n=3)
         groups = group_modes_by_eigenvalue(model)
@@ -210,6 +229,63 @@ class TestStrategicRank:
             extra = sensors + [PointwiseSensor(tuple(rng.uniform(0.1, 0.9, 2)))]
             c2 = output_matrix(extra, UNIT, model.mode_set)
             assert strategic_rank_test(c2, groups).strategic
+
+
+def _rank_test_by_svd(stack, groups):
+    """Ranks and verdicts with LAPACK's svd of every block, one position at a time."""
+    ranks = []
+    for c in stack:
+        scale = np.linalg.svd(c, compute_uv=False)[0]
+        ranks.append([int(np.sum(np.linalg.svd(c[:, list(g.positions)], compute_uv=False) > TOL_RANK * scale))
+                      if scale > 0 else 0 for g in groups])
+    ranks = np.array(ranks)
+    mult = np.array([g.multiplicity for g in groups])
+    return ranks, (stack.shape[1] >= mult.max()) & (ranks >= mult).all(axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 3), tall=st.booleans(), n_side=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_rank_test_matches_svd_of_every_block(q, tall, n_side, seed):
+    # pointwise suites at 12 positions, some on nodal lines, so blind groups,
+    # round-off blocks and full-rank ones all occur; the unit square has
+    # multiplicity-2 groups, whose blocks are vectors only for q = 1
+    domain = Domain(0.0, 1.0, 0.0, 1.3 if tall else 1.0)
+    modes = ModeSet.square(n_side)
+    groups = group_values(np.diag(assemble_exchange_model(Coefficients(1.0, 0.1, 3.0), domain, modes).A22), modes)
+    rng = np.random.default_rng(seed)
+    points = np.where(rng.random((12, q, 2)) < 0.3, [0.5 * domain.length1, domain.length2 / 3],
+                      rng.uniform(0.05, 0.95, (12, q, 2)) * [domain.length1, domain.length2])
+    stack = np.stack([output_matrix([PointwiseSensor(tuple(p)) for p in suite.tolist()], domain, modes)
+                      for suite in points])
+    unscaled = _stacked_rank_test(stack, groups)
+    for scale in (1.0, 1e-160):
+        ranks, _, _, strategic = _stacked_rank_test(scale * stack, groups)
+        ref_ranks, ref_strategic = _rank_test_by_svd(scale * stack, groups)
+        assert np.array_equal(ranks, ref_ranks) and np.array_equal(strategic, ref_strategic)
+        assert np.array_equal(ranks, unscaled[0]) and np.array_equal(strategic, unscaled[3])
+
+
+def _symmetrized_closed_form(d, obs, t_horizon):
+    """The diagonal Gramian with an explicit (W + W')/2 pass: the reference
+    the closed form must equal bit for bit."""
+    d_sum = d[:, None] + d[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(d_sum != 0.0, np.expm1(d_sum * t_horizon) / d_sum, t_horizon)
+    w = (np.swapaxes(obs, -1, -2) @ obs) * k
+    return (w + np.swapaxes(w, -1, -2)) * 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6), mirrored=st.integers(0, 6),
+       q=st.integers(1, 3), stack=st.integers(0, 4), t_horizon=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_diagonal_gramian_is_exactly_symmetric(base, mirrored, q, stack, t_horizon, seed):
+    # mirrored entries give pairs with d_i + d_j = 0, where K_ij = T
+    d = np.array(base + [-x for x in base[:mirrored]])
+    shape = (stack, q, d.size) if stack else (q, d.size)
+    obs = np.random.default_rng(seed).standard_normal(shape)
+    w = observability_gramian(np.diag(d), obs, t_horizon)
+    assert np.array_equal(w, np.swapaxes(w, -1, -2))
+    assert np.array_equal(w, _symmetrized_closed_form(d, obs, t_horizon))
 
 
 class TestGramian:
@@ -251,6 +327,16 @@ class TestGramian:
         for wp, obs in zip(w, stack):
             one = observability_gramian(m, obs, 1.5)
             assert np.abs(wp - one).max() <= 1e-13 * np.abs(one).max()
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["closed_form", "van_loan"])
+    def test_overflowing_horizon_raises(self, diagonal):
+        # W grows like e^{2T}, past the largest double by T = 400; both
+        # branches refuse to return inf or nan
+        m = np.diag([1.0, -2.0]) if diagonal else np.array([[1.0, 0.5], [0.0, -2.0]])
+        obs = np.array([[1.0, 1.0]])
+        assert np.isfinite(observability_gramian(m, obs, 100.0)).all()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
+            observability_gramian(m, obs, 400.0)
 
     def test_quadrature_matches_dense_path(self):
         rng = np.random.default_rng(2)
