@@ -26,11 +26,11 @@ from .region import BoundarySegment, DecayFit, build_collar, fit_decay, region_g
 from .sensing import (
     PointwiseSensor,
     StrategicReport,
-    _diagonal_kernel,
     _lattice_rows,
     _lattice_triggered,
     _stacked_rank_test,
     group_values,
+    observability_gramian,
     output_matrix,
     strategic_rank_test,
 )
@@ -239,12 +239,7 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     if not cfg.sensors:
         raise ConfigError("sweep requires ≥ 1 sensor")
     model, a_ww, groups, fixed = _observed_model(cfg, cfg.sensors[1:])
-    # an assembled exchange model's blocks are diagonal, so every Gramian is
-    # (c'c) * K with one kernel K for the whole lattice
-    kernel = _diagonal_kernel(np.diag(a_ww), cfg.observer.gramian_horizon)
-    if not np.isfinite(kernel).all():
-        raise ConfigError(f"observer.gramian_horizon = {cfg.observer.gramian_horizon!r} is too long: "
-                          "the observability Gramian overflows")
+    horizon = cfg.observer.gramian_horizon
     modes = model.mode_set
     varied = cfg.sensors[0]
     (lo1, hi1), (lo2, hi2) = _feasible_interval(cfg, varied)
@@ -257,9 +252,12 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     for b1, varied_rows, row_triggered in zip(xs, _lattice_rows(varied, cfg.domain, modes, xs, ys), triggered):
         c = np.concatenate([varied_rows[:, None, :], fixed], axis=1)
         *_, strategic = _stacked_rank_test(c, groups)
-        w = np.swapaxes(c, 1, 2) @ c
-        min_eig = np.linalg.eigvalsh(np.multiply(w, kernel, out=w))[:, 0]
-        del w  # the next row's (grid_n, n, n) stack is built after this one is freed
+        try:
+            # no name holds the (grid_n, n, n) Gramians, so the next row's
+            # stack is built after this one is freed
+            min_eig = np.linalg.eigvalsh(observability_gramian(a_ww, c, horizon))[:, 0]
+        except ValueError as exc:
+            raise ConfigError(f"observer.gramian_horizon = {horizon!r} is too long: {exc}") from None
         rows.extend(
             SweepRow(b1=b1, b2=b2, strategic=bool(s), min_gramian_eig=float(e), triggered=t)
             for b2, s, e, t in zip(ys, strategic, min_eig, row_triggered)
@@ -339,13 +337,11 @@ def _write_gain_csv(path, cfg, kind, gain):
 def emit_sweep(result: SweepResult, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")
-    # b1, b2 and the trigger lists repeat across the lattice: format each once
-    coords = {b: _fmt(b) for row in result.rows for b in (row.b1, row.b2)}
-    trigs = {t: ";".join(f"{m.i}.{m.j}" for m in t) for t in {row.triggered for row in result.rows}}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("b1,b2,strategic,min_gramian_eig,triggered_modes\n")
-        fh.writelines(f"{coords[r.b1]},{coords[r.b2]},{int(r.strategic)},{_fmt(r.min_gramian_eig)},{trigs[r.triggered]}\n"
-                      for r in result.rows)
+        for row in result.rows:
+            trig = ";".join(f"{m.i}.{m.j}" for m in row.triggered)
+            fh.write(f"{_fmt(row.b1)},{_fmt(row.b2)},{int(row.strategic)},{_fmt(row.min_gramian_eig)},{trig}\n")
     return path
 
 

@@ -367,25 +367,14 @@ def strategic_rank_test(c: np.ndarray, groups, q: int | None = None, tol_rank: f
     )
 
 
-def _diagonal_kernel(d: np.ndarray, t_horizon: float) -> np.ndarray:
-    """K_ij = int_0^T e^{(d_i+d_j)s} ds = expm1((d_i+d_j)T)/(d_i+d_j), and T
-    where d_i + d_j = 0: the Gramian kernel of M = diag(d), exactly symmetric.
-    Entries whose exponential overflows are inf."""
-    d_sum = d[:, None] + d[None, :]
-    k = np.full_like(d_sum, float(t_horizon))
-    nz = d_sum != 0.0
-    with np.errstate(over="ignore"):
-        k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
-    return k
-
-
 def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> np.ndarray:
     """Finite-horizon observability Gramian W = int_0^T e^{M's} O'O e^{Ms} ds.
 
     The truncated system is weakly observable through O iff W is positive
     definite.  For a diagonal M = diag(d) the integral is closed-form,
-    W = O'O * K with the kernel K of _diagonal_kernel; otherwise it is exact
-    by Van Loan's block exponential, E = exp([[-M', O'O], [0, M]] T) and
+    W = O'O * K with K_ij = (e^{(d_i+d_j)T} - 1)/(d_i+d_j), and K_ij = T
+    where d_i + d_j = 0, which is exactly symmetric; otherwise it is exact by
+    Van Loan's block exponential, E = exp([[-M', O'O], [0, M]] T) and
     W = E_22' E_12, symmetrized.  obs may be a (P, q, n) stack of maps; W then
     has shape (P, n, n).  Raises ValueError when W is not finite (a horizon
     too long for the growth rates of M).
@@ -396,8 +385,16 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     oto = np.swapaxes(obs, -1, -2) @ obs
     if not np.any(m - np.diag(np.diag(m))):
-        # O'O and K are exactly symmetric, so their product is too
-        w = np.multiply(oto, _diagonal_kernel(np.diag(m), t_horizon), out=oto)
+        d = np.diag(m)
+        d_sum = d[:, None] + d[None, :]
+        k = np.full_like(d_sum, float(t_horizon))
+        nz = d_sum != 0.0
+        # an overflow leaves inf or nan in W, which the check below rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
+            # in place: a stack of Gramians is the sweep's largest array; O'O
+            # and K are exactly symmetric, so their product is too
+            w = np.multiply(oto, k, out=oto)
     else:
         # imported on use: loading scipy.linalg is most of the CLI's start-up
         from scipy.linalg import expm

@@ -109,8 +109,8 @@ def test_batched_rows_match_per_position_loop(kind, domain, fixed):
 @given(q=st.integers(1, 3), beta=st.floats(0.5, 8.0), t_horizon=st.floats(0.1, 6.0), n_side=st.integers(2, 4),
        tall=st.booleans(), kind=st.sampled_from(["pointwise", "uniform", "tabulated_symmetric"]))
 def test_sweep_gramians_match_per_position_loop(q, beta, t_horizon, n_side, tall, kind):
-    # the sweep's one kernel K and in-place (c'c) * K give each position's
-    # Gramian as observability_gramian does
+    # the sweep's stacked Gramians give each position's smallest eigenvalue
+    # as a per-position observability_gramian does
     cfg = parse_config(f"coefficients.beta_couple = {beta!r}\nsimulation.n_modes = {n_side}\n"
                        f"observer.gramian_horizon = {t_horizon!r}\n" + (TALL if tall else ""))
     fixed = (FIXED, PointwiseSensor((0.71, 0.19)))[: q - 1]

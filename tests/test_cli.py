@@ -115,11 +115,13 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 10
 
-    def test_sweep_rejects_overflowing_gramian_horizon(self, tmp_path, capsys):
-        # the unstable mode's e^{2 d T} overflows at T = 400: a typed error,
-        # exit 1 and no sweep.csv, never a column of nan
+    @pytest.mark.parametrize("horizon", [345.8, 400.0])
+    def test_sweep_rejects_overflowing_gramian_horizon(self, tmp_path, capsys, horizon):
+        # the unstable mode's e^{2 d T} overflows past T = 345.87; at 345.8 the
+        # kernel is still finite but a sensor's (c'c) * K is not.  Either way
+        # a typed error, exit 1 and no sweep.csv, never a column of nan
         cfg = tmp_path / "long.cfg"
-        cfg.write_text((CONFIGS / "exchange_detectable.cfg").read_text() + "observer.gramian_horizon = 400.0\n")
+        cfg.write_text((CONFIGS / "exchange_detectable.cfg").read_text() + f"observer.gramian_horizon = {horizon!r}\n")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--grid", "3", "--out", str(out)]) == 1
         assert "observer.gramian_horizon" in capsys.readouterr().err
