@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, render_config
+from .floattext import format_rows
 from .observer import (
     NotDetectableError,
     _estimator_maps,
@@ -38,6 +39,7 @@ from .spectral import ModeSet, assemble_exchange_model
 
 CONFIG_ECHO_BEGIN = "--- config ---"
 CONFIG_ECHO_END = "--- end config ---"
+_BLOCK_CELLS = 1 << 13  # cells formatted at a time: the formatter holds ~320 bytes per cell
 
 
 def _fmt(value) -> str:
@@ -301,19 +303,22 @@ def _write_trajectory_csv(path, cfg, primary, full, reduced):
     header = ["t", "err_gamma", "err_full_order", "err_reduced_order"]
     header += [f"e_{m.i}_{m.j}" for m in modes]
     rows = max(traj.times.shape[0] for traj in (primary, full, reduced) if traj is not None)
-
-    def column(traj):
-        # one text cell per sample; a divergence truncates the series, so pad it
-        values = [] if traj is None or traj.err_gamma is None else traj.err_gamma.tolist()
-        return list(map(repr, values)) + [""] * (rows - len(values))
-
-    times = [repr(k * cfg.simulation.dt) for k in range(rows)]
-    modal = [",".join(map(repr, row)) for row in primary.mode_abs_err.tolist()]
-    modal += [",".join([""] * len(modes))] * (rows - len(modal))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for cells in zip(times, column(primary), column(full), column(reduced), modal):
-            fh.write(",".join(cells) + "\n")
+    table = np.zeros((rows, len(header)))
+    # a divergence truncates a series; its missing samples are empty cells
+    empty = np.zeros(table.shape, dtype=bool)
+    table[:, 0] = np.arange(rows) * cfg.simulation.dt
+    for col, traj in enumerate((primary, full, reduced), start=1):
+        values = () if traj is None or traj.err_gamma is None else traj.err_gamma
+        table[:len(values), col] = values
+        empty[len(values):, col] = True
+    modal = primary.mode_abs_err
+    table[:modal.shape[0], 4:] = modal
+    empty[modal.shape[0]:, 4:] = True
+    block = max(1, _BLOCK_CELLS // len(header))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, rows, block):
+            fh.write(format_rows(table[start:start + block], empty[start:start + block]))
 
 
 def _write_gain_csv(path, cfg, kind, gain):
@@ -327,11 +332,11 @@ def _write_gain_csv(path, cfg, kind, gain):
     else:
         fields = [1] * len(modes) + [2] * len(modes)
         mode_rows = modes + modes
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for r, (f, m) in enumerate(zip(fields, mode_rows)):
-            cells = [str(f), str(m.i), str(m.j)] + [_fmt(v) for v in gain.H[r]]
-            fh.write(",".join(cells) + "\n")
+    cells = format_rows(gain.H).split(b"\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.write(b"".join(f"{f},{m.i},{m.j},".encode() + line + b"\n"
+                          for f, m, line in zip(fields, mode_rows, cells)))
 
 
 def emit_sweep(result: SweepResult, out_dir: str) -> str:

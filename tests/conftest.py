@@ -11,7 +11,7 @@ from scipy.interpolate import RegularGridInterpolator
 import regobs
 from regobs import PointwiseSensor, parse_config, spectral
 from regobs.geometry import gauss_nodes
-from regobs.spectral import eval_matrix
+from regobs.spectral import ModeSet, eval_matrix
 
 # Property tests draw the same examples on every run by default, seeded from
 # each test and with no example database, so the suite passes or fails the
@@ -146,3 +146,25 @@ def zone_row_quadrature(sensor, domain, modes, n_quad=32):
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         row += eval_matrix(domain, modes, pts).T @ (np.outer(wx, wy).ravel() * _weight_values(sensor, pts))
     return row
+
+
+def reference_trajectory_csv(path, cfg, primary, full, reduced):
+    """trajectory.csv written one `repr` per cell, the oracle of the bulk
+    formatter: the error series, padded with empty cells past a divergence,
+    then the primary estimator's per-mode errors."""
+    modes = ModeSet.square(cfg.simulation.n_modes)
+    header = ["t", "err_gamma", "err_full_order", "err_reduced_order"]
+    header += [f"e_{m.i}_{m.j}" for m in modes]
+    rows = max(traj.times.shape[0] for traj in (primary, full, reduced) if traj is not None)
+
+    def column(traj):
+        values = [] if traj is None or traj.err_gamma is None else traj.err_gamma.tolist()
+        return list(map(repr, values)) + [""] * (rows - len(values))
+
+    times = [repr(k * cfg.simulation.dt) for k in range(rows)]
+    modal = [",".join(map(repr, row)) for row in primary.mode_abs_err.tolist()]
+    modal += [",".join([""] * len(modes))] * (rows - len(modal))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for cells in zip(times, column(primary), column(full), column(reduced), modal):
+            fh.write(",".join(cells) + "\n")

@@ -148,7 +148,9 @@ class TestSubprocessEntry:
     def test_commands_load_scipy_linalg_only_for_exponentials(self, tmp_path):
         # A fresh process, because this one has scipy.linalg loaded already:
         # nothing up to a run with no unstable mode (J = 0) needs a matrix
-        # exponential; a run with J >= 1 does.
+        # exponential; a run with J >= 1 does.  Likewise the float
+        # formatter's tables are built by the first run that writes a file,
+        # not by the import.
         stable, detectable = str(CONFIGS / "exchange_stable.cfg"), str(CONFIGS / "exchange_detectable.cfg")
         commands = [
             ["version"],
@@ -160,12 +162,17 @@ class TestSubprocessEntry:
         script = (
             "import json, sys\n"
             "from regobs.cli import main\n"
+            "from regobs.floattext import _tables\n"
+            "built = [_tables.cache_info().currsize]\n"
             "loaded = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0, argv\n"
             "    loaded.append('scipy.linalg' in sys.modules)\n"
-            "print(json.dumps(loaded))\n"
+            "    built.append(_tables.cache_info().currsize)\n"
+            "print(json.dumps([loaded, built]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                               capture_output=True, text=True, check=True, env=python_env())
-        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
+        loaded, built = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == [False, False, False, False, True]
+        assert built == [0, 0, 0, 0, 1, 1]

@@ -1,0 +1,80 @@
+"""The bulk float formatter against `repr`, cell for cell, with no tolerance."""
+
+import builtins
+import math
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from regobs import floattext
+from regobs.floattext import format_rows
+
+LAYOUT_EDGES = [
+    1e-4, 1e-5, 1e15, 1e16, 9999999999999998.0, 123456789012345678.0,
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+]
+
+
+def cells(values) -> list[str]:
+    """format_rows of the values as one column, split back into cells."""
+    column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    return format_rows(column).decode("ascii").split("\n")[:-1]
+
+
+def assert_repr(values):
+    values = np.asarray(values, dtype=np.float64).ravel()
+    assert cells(values) == [repr(v) for v in values.tolist()]
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310])
+def test_any_floats(values):
+    assert_repr(values)
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(20180618).integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False)
+    assert_repr(bits.view(np.float64))
+
+
+def test_powers_of_two_and_ten():
+    assert_repr([2.0**k for k in range(-1074, 1024)])
+    assert_repr([10.0**k for k in range(-323, 309)])
+    assert_repr([float(f"1e{k}") for k in range(-324, 309)])
+
+
+def test_layout_edges():
+    assert_repr(LAYOUT_EDGES + [-v for v in LAYOUT_EDGES])
+    for v in LAYOUT_EDGES:
+        assert_repr([math.nextafter(v, 0.0), math.nextafter(v, math.inf)])
+
+
+def test_integers_around_2_53():
+    ints = [float(2**53 + k) for k in range(-2000, 2001)]
+    assert_repr(ints + [-v for v in ints] + [2.0**63, 2.0**64, float(10**17), float(10**17 - 1)])
+
+
+def test_rows_and_empty_cells():
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-30, 30, (7, 5))
+    values[1, 2], values[3, 0] = 0.0, -math.inf
+    empty = rng.random((7, 5)) < 0.3
+    expected = "".join(
+        ",".join("" if e else repr(v) for v, e in zip(row, skip)) + "\n"
+        for row, skip in zip(values.tolist(), empty.tolist())
+    )
+    assert format_rows(values, empty).decode("ascii") == expected
+
+
+def test_finite_cells_never_reach_repr(monkeypatch):
+    seen = []
+
+    def spy(value):
+        seen.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(floattext, "repr", spy, raising=False)
+    values = np.array([[1.5, math.nan, 0.0], [-math.inf, 1e-300, -0.0]])
+    assert format_rows(values) == b"1.5,nan,0.0\n-inf,1e-300,-0.0\n"
+    assert len(seen) == 2 and not any(math.isfinite(v) for v in seen)

@@ -1,16 +1,21 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import BETA3_CONFIG
+from conftest import BETA3_CONFIG, reference_trajectory_csv
 from regobs import ConfigError, parse_config, run_experiment
 from regobs.harness import (
+    _write_gain_csv,
+    _write_trajectory_csv,
     emit_sweep,
     extract_config_echo,
     placement_sweep,
     render_summary,
 )
+from regobs.spectral import ModeSet
 
 SWEEP_CONFIG = """\
 coefficients.beta_couple = 1.0
@@ -115,6 +120,42 @@ class TestEmittedFiles(object):
         first = lines[1].split(",")
         assert first[2] == ""  # full-order not run
         assert float(first[3]) == float(first[1])
+
+    @pytest.mark.parametrize("estimators", ["reduced", "full", "both"])
+    def test_trajectory_csv_matches_repr_reference(self, tmp_path, estimators):
+        cfg = parse_config(BETA3_CONFIG + f"observer.estimators = {estimators}\n")
+        report, trajs = run_experiment(cfg, out_dir=str(tmp_path))
+        reference_trajectory_csv(tmp_path / "reference.csv", cfg, trajs[report.primary],
+                                 trajs.get("full"), trajs.get("reduced"))
+        assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_unequal_series_match_repr_reference(self, tmp_path):
+        # Series truncated at different samples pad with empty cells; a
+        # missing err_gamma and non-finite values are written as repr has them.
+        cfg = parse_config(BETA3_CONFIG + "observer.estimators = both\n")
+        _, trajs = run_experiment(cfg)
+
+        def truncated(traj, k, **changes):
+            return dataclasses.replace(traj, times=traj.times[:k], err_gamma=traj.err_gamma[:k],
+                                       mode_abs_err=traj.mode_abs_err[:k].copy(), **changes)
+
+        reduced = truncated(trajs["reduced"], 7)
+        full = truncated(trajs["full"], 300)
+        full.mode_abs_err[5, :3] = [math.nan, math.inf, -0.0]
+        cases = [(reduced, full, reduced), (full, full, reduced), (reduced, None, reduced),
+                 (full, dataclasses.replace(full, err_gamma=None), reduced)]
+        for k, (primary, full_traj, reduced_traj) in enumerate(cases):
+            _write_trajectory_csv(tmp_path / f"{k}.csv", cfg, primary, full_traj, reduced_traj)
+            reference_trajectory_csv(tmp_path / f"{k}.ref", cfg, primary, full_traj, reduced_traj)
+            assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / f"{k}.ref").read_bytes(), k
+
+    def test_gain_csv_cells_are_repr(self, tmp_path, beta3_config):
+        h = np.random.default_rng(5).standard_normal((64, 2)) * 10.0 ** np.arange(-160, 160, 2.5).reshape(64, 2)
+        h[0] = [0.0, -0.0]
+        _write_gain_csv(tmp_path / "gain.csv", beta3_config, "reduced", SimpleNamespace(H=h))
+        expected = ["field,i,j,h_1,h_2"] + [f"2,{m.i},{m.j}," + ",".join(map(repr, row))
+                                            for m, row in zip(ModeSet.square(8), h.tolist())]
+        assert (tmp_path / "gain.csv").read_text().splitlines() == expected
 
     def test_gain_file_only_when_detectable(self, tmp_path, beta3_config, beta6_blind_config):
         report, _ = run_experiment(beta3_config, out_dir=str(tmp_path / "a"))
