@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -99,9 +100,19 @@ def segment_distance(points, a, b):
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def gauss_nodes(lo: float, hi: float, n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi]."""
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int):
+    # read-only, since every caller shares the cached arrays
     x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_nodes(lo: float, hi: float, n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi].
+
+    The rule on [-1, 1] is built once per n; the scaled arrays are new."""
+    x, w = _legendre_rule(n)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 

@@ -27,6 +27,7 @@ from .region import BoundarySegment, DecayFit, build_collar, fit_decay, region_g
 from .sensing import (
     PointwiseSensor,
     StrategicReport,
+    _group_layout,
     _lattice_rows,
     _lattice_triggered,
     _stacked_rank_test,
@@ -250,10 +251,11 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     ys = [lo2 + (hi2 - lo2) * f for f in fracs]
     fixed = np.broadcast_to(fixed, (grid_n, *fixed.shape))
     triggered = _lattice_triggered(varied, cfg.domain, modes, xs, ys)
+    layout = _group_layout(groups)
     rows = []
     for b1, varied_rows, row_triggered in zip(xs, _lattice_rows(varied, cfg.domain, modes, xs, ys), triggered):
         c = np.concatenate([varied_rows[:, None, :], fixed], axis=1)
-        *_, strategic = _stacked_rank_test(c, groups)
+        *_, strategic = _stacked_rank_test(c, layout)
         try:
             # no name holds the (grid_n, n, n) Gramians, so the next row's
             # stack is built after this one is freed

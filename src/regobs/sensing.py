@@ -308,33 +308,42 @@ def _singular_values(blocks: np.ndarray) -> np.ndarray:
     return (peak * np.sqrt(np.sum(unit * unit, axis=(-2, -1))))[..., None]
 
 
-def _stacked_rank_test(stack: np.ndarray, groups, q: int | None = None, tol_rank: float = TOL_RANK):
-    """The rank test on a (P, rows, n) stack of output matrices, with the
-    singular values of the (P, G_m, rows, m) group blocks taken together for
-    each distinct group multiplicity m (_singular_values): a vector block
-    (one row, or m = 1) has the scaled Euclidean norm as its only singular
-    value, every other block one batched svd.
+def _group_layout(groups):
+    """The groups by multiplicity, as _stacked_rank_test takes them: for each
+    distinct multiplicity m, the indices ks of the G_m groups of that size
+    and their (G_m, m) column positions; and every group's multiplicity.  A
+    sweep builds it once for all its stacks."""
+    by_mult: dict[int, list[int]] = {}
+    for k, group in enumerate(groups):
+        by_mult.setdefault(group.multiplicity, []).append(k)
+    return ([(ks, np.array([groups[k].positions for k in ks])) for ks in by_mult.values()],
+            np.array([group.multiplicity for group in groups], dtype=int))
+
+
+def _stacked_rank_test(stack: np.ndarray, layout, q: int | None = None, tol_rank: float = TOL_RANK):
+    """The rank test on a (P, rows, n) stack of output matrices against the
+    groups of layout = _group_layout(groups), with the singular values of the
+    (P, G_m, rows, m) group blocks taken together for each distinct group
+    multiplicity m (_singular_values): a vector block (one row, or m = 1) has
+    the scaled Euclidean norm as its only singular value, every other block
+    one batched svd.
 
     Returns the (P, len(groups)) ranks, each group's (P, k) singular values,
     the (P, len(groups)) mask of offending groups and the (P,) verdicts.
     """
+    by_mult, mult = layout
     p = stack.shape[0]
     if q is None:
         q = stack.shape[1]
-    ranks = np.zeros((p, len(groups)), dtype=int)
-    svals = [np.zeros((p, 0))] * len(groups)
+    ranks = np.zeros((p, mult.size), dtype=int)
+    svals = [np.zeros((p, 0))] * mult.size
     if q and stack.shape[1]:
         scale = _singular_values(stack)[:, 0]
-        by_mult: dict[int, list[int]] = {}
-        for k, group in enumerate(groups):
-            by_mult.setdefault(group.multiplicity, []).append(k)
-        for ks in by_mult.values():
-            cols = np.array([groups[k].positions for k in ks])
+        for ks, cols in by_mult:
             s = _singular_values(np.swapaxes(stack[:, :, cols], 1, 2))
             ranks[:, ks] = np.where(scale[:, None] > 0, np.sum(s > (tol_rank * scale)[:, None, None], axis=-1), 0)
             for g, k in enumerate(ks):
                 svals[k] = s[:, g]
-    mult = np.array([group.multiplicity for group in groups], dtype=int)
     offending = ranks < mult
     strategic = (q >= mult.max(initial=0)) & ~offending.any(axis=1)
     return ranks, svals, offending, strategic
@@ -352,7 +361,7 @@ def strategic_rank_test(c: np.ndarray, groups, q: int | None = None, tol_rank: f
     groups = list(groups)
     if q is None:
         q = c.shape[0]
-    ranks, svals, offending, strategic = _stacked_rank_test(c[None], groups, q, tol_rank)
+    ranks, svals, offending, strategic = _stacked_rank_test(c[None], _group_layout(groups), q, tol_rank)
     blocks = tuple(
         GroupRank(group=group, rank=int(ranks[0, k]), singular_values=tuple(float(s) for s in svals[k][0]))
         for k, group in enumerate(groups)

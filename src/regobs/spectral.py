@@ -102,7 +102,10 @@ def eigenfunction_eval(mode: ModeIndex, domain: Domain, point) -> float:
 def eval_matrix(domain: Domain, modes: ModeSet, points: np.ndarray) -> np.ndarray:
     """Evaluation matrix Phi with Phi[k, m] = phi_m(points[k]), vectorized.
 
-    points: array of shape (K, 2) inside the closed rectangle.
+    points: array of shape (K, 2) inside the closed rectangle.  Each axis
+    takes one table of sines, sin(pi x_k i) for i = 1..max_i, which the modes
+    gather by index: the same operations as the per-mode outer products, so
+    the same bits, with max_i + max_j sines per point instead of 2 n_modes.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
@@ -111,10 +114,12 @@ def eval_matrix(domain: Domain, modes: ModeSet, points: np.ndarray) -> np.ndarra
     ys = (pts[:, 1] - domain.alpha2) / domain.length2
     if xs.min() < -1e-12 or xs.max() > 1 + 1e-12 or ys.min() < -1e-12 or ys.max() > 1 + 1e-12:
         raise ValueError("evaluation point outside domain")
-    ii = np.array([m.i for m in modes], dtype=float)
-    jj = np.array([m.j for m in modes], dtype=float)
+    ii = np.array([m.i - 1 for m in modes])
+    jj = np.array([m.j - 1 for m in modes])
+    sin_x = np.sin(np.pi * np.outer(xs, np.arange(1.0, modes.max_i + 1)))
+    sin_y = np.sin(np.pi * np.outer(ys, np.arange(1.0, modes.max_j + 1)))
     c = 2.0 / math.sqrt(domain.length1 * domain.length2)
-    return c * np.sin(np.pi * np.outer(xs, ii)) * np.sin(np.pi * np.outer(ys, jj))
+    return c * sin_x[:, ii] * sin_y[:, jj]
 
 
 @dataclass(frozen=True)
@@ -328,6 +333,54 @@ def propagate_few_rows(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarr
         z_R(k + 1) = E z_R(k) + Gamma z_S(k),   E = exp(F_RR dt),
         Gamma[:, s] = int_0^dt exp(F_RR (dt - tau)) F_RS[:, s] exp(d_s tau) dtau.
 
+    Only E and Gamma depend on J.  A run with at most one unstable row needs
+    no matrix function (_one_row_step); J >= 2 rows take _few_rows_step.
+    """
+    rows = np.asarray(rows, dtype=int)
+    z = exp_samples(rates, z0, dt, steps)
+    if rows.size == 0:
+        return z
+    others = np.setdiff1d(np.arange(rates.shape[0]), rows)
+    j = rows.size
+    f_rr, f_rs, d_s = f_rows[:, rows], f_rows[:, others], rates[others]
+    if j == 1:
+        step, gamma = _one_row_step(f_rr, f_rs[0], d_s, dt)
+    else:
+        step, gamma = _few_rows_step(f_rr, f_rs, d_s, dt)
+    drive = z[:, others] @ gamma
+    zr = np.empty((steps + 1, j))
+    zr[0] = z0[rows]
+    for k in range(steps):
+        zr[k + 1] = step @ zr[k] + drive[k]
+    z[:, rows] = zr
+    return z
+
+
+def _one_row_step(f_rr: np.ndarray, f_s: np.ndarray, d_s: np.ndarray, dt: float):
+    """E (1 x 1) and Gamma (N - 1, 1) of propagate_few_rows for one row,
+    F_RR = [[lam]], in closed form: E = exp(lam dt) and
+
+        Gamma_s = f_s dt exp(max(lam, d_s) dt) phi1(-|lam - d_s| dt),
+
+    with phi1(x) = expm1(x) / x and phi1(0) = 1.  This is f_s times the
+    divided difference (exp(lam dt) - exp(d_s dt)) / (lam - d_s), which phi1
+    evaluates without cancellation (Higham, "Functions of Matrices", 2008), so
+    one formula serves columns near and far from lam.  As 0 < phi1 <= 1 on
+    x <= 0, it never forms inf * 0, which exp(d_s dt) phi1((lam - d_s) dt)
+    does once (lam - d_s) dt passes about 710.
+    """
+    lam = f_rr[0, 0]
+    gap = -np.abs(lam - d_s) * dt
+    phi1 = np.ones_like(gap)
+    moving = gap != 0
+    phi1[moving] = np.expm1(gap[moving]) / gap[moving]
+    gamma = f_s * dt * np.exp(np.maximum(lam, d_s) * dt) * phi1
+    return np.exp(f_rr * dt), gamma[:, None]
+
+
+def _few_rows_step(f_rr: np.ndarray, f_rs: np.ndarray, d_s: np.ndarray, dt: float):
+    """E and Gamma (N - J, J) of propagate_few_rows for J >= 2 rows.
+
     Column s of Gamma is (E - exp(d_s dt)) (F_RR - d_s)^-1 F_RS[:, s] when
     sigma_min(F_RR - d_s) dt >= NEAR_SPECTRUM, where the difference loses at
     most two of the digits that the exponentials carry.  Nearer to the
@@ -339,20 +392,14 @@ def propagate_few_rows(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarr
     for the fast stable modes, where |d_s| dt is large, costs far more than
     the resolvent.
     """
-    rows = np.asarray(rows, dtype=int)
-    z = exp_samples(rates, z0, dt, steps)
-    if rows.size == 0:
-        return z
     # imported on use: loading scipy.linalg is most of the CLI's start-up
     from scipy.linalg import expm
 
-    others = np.setdiff1d(np.arange(rates.shape[0]), rows)
-    j = rows.size
-    f_rr, f_rs, d_s = f_rows[:, rows], f_rows[:, others], rates[others]
+    j = f_rr.shape[0]
     step = expm(f_rr * dt)
     shifted = f_rr - d_s[:, None, None] * np.eye(j)
     far = np.linalg.svd(shifted, compute_uv=False)[:, -1] * dt >= NEAR_SPECTRUM
-    gamma = np.empty((others.size, j))
+    gamma = np.empty((d_s.size, j))
     x = np.linalg.solve(shifted[far], f_rs.T[far][..., None])[..., 0]
     gamma[far] = x @ step.T - np.exp(d_s[far] * dt)[:, None] * x
     near = np.flatnonzero(~far)
@@ -367,13 +414,7 @@ def propagate_few_rows(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarr
     blocks[:, j, j] = d_s[near] * dt
     blocks[:, j + 1, 0] = 1.0
     gamma[near] = expm(blocks)[:, :j, j]
-    drive = z[:, others] @ gamma
-    zr = np.empty((steps + 1, j))
-    zr[0] = z0[rows]
-    for k in range(steps):
-        zr[k + 1] = step @ zr[k] + drive[k]
-    z[:, rows] = zr
-    return z
+    return step, gamma
 
 
 class Propagator:

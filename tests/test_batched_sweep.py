@@ -2,6 +2,7 @@
 sensing calls, and the predicate/rank-test consistency it relies on."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from regobs import (
     placement_sweep,
     strategic_rank_test,
 )
-from regobs.sensing import group_values
+from regobs.sensing import ModeGroup, group_values
 
 BASE = "coefficients.beta_couple = 3.0\nsimulation.n_modes = 4\nobserver.gramian_horizon = 2.0\n"
 TALL = "domain.beta2 = 1.3\n"
@@ -103,6 +104,26 @@ def test_batched_rows_match_per_position_loop(kind, domain, fixed):
     if not fixed and domain == TALL and kind != "tabulated_asymmetric":
         assert verdicts == {False, True}
         assert any(row.triggered for row in rows)
+
+
+def test_sweep_groups_by_multiplicity_once():
+    # the grouping is Python work that does not depend on the lattice row,
+    # so a longer sweep must not repeat it
+    cfg = dataclasses.replace(parse_config(BASE + TALL), sensors=(_varied("pointwise"), FIXED))
+    multiplicity = ModeGroup.multiplicity
+
+    def reads(grid_n):
+        calls = []
+
+        def counting(group):
+            calls.append(group)
+            return multiplicity.fget(group)
+
+        with mock.patch.object(ModeGroup, "multiplicity", property(counting)):
+            placement_sweep(cfg, grid_n)
+        return len(calls)
+
+    assert 0 < reads(3) == reads(9)
 
 
 @settings(max_examples=25, deadline=None)

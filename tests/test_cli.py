@@ -147,17 +147,25 @@ class TestSubprocessEntry:
 
     def test_commands_load_scipy_linalg_only_for_exponentials(self, tmp_path):
         # A fresh process, because this one has scipy.linalg loaded already:
-        # nothing up to a run with no unstable mode (J = 0) needs a matrix
-        # exponential; a run with J >= 1 does.  Likewise the float
-        # formatter's tables are built by the first run that writes a file,
-        # not by the import.
+        # nothing up to a run with one unstable row (J = 1) needs a matrix
+        # exponential; a run with J = 2 does.  Likewise the float formatter's
+        # tables are built by the first run that writes a file, not by the
+        # import.
         stable, detectable = str(CONFIGS / "exchange_stable.cfg"), str(CONFIGS / "exchange_detectable.cfg")
+        # exchange_detectable with a stronger coupling on a taller domain has
+        # two unstable modes
+        two_rows = tmp_path / "two_rows.cfg"
+        text = (CONFIGS / "exchange_detectable.cfg").read_text()
+        assert "coefficients.beta_couple = 3.0\n" in text
+        two_rows.write_text(text.replace("coefficients.beta_couple = 3.0\n", "coefficients.beta_couple = 4.0\n")
+                            + "domain.beta2 = 1.3\n")
         commands = [
             ["version"],
             ["rank", "--config", stable],
             ["sweep", "--config", stable, "--grid", "3", "--out", str(tmp_path / "sweep")],
             ["run", "--config", stable, "--out", str(tmp_path / "stable")],
             ["run", "--config", detectable, "--out", str(tmp_path / "detectable")],
+            ["run", "--config", str(two_rows), "--out", str(tmp_path / "two_rows")],
         ]
         script = (
             "import json, sys\n"
@@ -174,5 +182,24 @@ class TestSubprocessEntry:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                               capture_output=True, text=True, check=True, env=python_env())
         loaded, built = json.loads(proc.stdout.splitlines()[-1])
-        assert loaded == [False, False, False, False, True]
-        assert built == [0, 0, 0, 0, 1, 1]
+        assert loaded == [False, False, False, False, False, True]
+        assert built == [0, 0, 0, 0, 1, 1, 1]
+        for name, j in (("detectable", 1), ("two_rows", 2)):
+            summary = (tmp_path / name / "summary.txt").read_text()
+            assert f"J (unstable modes) = {j}\n" in summary and "not_detectable = false\n" in summary
+
+    def test_one_unstable_row_runs_leave_scipy_linalg_unloaded(self, tmp_path):
+        # A fresh process: the shipped runs with one unstable row (J = 1)
+        # propagate it in closed form and never load scipy.linalg.
+        script = (
+            "import sys\n"
+            "from regobs.cli import main\n"
+            "for k, path in enumerate(sys.argv[2:]):\n"
+            "    assert main(['run', '--config', path, '--out', f'{sys.argv[1]}/{k}']) == 0, path\n"
+            "    assert 'scipy.linalg' not in sys.modules, path\n"
+        )
+        configs = [str(CONFIGS / name) for name in ("exchange_detectable.cfg", "boundary_collar.cfg")]
+        subprocess.run([sys.executable, "-c", script, str(tmp_path), *configs],
+                       check=True, env=python_env(), timeout=120)
+        for k in range(len(configs)):
+            assert "J (unstable modes) = 1\n" in (tmp_path / str(k) / "summary.txt").read_text()

@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from regobs import (
     restrict_trace,
     simulate_reduced_order,
 )
+from regobs import geometry
 from regobs.geometry import edge_segment, gauss_nodes
 from regobs.region import error_norm_series, region_gram, region_quadrature
 from regobs.observer import ObserverGain, split_unstable_stable
@@ -38,6 +40,31 @@ def quadrature_gram(region, domain, modes):
     pts, w = region_quadrature(region, domain)
     phi = eval_matrix(domain, modes, pts)
     return phi.T @ (w[:, None] * phi)
+
+
+class TestGaussNodes:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_cached_rule_is_bitwise_the_scaled_leggauss(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        for lo, hi in ((0.0, 1.0), (-0.3, 0.45), (0.2, 0.2 + 1e-9)):
+            nodes, weights = gauss_nodes(lo, hi, n)
+            assert nodes.tobytes() == (0.5 * (hi - lo) * x + 0.5 * (hi + lo)).tobytes()
+            assert weights.tobytes() == (0.5 * (hi - lo) * w).tobytes()
+
+    def test_collar_builds_each_rule_once_and_shares_it_read_only(self):
+        geometry._legendre_rule.cache_clear()
+        with mock.patch.object(geometry, "leggauss", wraps=np.polynomial.legendre.leggauss) as built:
+            first = build_collar(BoundarySegment("bottom", 0.2, 0.7), 0.3, UNIT)
+            second = build_collar(BoundarySegment("bottom", 0.2, 0.7), 0.3, UNIT)
+        assert built.call_count == 1
+        assert first.points.tobytes() == second.points.tobytes()
+        assert first.weights.tobytes() == second.weights.tobytes()
+        x, w = geometry._legendre_rule(64)
+        assert not x.flags.writeable and not w.flags.writeable
+        # the scaled arrays are the caller's own
+        nodes, weights = gauss_nodes(0.0, 1.0, 64)
+        nodes[:] = weights[:] = 0.0
+        assert gauss_nodes(0.0, 1.0, 64)[0].any()
 
 
 class TestRestrictTrace:

@@ -28,7 +28,14 @@ from regobs import (
     strategic_rank_test,
 )
 from regobs.geometry import gauss_nodes
-from regobs.sensing import TOL_RANK, _lattice_triggered, _singular_values, _stacked_rank_test, group_values
+from regobs.sensing import (
+    TOL_RANK,
+    _group_layout,
+    _lattice_triggered,
+    _singular_values,
+    _stacked_rank_test,
+    group_values,
+)
 from regobs.spectral import eval_matrix
 
 UNIT = Domain()
@@ -257,9 +264,10 @@ def test_rank_test_matches_svd_of_every_block(q, tall, n_side, seed):
                       rng.uniform(0.05, 0.95, (12, q, 2)) * [domain.length1, domain.length2])
     stack = np.stack([output_matrix([PointwiseSensor(tuple(p)) for p in suite.tolist()], domain, modes)
                       for suite in points])
-    unscaled = _stacked_rank_test(stack, groups)
+    layout = _group_layout(groups)
+    unscaled = _stacked_rank_test(stack, layout)
     for scale in (1.0, 1e-160):
-        ranks, _, _, strategic = _stacked_rank_test(scale * stack, groups)
+        ranks, _, _, strategic = _stacked_rank_test(scale * stack, layout)
         ref_ranks, ref_strategic = _rank_test_by_svd(scale * stack, groups)
         assert np.array_equal(ranks, ref_ranks) and np.array_equal(strategic, ref_strategic)
         assert np.array_equal(ranks, unscaled[0]) and np.array_equal(strategic, unscaled[3])

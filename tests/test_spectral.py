@@ -97,6 +97,28 @@ class TestEigenfunction:
         assert np.abs(gram - np.eye(len(modes))).max() < 1e-8
 
 
+    @pytest.mark.parametrize("modes", [
+        ModeSet.square(8),
+        ModeSet(tuple(ModeIndex(i, j) for i in range(1, 4) for j in range(1, 12))),
+        ModeSet((ModeIndex(7, 2), ModeIndex(1, 1), ModeIndex(3, 9), ModeIndex(7, 1))),
+    ])
+    def test_eval_matrix_equals_outer_products_bitwise(self, modes):
+        # the per-axis sine tables against the per-mode outer products they
+        # replaced, on a domain off the origin, its corners and random points
+        domain = Domain(-0.4, 1.1, 0.3, 2.6)
+        rng = np.random.default_rng(11)
+        pts = np.vstack([np.column_stack([rng.uniform(-0.4, 1.1, 500), rng.uniform(0.3, 2.6, 500)]),
+                         [[-0.4, 0.3], [1.1, 2.6], [-0.4, 2.6], [1.1, 0.3]]])
+        xs = (pts[:, 0] - domain.alpha1) / domain.length1
+        ys = (pts[:, 1] - domain.alpha2) / domain.length2
+        ii = np.array([m.i for m in modes], dtype=float)
+        jj = np.array([m.j for m in modes], dtype=float)
+        c = 2.0 / math.sqrt(domain.length1 * domain.length2)
+        ref = c * np.sin(np.pi * np.outer(xs, ii)) * np.sin(np.pi * np.outer(ys, jj))
+        got = eval_matrix(domain, modes, pts)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 class TestModeSet:
     def test_row_major_order(self):
         modes = ModeSet.square(2)
@@ -184,14 +206,16 @@ class TestPropagate:
 
 
 # Each call below reaches one of the places that import scipy.linalg on use.
-# F's row 0 has F_RR = 0.5, equal to the rate of coordinate 1, so that
-# column of Gamma is read off a Van Loan block exponential.
+# propagate_few_rows needs it for two rows or more.  F's rows 0 and 1 have
+# F_RR = [[0.5, 0.3], [0, 1]], whose eigenvalue 0.5 equals the rate of
+# coordinate 2, so that column of Gamma is read off a Van Loan block
+# exponential; the column of coordinate 3 takes the resolvent.
 LAZY_SCIPY_SITES = {
     "propagate_few_rows": (
         "from regobs.spectral import propagate_few_rows\n"
-        "f_rows = np.array([[0.5, 0.3, -0.7, 0.2]])\n"
-        "rates = np.array([9.0, 0.5, -2.0, -40.0])\n"
-        "result = [propagate_few_rows(rates, [0], f_rows, np.array([1.0, -0.5, 0.25, 2.0]), 0.1, 20)]\n"
+        "f_rows = np.array([[0.5, 0.3, -0.7, 0.2], [0.0, 1.0, 0.4, -0.6]])\n"
+        "rates = np.array([9.0, 7.0, 0.5, -40.0])\n"
+        "result = [propagate_few_rows(rates, [0, 1], f_rows, np.array([1.0, -0.5, 0.25, 2.0]), 0.1, 20)]\n"
     ),
     "Propagator": (
         "from regobs.spectral import Propagator\n"

@@ -11,11 +11,14 @@ RTOL, and no simulation may build one.
 
 import os
 import re
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from regobs import (
     Coefficients,
@@ -37,10 +40,10 @@ from regobs import (
     simulate_reduced_order,
     split_unstable_stable,
 )
-from regobs import harness, observer
+from regobs import harness, observer, spectral
 from regobs.observer import _error_trajectory, _estimator_maps, _full_sensor_matrix, _plant_trajectory
 from regobs.region import region_gram
-from regobs.spectral import ModePairs
+from regobs.spectral import ModePairs, _one_row_step, propagate_few_rows
 from conftest import BETA3_CONFIG, no_dense_propagator
 from test_estimator_oracle import dense_full, dense_reduced
 
@@ -294,6 +297,89 @@ def test_stacked_split_matches_eigh(seed, n_side, beta, margin, target_margin):
     got = design_gain(model.mode_pairs, c_full, split, target_margin)
     assert np.abs(got.H - ref.H).max() <= RTOL * max(np.abs(ref.H).max(), 1.0)
     assert np.abs(got.closed_loop_eigs - ref.closed_loop_eigs).max() <= 1e-12 * scale
+
+
+def _van_loan_column(lam, f_s, d_s, dt):
+    """Gamma_s of one row by the Van Loan block exponential
+    exp([[lam, f_s], [0, d_s]] dt)[0, 1]; the row appended below keeps the
+    block from being triangular, which scipy's expm would square with a
+    divided difference that cancels at d_s near lam."""
+    block = np.zeros((3, 3))
+    block[0, 0], block[0, 1], block[1, 1], block[2, 0] = lam * dt, f_s * dt, d_s * dt, 1.0
+    return expm(block)[0, 1]
+
+
+def _exact_column(lam, f_s, d_s, dt):
+    """Gamma_s = f_s (exp(lam dt) - exp(d_s dt)) / (lam - d_s) of the float
+    inputs, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        lam, f_s, d_s, dt = (mpmath.mpf(float(v)) for v in (lam, f_s, d_s, dt))
+        if lam == d_s:
+            return f_s * dt * mpmath.exp(lam * dt)
+        return f_s * (mpmath.exp(lam * dt) - mpmath.exp(d_s * dt)) / (lam - d_s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), lam=st.floats(-20.0, 20.0),
+       k=st.none() | st.integers(0, 16), sign=st.sampled_from([-1.0, 1.0]),
+       dt=st.sampled_from([0.01, 0.05, 0.2, 1.0]))
+@example(seed=4, n=5, lam=1.8328690600325714, k=13, sign=1.0, dt=0.2)
+@example(seed=1, n=3, lam=0.5, k=None, sign=1.0, dt=0.05)
+def test_one_row_closed_form_near_spectrum(seed, n, lam, k, sign, dt):
+    # coordinate 0 has the rate d_0 = lam + sign 10^-k (d_0 = lam for k None),
+    # where the divided difference in Gamma_0 cancels if formed directly; the
+    # other rates are stable.  The row sits last, so F is lower triangular,
+    # which scipy's expm squares in full; it would take an upper triangular F
+    # through its divided difference of the diagonal, which cancels here.
+    rng = np.random.default_rng(seed)
+    d = -rng.uniform(0.0, 60.0, n - 1)
+    d[0] = lam if k is None else lam + sign * 10.0**-k
+    f = rng.standard_normal(n - 1)
+    rates = np.append(d, lam)
+    f_rows = np.append(f, lam)[None]
+    dense = np.diag(rates)
+    dense[-1] = f_rows[0]
+    z0 = rng.standard_normal(n)
+    steps = 30
+    with mock.patch.object(spectral, "_few_rows_step", side_effect=AssertionError("J = 1 took the general path")):
+        z = propagate_few_rows(rates, [n - 1], f_rows, z0, dt, steps)
+        step, gamma = _one_row_step(f_rows[:, -1:], f, d, dt)
+    # the dense oracles are exact to the round-off of scaling and squaring,
+    # which grows with |lam| dt (about 3e-12 of the Van Loan column at
+    # |lam| dt = 16) and, for the run, with the steps
+    ref = Propagator(dense, dt).run(z0, steps)
+    assert np.all(np.abs(z - ref).max(axis=0) <= RTOL * np.abs(ref).max(axis=0))
+    assert step.shape == (1, 1) and step[0, 0] == np.exp(lam * dt)
+    assert gamma.shape == (n - 1, 1)
+    van_loan = _van_loan_column(lam, f[0], d[0], dt)
+    assert abs(gamma[0, 0] - van_loan) <= 1e-11 * abs(van_loan)
+    # against the exact column: the exponential's condition |max(lam, d_s) dt|
+    # carries the rounding of its argument, and phi1 adds a few units in the
+    # last place
+    bound = 4 * np.finfo(float).eps * (2.0 + np.abs(np.maximum(lam, d)) * dt)
+    exact = np.array([float(_exact_column(lam, f[s], d[s], dt)) for s in range(n - 1)])
+    assert np.all(np.abs(gamma[:, 0] - exact) <= bound * np.abs(exact))
+
+
+@pytest.mark.parametrize("row_above", [True, False])
+def test_one_row_closed_form_far_separations(row_above):
+    # |lam - d_s| dt runs from 1 to 1e4, for an unstable row lam = 2 above a
+    # decaying coordinate, or a placed row far below a slow coordinate at
+    # d_s = -0.5.  Once exp(d_s dt) underflows or phi1 of the positive
+    # separation overflows, exp(d_s dt) phi1((lam - d_s) dt) is inf or 0 * inf;
+    # the closed form stays finite and equals the resolvent form, which is
+    # exact this far from the spectrum.
+    dt = 0.1
+    rng = np.random.default_rng(8)
+    for sep in np.logspace(0.0, 4.0, 41):
+        lam, d_s = (2.0, 2.0 - sep / dt) if row_above else (-0.5 - sep / dt, -0.5)
+        f = rng.standard_normal(1)
+        step, gamma = _one_row_step(np.array([[lam]]), f, np.array([d_s]), dt)
+        resolvent = f[0] * (np.exp(lam * dt) - np.exp(d_s * dt)) / (lam - d_s)
+        assert np.isfinite(gamma[0, 0]) and gamma[0, 0] != 0.0
+        assert abs(gamma[0, 0] - resolvent) <= 1e-14 * abs(resolvent)
+        z = propagate_few_rows(np.array([d_s, lam]), [1], np.array([[f[0], lam]]), rng.standard_normal(2), dt, 50)
+        assert np.all(np.isfinite(z))
 
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
