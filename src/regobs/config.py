@@ -5,24 +5,30 @@ output.  Blank lines and lines starting with '#' are ignored; unknown or
 duplicate keys are rejected with their line number.  `render_config` emits
 the canonical normalized form (all defaults explicit, fixed key order,
 shortest round-trip floats) used for the reproducible config echo.
+
+The five flat sections are declared once, by their settings dataclasses: a
+field's default is the key's default and fixes how its value is read, and
+the field order is the echo order.  `_RULES` adds the choices and bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
-from .geometry import EDGES, Domain, Rect
+from .geometry import EDGES, Domain, Rect, edge_segment
 from .observer import _steps
-from .region import BoundarySegment, InternalRectangle
+from .region import NORM_WEIGHTS, BoundarySegment, InternalRectangle
 from .sensing import PointwiseSensor, ZoneSensor, _check_sensor
 from .spectral import Coefficients
 
 ESTIMATOR_CHOICES = ("reduced", "full", "both")
 ESTIMATOR_INIT_CHOICES = ("zero", "truth")
-NORM_CHOICES = ("l2", "sobolev_half")
+NORM_CHOICES = NORM_WEIGHTS
 SENSOR_KINDS = ("pointwise", "zone")
 REGION_KINDS = ("internal_rectangle", "boundary_segment")
+# the closed-form zone weights; tabulated weights need samples, which only the API takes
 CONFIG_WEIGHTS = ("uniform", "separable_sine")
 
 
@@ -71,14 +77,77 @@ class ExperimentConfig:
     output: OutputSettings
 
 
+def _bound(op: str, bound):
+    test = {">": operator.gt, ">=": operator.ge}[op]
+    return lambda value, section: None if test(value, bound) else f"be {op} {bound}"
+
+
+def _count(values, n: int):
+    return None if len(values) == n else f"have {n} values, got {len(values)}"
+
+
+def _whole_steps(dt: float, t_final: float) -> bool:
+    # the API's horizon rule: at least one step, and whole steps
+    try:
+        _steps(dt, t_final)
+    except ValueError:
+        return False
+    return True
+
+
+# Rules of the flat sections, checked in field order on every value that is
+# not None, defaults included.  A tuple lists the accepted strings; a
+# function of the value and the section's values read so far (by field name)
+# returns None, or the phrase that completes "<key> must ...".
+_RULES = {
+    "observer.target_margin": _bound(">", 0),
+    "observer.margin": _bound(">=", 0),
+    "observer.measured_field": lambda v, s: None if v in (1, 2) else "be 1 or 2",
+    "observer.estimators": ESTIMATOR_CHOICES,
+    "observer.gramian_horizon": _bound(">", 0),
+    "simulation.n_modes": _bound(">=", 1),
+    "simulation.dt": _bound(">", 0),
+    "simulation.T": lambda t, s: (None if _whole_steps(s["dt"], t) else "be >= simulation.dt" if t < s["dt"]
+                                  else "be a whole number of simulation.dt steps"),
+    "simulation.x0_seed": _bound(">=", 0),
+    "simulation.x0_field1": lambda v, s: _count(v, s["n_modes"] ** 2),
+    "simulation.x0_field2": lambda v, s: _count(v, s["n_modes"] ** 2),
+    "simulation.estimator_init": ESTIMATOR_INIT_CHOICES,
+    "output.norm": NORM_CHOICES,
+    "output.fit_t_hi": lambda v, s: None if v > s["fit_t_lo"] else "be > output.fit_t_lo",
+}
+_RENAMED = {"t_final": "T"}
+_SECTIONS = {
+    "domain": Domain,
+    "coefficients": Coefficients,
+    "observer": ObserverSettings,
+    "simulation": SimulationSettings,
+    "output": OutputSettings,
+}
+
+
+def _reader(f) -> type:
+    # a None default marks an optional number or list of numbers
+    if f.default is not None:
+        return type(f.default)
+    return tuple if "tuple" in str(f.type) else float
+
+
+# each flat section's (key, field name, reader, default), in echo order
+_FIELDS = {
+    section: tuple((f"{section}.{_RENAMED.get(f.name, f.name)}", f.name, _reader(f), f.default) for f in fields(cls))
+    for section, cls in _SECTIONS.items()
+}
+# Region and sensor keys besides `kind` (and the region's `n_quad`) belong
+# to one kind each.
+_KIND_KEYS = {
+    "region": {"internal_rectangle": ("rect",), "boundary_segment": ("edge", "from", "to", "collar_radius")},
+    "sensor": {"pointwise": ("location",), "zone": ("rect", "weight")},
+}
 _KNOWN_KEYS = {
-    "domain": ("alpha1", "beta1", "alpha2", "beta2"),
-    "coefficients": ("alpha_diff", "gamma_diff", "beta_couple"),
-    "region": ("kind", "rect", "edge", "from", "to", "collar_radius", "n_quad"),
-    "sensor": ("kind", "location", "rect", "weight"),
-    "observer": ("target_margin", "margin", "measured_field", "estimators", "gramian_horizon"),
-    "simulation": ("n_modes", "dt", "T", "x0_seed", "x0_field1", "x0_field2", "estimator_init"),
-    "output": ("directory", "norm", "plot", "fit_t_lo", "fit_t_hi"),
+    **{section: tuple(key.split(".")[1] for key, *_ in spec) for section, spec in _FIELDS.items()},
+    "region": ("kind", "n_quad", *(key for keys in _KIND_KEYS["region"].values() for key in keys)),
+    "sensor": ("kind", *(key for keys in _KIND_KEYS["sensor"].values() for key in keys)),
 }
 
 
@@ -92,16 +161,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-class _Entry:
-    __slots__ = ("value", "line")
-
-    def __init__(self, value: str, line: int):
-        self.value = value
-        self.line = line
-
-
-def _collect(text: str) -> dict[str, _Entry]:
-    entries: dict[str, _Entry] = {}
+def _collect(text: str) -> dict[str, str]:
+    entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -110,34 +171,33 @@ def _collect(text: str) -> dict[str, _Entry]:
             raise ConfigError(f"line {lineno}: expected 'section.key = value'")
         name, value = line.split("=", 1)
         name = name.strip()
-        value = value.strip()
         parts = name.split(".")
         if parts[0] == "sensor":
-            if len(parts) != 3 or not parts[1].isdigit() or int(parts[1]) < 1:
+            # k = 1, 2, ... in ASCII digits, as the echo writes it
+            if len(parts) != 3 or not (parts[1].isascii() and parts[1].isdigit()) or parts[1][0] == "0":
                 raise ConfigError(f"line {lineno}: sensor keys look like 'sensor.<k>.<key>'")
-            if parts[2] not in _KNOWN_KEYS["sensor"]:
-                raise ConfigError(f"line {lineno}: unknown key '{name}'")
-        else:
-            if len(parts) != 2 or parts[0] not in _KNOWN_KEYS or parts[1] not in _KNOWN_KEYS[parts[0]]:
-                raise ConfigError(f"line {lineno}: unknown key '{name}'")
+            parts = parts[::2]  # known as sensor.<key>
+        if len(parts) != 2 or parts[1] not in _KNOWN_KEYS.get(parts[0], ()):
+            raise ConfigError(f"line {lineno}: unknown key '{name}'")
         if name in entries:
             raise ConfigError(f"line {lineno}: duplicate key '{name}'")
-        entries[name] = _Entry(value, lineno)
+        entries[name] = value.strip()
     return entries
 
 
-class _Reader:
-    def __init__(self, entries: dict[str, _Entry]):
-        self.entries = entries
-
-    def _raw(self, key: str):
-        entry = self.entries.get(key)
-        return None if entry is None else entry.value
-
-    def float(self, key: str, default):
-        raw = self._raw(key)
-        if raw is None:
-            return default
+def _convert(key: str, reader: type, raw: str):
+    if reader is bool:
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ConfigError(f"{key} must be true or false, got {raw!r}")
+    if reader is int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+    if reader is float:
         try:
             value = float(raw)
         except ValueError:
@@ -145,211 +205,111 @@ class _Reader:
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {raw!r}")
         return value
-
-    def int(self, key: str, default):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-
-    def bool(self, key: str, default):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key} must be true or false, got {raw!r}")
-
-    def choice(self, key: str, choices, default):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        if raw not in choices:
-            raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {raw!r}")
-        return raw
-
-    def floats(self, key: str, count: int | None = None):
-        raw = self._raw(key)
-        if raw is None:
-            return None
+    if reader is tuple:
         try:
             values = tuple(float(part.strip()) for part in raw.split(","))
         except ValueError:
             raise ConfigError(f"{key} must be a comma-separated list of numbers") from None
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"{key} must contain finite numbers only")
-        if count is not None and len(values) != count:
-            raise ConfigError(f"{key} must have {count} values, got {len(values)}")
         return values
+    return raw
 
-    def str(self, key: str, default):
-        raw = self._raw(key)
-        return default if raw is None else raw
 
-    def has(self, key: str) -> bool:
-        return key in self.entries
+def _value(entries, key: str, reader: type, default=None, rule=None, section=None):
+    """The key's value read by `reader` (its default when absent), checked by `rule`."""
+    raw = entries.get(key)
+    value = default if raw is None else _convert(key, reader, raw)
+    if value is None or rule is None:
+        return value
+    if isinstance(rule, tuple):
+        if value not in rule:
+            raise ConfigError(f"{key} must be one of {', '.join(rule)}; got {value!r}")
+    elif (why := rule(value, section)) is not None:
+        raise ConfigError(f"{key} must {why}")
+    return value
+
+
+def _make(prefix: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with its ValueError raised as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
+
+
+def _section(entries, section: str):
+    values = {}
+    for key, name, reader, default in _FIELDS[section]:
+        values[name] = _value(entries, key, reader, default, _RULES.get(key), values)
+    return _make(section, _SECTIONS[section], **values)
+
+
+def _reject_other_kinds(entries, prefix: str, group: str, kind: str) -> None:
+    for other, keys in _KIND_KEYS[group].items():
+        for key in keys:
+            if other != kind and f"{prefix}.{key}" in entries:
+                raise ConfigError(f"{prefix}.{key} is not a key of {kind} {group}s")
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text, filling documented defaults."""
     entries = _collect(text)
-    r = _Reader(entries)
+    # sections in echo order, so the first bad key reported is the first one echoed
+    domain = _section(entries, "domain")
+    coefficients = _section(entries, "coefficients")
+    region, collar_radius = _parse_region(entries, domain)
+    sensors = _parse_sensors(entries, domain)
+    return ExperimentConfig(domain, coefficients, region, collar_radius, sensors,
+                            *(_section(entries, section) for section in ("observer", "simulation", "output")))
 
-    domain = Domain(
-        alpha1=r.float("domain.alpha1", 0.0),
-        beta1=r.float("domain.beta1", 1.0),
-        alpha2=r.float("domain.alpha2", 0.0),
-        beta2=r.float("domain.beta2", 1.0),
-    )
-    if domain.length1 <= 0 or domain.length2 <= 0:
-        raise ConfigError("domain.beta1/beta2 must exceed domain.alpha1/alpha2")
 
-    try:
-        coefficients = Coefficients(
-            alpha_diff=r.float("coefficients.alpha_diff", 1.0),
-            gamma_diff=r.float("coefficients.gamma_diff", 0.1),
-            beta_couple=r.float("coefficients.beta_couple", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"coefficients: {exc}") from None
-
-    n_quad = r.int("region.n_quad", 64)
-    if n_quad < 1:
-        raise ConfigError("region.n_quad must be >= 1")
-    kind = r.choice("region.kind", REGION_KINDS, "internal_rectangle")
-    collar_radius = r.float("region.collar_radius", 0.1)
+def _parse_region(entries, domain: Domain):
+    n_quad = _value(entries, "region.n_quad", int, 64, _bound(">=", 1))
+    kind = _value(entries, "region.kind", str, "internal_rectangle", REGION_KINDS)
+    _reject_other_kinds(entries, "region", "region", kind)
+    collar_radius = _value(entries, "region.collar_radius", float, 0.1, _bound(">", 0))
     if kind == "internal_rectangle":
-        rect_vals = r.floats("region.rect", 4)
-        if rect_vals is None:
-            rect_vals = (domain.alpha1, domain.beta1, domain.alpha2, domain.beta2)
-        try:
-            rect = Rect(*rect_vals)
-        except ValueError as exc:
-            raise ConfigError(f"region.rect: {exc}") from None
+        whole = (domain.alpha1, domain.beta1, domain.alpha2, domain.beta2)
+        rect = _make("region.rect", Rect, *_value(entries, "region.rect", tuple, whole, lambda v, _: _count(v, 4)))
         if not rect.inside(domain):
             raise ConfigError("region.rect must lie inside the domain")
-        region = InternalRectangle(rect=rect, n_quad=n_quad)
-    else:
-        edge = r.choice("region.edge", EDGES, None)
-        if edge is None:
-            raise ConfigError("region.edge is required for boundary_segment regions")
-        lo = r.float("region.from", None)
-        hi = r.float("region.to", None)
-        if lo is None or hi is None:
-            raise ConfigError("region.from and region.to are required for boundary_segment regions")
-        try:
-            region = BoundarySegment(edge=edge, lo=lo, hi=hi, n_quad=n_quad)
-        except ValueError as exc:
-            raise ConfigError(f"region: {exc}") from None
-        if collar_radius <= 0:
-            raise ConfigError("region.collar_radius must be > 0")
-
-    sensors = _parse_sensors(entries, r, domain)
-
-    observer = ObserverSettings(
-        target_margin=r.float("observer.target_margin", 1.0),
-        margin=r.float("observer.margin", 0.0),
-        measured_field=r.int("observer.measured_field", 1),
-        estimators=r.choice("observer.estimators", ESTIMATOR_CHOICES, "reduced"),
-        gramian_horizon=r.float("observer.gramian_horizon", 2.0),
-    )
-    if observer.target_margin <= 0:
-        raise ConfigError("observer.target_margin must be > 0")
-    if observer.margin < 0:
-        raise ConfigError("observer.margin must be >= 0")
-    if observer.measured_field not in (1, 2):
-        raise ConfigError("observer.measured_field must be 1 or 2")
-    if observer.gramian_horizon <= 0:
-        raise ConfigError("observer.gramian_horizon must be > 0")
-
-    n_modes = r.int("simulation.n_modes", 8)
-    if n_modes < 1:
-        raise ConfigError("simulation.n_modes must be >= 1")
-    dt = r.float("simulation.dt", 0.01)
-    if dt <= 0:
-        raise ConfigError("simulation.dt must be > 0")
-    t_final = r.float("simulation.T", 5.0)
-    try:
-        _steps(dt, t_final)
-    except ValueError:
-        # the API's horizon rule: at least one step, and whole steps
-        why = "be >= simulation.dt" if t_final < dt else "be a whole number of simulation.dt steps"
-        raise ConfigError(f"simulation.T must {why}") from None
-    n_coeffs = n_modes * n_modes
-    x0_field1 = r.floats("simulation.x0_field1", n_coeffs)
-    x0_field2 = r.floats("simulation.x0_field2", n_coeffs)
-    simulation = SimulationSettings(
-        n_modes=n_modes,
-        dt=dt,
-        t_final=t_final,
-        x0_seed=r.int("simulation.x0_seed", 0),
-        x0_field1=x0_field1,
-        x0_field2=x0_field2,
-        estimator_init=r.choice("simulation.estimator_init", ESTIMATOR_INIT_CHOICES, "zero"),
-    )
-
-    fit_t_lo = r.float("output.fit_t_lo", 1.0)
-    fit_t_hi = r.float("output.fit_t_hi", None)
-    if fit_t_hi is not None and fit_t_hi <= fit_t_lo:
-        raise ConfigError("output.fit_t_hi must be > output.fit_t_lo")
-    output = OutputSettings(
-        directory=r.str("output.directory", "out"),
-        norm=r.choice("output.norm", NORM_CHOICES, "l2"),
-        plot=r.bool("output.plot", False),
-        fit_t_lo=fit_t_lo,
-        fit_t_hi=fit_t_hi,
-    )
-
-    return ExperimentConfig(
-        domain=domain,
-        coefficients=coefficients,
-        region=region,
-        collar_radius=collar_radius,
-        sensors=sensors,
-        observer=observer,
-        simulation=simulation,
-        output=output,
-    )
+        return InternalRectangle(rect=rect, n_quad=n_quad), collar_radius
+    edge = _value(entries, "region.edge", str, None, EDGES)
+    if edge is None:
+        raise ConfigError("region.edge is required for boundary_segment regions")
+    lo = _value(entries, "region.from", float)
+    hi = _value(entries, "region.to", float)
+    if lo is None or hi is None:
+        raise ConfigError("region.from and region.to are required for boundary_segment regions")
+    region = _make("region", BoundarySegment, edge=edge, lo=lo, hi=hi, n_quad=n_quad)
+    _make("region", edge_segment, domain, edge, lo, hi)
+    return region, collar_radius
 
 
-def _parse_sensors(entries, r: _Reader, domain: Domain):
+def _parse_sensors(entries, domain: Domain):
     indices = sorted({int(name.split(".")[1]) for name in entries if name.startswith("sensor.")})
     if indices and indices != list(range(1, len(indices) + 1)):
         raise ConfigError("sensor indices must be consecutive starting at 1")
     sensors = []
     for k in indices:
         prefix = f"sensor.{k}"
-        kind = r.choice(f"{prefix}.kind", SENSOR_KINDS, None)
+        kind = _value(entries, f"{prefix}.kind", str, None, SENSOR_KINDS)
         if kind is None:
             raise ConfigError(f"{prefix}.kind is required")
+        _reject_other_kinds(entries, prefix, "sensor", kind)
         if kind == "pointwise":
-            loc = r.floats(f"{prefix}.location", 2)
+            loc = _value(entries, f"{prefix}.location", tuple, None, lambda v, _: _count(v, 2))
             if loc is None:
                 raise ConfigError(f"{prefix}.location is required for pointwise sensors")
-            if r.has(f"{prefix}.rect") or r.has(f"{prefix}.weight"):
-                raise ConfigError(f"{prefix}: rect/weight are zone-sensor keys")
             sensor = PointwiseSensor(location=loc)
         else:
-            rect_vals = r.floats(f"{prefix}.rect", 4)
+            rect_vals = _value(entries, f"{prefix}.rect", tuple, None, lambda v, _: _count(v, 4))
             if rect_vals is None:
                 raise ConfigError(f"{prefix}.rect is required for zone sensors")
-            try:
-                rect = Rect(*rect_vals)
-            except ValueError as exc:
-                raise ConfigError(f"{prefix}.rect: {exc}") from None
-            weight = r.choice(f"{prefix}.weight", CONFIG_WEIGHTS, "uniform")
-            if r.has(f"{prefix}.location"):
-                raise ConfigError(f"{prefix}: location is a pointwise-sensor key")
-            sensor = ZoneSensor(rect=rect, weight=weight)
-        try:
-            _check_sensor(sensor, domain)
-        except ValueError as exc:
-            raise ConfigError(f"{prefix}: {exc}") from None
+            rect = _make(f"{prefix}.rect", Rect, *rect_vals)
+            sensor = ZoneSensor(rect=rect, weight=_value(entries, f"{prefix}.weight", str, "uniform", CONFIG_WEIGHTS))
+        _make(prefix, _check_sensor, sensor, domain)
         sensors.append(sensor)
     return tuple(sensors)
 
@@ -361,13 +321,15 @@ def render_config(cfg: ExperimentConfig) -> str:
     def put(key, value):
         lines.append(f"{key} = {_fmt(value)}")
 
-    put("domain.alpha1", cfg.domain.alpha1)
-    put("domain.beta1", cfg.domain.beta1)
-    put("domain.alpha2", cfg.domain.alpha2)
-    put("domain.beta2", cfg.domain.beta2)
-    put("coefficients.alpha_diff", cfg.coefficients.alpha_diff)
-    put("coefficients.gamma_diff", cfg.coefficients.gamma_diff)
-    put("coefficients.beta_couple", cfg.coefficients.beta_couple)
+    def put_sections(*sections):
+        for section in sections:
+            settings = getattr(cfg, section)
+            for key, name, _, _ in _FIELDS[section]:
+                value = getattr(settings, name)
+                if value is not None:
+                    put(key, value)
+
+    put_sections("domain", "coefficients")
     if isinstance(cfg.region, InternalRectangle):
         put("region.kind", "internal_rectangle")
         rect = cfg.region.rect
@@ -387,26 +349,7 @@ def render_config(cfg: ExperimentConfig) -> str:
             put(f"sensor.{k}.kind", "zone")
             put(f"sensor.{k}.rect", (sensor.rect.lo1, sensor.rect.hi1, sensor.rect.lo2, sensor.rect.hi2))
             put(f"sensor.{k}.weight", sensor.weight)
-    put("observer.target_margin", cfg.observer.target_margin)
-    put("observer.margin", cfg.observer.margin)
-    put("observer.measured_field", cfg.observer.measured_field)
-    put("observer.estimators", cfg.observer.estimators)
-    put("observer.gramian_horizon", cfg.observer.gramian_horizon)
-    put("simulation.n_modes", cfg.simulation.n_modes)
-    put("simulation.dt", cfg.simulation.dt)
-    put("simulation.T", cfg.simulation.t_final)
-    put("simulation.x0_seed", cfg.simulation.x0_seed)
-    if cfg.simulation.x0_field1 is not None:
-        put("simulation.x0_field1", cfg.simulation.x0_field1)
-    if cfg.simulation.x0_field2 is not None:
-        put("simulation.x0_field2", cfg.simulation.x0_field2)
-    put("simulation.estimator_init", cfg.simulation.estimator_init)
-    put("output.directory", cfg.output.directory)
-    put("output.norm", cfg.output.norm)
-    put("output.plot", cfg.output.plot)
-    put("output.fit_t_lo", cfg.output.fit_t_lo)
-    if cfg.output.fit_t_hi is not None:
-        put("output.fit_t_hi", cfg.output.fit_t_hi)
+    put_sections("observer", "simulation", "output")
     return "\n".join(lines) + "\n"
 
 

@@ -28,14 +28,10 @@ from functools import cached_property
 import numpy as np
 
 from .region import gram_norm_series, region_gram
-from .sensing import output_matrix
+from .sensing import TOL_RANK, output_matrix
 from .spectral import ModalModel, ModePairs, propagate_few_rows
 
 MAX_STATE_NORM = 1e12
-# Singular values of the unstable observation block at or below RANK_TOL
-# times the largest singular value of the whole observation map are
-# round-off: the absolute scale strategic_rank_test uses (its tol_rank).
-RANK_TOL = 1e-10
 # Rows of a gain in eigen coordinates below this share of its largest entry
 # are round-off of forming H = V_u h_u, and are treated as zero.
 GAIN_ROUNDOFF = 1e-13
@@ -90,14 +86,6 @@ class UnstableSplit:
     @property
     def j_unstable(self) -> int:
         return len(self.unstable)
-
-    @property
-    def projection(self) -> np.ndarray:
-        """0/1 selection matrix picking the unstable coordinates."""
-        p = np.zeros((len(self.unstable), len(self.eigenvalues)))
-        for r, k in enumerate(self.unstable):
-            p[r, k] = 1.0
-        return p
 
 
 def _eigenpairs(block):
@@ -210,10 +198,11 @@ def design_gain(
     scale = max(1.0, float(np.linalg.norm(target)))
     # pinv truncates relative to o_u's own largest singular value, so a block
     # of pure round-off is inverted with residual 0: test it on the absolute
-    # scale of the whole observation map as well
+    # scale of the whole observation map as well, with strategic_rank_test's
+    # tolerance
     sv = np.linalg.svd(o_u, compute_uv=False)
     sigma_min = float(sv[-1]) if sv.size else 0.0
-    rank_floor = RANK_TOL * float(np.linalg.norm(obs_map, 2))
+    rank_floor = TOL_RANK * float(np.linalg.norm(obs_map, 2))
     unsolved = residual > tol_detect * scale
     if unsolved or sigma_min <= rank_floor:
         col_norms = np.linalg.norm(o_u, axis=0)
@@ -306,7 +295,7 @@ def _steps(dt: float, t_final: float) -> int:
     if not (dt > 0 and t_final >= dt):
         raise ValueError("need dt > 0 and t_final >= dt")
     steps = t_final / dt
-    if abs(steps - round(steps)) > 1e-9 * steps:
+    if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ValueError("t_final must be a whole number of dt steps")
     return int(round(steps))
 

@@ -35,10 +35,25 @@ class TestExitCodes:
         assert main(["rank", "--config", str(tmp_path / "nope.cfg")]) == 1
 
     def test_validation_error_exit_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("simulation.dt = -1\n")
-        assert main(["rank", "--config", str(bad)]) == 1
-        assert "simulation.dt" in capsys.readouterr().err
+        # rejected while the config is read, by rank and run alike
+        collar = (CONFIGS / "boundary_collar.cfg").read_text()
+        rejected = {
+            "simulation.dt = -1\n": "simulation.dt must be > 0",
+            BETA3_CONFIG + "domain.beta1 = 0\n": "domain: domain requires beta1 > alpha1",
+            collar.replace("from = 0.25", "from = -0.5").replace("to = 0.75", "to = 0.5"):
+                "region: segment endpoints outside edge extent",
+            BETA3_CONFIG.replace("x0_seed = 14", "x0_seed = -1"): "simulation.x0_seed must be >= 0",
+            BETA3_CONFIG + "region.collar_radius = 0.3\n":
+                "region.collar_radius is not a key of internal_rectangle regions",
+            collar + "region.rect = 0.2, 0.8, 0.2, 0.8\n": "region.rect is not a key of boundary_segment regions",
+        }
+        bad, out = tmp_path / "bad.cfg", tmp_path / "out"
+        for text, message in rejected.items():
+            bad.write_text(text)
+            for command in (["rank"], ["run", "--out", str(out)]):
+                assert main([command[0], "--config", str(bad), *command[1:]]) == 1, (command, text)
+                assert f"error: {message}" in capsys.readouterr().err
+                assert not out.exists()
 
     def test_non_finite_number_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "nan.cfg"

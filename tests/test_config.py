@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 
 from regobs import ConfigError, parse_config, render_config
 from regobs.config import (
+    _KNOWN_KEYS,
+    CONFIG_WEIGHTS,
     ESTIMATOR_CHOICES,
     ESTIMATOR_INIT_CHOICES,
     NORM_CHOICES,
+    REGION_KINDS,
+    SENSOR_KINDS,
     ExperimentConfig,
     ObserverSettings,
     OutputSettings,
@@ -83,6 +87,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="consecutive"):
             parse_config(text)
 
+    @pytest.mark.parametrize("index", ["0", "01", "\u00b2", "\u0663"])
+    def test_sensor_index_written_as_the_echo_writes_it(self, index):
+        with pytest.raises(ConfigError, match="line 1: sensor keys"):
+            parse_config(f"sensor.{index}.kind = pointwise\nsensor.{index}.location = 0.5, 0.5\n")
+
     def test_sensor_outside_domain(self):
         text = "sensor.1.kind = pointwise\nsensor.1.location = 1.5, 0.5\n"
         with pytest.raises(ConfigError, match="sensor.1"):
@@ -97,8 +106,10 @@ class TestValidation:
             parse_config("region.kind = boundary_segment\nregion.from = 0.2\nregion.to = 0.8\n")
 
     def test_t_final_exceeds_dt(self):
-        with pytest.raises(ConfigError, match=r"simulation\.T"):
-            parse_config("simulation.dt = 0.5\nsimulation.T = 0.1\n")
+        # and a dt so small that T / dt overflows
+        for text in ("simulation.dt = 0.5\nsimulation.T = 0.1\n", "simulation.dt = 1e-320\n"):
+            with pytest.raises(ConfigError, match=r"simulation\.T"):
+                parse_config(text)
 
     def test_bad_estimator_choice(self):
         with pytest.raises(ConfigError, match="observer.estimators"):
@@ -236,4 +247,27 @@ def valid_configs(draw):
 
 @given(cfg=valid_configs())
 def test_render_parse_roundtrip_property(cfg):
+    assert parse_config(render_config(cfg)) == cfg
+
+
+_KEYS = [f"{section}.{key}" for section, keys in _KNOWN_KEYS.items() if section != "sensor" for key in keys]
+_KEYS += [f"sensor.{k}.{key}" for k in (1, 2) for key in _KNOWN_KEYS["sensor"]]
+_NUMBERS = (st.floats() | st.integers(-3, 10)).map(str) | st.sampled_from(["nan", "-inf", "1e400"])
+# junk, non-finite numbers, negatives, inverted pairs, lists and every choice word
+_VALUES = st.one_of(
+    _NUMBERS,
+    st.lists(_NUMBERS, min_size=1, max_size=5).map(", ".join),
+    st.sampled_from(REGION_KINDS + EDGES + SENSOR_KINDS + CONFIG_WEIGHTS + ESTIMATOR_CHOICES
+                    + ESTIMATOR_INIT_CHOICES + NORM_CHOICES + ("true", "false")),
+    st.text(string.printable, max_size=6),
+)
+
+
+@given(assignment=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=12))
+def test_known_keys_with_any_values_parse_or_raise_config_error(assignment):
+    text = "".join(f"{key} = {value}\n" for key, value in assignment.items())
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
     assert parse_config(render_config(cfg)) == cfg
