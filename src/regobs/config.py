@@ -17,6 +17,8 @@ import math
 import operator
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .geometry import EDGES, Domain, Rect, edge_segment
 from .observer import _steps
 from .region import NORM_WEIGHTS, BoundarySegment, InternalRectangle
@@ -86,13 +88,16 @@ def _count(values, n: int):
     return None if len(values) == n else f"have {n} values, got {len(values)}"
 
 
-def _whole_steps(dt: float, t_final: float) -> bool:
+def _horizon(t_final: float, section):
     # the API's horizon rule: at least one step, and whole steps
     try:
-        _steps(dt, t_final)
+        steps = _steps(section["dt"], t_final)
     except ValueError:
-        return False
-    return True
+        return "be >= simulation.dt" if t_final < section["dt"] else "be a whole number of simulation.dt steps"
+    # a run holds (steps + 1) samples of trajectory.csv's 4 + n_modes^2
+    # columns in arrays that numpy must be able to index
+    most = np.iinfo(np.intp).max // (4 + section["n_modes"] ** 2) - 1
+    return None if steps <= most else f"be at most {most} simulation.dt steps at this simulation.n_modes"
 
 
 # Rules of the flat sections, checked in field order on every value that is
@@ -107,8 +112,7 @@ _RULES = {
     "observer.gramian_horizon": _bound(">", 0),
     "simulation.n_modes": _bound(">=", 1),
     "simulation.dt": _bound(">", 0),
-    "simulation.T": lambda t, s: (None if _whole_steps(s["dt"], t) else "be >= simulation.dt" if t < s["dt"]
-                                  else "be a whole number of simulation.dt steps"),
+    "simulation.T": _horizon,
     "simulation.x0_seed": _bound(">=", 0),
     "simulation.x0_field1": lambda v, s: _count(v, s["n_modes"] ** 2),
     "simulation.x0_field2": lambda v, s: _count(v, s["n_modes"] ** 2),

@@ -28,6 +28,7 @@ from .sensing import (
     PointwiseSensor,
     StrategicReport,
     _group_layout,
+    _kernel_rank,
     _lattice_rows,
     _lattice_triggered,
     _stacked_rank_test,
@@ -234,8 +235,12 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     verdict, the smallest observability-Gramian eigenvalue of the
     unmeasured-field block, and the closed-form predicate triggers.  The
     positions are evaluated one lattice row (fixed b1) at a time, each row
-    with stacked calls; a row bounds the stacks' memory.  Raises ConfigError
-    when observer.gramian_horizon is so long that the Gramian overflows.
+    with stacked calls; a row bounds the stacks' memory.  When q sensors
+    times the numerical rank r of the Gramian kernel's correlation fall short
+    of the n modes (sensing._kernel_rank), every Gramian is singular to
+    within n eps sum_s max_i c_si^2 K_ii, and the eigenvalue is written as 0.0
+    with no eigensolve.  Raises ConfigError when observer.gramian_horizon is
+    so long that the Gramian overflows.
     """
     if grid_n < 2:
         raise ConfigError("sweep grid must be >= 2")
@@ -252,16 +257,31 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     fixed = np.broadcast_to(fixed, (grid_n, *fixed.shape))
     triggered = _lattice_triggered(varied, cfg.domain, modes, xs, ys)
     layout = _group_layout(groups)
+    too_long = f"observer.gramian_horizon = {horizon!r} is too long: "
+    try:
+        k_diag, rank = _kernel_rank(a_ww, horizon)
+    except ValueError as exc:
+        raise ConfigError(too_long + str(exc)) from None
+    # q r < n: every Gramian is numerically singular (_kernel_rank)
+    singular = len(cfg.sensors) * rank < len(modes)
     rows = []
     for b1, varied_rows, row_triggered in zip(xs, _lattice_rows(varied, cfg.domain, modes, xs, ys), triggered):
         c = np.concatenate([varied_rows[:, None, :], fixed], axis=1)
         *_, strategic = _stacked_rank_test(c, layout)
-        try:
-            # no name holds the (grid_n, n, n) Gramians, so the next row's
-            # stack is built after this one is freed
-            min_eig = np.linalg.eigvalsh(observability_gramian(a_ww, c, horizon))[:, 0]
-        except ValueError as exc:
-            raise ConfigError(f"observer.gramian_horizon = {horizon!r} is too long: {exc}") from None
+        if singular:
+            # |W_ij| <= sqrt(W_ii W_jj), so W overflows where its diagonal does
+            with np.errstate(over="ignore", invalid="ignore"):
+                w_diag = np.sum(c * c, axis=1) * k_diag
+            if not np.isfinite(w_diag).all():
+                raise ConfigError(f"{too_long}observability Gramian overflows at t_horizon = {horizon!r}")
+            min_eig = np.zeros(grid_n)
+        else:
+            try:
+                # no name holds the (grid_n, n, n) Gramians, so the next row's
+                # stack is built after this one is freed
+                min_eig = np.linalg.eigvalsh(observability_gramian(a_ww, c, horizon))[:, 0]
+            except ValueError as exc:
+                raise ConfigError(too_long + str(exc)) from None
         rows.extend(
             SweepRow(b1=b1, b2=b2, strategic=bool(s), min_gramian_eig=float(e), triggered=t)
             for b2, s, e, t in zip(ys, strategic, min_eig, row_triggered)

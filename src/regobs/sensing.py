@@ -420,6 +420,29 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
     return w
 
 
+def _kernel_rank(m: np.ndarray, t_horizon: float):
+    """For a diagonal M: the diagonal of the Gramian kernel K (W = O'O * K in
+    observability_gramian) and the numerical rank r of its unit-diagonal
+    correlation C = S^-1 K S^-1, S = diag(sqrt(K_ii)), counted as the
+    eigenvalues of C above eps * lambda_max(C).  (None, n) for a non-diagonal
+    M, for which nothing is shown.
+
+    W = sum_s D_s C D_s with D_s = diag(o_s sqrt(K_ii)) for the rows o_s of O.
+    With C_r the rank-r part of C, sum_s D_s C_r D_s has rank at most q r and
+    lies within n eps sum_s max_i o_si^2 K_ii of W.  So when q r < n, W is
+    that close to singular: its smallest eigenvalue is 0 to within that bound,
+    the scale of eigvalsh's own round-off on W.  Raises ValueError when K is
+    not finite, as observability_gramian does.
+    """
+    if np.any(m - np.diag(np.diag(m))):
+        return None, m.shape[0]
+    # O = 1' gives W = K
+    k = observability_gramian(m, np.ones((1, m.shape[0])), t_horizon)
+    s = np.sqrt(np.diag(k))
+    lam = np.linalg.eigvalsh(k / s[:, None] / s[None, :])
+    return np.diag(k), int(np.sum(lam > np.finfo(float).eps * lam[-1]))
+
+
 # --- closed-form non-strategicness predicates ---------------------------------
 
 

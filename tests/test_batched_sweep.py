@@ -4,9 +4,10 @@ sensing calls, and the predicate/rank-test consistency it relies on."""
 import dataclasses
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regobs import (
@@ -26,6 +27,7 @@ from regobs import (
     placement_sweep,
     strategic_rank_test,
 )
+from regobs import harness, sensing
 from regobs.sensing import ModeGroup, group_values
 
 BASE = "coefficients.beta_couple = 3.0\nsimulation.n_modes = 4\nobserver.gramian_horizon = 2.0\n"
@@ -53,13 +55,36 @@ def _at(sensor, b1, b2):
     return ZoneSensor(Rect(b1 - h1, b1 + h1, b2 - h2, b2 + h2), sensor.weight, sensor.samples)
 
 
-def _per_position(cfg, rows):
-    """(strategic, min eig, trace, triggered) of each row's position, one
-    position at a time through the public calls."""
+def _modes_and_a_ww(cfg):
     modes = ModeSet.square(cfg.simulation.n_modes)
     model = assemble_exchange_model(cfg.coefficients, cfg.domain, modes)
-    a_ww = model.partition(cfg.observer.measured_field)[3]
+    return modes, model.partition(cfg.observer.measured_field)[3]
+
+
+def _kernel(d, t_horizon):
+    """K_ij = int_0^T e^{(d_i + d_j) t} dt, entry by entry."""
+    return np.array([[np.expm1(s * t_horizon) / s if s else t_horizon for s in d + di] for di in d])
+
+
+def _sweep_runs_eigvalsh(cfg):
+    """q r >= n, with r the count of eigenvalues of the kernel's correlation
+    C_ij = K_ij / sqrt(K_ii K_jj) above eps times the largest: below that, the
+    rank-(q r) part of W = O'O * K puts W within the bound of _per_position
+    of a singular matrix, and the sweep writes 0 with no eigensolve."""
+    d = np.diag(_modes_and_a_ww(cfg)[1])
+    k = _kernel(d, cfg.observer.gramian_horizon)
+    lam = np.linalg.eigvalsh(k / np.sqrt(np.outer(np.diag(k), np.diag(k))))
+    return len(cfg.sensors) * np.count_nonzero(lam > np.finfo(float).eps * lam[-1]) >= d.size
+
+
+def _per_position(cfg, rows):
+    """(strategic, min eig, trace, bound, triggered) of each row's position,
+    one position at a time through the public calls.  bound is
+    n eps sum_s max_i c_si^2 K_ii, the distance of a numerically singular
+    Gramian's smallest eigenvalue from 0 (sensing._kernel_rank)."""
+    modes, a_ww = _modes_and_a_ww(cfg)
     groups = group_values(np.diag(a_ww), modes)
+    k_diag = np.diag(_kernel(np.diag(a_ww), cfg.observer.gramian_horizon))
     out = []
     for row in rows:
         sensor = _at(cfg.sensors[0], row.b1, row.b2)
@@ -71,8 +96,9 @@ def _per_position(cfg, rows):
             triggered = predicate(sensor, cfg.domain, modes).modes
         except PredicateInapplicableError:
             triggered = ()
+        bound = len(modes) * np.finfo(float).eps * float(np.sum(np.max(c * c * k_diag, axis=1)))
         out.append((strategic_rank_test(c, groups).strategic, float(np.linalg.eigvalsh(w)[0]),
-                    float(np.trace(w)), triggered))
+                    float(np.trace(w)), bound, triggered))
     return out
 
 
@@ -90,10 +116,13 @@ def test_batched_rows_match_per_position_loop(kind, domain, fixed):
     assert all(row.b1 == rows[k - k % grid_n].b1 for k, row in enumerate(rows))
     reference = _per_position(cfg, rows)
     assert [row.strategic for row in rows] == [r[0] for r in reference]
-    assert [row.triggered for row in rows] == [r[3] for r in reference]
-    for row, (_, min_eig, trace, _) in zip(rows, reference):
+    assert [row.triggered for row in rows] == [r[4] for r in reference]
+    runs_eigvalsh = _sweep_runs_eigvalsh(cfg)
+    for row, (_, min_eig, trace, bound, _) in zip(rows, reference):
         assert abs(row.min_gramian_eig - min_eig) <= 1e-12 * trace
-        if not fixed:
+        if not runs_eigvalsh:
+            assert row.min_gramian_eig == 0.0 and abs(min_eig) <= bound
+        elif not fixed:
             assert row.min_gramian_eig == min_eig
     # one sensor: the unit square's multiplicities exceed q; on the tall
     # domain the lattice k/8 of the span crosses nodal lines, so both verdicts
@@ -126,12 +155,86 @@ def test_sweep_groups_by_multiplicity_once():
     assert 0 < reads(3) == reads(9)
 
 
+def test_singular_sweep_solves_one_eigenproblem():
+    # one sensor and C of rank 13 < n = 16: one eigvalsh of C and one
+    # observability_gramian for K decide every position, however many there are
+    cfg = dataclasses.replace(parse_config(BASE + TALL), sensors=(_varied("pointwise"),))
+    assert not _sweep_runs_eigvalsh(cfg)
+
+    def calls(grid_n):
+        with (mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig,
+              mock.patch.object(sensing, "observability_gramian", wraps=observability_gramian) as gram,
+              mock.patch.object(harness, "observability_gramian", gram)):
+            rows = placement_sweep(cfg, grid_n).rows
+        assert {row.min_gramian_eig for row in rows} == {0.0}
+        return eig.call_count, gram.call_count
+
+    assert calls(3) == calls(9) == (1, 1)
+
+
+def _oracle_min_eigs(cfg, rows, dps=150):
+    """Smallest eigenvalue of each position's Gramian O'O * K, with O the same
+    double rows the sweep uses and K and the eigensolve in dps digits."""
+    modes, a_ww = _modes_and_a_ww(cfg)
+    out = []
+    with mpmath.workdps(dps):
+        t_horizon = mpmath.mpf(cfg.observer.gramian_horizon)
+        d = [mpmath.mpf(float(v)) for v in np.diag(a_ww)]
+        k = [[mpmath.expm1((a + b) * t_horizon) / (a + b) if a + b else t_horizon for b in d] for a in d]
+        for row in rows:
+            c = output_matrix((_at(cfg.sensors[0], row.b1, row.b2), *cfg.sensors[1:]), cfg.domain, modes)
+            c = [[mpmath.mpf(float(v)) for v in line] for line in c]
+            w = mpmath.matrix([[sum(line[i] * line[j] for line in c) * k[i][j] for j in range(len(d))]
+                               for i in range(len(d))])
+            out.append(min(mpmath.eigsy(w, eigvals_only=True)))
+    return out
+
+
+def _oracle_cfg(n_side, q, t_horizon, beta, tall, kind):
+    cfg = parse_config(f"coefficients.beta_couple = {beta!r}\nsimulation.n_modes = {n_side}\n"
+                       f"observer.gramian_horizon = {t_horizon!r}\n" + (TALL if tall else ""))
+    return dataclasses.replace(cfg, sensors=(_varied(kind), FIXED)[:q])
+
+
+@settings(max_examples=10, deadline=None)
+@given(n_side=st.integers(2, 4), q=st.integers(1, 2), t_horizon=st.sampled_from([0.1, 2.0, 6.0]),
+       beta=st.sampled_from([3.0, 8.0]), tall=st.booleans(), kind=st.sampled_from(["pointwise", "uniform"]))
+@example(n_side=4, q=1, t_horizon=6.0, beta=8.0, tall=False, kind="pointwise")
+@example(n_side=2, q=1, t_horizon=0.1, beta=3.0, tall=True, kind="pointwise")
+def test_min_gramian_eig_within_bound_of_high_precision_oracle(n_side, q, t_horizon, beta, tall, kind):
+    # a written 0 and an eigvalsh value alike lie within n eps sum_s max_i
+    # c_si^2 K_ii of the true smallest eigenvalue
+    cfg = _oracle_cfg(n_side, q, t_horizon, beta, tall, kind)
+    rows = placement_sweep(cfg, 3).rows
+    for row, truth, (*_, bound, _) in zip(rows, _oracle_min_eigs(cfg, rows), _per_position(cfg, rows)):
+        assert abs(row.min_gramian_eig - truth) <= bound
+
+
+def test_graded_kernel_keeps_the_eigensolve():
+    # N = 2, T = 6, beta = 8 on the tall domain: K spans some 30 orders of
+    # magnitude and is numerically rank-deficient at n eps, but its
+    # correlation C is not, so the sweep keeps eigvalsh, which resolves the
+    # large smallest eigenvalues to many digits; the bound would also admit 0
+    cfg = _oracle_cfg(2, 1, 6.0, 8.0, True, "pointwise")
+    lam = np.linalg.eigvalsh(_kernel(np.diag(_modes_and_a_ww(cfg)[1]), 6.0))
+    assert np.count_nonzero(lam > lam.size * np.finfo(float).eps * lam[-1]) < lam.size
+    assert _sweep_runs_eigvalsh(cfg)
+    rows = placement_sweep(cfg, 3).rows
+    truths = _oracle_min_eigs(cfg, rows)
+    assert max(truths) > 1e6
+    for row, truth, (_, min_eig, *_) in zip(rows, truths, _per_position(cfg, rows)):
+        assert row.min_gramian_eig == min_eig
+        if truth > 1:
+            assert abs(row.min_gramian_eig - truth) <= 1e-10 * truth
+
+
 @settings(max_examples=25, deadline=None)
 @given(q=st.integers(1, 3), beta=st.floats(0.5, 8.0), t_horizon=st.floats(0.1, 6.0), n_side=st.integers(2, 4),
        tall=st.booleans(), kind=st.sampled_from(["pointwise", "uniform", "tabulated_symmetric"]))
 def test_sweep_gramians_match_per_position_loop(q, beta, t_horizon, n_side, tall, kind):
     # the sweep's stacked Gramians give each position's smallest eigenvalue
-    # as a per-position observability_gramian does
+    # as a per-position observability_gramian does, or 0 within the bound
+    # where q r < n
     cfg = parse_config(f"coefficients.beta_couple = {beta!r}\nsimulation.n_modes = {n_side}\n"
                        f"observer.gramian_horizon = {t_horizon!r}\n" + (TALL if tall else ""))
     fixed = (FIXED, PointwiseSensor((0.71, 0.19)))[: q - 1]
@@ -139,10 +242,13 @@ def test_sweep_gramians_match_per_position_loop(q, beta, t_horizon, n_side, tall
     rows = placement_sweep(cfg, 4).rows
     reference = _per_position(cfg, rows)
     assert [row.strategic for row in rows] == [r[0] for r in reference]
-    assert [row.triggered for row in rows] == [r[3] for r in reference]
-    for row, (_, min_eig, trace, _) in zip(rows, reference):
+    assert [row.triggered for row in rows] == [r[4] for r in reference]
+    runs_eigvalsh = _sweep_runs_eigvalsh(cfg)
+    for row, (_, min_eig, trace, bound, _) in zip(rows, reference):
         assert abs(row.min_gramian_eig - min_eig) <= 1e-12 * trace
-        if q == 1:
+        if not runs_eigvalsh:
+            assert row.min_gramian_eig == 0.0 and abs(min_eig) <= bound
+        elif q == 1:
             assert row.min_gramian_eig == min_eig
 
 

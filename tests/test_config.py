@@ -111,6 +111,15 @@ class TestValidation:
             with pytest.raises(ConfigError, match=r"simulation\.T"):
                 parse_config(text)
 
+    def test_step_count_bounded_by_numpy_index(self):
+        # a run holds (steps + 1) x (4 + n_modes^2) samples, which numpy must
+        # index: 1e17 steps fit at n_modes = 9 (85 columns), not at 10 (104)
+        horizon = "simulation.dt = 1e-17\nsimulation.T = 1.0\n"
+        assert parse_config(horizon + "simulation.n_modes = 9\n").simulation.dt == 1e-17
+        for text in (horizon + "simulation.n_modes = 10\n", "simulation.dt = 1e-300\n"):
+            with pytest.raises(ConfigError, match=r"simulation\.T must be at most \d+ simulation\.dt steps"):
+                parse_config(text)
+
     def test_bad_estimator_choice(self):
         with pytest.raises(ConfigError, match="observer.estimators"):
             parse_config("observer.estimators = kalman\n")
