@@ -1,7 +1,7 @@
 """Command line interface: run, rank, sweep, version.
 
 Exit codes: 0 success (including NotDetectable runs), 1 usage or validation
-error, 2 runtime failure.
+error (including a problem too large to allocate), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import sys
 from . import __version__
 from .config import ConfigError, load_config
 from .harness import emit_sweep, placement_sweep, rank_report, render_rank_report, run_experiment
+
+_TOO_LARGE = "; lower simulation.n_modes or simulation.T, raise simulation.dt, or take a smaller sweep --grid"
 
 
 class _UsageError(SystemExit):
@@ -31,7 +33,7 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="run one experiment and emit files")
     run.add_argument("--config", required=True, help="path to the config file")
-    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--out", help="output directory (default: the config's output.directory)")
 
     rank = sub.add_parser("rank", help="print the strategic-sensor rank report")
     rank.add_argument("--config", required=True, help="path to the config file")
@@ -39,7 +41,7 @@ def _build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="sensor placement sweep over an interior lattice")
     sweep.add_argument("--config", required=True, help="path to the config file")
     sweep.add_argument("--grid", required=True, type=int, help="lattice size per axis (>= 2)")
-    sweep.add_argument("--out", required=True, help="output directory")
+    sweep.add_argument("--out", help="output directory (default: the config's output.directory)")
 
     sub.add_parser("version", help="print the package version")
     return parser
@@ -47,14 +49,15 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    report, _ = run_experiment(cfg, out_dir=args.out)
+    out = args.out or cfg.output.directory
+    report, _ = run_experiment(cfg, out_dir=out)
     summary = report.estimators[report.primary]
     print(f"run complete: estimator={report.primary} "
           f"not_detectable={str(summary.not_detectable).lower()} "
           f"strategic={report.strategic.verdict}")
     if summary.diverged:
         print(f"divergence: {summary.divergence_message}")
-    print(f"outputs: {args.out}: " + ", ".join(report.manifest))
+    print(f"outputs: {out}: " + ", ".join(report.manifest))
     return 0
 
 
@@ -67,7 +70,7 @@ def _cmd_rank(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     result = placement_sweep(cfg, args.grid)
-    path = emit_sweep(result, args.out)
+    path = emit_sweep(result, args.out or cfg.output.directory)
     n_strategic = sum(1 for row in result.rows if row.strategic)
     print(f"sweep complete: {len(result.rows)} positions, {n_strategic} strategic")
     print(f"outputs: {path}")
@@ -92,8 +95,9 @@ def main(argv=None) -> int:
             return 0
         parser.print_usage(sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, FileNotFoundError, MemoryError) as exc:
+        # an allocation that numpy refuses at once is a problem too large to run
+        print(f"error: {exc}" + (_TOO_LARGE if isinstance(exc, MemoryError) else ""), file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - surface runtime failures as exit 2
         print(f"runtime failure: {exc}", file=sys.stderr)

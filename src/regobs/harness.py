@@ -28,12 +28,12 @@ from .sensing import (
     PointwiseSensor,
     StrategicReport,
     _group_layout,
+    _horizon_kernel,
     _kernel_rank,
     _lattice_rows,
     _lattice_triggered,
     _stacked_rank_test,
     group_values,
-    observability_gramian,
     output_matrix,
     strategic_rank_test,
 )
@@ -259,29 +259,24 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     layout = _group_layout(groups)
     too_long = f"observer.gramian_horizon = {horizon!r} is too long: "
     try:
-        k_diag, rank = _kernel_rank(a_ww, horizon)
+        k = _horizon_kernel(np.diag(a_ww), horizon)
     except ValueError as exc:
         raise ConfigError(too_long + str(exc)) from None
     # q r < n: every Gramian is numerically singular (_kernel_rank)
-    singular = len(cfg.sensors) * rank < len(modes)
+    singular = len(cfg.sensors) * _kernel_rank(k) < len(modes)
     rows = []
     for b1, varied_rows, row_triggered in zip(xs, _lattice_rows(varied, cfg.domain, modes, xs, ys), triggered):
         c = np.concatenate([varied_rows[:, None, :], fixed], axis=1)
         *_, strategic = _stacked_rank_test(c, layout)
-        if singular:
+        with np.errstate(over="ignore"):
             # |W_ij| <= sqrt(W_ii W_jj), so W overflows where its diagonal does
-            with np.errstate(over="ignore", invalid="ignore"):
-                w_diag = np.sum(c * c, axis=1) * k_diag
-            if not np.isfinite(w_diag).all():
+            if not np.isfinite(np.sum(c * c, axis=1) * np.diag(k)).all():
                 raise ConfigError(f"{too_long}observability Gramian overflows at t_horizon = {horizon!r}")
-            min_eig = np.zeros(grid_n)
-        else:
-            try:
-                # no name holds the (grid_n, n, n) Gramians, so the next row's
-                # stack is built after this one is freed
-                min_eig = np.linalg.eigvalsh(observability_gramian(a_ww, c, horizon))[:, 0]
-            except ValueError as exc:
-                raise ConfigError(too_long + str(exc)) from None
+        min_eig = np.zeros(grid_n)
+        if not singular:
+            w = np.swapaxes(c, 1, 2) @ c
+            w *= k  # W = (c'c) * K in place, as observability_gramian forms it
+            min_eig = np.linalg.eigvalsh(w)[:, 0]
         rows.extend(
             SweepRow(b1=b1, b2=b2, strategic=bool(s), min_gramian_eig=float(e), triggered=t)
             for b2, s, e, t in zip(ys, strategic, min_eig, row_triggered)

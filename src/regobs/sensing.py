@@ -229,17 +229,8 @@ def group_values(values: np.ndarray, modes: ModeSet, tol_group: float = 1e-9) ->
                 groups[-1].append(k)
                 continue
         groups.append([k])
-    out = []
-    for idx in groups:
-        idx = sorted(idx)
-        out.append(
-            ModeGroup(
-                value=float(values[idx[0]]),
-                positions=tuple(idx),
-                modes=tuple(list(modes)[k] for k in idx),
-            )
-        )
-    return out
+    groups = [sorted(idx) for idx in groups]
+    return [ModeGroup(float(values[idx[0]]), tuple(idx), tuple(modes.modes[k] for k in idx)) for idx in groups]
 
 
 def group_modes_by_eigenvalue(model: ModalModel, tol_group: float = 1e-9, block: str = "a22") -> list[ModeGroup]:
@@ -376,17 +367,30 @@ def strategic_rank_test(c: np.ndarray, groups, q: int | None = None, tol_rank: f
     )
 
 
+def _horizon_kernel(d: np.ndarray, t_horizon: float) -> np.ndarray:
+    """K_ij = (e^{(d_i+d_j)T} - 1)/(d_i+d_j), and T where d_i + d_j = 0: the
+    exactly symmetric kernel of the Gramian of M = diag(d) over [0, T].  Raises
+    ValueError when K is not finite (T too long for the growth rates d)."""
+    d_sum = d[:, None] + d[None, :]
+    k = np.full_like(d_sum, float(t_horizon))
+    nz = d_sum != 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
+    if not np.isfinite(k).all():
+        raise ValueError(f"observability Gramian overflows at t_horizon = {t_horizon!r}")
+    return k
+
+
 def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> np.ndarray:
     """Finite-horizon observability Gramian W = int_0^T e^{M's} O'O e^{Ms} ds.
 
     The truncated system is weakly observable through O iff W is positive
-    definite.  For a diagonal M = diag(d) the integral is closed-form,
-    W = O'O * K with K_ij = (e^{(d_i+d_j)T} - 1)/(d_i+d_j), and K_ij = T
-    where d_i + d_j = 0, which is exactly symmetric; otherwise it is exact by
-    Van Loan's block exponential, E = exp([[-M', O'O], [0, M]] T) and
-    W = E_22' E_12, symmetrized.  obs may be a (P, q, n) stack of maps; W then
-    has shape (P, n, n).  Raises ValueError when W is not finite (a horizon
-    too long for the growth rates of M).
+    definite.  For a diagonal M = diag(d) the integral is closed-form and
+    exactly symmetric, W = O'O * K with K = _horizon_kernel(d, T); otherwise
+    it is exact by Van Loan's block exponential, E = exp([[-M', O'O], [0, M]] T)
+    and W = E_22' E_12, symmetrized.  obs may be a (P, q, n) stack of maps; W
+    then has shape (P, n, n).  Raises ValueError when W is not finite (a
+    horizon too long for the growth rates of M).
     """
     if t_horizon <= 0:
         raise ValueError("t_horizon must be > 0")
@@ -394,16 +398,10 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     oto = np.swapaxes(obs, -1, -2) @ obs
     if not np.any(m - np.diag(np.diag(m))):
-        d = np.diag(m)
-        d_sum = d[:, None] + d[None, :]
-        k = np.full_like(d_sum, float(t_horizon))
-        nz = d_sum != 0.0
-        # an overflow leaves inf or nan in W, which the check below rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
-            # in place: a stack of Gramians is the sweep's largest array; O'O
-            # and K are exactly symmetric, so their product is too
-            w = np.multiply(oto, k, out=oto)
+        # in place: O'O and K are exactly symmetric, so their product is too;
+        # an overflow leaves inf in W, which the check below rejects
+        with np.errstate(over="ignore"):
+            w = np.multiply(oto, _horizon_kernel(np.diag(m), t_horizon), out=oto)
     else:
         # imported on use: loading scipy.linalg is most of the CLI's start-up
         from scipy.linalg import expm
@@ -420,27 +418,20 @@ def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
     return w
 
 
-def _kernel_rank(m: np.ndarray, t_horizon: float):
-    """For a diagonal M: the diagonal of the Gramian kernel K (W = O'O * K in
-    observability_gramian) and the numerical rank r of its unit-diagonal
-    correlation C = S^-1 K S^-1, S = diag(sqrt(K_ii)), counted as the
-    eigenvalues of C above eps * lambda_max(C).  (None, n) for a non-diagonal
-    M, for which nothing is shown.
+def _kernel_rank(k: np.ndarray) -> int:
+    """Numerical rank r of the unit-diagonal correlation C = S^-1 K S^-1,
+    S = diag(sqrt(K_ii)), of a horizon kernel K (_horizon_kernel), counted as
+    the eigenvalues of C above eps * lambda_max(C).
 
-    W = sum_s D_s C D_s with D_s = diag(o_s sqrt(K_ii)) for the rows o_s of O.
-    With C_r the rank-r part of C, sum_s D_s C_r D_s has rank at most q r and
-    lies within n eps sum_s max_i o_si^2 K_ii of W.  So when q r < n, W is
-    that close to singular: its smallest eigenvalue is 0 to within that bound,
-    the scale of eigvalsh's own round-off on W.  Raises ValueError when K is
-    not finite, as observability_gramian does.
+    W = O'O * K = sum_s D_s C D_s with D_s = diag(o_s sqrt(K_ii)) for the rows
+    o_s of O.  With C_r the rank-r part of C, sum_s D_s C_r D_s has rank at
+    most q r and lies within n eps sum_s max_i o_si^2 K_ii of W.  So when
+    q r < n, W is that close to singular: its smallest eigenvalue is 0 to
+    within that bound, the scale of eigvalsh's own round-off on W.
     """
-    if np.any(m - np.diag(np.diag(m))):
-        return None, m.shape[0]
-    # O = 1' gives W = K
-    k = observability_gramian(m, np.ones((1, m.shape[0])), t_horizon)
     s = np.sqrt(np.diag(k))
     lam = np.linalg.eigvalsh(k / s[:, None] / s[None, :])
-    return np.diag(k), int(np.sum(lam > np.finfo(float).eps * lam[-1]))
+    return int(np.sum(lam > np.finfo(float).eps * lam[-1]))
 
 
 # --- closed-form non-strategicness predicates ---------------------------------

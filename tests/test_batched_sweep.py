@@ -156,18 +156,18 @@ def test_sweep_groups_by_multiplicity_once():
 
 
 def test_singular_sweep_solves_one_eigenproblem():
-    # one sensor and C of rank 13 < n = 16: one eigvalsh of C and one
-    # observability_gramian for K decide every position, however many there are
+    # one sensor and C of rank 13 < n = 16: one horizon kernel K and one
+    # eigvalsh of its correlation C decide every position, however many there are
     cfg = dataclasses.replace(parse_config(BASE + TALL), sensors=(_varied("pointwise"),))
     assert not _sweep_runs_eigvalsh(cfg)
 
     def calls(grid_n):
         with (mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig,
-              mock.patch.object(sensing, "observability_gramian", wraps=observability_gramian) as gram,
-              mock.patch.object(harness, "observability_gramian", gram)):
+              mock.patch.object(sensing, "_horizon_kernel", wraps=sensing._horizon_kernel) as kernel,
+              mock.patch.object(harness, "_horizon_kernel", kernel)):
             rows = placement_sweep(cfg, grid_n).rows
         assert {row.min_gramian_eig for row in rows} == {0.0}
-        return eig.call_count, gram.call_count
+        return eig.call_count, kernel.call_count
 
     assert calls(3) == calls(9) == (1, 1)
 

@@ -68,6 +68,19 @@ class TestExitCodes:
         assert "whole number of simulation.dt steps" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_run_too_large_for_memory_exit_one(self, tmp_path, capsys):
+        # 5e15 steps pass the step bound, but their samples (284 PiB) cannot be
+        # allocated: numpy refuses at once, and that is a validation error
+        huge = tmp_path / "huge.cfg"
+        huge.write_text((CONFIGS / "exchange_stable.cfg").read_text()
+                        + "simulation.dt = 1e-15\nsimulation.n_modes = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(huge), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(key in err for key in ("simulation.T", "simulation.dt", "simulation.n_modes"))
+        assert not out.exists()
+
     def test_zero_sensor_run_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty.cfg"
         empty.write_text("")
@@ -101,6 +114,24 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0.0", "0.5"]
+
+    def test_out_defaults_to_output_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "dir.cfg"
+        cfg.write_text(BETA3_CONFIG + "output.directory = results\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--grid", "2"]) == 0
+        assert "outputs: results: " in capsys.readouterr().out
+        assert {"summary.txt", "sweep.csv"} <= {p.name for p in (tmp_path / "results").iterdir()}
+
+    def test_explicit_out_wins(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "dir.cfg"
+        cfg.write_text(BETA3_CONFIG + "output.directory = results\n")
+        assert main(["run", "--config", str(cfg), "--out", "mine"]) == 0
+        assert main(["sweep", "--config", str(cfg), "--grid", "2", "--out", "mine"]) == 0
+        assert (tmp_path / "mine" / "summary.txt").exists() and (tmp_path / "mine" / "sweep.csv").exists()
+        assert not (tmp_path / "results").exists()
 
 
 class TestRank:
@@ -138,6 +169,24 @@ class TestSweep:
         cfg = tmp_path / "long.cfg"
         cfg.write_text((CONFIGS / "exchange_detectable.cfg").read_text() + f"observer.gramian_horizon = {horizon!r}\n")
         out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--grid", "3", "--out", str(out)]) == 1
+        assert "observer.gramian_horizon" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("horizon", [345.5, 345.8])
+    def test_sweep_rejects_overflowing_gramian_with_eigensolve(self, tmp_path, capsys, horizon):
+        # two sensors and C of rank 3 at N = 2: q r = 6 >= n = 4, so the sweep
+        # solves each position's Gramian; its kernel is finite here, but a
+        # sensor's W_ii = sum_s c_si^2 K_ii is not
+        text = ("coefficients.beta_couple = 3.0\nsimulation.n_modes = 2\n"
+                "sensor.1.kind = pointwise\nsensor.1.location = 0.3, 0.7\n"
+                "sensor.2.kind = pointwise\nsensor.2.location = 0.41, 0.67\n")
+        cfg, out = tmp_path / "two.cfg", tmp_path / "out"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--grid", "3", "--out", str(out)]) == 0
+        assert 0.0 not in [float(row.split(",")[3]) for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+        cfg.write_text(text + f"observer.gramian_horizon = {horizon!r}\n")
+        out = tmp_path / "long"
         assert main(["sweep", "--config", str(cfg), "--grid", "3", "--out", str(out)]) == 1
         assert "observer.gramian_horizon" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
