@@ -106,7 +106,7 @@ def _norm_region(cfg: ExperimentConfig):
     """Region used for error norms; boundary segments report the collar norm
     as the boundary-region proxy (the plant basis vanishes on the boundary)."""
     if isinstance(cfg.region, BoundarySegment):
-        collar = build_collar(cfg.region, cfg.collar_radius, cfg.domain, cfg.region.n_quad)
+        collar = build_collar(cfg.region, cfg.collar_radius, cfg.domain)
         note = (
             f"boundary segment region: collar omega_r (radius = {_fmt(cfg.collar_radius)}) "
             "norm reported as the boundary-region proxy"
@@ -150,8 +150,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         truth0 = x0[_field_slices(model.n_modes, mf)[1]] if kind == "reduced" else x0
         split = split_unstable_stable(block, cfg.observer.margin)
         try:
-            gain = design_gain(block, obs_map, split, cfg.observer.target_margin,
-                               sensor_matrix=sensor_matrix)
+            gain = design_gain(obs_map, split, cfg.observer.target_margin, sensor_matrix=sensor_matrix)
             not_detectable = False
             detail = "gain placed all unstable modes at the target margin"
         except NotDetectableError as exc:
@@ -181,7 +180,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
                 summary.decay_fit = fit_decay(traj.times, traj.err_gamma, window=(t_lo, t_hi))
             except ValueError:
                 summary.decay_fit = None
-            traj.decay_fit = summary.decay_fit
         summaries[kind] = summary
         trajectories[kind] = (traj, gain)
 
@@ -239,8 +237,9 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     times the numerical rank r of the Gramian kernel's correlation fall short
     of the n modes (sensing._kernel_rank), every Gramian is singular to
     within n eps sum_s max_i c_si^2 K_ii, and the eigenvalue is written as 0.0
-    with no eigensolve.  Raises ConfigError when observer.gramian_horizon is
-    so long that the Gramian overflows.
+    with no eigensolve; otherwise a negative eigvalsh value, round-off of a
+    positive semidefinite W, is written as 0.0.  Raises ConfigError when
+    observer.gramian_horizon is so long that the Gramian overflows.
     """
     if grid_n < 2:
         raise ConfigError("sweep grid must be >= 2")
@@ -276,7 +275,9 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
         if not singular:
             w = np.swapaxes(c, 1, 2) @ c
             w *= k  # W = (c'c) * K in place, as observability_gramian forms it
-            min_eig = np.linalg.eigvalsh(w)[:, 0]
+            # W is positive semidefinite: a negative eigvalsh value is round-off,
+            # and 0 is never farther from the true eigenvalue than it is
+            min_eig = np.maximum(np.linalg.eigvalsh(w)[:, 0], 0.0)
         rows.extend(
             SweepRow(b1=b1, b2=b2, strategic=bool(s), min_gramian_eig=float(e), triggered=t)
             for b2, s, e, t in zip(ys, strategic, min_eig, row_triggered)

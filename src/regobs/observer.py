@@ -23,7 +23,6 @@ to the rest: J rows for a designed gain, every row for a dense one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +31,11 @@ from .sensing import TOL_RANK, output_matrix
 from .spectral import ModalModel, ModePairs, propagate_few_rows
 
 MAX_STATE_NORM = 1e12
+# A gain design is not detectable when its unstable-block residual exceeds
+# TOL_DETECT of the target's scale, and misses its margin when a closed-loop
+# eigenvalue lies more than TOL_EIG above the prescribed bound.
+TOL_DETECT = 1e-8
+TOL_EIG = 1e-8
 # Rows of a gain in eigen coordinates below this share of its largest entry
 # are round-off of forming H = V_u h_u, and are treated as zero.
 GAIN_ROUNDOFF = 1e-13
@@ -50,33 +54,22 @@ class NotDetectableError(RuntimeError):
         self.blind_positions = blind_positions
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class UnstableSplit:
     """Spectral partition of a block: eigendirections with Re >= -margin are
     unstable.  For diagonal blocks the coordinates are the modes themselves
-    (basis None); otherwise indices refer to the eigenbasis columns.  The
-    basis may be given as a ModePairs, whose dense matrix is built only when
-    `basis` is read."""
+    (basis None); otherwise indices refer to the eigenbasis columns, given as
+    a dense matrix or as the ModePairs of the stacked exchange matrix."""
 
     eigenvalues: np.ndarray = field(repr=False)
     unstable: tuple[int, ...]
     stable: tuple[int, ...]
     margin: float
-
-    def __init__(self, eigenvalues, unstable, stable, margin, basis=None):
-        for name, value in (("eigenvalues", eigenvalues), ("unstable", unstable), ("stable", stable),
-                            ("margin", margin), ("_eigenbasis", basis)):
-            object.__setattr__(self, name, value)
-
-    @cached_property
-    def basis(self) -> np.ndarray | None:
-        if isinstance(self._eigenbasis, ModePairs):
-            return self._eigenbasis.basis()
-        return self._eigenbasis
+    basis: np.ndarray | ModePairs | None = field(default=None, repr=False)
 
     def unstable_basis(self) -> np.ndarray | None:
         """The unstable eigenbasis columns (n x J); None for a diagonal block."""
-        basis, idx = self._eigenbasis, list(self.unstable)
+        basis, idx = self.basis, list(self.unstable)
         if not isinstance(basis, ModePairs):
             return None if basis is None else basis[:, idx]
         unit = np.zeros((len(idx), 2 * basis.n))
@@ -159,23 +152,16 @@ def _zero_gain(q: int, split: UnstableSplit, target_margin: float, residual: flo
                         sensor_matrix=sensor_matrix)
 
 
-def design_gain(
-    block: np.ndarray,
-    obs_map: np.ndarray,
-    split: UnstableSplit,
-    target_margin: float,
-    tol_detect: float = 1e-8,
-    tol_eig: float = 1e-8,
-    sensor_matrix: np.ndarray | None = None,
-) -> ObserverGain:
+def design_gain(obs_map: np.ndarray, split: UnstableSplit, target_margin: float, *,
+                sensor_matrix: np.ndarray | None = None) -> ObserverGain:
     """Gain placing every unstable eigendirection at -target_margin.
 
-    block is what the split was taken of (a matrix, or ModalModel.mode_pairs
-    for the stacked exchange matrix); the design reads it only through the
-    split.  obs_map is the observation matrix the gain multiplies in the
-    error dynamics (C for the full system, the sensor-composed coupling rows
-    for the reduced system).  sensor_matrix optionally records the raw C used
-    to factor the gain through the measurements.
+    The split carries the block's spectrum and eigenbasis
+    (split_unstable_stable).  obs_map is the observation matrix the gain
+    multiplies in the error dynamics (C for the full system, the
+    sensor-composed coupling rows for the reduced system).  sensor_matrix
+    optionally records the raw C used to factor the gain through the
+    measurements.
     """
     if target_margin <= 0:
         raise ValueError("target_margin must be > 0")
@@ -203,10 +189,10 @@ def design_gain(
     sv = np.linalg.svd(o_u, compute_uv=False)
     sigma_min = float(sv[-1]) if sv.size else 0.0
     rank_floor = TOL_RANK * float(np.linalg.norm(obs_map, 2))
-    unsolved = residual > tol_detect * scale
+    unsolved = residual > TOL_DETECT * scale
     if unsolved or sigma_min <= rank_floor:
         col_norms = np.linalg.norm(o_u, axis=0)
-        blind = tuple(idx[k] for k in range(j) if col_norms[k] <= tol_detect * max(1.0, col_norms.max()))
+        blind = tuple(idx[k] for k in range(j) if col_norms[k] <= TOL_DETECT * max(1.0, col_norms.max()))
         why = (f"residual {residual:.3e}" if unsolved else
                f"smallest singular value {sigma_min:.3e} at or below {rank_floor:.3e}")
         raise NotDetectableError(
@@ -225,7 +211,7 @@ def design_gain(
     if np.abs(closed.imag).max() <= 1e-8 * max(1.0, np.abs(closed).max()):
         closed = closed.real
     worst = max((-target_margin, *stable_eigs.tolist()))
-    if np.max(np.real(closed)) > worst + tol_eig:
+    if np.max(np.real(closed)) > worst + TOL_EIG:
         raise GainDesignError("closed-loop spectrum misses the prescribed margin")
     return ObserverGain(H=h, split=split, target_margin=target_margin,
                         closed_loop_eigs=np.asarray(closed), residual=residual,
@@ -243,18 +229,18 @@ def reduced_output_map(model: ModalModel, c: np.ndarray, measured_field: int = 1
     return np.atleast_2d(np.asarray(c, dtype=float)) @ a_mw
 
 
-def estimator_matrices(model: ModalModel, gain: ObserverGain, sensor_matrix: np.ndarray | None = None,
-                       measured_field: int = 1):
+def estimator_matrices(model: ModalModel, gain: ObserverGain, *, measured_field: int = 1):
     """Reduced-estimator coefficient matrices (F_red, G_y, G_u).
 
-    With HC = H @ C (the gain factored through the sensors):
+    With HC = H @ C (the gain factored through the sensors, C =
+    gain.sensor_matrix):
 
         F_red = A_ww - HC A_mw
         G_y   = A_ww HC - HC A_mw HC - HC A_mm + A_wm   (applied to the measured field)
         G_u   = B_w - HC B_m
     """
     a_mm, a_mw, a_wm, a_ww, b_m, b_w = model.partition(measured_field)
-    c = sensor_matrix if sensor_matrix is not None else gain.sensor_matrix
+    c = gain.sensor_matrix
     if c is None:
         raise ValueError("estimator matrices need the sensor matrix the gain factors through")
     hc = gain.H @ np.atleast_2d(np.asarray(c, dtype=float))
@@ -284,7 +270,6 @@ class Trajectory:
     x2_hat: np.ndarray
     mode_abs_err: np.ndarray
     err_gamma: np.ndarray | None = None
-    decay_fit: object | None = None
     diverged: bool = False
     divergence_message: str = ""
 

@@ -98,9 +98,10 @@ def region_quadrature(region, domain: Domain):
     raise TypeError(f"unsupported region {type(region).__name__}")
 
 
-def build_collar(gamma: BoundarySegment, radius: float, domain: Domain, n_quad: int = 64) -> CollarRegion:
-    """Collar of a boundary segment; radius may exceed the domain size, in
-    which case the collar degenerates to (a superset of) the whole domain."""
+def build_collar(gamma: BoundarySegment, radius: float, domain: Domain) -> CollarRegion:
+    """Collar of a boundary segment, on gamma.n_quad tensor nodes per axis of
+    its bounding box; radius may exceed the domain size, in which case the
+    collar degenerates to (a superset of) the whole domain."""
     if radius <= 0:
         raise ValueError("collar radius must be > 0")
     a, b = edge_segment(domain, gamma.edge, gamma.lo, gamma.hi)
@@ -108,8 +109,8 @@ def build_collar(gamma: BoundarySegment, radius: float, domain: Domain, n_quad: 
     hi1 = min(domain.beta1, max(a[0], b[0]) + radius)
     lo2 = max(domain.alpha2, min(a[1], b[1]) - radius)
     hi2 = min(domain.beta2, max(a[1], b[1]) + radius)
-    xs, wx = gauss_nodes(lo1, hi1, n_quad)
-    ys, wy = gauss_nodes(lo2, hi2, n_quad)
+    xs, wx = gauss_nodes(lo1, hi1, gamma.n_quad)
+    ys, wy = gauss_nodes(lo2, hi2, gamma.n_quad)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     w = np.outer(wx, wy).ravel()

@@ -20,8 +20,13 @@ from .geometry import Domain, Rect, _sine_product_integral
 from .spectral import ModalModel, ModeIndex, ModeSet
 
 ZONE_WEIGHTS = ("uniform", "separable_sine", "tabulated")
-# Default rank tolerance, relative to the largest singular value of C.
+# Rank tolerance, relative to the largest singular value of C.
 TOL_RANK = 1e-10
+# Eigenvalues within TOL_GROUP (relative, floor 1) of a group's first value
+# join that group.
+TOL_GROUP = 1e-9
+# A coordinate ratio within TOL_RAT of a rational p/q puts a nodal line there.
+TOL_RAT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -218,14 +223,14 @@ class ModeGroup:
         return len(self.positions)
 
 
-def group_values(values: np.ndarray, modes: ModeSet, tol_group: float = 1e-9) -> list[ModeGroup]:
+def group_values(values: np.ndarray, modes: ModeSet) -> list[ModeGroup]:
     values = np.asarray(values, dtype=float)
     order = sorted(range(len(values)), key=lambda k: (-values[k], k))
     groups: list[list[int]] = []
     for k in order:
         if groups:
             ref = values[groups[-1][0]]
-            if abs(values[k] - ref) <= tol_group * max(1.0, abs(ref)):
+            if abs(values[k] - ref) <= TOL_GROUP * max(1.0, abs(ref)):
                 groups[-1].append(k)
                 continue
         groups.append([k])
@@ -233,7 +238,7 @@ def group_values(values: np.ndarray, modes: ModeSet, tol_group: float = 1e-9) ->
     return [ModeGroup(float(values[idx[0]]), tuple(idx), tuple(modes.modes[k] for k in idx)) for idx in groups]
 
 
-def group_modes_by_eigenvalue(model: ModalModel, tol_group: float = 1e-9, block: str = "a22") -> list[ModeGroup]:
+def group_modes_by_eigenvalue(model: ModalModel, block: str = "a22") -> list[ModeGroup]:
     """Group modes whose eigenvalues of the chosen diagonal block coincide.
 
     Groups are ordered by descending eigenvalue, so unstable clusters come
@@ -247,7 +252,7 @@ def group_modes_by_eigenvalue(model: ModalModel, tol_group: float = 1e-9, block:
         values = model.eigenvalues
     else:
         raise ValueError("block must be 'a11', 'a22' or 'laplacian'")
-    return group_values(values, model.mode_set, tol_group)
+    return group_values(values, model.mode_set)
 
 
 @dataclass(frozen=True)
@@ -311,7 +316,7 @@ def _group_layout(groups):
             np.array([group.multiplicity for group in groups], dtype=int))
 
 
-def _stacked_rank_test(stack: np.ndarray, layout, q: int | None = None, tol_rank: float = TOL_RANK):
+def _stacked_rank_test(stack: np.ndarray, layout):
     """The rank test on a (P, rows, n) stack of output matrices against the
     groups of layout = _group_layout(groups), with the singular values of the
     (P, G_m, rows, m) group blocks taken together for each distinct group
@@ -323,16 +328,14 @@ def _stacked_rank_test(stack: np.ndarray, layout, q: int | None = None, tol_rank
     the (P, len(groups)) mask of offending groups and the (P,) verdicts.
     """
     by_mult, mult = layout
-    p = stack.shape[0]
-    if q is None:
-        q = stack.shape[1]
+    p, q = stack.shape[:2]
     ranks = np.zeros((p, mult.size), dtype=int)
     svals = [np.zeros((p, 0))] * mult.size
-    if q and stack.shape[1]:
+    if q:
         scale = _singular_values(stack)[:, 0]
         for ks, cols in by_mult:
             s = _singular_values(np.swapaxes(stack[:, :, cols], 1, 2))
-            ranks[:, ks] = np.where(scale[:, None] > 0, np.sum(s > (tol_rank * scale)[:, None, None], axis=-1), 0)
+            ranks[:, ks] = np.where(scale[:, None] > 0, np.sum(s > (TOL_RANK * scale)[:, None, None], axis=-1), 0)
             for g, k in enumerate(ks):
                 svals[k] = s[:, g]
     offending = ranks < mult
@@ -340,26 +343,25 @@ def _stacked_rank_test(stack: np.ndarray, layout, q: int | None = None, tol_rank
     return ranks, svals, offending, strategic
 
 
-def strategic_rank_test(c: np.ndarray, groups, q: int | None = None, tol_rank: float = TOL_RANK) -> StrategicReport:
-    """Rank test of the group blocks G_n = C[:, group columns].
+def strategic_rank_test(c: np.ndarray, groups) -> StrategicReport:
+    """Rank test of the group blocks G_n = C[:, group columns] of the q x n
+    output matrix C.
 
-    Rank counts singular values above tol_rank * sigma_max, where sigma_max is
+    Rank counts singular values above TOL_RANK * sigma_max, where sigma_max is
     the largest singular value of the whole output matrix: block singular
     values are bounded by it, and the shared scale keeps blocks whose entries
     are pure round-off (an exactly blind sensor) at rank 0.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     groups = list(groups)
-    if q is None:
-        q = c.shape[0]
-    ranks, svals, offending, strategic = _stacked_rank_test(c[None], _group_layout(groups), q, tol_rank)
+    ranks, svals, offending, strategic = _stacked_rank_test(c[None], _group_layout(groups))
     blocks = tuple(
         GroupRank(group=group, rank=int(ranks[0, k]), singular_values=tuple(float(s) for s in svals[k][0]))
         for k, group in enumerate(groups)
     )
     return StrategicReport(
-        q=q,
-        tol_rank=tol_rank,
+        q=c.shape[0],
+        tol_rank=TOL_RANK,
         blocks=blocks,
         strategic=bool(strategic[0]),
         offending=tuple(int(k) for k in np.flatnonzero(offending[0])),
@@ -448,11 +450,11 @@ class PredicateResult:
     axis_denominators: tuple[int | None, int | None]
 
 
-def _axis_denominator(ratio: float, max_den: int, tol_rat: float) -> int | None:
+def _axis_denominator(ratio: float, max_den: int) -> int | None:
     """Denominator of the best rational approximation p/q, q <= max_den,
-    when it sits within tol_rat of the ratio; None otherwise."""
+    when it sits within TOL_RAT of the ratio; None otherwise."""
     frac = Fraction(ratio).limit_denominator(max_den)
-    if abs(ratio - float(frac)) <= tol_rat:
+    if abs(ratio - float(frac)) <= TOL_RAT:
         return frac.denominator
     return None
 
@@ -465,11 +467,11 @@ def _vanishing_modes(modes: ModeSet, q1: int | None, q2: int | None) -> Predicat
     return PredicateResult(triggered=bool(hit), modes=hit, axis_denominators=(q1, q2))
 
 
-def _centre_denominators(domain: Domain, modes: ModeSet, xs, ys, tol_rat: float):
+def _centre_denominators(domain: Domain, modes: ModeSet, xs, ys):
     """_axis_denominator of each coordinate's ratio along its axis: q1 for
     each x in xs, q2 for each y in ys."""
-    q1 = [_axis_denominator((x - domain.alpha1) / domain.length1, modes.max_i, tol_rat) for x in xs]
-    q2 = [_axis_denominator((y - domain.alpha2) / domain.length2, modes.max_j, tol_rat) for y in ys]
+    q1 = [_axis_denominator((x - domain.alpha1) / domain.length1, modes.max_i) for x in xs]
+    q2 = [_axis_denominator((y - domain.alpha2) / domain.length2, modes.max_j) for y in ys]
     return q1, q2
 
 
@@ -482,24 +484,20 @@ def _require_symmetric(sensor: ZoneSensor) -> None:
             raise PredicateInapplicableError("zone weight is not symmetric about the support center")
 
 
-def nonstrategic_pointwise_predicate(
-    sensor: PointwiseSensor, domain: Domain, modes: ModeSet, tol_rat: float = 1e-9
-) -> PredicateResult:
+def nonstrategic_pointwise_predicate(sensor: PointwiseSensor, domain: Domain, modes: ModeSet) -> PredicateResult:
     """Modes blind to a pointwise sensor: phi_ij(b) = 0 exactly when
     i (b1 - alpha1)/L1 or j (b2 - alpha2)/L2 is an integer.
 
     Rational detection uses continued-fraction convergents with denominator
-    bounded by the per-axis truncation, within tol_rat.
+    bounded by the per-axis truncation, within TOL_RAT.
     """
     _check_sensor(sensor, domain)
     b1, b2 = sensor.location
-    (q1,), (q2,) = _centre_denominators(domain, modes, [b1], [b2], tol_rat)
+    (q1,), (q2,) = _centre_denominators(domain, modes, [b1], [b2])
     return _vanishing_modes(modes, q1, q2)
 
 
-def nonstrategic_zone_predicate(
-    sensor: ZoneSensor, domain: Domain, modes: ModeSet, tol_rat: float = 1e-9
-) -> PredicateResult:
+def nonstrategic_zone_predicate(sensor: ZoneSensor, domain: Domain, modes: ModeSet) -> PredicateResult:
     """Modes blind to a zone sensor whose weight is symmetric about the
     support center: the centered sine integral vanishes exactly when the
     center-position ratio makes sin(i pi (xi0 - alpha)/L) zero.
@@ -510,11 +508,11 @@ def nonstrategic_zone_predicate(
     _check_sensor(sensor, domain)
     _require_symmetric(sensor)
     cx, cy = sensor.rect.center
-    (q1,), (q2,) = _centre_denominators(domain, modes, [cx], [cy], tol_rat)
+    (q1,), (q2,) = _centre_denominators(domain, modes, [cx], [cy])
     return _vanishing_modes(modes, q1, q2)
 
 
-def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, ys, tol_rat: float = 1e-9):
+def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, ys):
     """Modes the closed-form predicate flags for the sensor moved to each
     point of the lattice xs x ys: for each x, the flagged modes of every
     (x, y), all () where the predicate does not apply.
@@ -531,6 +529,6 @@ def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, y
         h1, h2 = sensor.rect.half_widths
         xs = [0.5 * ((x - h1) + (x + h1)) for x in xs]
         ys = [0.5 * ((y - h2) + (y + h2)) for y in ys]
-    q1s, q2s = _centre_denominators(domain, modes, xs, ys, tol_rat)
+    q1s, q2s = _centre_denominators(domain, modes, xs, ys)
     flagged = {pair: _vanishing_modes(modes, *pair).modes for pair in {(q1, q2) for q1 in q1s for q2 in q2s}}
     return [[flagged[q1, q2] for q2 in q2s] for q1 in q1s]

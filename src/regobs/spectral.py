@@ -299,15 +299,6 @@ class ModePairs:
         zp, zm = z[..., :self.n], z[..., self.n:]
         return np.concatenate([self.cos * zp - self.sin * zm, self.sin * zp + self.cos * zm], axis=-1)
 
-    def basis(self) -> np.ndarray:
-        """The eigenbasis V as a dense 2n x 2n matrix."""
-        n = self.n
-        i = np.arange(n)
-        v = np.zeros((2 * n, 2 * n))
-        v[i, i], v[n + i, i] = self.cos, self.sin
-        v[i, n + i], v[n + i, n + i] = -self.sin, self.cos
-        return v
-
     def samples(self, x0: np.ndarray, dt: float, steps: int, drive: np.ndarray | None = None) -> np.ndarray:
         """Exact samples (steps + 1, 2n) of x' = M x + w, where w is held at
         drive[k] (steps, 2n) over [t_k, t_{k+1}) (None for w = 0); row 0 is x0

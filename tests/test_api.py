@@ -1,0 +1,56 @@
+"""Calls in the form of parameters that the public API no longer takes fail
+with TypeError, instead of binding a value to the wrong parameter."""
+
+import pytest
+
+from regobs import (
+    BoundarySegment,
+    Coefficients,
+    Domain,
+    ModeSet,
+    PointwiseSensor,
+    Rect,
+    ZoneSensor,
+    assemble_exchange_model,
+    build_collar,
+    design_gain,
+    estimator_matrices,
+    group_modes_by_eigenvalue,
+    nonstrategic_pointwise_predicate,
+    nonstrategic_zone_predicate,
+    output_matrix,
+    reduced_output_map,
+    split_unstable_stable,
+    strategic_rank_test,
+)
+
+UNIT = Domain()
+MODEL = assemble_exchange_model(Coefficients(1.0, 0.1, 3.0), UNIT, ModeSet.square(2))
+C = output_matrix([PointwiseSensor((0.23, 0.31)), PointwiseSensor((0.57, 0.43))], UNIT, MODEL.mode_set)
+OBS = reduced_output_map(MODEL, C)
+SPLIT = split_unstable_stable(MODEL.A22)
+GAIN = design_gain(OBS, SPLIT, 1.0, sensor_matrix=C)
+GAMMA = BoundarySegment("bottom", 0.2, 0.7)
+
+STALE_CALLS = {
+    "design_gain with the block first": lambda: design_gain(MODEL.A22, OBS, SPLIT, 1.0),
+    "design_gain with tol_detect": lambda: design_gain(OBS, SPLIT, 1.0, tol_detect=1e-8),
+    "design_gain with a positional sensor_matrix": lambda: design_gain(OBS, SPLIT, 1.0, C),
+    "estimator_matrices with a sensor matrix": lambda: estimator_matrices(MODEL, GAIN, C),
+    "strategic_rank_test with q": lambda: strategic_rank_test(C, group_modes_by_eigenvalue(MODEL), q=0),
+    "strategic_rank_test with tol_rank": lambda: strategic_rank_test(C, group_modes_by_eigenvalue(MODEL),
+                                                                     tol_rank=1e-10),
+    "group_modes_by_eigenvalue with tol_group": lambda: group_modes_by_eigenvalue(MODEL, tol_group=1e-9),
+    "build_collar with n_quad": lambda: build_collar(GAMMA, 0.1, UNIT, 16),
+    "pointwise predicate with tol_rat": lambda: nonstrategic_pointwise_predicate(
+        PointwiseSensor((0.5, 0.5)), UNIT, MODEL.mode_set, tol_rat=1e-9),
+    "zone predicate with tol_rat": lambda: nonstrategic_zone_predicate(
+        ZoneSensor(Rect(0.4, 0.6, 0.4, 0.6)), UNIT, MODEL.mode_set, tol_rat=1e-9),
+}
+
+
+@pytest.mark.parametrize("call", sorted(STALE_CALLS))
+def test_stale_call_raises_type_error(call):
+    with pytest.raises(TypeError, match="argument"):
+        STALE_CALLS[call]()
+

@@ -214,7 +214,8 @@ def test_graded_kernel_keeps_the_eigensolve():
     # N = 2, T = 6, beta = 8 on the tall domain: K spans some 30 orders of
     # magnitude and is numerically rank-deficient at n eps, but its
     # correlation C is not, so the sweep keeps eigvalsh, which resolves the
-    # large smallest eigenvalues to many digits; the bound would also admit 0
+    # large smallest eigenvalues to many digits; the bound would also admit 0.
+    # W is positive semidefinite, so a negative eigvalsh value is written as 0
     cfg = _oracle_cfg(2, 1, 6.0, 8.0, True, "pointwise")
     lam = np.linalg.eigvalsh(_kernel(np.diag(_modes_and_a_ww(cfg)[1]), 6.0))
     assert np.count_nonzero(lam > lam.size * np.finfo(float).eps * lam[-1]) < lam.size
@@ -223,9 +224,27 @@ def test_graded_kernel_keeps_the_eigensolve():
     truths = _oracle_min_eigs(cfg, rows)
     assert max(truths) > 1e6
     for row, truth, (_, min_eig, *_) in zip(rows, truths, _per_position(cfg, rows)):
-        assert row.min_gramian_eig == min_eig
+        assert row.min_gramian_eig == max(min_eig, 0.0)
         if truth > 1:
             assert abs(row.min_gramian_eig - truth) <= 1e-10 * truth
+
+
+def test_eigensolved_sweep_writes_no_negative_eigenvalue():
+    # five sensors, N = 4, T = 6, beta = 8: q r >= n, so every position's
+    # Gramian goes through eigvalsh, which returns negative round-off (down to
+    # about -1 against a bound of about 4e16) at some of them; W is positive
+    # semidefinite, so the sweep writes 0 there
+    cfg = parse_config(
+        "coefficients.beta_couple = 8.0\nsimulation.n_modes = 4\nobserver.gramian_horizon = 6.0\n"
+        + "".join(f"sensor.{k}.kind = pointwise\nsensor.{k}.location = {b1}, {b2}\n" for k, (b1, b2) in
+                  enumerate([(0.23, 0.31), (0.57, 0.43), (0.71, 0.19), (0.37, 0.83), (0.11, 0.62)], start=1)))
+    assert _sweep_runs_eigvalsh(cfg)
+    rows = placement_sweep(cfg, 9).rows
+    reference = _per_position(cfg, rows)
+    assert min(min_eig for _, min_eig, *_ in reference) < 0
+    for row, (_, min_eig, _, bound, _) in zip(rows, reference):
+        assert row.min_gramian_eig >= 0.0
+        assert abs(row.min_gramian_eig - max(min_eig, 0.0)) <= bound
 
 
 @settings(max_examples=25, deadline=None)

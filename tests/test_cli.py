@@ -161,6 +161,15 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 10
 
+    def test_sweep_rejects_zone_too_wide_to_move(self, tmp_path, capsys):
+        # the support spans the whole first axis, so its centre cannot move
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("simulation.n_modes = 3\nsensor.1.kind = zone\nsensor.1.rect = 0.0, 1.0, 0.2, 0.4\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--grid", "3", "--out", str(out)]) == 1
+        assert "zone sensor support too wide to sweep" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("horizon", [345.8, 400.0])
     def test_sweep_rejects_overflowing_gramian_horizon(self, tmp_path, capsys, horizon):
         # the unstable mode's e^{2 d T} overflows past T = 345.87; at 345.8 the

@@ -60,7 +60,7 @@ def _fields(n, mf):
 
 def dense_reduced(model, c, gain, u, x0, phi0, dt, steps, mf):
     n = model.n_modes
-    f_red, g_y, g_u = estimator_matrices(model, gain, c, mf)
+    f_red, g_y, g_u = estimator_matrices(model, gain, measured_field=mf)
     a_mm, a_mw, a_wm, a_ww, b_m, b_w = model.partition(mf)
     z = np.zeros((n, n))
     m = np.block([[a_mm, a_mw, z], [a_wm, a_ww, z], [g_y, z, f_red]])

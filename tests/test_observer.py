@@ -34,6 +34,7 @@ from regobs import (
     split_unstable_stable,
     strategic_rank_test,
 )
+from regobs import observer
 
 UNIT = Domain()
 PI2 = math.pi**2
@@ -48,7 +49,7 @@ def make_gain(model, sensors, target_margin=1.0, margin=0.0):
     c = output_matrix(sensors, model.domain, model.mode_set)
     split = split_unstable_stable(model.A22, margin)
     obs = reduced_output_map(model, c)
-    return c, design_gain(model.A22, obs, split, target_margin, sensor_matrix=c)
+    return c, design_gain(obs, split, target_margin, sensor_matrix=c)
 
 
 STRATEGIC_PAIR = [PointwiseSensor((0.23, 0.31)), PointwiseSensor((0.57, 0.43))]
@@ -83,13 +84,24 @@ class TestSplit:
         assert split.basis is not None
         assert split.j_unstable == int(np.sum(np.linalg.eigvalsh(sym) >= 0))
 
+    def test_negative_margin_rejected(self):
+        with pytest.raises(ValueError, match="margin must be >= 0"):
+            split_unstable_stable(make_model(3.0).A22, margin=-1)
+
 
 class TestDesignGain:
     def test_scalar_pole_shift(self):
         split = split_unstable_stable(np.array([[1.026]]), 0.0)
-        gain = design_gain(np.array([[1.026]]), np.array([[-1.0]]), split, 1.0)
+        gain = design_gain(np.array([[-1.0]]), split, 1.0)
         assert gain.H[0, 0] == pytest.approx(-2.026, abs=1e-12)
         assert gain.closed_loop_eigs[0] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("target_margin", [0.0, -1.0])
+    def test_nonpositive_target_margin_rejected(self, target_margin):
+        model = make_model(3.0)
+        c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
+        with pytest.raises(ValueError, match="target_margin must be > 0"):
+            design_gain(reduced_output_map(model, c), split_unstable_stable(model.A22), target_margin)
 
     def test_no_unstable_modes_zero_gain(self):
         model = make_model(1.0)
@@ -122,17 +134,18 @@ class TestDesignGain:
         a = model.stacked_a()
         split = split_unstable_stable(a, 0.0)
         assert split.j_unstable == 1
-        gain = design_gain(a, c_full, split, 1.0, sensor_matrix=c_full)
+        gain = design_gain(c_full, split, 1.0, sensor_matrix=c_full)
         assert np.max(np.real(gain.closed_loop_eigs)) <= -1.0 + 1e-9
 
-    def test_missed_margin_is_typed_error(self):
+    def test_missed_margin_is_typed_error(self, monkeypatch):
         # The sensor at b1 = 0.5 is blind to the unstable mode (2, 1); a loose
-        # tol_detect lets the residual test pass, and that mode stays unstable.
+        # TOL_DETECT lets the residual test pass, and that mode stays unstable.
         model = make_model(6.0)
         c = output_matrix([PointwiseSensor((0.5, 0.43))], UNIT, model.mode_set)
         split = split_unstable_stable(model.A22, 0.0)
+        monkeypatch.setattr(observer, "TOL_DETECT", 10.0)
         with pytest.raises(GainDesignError, match="misses the prescribed margin"):
-            design_gain(model.A22, reduced_output_map(model, c), split, 1.0, tol_detect=10.0)
+            design_gain(reduced_output_map(model, c), split, 1.0)
         assert issubclass(GainDesignError, RuntimeError)
 
     def test_round_off_blind_zone_sensor_not_detectable(self):
@@ -148,12 +161,12 @@ class TestDesignGain:
         assert not strategic_rank_test(c, groups).strategic
         split = split_unstable_stable(model.A22, 0.0)
         with pytest.raises(NotDetectableError, match="smallest singular value") as err:
-            design_gain(model.A22, reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
+            design_gain(reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
         assert err.value.blind_positions == (model.mode_set.position(ModeIndex(1, 1)),)
         c_full = np.hstack([c, np.zeros_like(c)])
         a = model.stacked_a()
         with pytest.raises(NotDetectableError):
-            design_gain(a, c_full, split_unstable_stable(a, 0.0), 1.0, sensor_matrix=c_full)
+            design_gain(c_full, split_unstable_stable(a, 0.0), 1.0, sensor_matrix=c_full)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -171,7 +184,7 @@ class TestDesignGain:
             block, obs_map = model.stacked_a(), np.hstack([c, np.zeros_like(c)])
         split = split_unstable_stable(block, 0.0)
         try:
-            gain = design_gain(block, obs_map, split, target_margin)
+            gain = design_gain(obs_map, split, target_margin)
         except NotDetectableError:
             assume(False)
         dense = np.sort_complex(np.linalg.eigvals(block - gain.H @ obs_map))[::-1]
@@ -191,7 +204,7 @@ class TestDesignGain:
                 c = output_matrix(sensors, UNIT, model.mode_set)
                 rank_ok = strategic_rank_test(c, unstable_groups).strategic
                 try:
-                    design_gain(model.A22, reduced_output_map(model, c), split, 1.0)
+                    design_gain(reduced_output_map(model, c), split, 1.0)
                     designed = True
                 except NotDetectableError:
                     designed = False
@@ -203,7 +216,7 @@ class TestEstimatorMatrices:
         model = make_model(1.0)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
         split = split_unstable_stable(model.A22, 0.0)
-        gain = design_gain(model.A22, reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
+        gain = design_gain(reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
         assert not gain.H.any()
         f_red, g_y, g_u = estimator_matrices(model, gain)
         assert np.array_equal(f_red, model.A22)
@@ -315,7 +328,7 @@ class TestSimulateReduced:
         split = split_unstable_stable(model.A22, 0.0)
         x0 = np.array([0.3, -0.2, 0.4, 0.1, 1.0, 0.6, 0.5, 0.4])
         for alpha in (0.5, 1.0, 3.0):
-            gain = design_gain(model.A22, reduced_output_map(model, c), split, alpha, sensor_matrix=c)
+            gain = design_gain(reduced_output_map(model, c), split, alpha, sensor_matrix=c)
             traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, x0,
                                           -gain.H @ (c @ x0[:4]), 0.01, 5.0, region=REGION)
             fit = fit_decay(traj.times, traj.err_gamma, window=(1.0, 5.0))
@@ -403,7 +416,7 @@ class TestSimulateFullOrder:
         c = output_matrix(sensors, UNIT, model.mode_set)
         c_full = np.hstack([c, np.zeros_like(c)])
         split = split_unstable_stable(model.stacked_a(), 0.0)
-        return design_gain(model.stacked_a(), c_full, split, margin, sensor_matrix=c_full)
+        return design_gain(c_full, split, margin, sensor_matrix=c_full)
 
     def test_identical_initialization_zero_error(self):
         model = make_model(3.0)
@@ -429,12 +442,20 @@ class TestSimulateFullOrder:
             oracle = expm(f * traj.times[k]) @ e0
             assert np.abs(full_state_err[k] - oracle).max() < 1e-8
 
+    def test_gain_shape_checked(self):
+        # a reduced-order gain (n_modes x q) is not a full-order one
+        model = make_model(3.0)
+        _, gain = make_gain(model, STRATEGIC_PAIR)
+        x0 = np.random.default_rng(10).standard_normal(8)
+        with pytest.raises(ValueError, match="full-order gain must have shape"):
+            simulate_full_order(model, STRATEGIC_PAIR, gain, None, x0, x0, 0.01, 1.0)
+
     def test_zero_gain_reproduces_open_loop_plant(self):
         model = make_model(1.0)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
         c_full = np.hstack([c, np.zeros_like(c)])
         split = split_unstable_stable(model.stacked_a(), 0.0)
-        gain = design_gain(model.stacked_a(), c_full, split, 1.0, sensor_matrix=c_full)
+        gain = design_gain(c_full, split, 1.0, sensor_matrix=c_full)
         assert not gain.H.any()
         rng = np.random.default_rng(9)
         x0 = rng.standard_normal(8)

@@ -148,7 +148,7 @@ class TestGammaErrorNorm:
 
         c = output_matrix(sensors, UNIT, model.mode_set)
         split = split_unstable_stable(model.A22, 0.0)
-        gain = design_gain(model.A22, reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
+        gain = design_gain(reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
         x0 = np.array([0.3, -0.2, 0.4, 0.1, 1.0, 0.1, 0.1, 0.1])
         traj = simulate_reduced_order(model, sensors, gain, None, x0, -gain.H @ (c @ x0[:4]), 0.01, 5.0)
         err = traj.x2_hat - traj.x2
@@ -204,7 +204,7 @@ class TestCollar:
 
         cfg = load_config(str(COLLAR_CONFIG))
         gamma, radius, domain = cfg.region, cfg.collar_radius, cfg.domain
-        collar = build_collar(gamma, radius, domain, gamma.n_quad)
+        collar = build_collar(gamma, radius, domain)
         a, b = edge_segment(domain, gamma.edge, gamma.lo, gamma.hi)
         lo1 = max(domain.alpha1, min(a[0], b[0]) - radius)
         hi1 = min(domain.beta1, max(a[0], b[0]) + radius)
@@ -242,9 +242,22 @@ class TestCollar:
             d = np.hypot(collar.points[:, 0] - s, collar.points[:, 1] - 1.0).min()
             assert d < 0.12
 
+    def test_nodes_follow_the_segment_n_quad(self):
+        # the collar is the members of the segment's own n_quad x n_quad rule
+        gamma = BoundarySegment("bottom", 0.2, 0.7, n_quad=16)
+        collar = build_collar(gamma, 0.15, UNIT)
+        xs, wx = gauss_nodes(0.2 - 0.15, 0.7 + 0.15, 16)
+        ys, wy = gauss_nodes(0.0, 0.15, 16)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        member = np.array([collar.contains(p) for p in pts])
+        assert 0 < member.sum() < member.size
+        assert np.array_equal(collar.points, pts[member])
+        assert np.array_equal(collar.weights, np.outer(wx, wy).ravel()[member])
+
     def test_large_radius_degenerates_to_domain(self):
-        gamma = BoundarySegment("bottom", 0.0, 1.0)
-        collar = build_collar(gamma, 5.0, UNIT, n_quad=16)
+        gamma = BoundarySegment("bottom", 0.0, 1.0, n_quad=16)
+        collar = build_collar(gamma, 5.0, UNIT)
         assert collar.points.shape[0] == 16 * 16  # nothing filtered
         assert collar.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -316,6 +329,8 @@ class TestRegionValidation:
         region = InternalRectangle(Rect(0.5, 1.5, 0.0, 1.0))
         with pytest.raises(ValueError):
             region_quadrature(region, UNIT)
+        with pytest.raises(ValueError, match="internal rectangle outside domain"):
+            region_gram(region, UNIT, ModeSet.square(2))
 
     def test_unknown_edge(self):
         with pytest.raises(ValueError):

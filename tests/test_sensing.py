@@ -124,6 +124,10 @@ class TestOutputMatrix:
         with pytest.raises(ValueError):
             output_matrix([PointwiseSensor((1.0, 0.5))], UNIT, ModeSet.square(2))
 
+    def test_empty_sensor_list_rejected(self):
+        with pytest.raises(ValueError, match="sensor list must be nonempty"):
+            output_matrix([], UNIT, ModeSet.square(2))
+
     def test_input_matrix_is_transpose(self):
         sensors = [PointwiseSensor((0.3, 0.4)), ZoneSensor(Rect(0.1, 0.3, 0.5, 0.9))]
         modes = ModeSet.square(2)
@@ -195,7 +199,7 @@ class TestStrategicRank:
     def test_zero_sensors_not_strategic(self):
         model = model_with_beta(1.0)
         groups = group_modes_by_eigenvalue(model)
-        report = strategic_rank_test(np.zeros((0, 4)), groups, q=0)
+        report = strategic_rank_test(np.zeros((0, 4)), groups)
         assert not report.strategic
         assert len(report.offending) == len(groups)
 
