@@ -86,12 +86,13 @@ class RunReport:
 
 
 def _observed_model(cfg: ExperimentConfig, sensors):
-    """The config's modal model, its measured-field block a_ww, the eigenvalue
-    groups of a_ww and the output matrix of `sensors` (no rows for none)."""
+    """The config's modal model, the diagonal a_ww of its unmeasured-field
+    block, the eigenvalue groups of a_ww and the output matrix of `sensors`
+    (no rows for none)."""
     modes = ModeSet.square(cfg.simulation.n_modes)
     model = assemble_exchange_model(cfg.coefficients, cfg.domain, modes)
-    _, _, _, a_ww, _, _ = model.partition(cfg.observer.measured_field)
-    groups = group_values(np.diag(a_ww), modes)
+    a_ww = model.diagonals(cfg.observer.measured_field)[2]
+    groups = group_values(a_ww, modes)
     c = output_matrix(sensors, cfg.domain, modes) if sensors else np.zeros((0, len(modes)))
     return model, a_ww, groups, c
 
@@ -258,7 +259,7 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     layout = _group_layout(groups)
     too_long = f"observer.gramian_horizon = {horizon!r} is too long: "
     try:
-        k = _horizon_kernel(np.diag(a_ww), horizon)
+        k = _horizon_kernel(a_ww, horizon)
     except ValueError as exc:
         raise ConfigError(too_long + str(exc)) from None
     # q r < n: every Gramian is numerically singular (_kernel_rank)

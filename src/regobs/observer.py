@@ -57,9 +57,9 @@ class NotDetectableError(RuntimeError):
 @dataclass(frozen=True)
 class UnstableSplit:
     """Spectral partition of a block: eigendirections with Re >= -margin are
-    unstable.  For diagonal blocks the coordinates are the modes themselves
-    (basis None); otherwise indices refer to the eigenbasis columns, given as
-    a dense matrix or as the ModePairs of the stacked exchange matrix."""
+    unstable.  A diagonal block, given as its vector, keeps the modes as
+    coordinates (basis None); otherwise indices refer to the eigenbasis
+    columns, a dense matrix or the ModePairs of the stacked exchange matrix."""
 
     eigenvalues: np.ndarray = field(repr=False)
     unstable: tuple[int, ...]
@@ -82,32 +82,27 @@ class UnstableSplit:
 
 
 def _eigenpairs(block):
-    """Eigenvalues and eigenbasis of a split's block; basis None for a
-    diagonal block, whose coordinates are the modes themselves, and the
-    ModePairs itself for the stacked exchange matrix."""
+    """Eigenvalues and eigenbasis of a split's block: a vector is a diagonal,
+    whose coordinates are the modes themselves (basis None); a symmetric
+    matrix is diagonalized by eigh; a ModePairs brings its own basis."""
     if isinstance(block, ModePairs):
         return block.rates, block
-    block = np.atleast_2d(np.asarray(block, dtype=float))
-    if not np.any(block - np.diag(np.diag(block))):
-        return np.diag(block).astype(float).copy(), None
-    if np.allclose(block, block.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(block).max()))):
+    block = np.atleast_1d(np.array(block, dtype=float))
+    if block.ndim == 1:
+        return block, None
+    if (block.ndim == 2 and block.shape[0] == block.shape[1] and
+            np.allclose(block, block.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(block).max())))):
         return np.linalg.eigh(block)
-    # imported on use: loading scipy.linalg is most of the CLI's start-up
-    import scipy.linalg
-
-    vals, vecs = scipy.linalg.eig(block)
-    if np.abs(vals.imag).max() > 1e-10 * max(1.0, np.abs(vals).max()):
-        raise ValueError("block has complex spectrum; real diagonalizable blocks only")
-    return vals.real, vecs.real
+    raise ValueError("a block to split is a diagonal given as a vector, a symmetric matrix or a ModePairs")
 
 
 def split_unstable_stable(block, margin: float = 0.0) -> UnstableSplit:
-    """Split a diagonalizable block into unstable and stable eigendirections.
+    """Split a block into unstable and stable eigendirections.
 
-    block is a matrix or the ModePairs of the stacked exchange matrix
-    (ModalModel.mode_pairs), which brings its closed-form eigenbasis.
-    Diagonal blocks keep their natural mode coordinates; other symmetric
-    blocks are diagonalized orthogonally.
+    block is the vector of a diagonal block, which keeps its natural mode
+    coordinates; a symmetric matrix, diagonalized orthogonally; or the
+    ModePairs of the stacked exchange matrix (ModalModel.mode_pairs), which
+    brings its closed-form eigenbasis.  Any other matrix raises ValueError.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -223,10 +218,10 @@ def reduced_output_map(model: ModalModel, c: np.ndarray, measured_field: int = 1
 
     The unmeasured field reaches the measurements only through the coupling
     block of the measured field's equation, read out by the sensors: the map
-    is C @ A_mw (q x n).
+    is C diag(a_mw), column k of C scaled by a_mw[k] (q x n).
     """
-    _, a_mw, _, _, _, _ = model.partition(measured_field)
-    return np.atleast_2d(np.asarray(c, dtype=float)) @ a_mw
+    _, a_mw, _ = model.diagonals(measured_field)
+    return np.atleast_2d(np.asarray(c, dtype=float)) * a_mw
 
 
 def estimator_matrices(model: ModalModel, gain: ObserverGain, *, measured_field: int = 1):
@@ -238,14 +233,21 @@ def estimator_matrices(model: ModalModel, gain: ObserverGain, *, measured_field:
         F_red = A_ww - HC A_mw
         G_y   = A_ww HC - HC A_mw HC - HC A_mm + A_wm   (applied to the measured field)
         G_u   = B_w - HC B_m
+
+    The A blocks are diagonal vectors (ModalModel.diagonals), A_wm = A_mw, so
+    each product with one is a broadcast, equal to the dense product bit for bit.
     """
-    a_mm, a_mw, a_wm, a_ww, b_m, b_w = model.partition(measured_field)
+    a_mm, a_mw, a_ww = model.diagonals(measured_field)
+    b_m, b_w = (model.B1, model.B2) if measured_field == 1 else (model.B2, model.B1)
     c = gain.sensor_matrix
     if c is None:
         raise ValueError("estimator matrices need the sensor matrix the gain factors through")
     hc = gain.H @ np.atleast_2d(np.asarray(c, dtype=float))
-    f_red = a_ww - hc @ a_mw
-    g_y = a_ww @ hc - hc @ a_mw @ hc - hc @ a_mm + a_wm
+    diagonal = np.diag_indices(model.n_modes)
+    f_red = -(hc * a_mw)
+    f_red[diagonal] += a_ww
+    g_y = a_ww[:, None] * hc - (hc * a_mw) @ hc - hc * a_mm
+    g_y[diagonal] += a_mw
     g_u = b_w - hc @ b_m
     return f_red, g_y, g_u
 
@@ -305,10 +307,11 @@ def _estimator_maps(kind: str, model: ModalModel, c: np.ndarray, measured_field:
     """(block, obs_map, sensor_matrix) of one estimator: the block its gain
     is designed on and its error dynamics start from, the observation map
     the gain multiplies in F = block - H obs_map, and the sensor matrix the
-    gain factors through.  The reduced estimator has A_ww, C A_mw and C; the
-    full one the closed-form ModePairs of the stacked matrix and C_full."""
+    gain factors through.  The reduced estimator has the diagonal a_ww as a
+    vector, C diag(a_mw) and C; the full one the closed-form ModePairs of the
+    stacked matrix and C_full."""
     if kind == "reduced":
-        a_ww = model.partition(measured_field)[3]
+        a_ww = model.diagonals(measured_field)[2]
         return a_ww, reduced_output_map(model, c, measured_field), c
     c_full = _full_sensor_matrix(c, model.n_modes, measured_field)
     return model.mode_pairs, c_full, c_full
@@ -356,7 +359,7 @@ def _error_trajectory(kind: str, model: ModalModel, c: np.ndarray, gain: Observe
     """
     block, obs_map, _ = _estimator_maps(kind, model, c, measured_field)
     if kind == "reduced":
-        rates, to_split, from_split = np.diag(block), _identity, _identity
+        rates, to_split, from_split = block, _identity, _identity
     else:
         rates, to_split, from_split = block.rates, block.to_eigen, block.from_eigen
     hz = to_split(gain.H.T).T

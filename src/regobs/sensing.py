@@ -245,9 +245,9 @@ def group_modes_by_eigenvalue(model: ModalModel, block: str = "a22") -> list[Mod
     first; group multiplicity is the cluster size.
     """
     if block == "a22":
-        values = np.diag(model.A22)
+        values = model.a22
     elif block == "a11":
-        values = np.diag(model.A11)
+        values = model.a11
     elif block == "laplacian":
         values = model.eigenvalues
     else:
@@ -383,38 +383,28 @@ def _horizon_kernel(d: np.ndarray, t_horizon: float) -> np.ndarray:
     return k
 
 
-def observability_gramian(m: np.ndarray, obs: np.ndarray, t_horizon: float) -> np.ndarray:
-    """Finite-horizon observability Gramian W = int_0^T e^{M's} O'O e^{Ms} ds.
+def observability_gramian(d: np.ndarray, obs: np.ndarray, t_horizon: float) -> np.ndarray:
+    """Finite-horizon observability Gramian W = int_0^T e^{Ms} O'O e^{Ms} ds
+    of the diagonal M = diag(d), given as the vector d.
 
     The truncated system is weakly observable through O iff W is positive
-    definite.  For a diagonal M = diag(d) the integral is closed-form and
-    exactly symmetric, W = O'O * K with K = _horizon_kernel(d, T); otherwise
-    it is exact by Van Loan's block exponential, E = exp([[-M', O'O], [0, M]] T)
-    and W = E_22' E_12, symmetrized.  obs may be a (P, q, n) stack of maps; W
-    then has shape (P, n, n).  Raises ValueError when W is not finite (a
-    horizon too long for the growth rates of M).
+    definite.  The integral is closed-form and exactly symmetric,
+    W = O'O * K with K = _horizon_kernel(d, T).  obs may be a (P, q, n) stack
+    of maps; W then has shape (P, n, n).  Raises ValueError when d is not a
+    vector, and when W is not finite (a horizon too long for the growth
+    rates d).
     """
     if t_horizon <= 0:
         raise ValueError("t_horizon must be > 0")
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1:
+        raise ValueError(f"observability_gramian takes the diagonal of M as a vector, got shape {d.shape}")
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     oto = np.swapaxes(obs, -1, -2) @ obs
-    if not np.any(m - np.diag(np.diag(m))):
-        # in place: O'O and K are exactly symmetric, so their product is too;
-        # an overflow leaves inf in W, which the check below rejects
-        with np.errstate(over="ignore"):
-            w = np.multiply(oto, _horizon_kernel(np.diag(m), t_horizon), out=oto)
-    else:
-        # imported on use: loading scipy.linalg is most of the CLI's start-up
-        from scipy.linalg import expm
-
-        n = m.shape[0]
-        block = np.zeros((*oto.shape[:-2], 2 * n, 2 * n))
-        block[..., :n, :n], block[..., :n, n:], block[..., n:, n:] = -m.T, oto, m
-        e = expm(block * t_horizon)
-        w = np.swapaxes(e[..., n:, n:], -1, -2) @ e[..., :n, n:]
-        w = w + np.swapaxes(w, -1, -2)
-        w *= 0.5
+    # in place: O'O and K are exactly symmetric, so their product is too; an
+    # overflow leaves inf in W, which the check below rejects
+    with np.errstate(over="ignore"):
+        w = np.multiply(oto, _horizon_kernel(d, t_horizon), out=oto)
     if not np.isfinite(w).all():
         raise ValueError(f"observability Gramian overflows at t_horizon = {t_horizon!r}")
     return w

@@ -3,8 +3,8 @@ and exact propagation of the resulting linear time-invariant dynamics.
 
 The spatial operator is the Laplacian on a rectangle with homogeneous
 Dirichlet conditions.  Both fields of the exchange system are expanded in the
-same product-sine basis, so every block operator becomes a dense (here
-diagonal or scalar-multiple) matrix over one shared mode ordering.
+same product-sine basis, so every block operator is diagonal over one shared
+mode ordering and is held as the vector of its diagonal.
 """
 
 from __future__ import annotations
@@ -143,10 +143,11 @@ class Coefficients:
 class ModalModel:
     """Truncated two-field system in modal coordinates.
 
-    Block structure of the coupled dynamics d/dt [x1; x2]:
+    Every block of the coupled dynamics d/dt [x1; x2] is diagonal, and the
+    model holds each as the length-n vector of its diagonal:
 
-        [A11 A12]   with A11 = diag(alpha*lam + beta), A22 = diag(gamma*lam + beta)
-        [A21 A22]        A12 = A21 = -beta * I
+        [diag(a11) diag(a12)]   with a11 = alpha*lam + beta, a22 = gamma*lam + beta
+        [diag(a12) diag(a22)]        a12 = -beta, the coupling in both equations
 
     B1, B2 map p actuator inputs into each field (zero columns by default).
     """
@@ -155,10 +156,9 @@ class ModalModel:
     coefficients: Coefficients
     mode_set: ModeSet
     eigenvalues: np.ndarray
-    A11: np.ndarray
-    A12: np.ndarray
-    A21: np.ndarray
-    A22: np.ndarray
+    a11: np.ndarray
+    a12: np.ndarray
+    a22: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
 
@@ -171,23 +171,29 @@ class ModalModel:
         return self.B1.shape[1]
 
     def stacked_a(self) -> np.ndarray:
-        return np.block([[self.A11, self.A12], [self.A21, self.A22]])
+        """The dense 2n x 2n matrix of the dynamics, built from the diagonals:
+        the engine of propagate(model) and the oracle of the tests."""
+        n = self.n_modes
+        a, i = np.zeros((2 * n, 2 * n)), np.arange(n)
+        a[i, i], a[i, n + i], a[n + i, i], a[n + i, n + i] = self.a11, self.a12, self.a12, self.a22
+        return a
 
     @cached_property
     def mode_pairs(self) -> "ModePairs":
         """Closed-form eigendecomposition of stacked_a(): one symmetric 2 x 2
-        block per mode, read off the block diagonals."""
-        return ModePairs.of_blocks(np.diag(self.A11), np.diag(self.A12), np.diag(self.A22))
+        block per mode, made of the diagonals."""
+        return ModePairs.of_blocks(self.a11, self.a12, self.a22)
 
     def stacked_b(self) -> np.ndarray:
         return np.vstack([self.B1, self.B2])
 
-    def partition(self, measured_field: int = 1):
-        """Blocks (A_mm, A_mw, A_wm, A_ww, B_m, B_w) for the chosen measured field."""
+    def diagonals(self, measured_field: int = 1):
+        """Diagonals (a_mm, a_mw, a_ww) of the measured field's own block, of
+        the coupling and of the unmeasured field's block."""
         if measured_field == 1:
-            return self.A11, self.A12, self.A21, self.A22, self.B1, self.B2
+            return self.a11, self.a12, self.a22
         if measured_field == 2:
-            return self.A22, self.A21, self.A12, self.A11, self.B2, self.B1
+            return self.a22, self.a12, self.a11
         raise ValueError("measured_field must be 1 or 2")
 
 
@@ -207,9 +213,6 @@ def assemble_exchange_model(
     lam = eigenvalues(modes, domain)
     n = len(modes)
     beta = coefficients.beta_couple
-    a11 = np.diag(coefficients.alpha_diff * lam + beta)
-    a22 = np.diag(coefficients.gamma_diff * lam + beta)
-    coupling = -beta * np.eye(n)
     if b1 is None and b2 is None:
         b1 = np.zeros((n, 0))
         b2 = np.zeros((n, 0))
@@ -224,10 +227,9 @@ def assemble_exchange_model(
         coefficients=coefficients,
         mode_set=modes,
         eigenvalues=lam,
-        A11=a11,
-        A12=coupling.copy(),
-        A21=coupling.copy(),
-        A22=a22,
+        a11=coefficients.alpha_diff * lam + beta,
+        a12=np.full(n, -beta),
+        a22=coefficients.gamma_diff * lam + beta,
         B1=b1,
         B2=b2,
     )
@@ -264,8 +266,8 @@ def exp_samples(rates: np.ndarray, z0: np.ndarray, dt: float, steps: int,
 class ModePairs:
     """Closed-form eigendecomposition of a 2n x 2n matrix whose nonzeros are
     n symmetric 2 x 2 blocks [[a_i, b_i], [b_i, d_i]] on the coordinate pairs
-    (i, n + i), such as the stacked exchange matrix [[A11, A12], [A21, A22]]
-    (ModalModel.mode_pairs).
+    (i, n + i), such as the stacked exchange matrix
+    [[diag(a11), diag(a12)], [diag(a12), diag(a22)]] (ModalModel.mode_pairs).
 
     The orthogonal eigenbasis has column i = (cos_i, sin_i) and column n + i =
     (-sin_i, cos_i) on pair i; rates holds the eigenvalues in that column

@@ -98,7 +98,7 @@ def test_criterion_3_strategic_rank_condition():
     for sensors in random_sensor_configs(seed=0, n_configs=50):
         c = output_matrix(sensors, UNIT, model3.mode_set)
         verdict = strategic_rank_test(c, groups3).strategic
-        w = observability_gramian(model3.A22, c, 2.0)
+        w = observability_gramian(model3.a22, c, 2.0)
         agree = agree and (verdict == (np.linalg.eigvalsh(w)[0] >= 1e-8))
     ok = ok_center and ok_pair and agree
     report(3, "center sensor NotStrategic with (2,1) offending; sensor pair "
@@ -140,7 +140,7 @@ def _beta3_pipeline():
     modes = ModeSet.square(cfg.simulation.n_modes)
     model = assemble_exchange_model(cfg.coefficients, cfg.domain, modes)
     c = output_matrix(cfg.sensors, cfg.domain, modes)
-    split = split_unstable_stable(model.A22, cfg.observer.margin)
+    split = split_unstable_stable(model.a22, cfg.observer.margin)
     gain = design_gain(reduced_output_map(model, c), split, cfg.observer.target_margin, sensor_matrix=c)
     rng = np.random.default_rng(cfg.simulation.x0_seed)
     x0 = rng.standard_normal(2 * len(modes))
@@ -189,7 +189,7 @@ def test_criterion_7_non_detectability_detected():
     modes = ModeSet.square(cfg.simulation.n_modes)
     model = assemble_exchange_model(cfg.coefficients, cfg.domain, modes)
     c = output_matrix(cfg.sensors, cfg.domain, modes)
-    split = split_unstable_stable(model.A22, 0.0)
+    split = split_unstable_stable(model.a22, 0.0)
     try:
         design_gain(reduced_output_map(model, c), split, 1.0)
         raised = False

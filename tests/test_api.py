@@ -1,6 +1,9 @@
 """Calls in the form of parameters that the public API no longer takes fail
-with TypeError, instead of binding a value to the wrong parameter."""
+with TypeError, instead of binding a value to the wrong parameter; uses of
+the dense model blocks and general matrices that the modal model no longer
+holds or takes fail with their own error, instead of returning a wrong value."""
 
+import numpy as np
 import pytest
 
 from regobs import (
@@ -18,6 +21,7 @@ from regobs import (
     group_modes_by_eigenvalue,
     nonstrategic_pointwise_predicate,
     nonstrategic_zone_predicate,
+    observability_gramian,
     output_matrix,
     reduced_output_map,
     split_unstable_stable,
@@ -28,12 +32,12 @@ UNIT = Domain()
 MODEL = assemble_exchange_model(Coefficients(1.0, 0.1, 3.0), UNIT, ModeSet.square(2))
 C = output_matrix([PointwiseSensor((0.23, 0.31)), PointwiseSensor((0.57, 0.43))], UNIT, MODEL.mode_set)
 OBS = reduced_output_map(MODEL, C)
-SPLIT = split_unstable_stable(MODEL.A22)
+SPLIT = split_unstable_stable(MODEL.a22)
 GAIN = design_gain(OBS, SPLIT, 1.0, sensor_matrix=C)
 GAMMA = BoundarySegment("bottom", 0.2, 0.7)
 
 STALE_CALLS = {
-    "design_gain with the block first": lambda: design_gain(MODEL.A22, OBS, SPLIT, 1.0),
+    "design_gain with the block first": lambda: design_gain(MODEL.a22, OBS, SPLIT, 1.0),
     "design_gain with tol_detect": lambda: design_gain(OBS, SPLIT, 1.0, tol_detect=1e-8),
     "design_gain with a positional sensor_matrix": lambda: design_gain(OBS, SPLIT, 1.0, C),
     "estimator_matrices with a sensor matrix": lambda: estimator_matrices(MODEL, GAIN, C),
@@ -54,3 +58,19 @@ def test_stale_call_raises_type_error(call):
     with pytest.raises(TypeError, match="argument"):
         STALE_CALLS[call]()
 
+
+STALE_FORMS = {
+    "the dense block model.A22": (AttributeError, "A22", lambda: MODEL.A22),
+    "model.partition": (AttributeError, "partition", lambda: MODEL.partition(1)),
+    "observability_gramian of a dense diag(d)": (
+        ValueError, "diagonal", lambda: observability_gramian(np.diag(MODEL.a22), C, 2.0)),
+    "split_unstable_stable of a non-symmetric matrix": (
+        ValueError, "symmetric", lambda: split_unstable_stable(np.array([[1.0, 2.0], [0.0, -3.0]]))),
+}
+
+
+@pytest.mark.parametrize("form", sorted(STALE_FORMS))
+def test_stale_form_fails_loudly(form):
+    error, match, call = STALE_FORMS[form]
+    with pytest.raises(error, match=match):
+        call()

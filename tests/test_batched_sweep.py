@@ -58,7 +58,7 @@ def _at(sensor, b1, b2):
 def _modes_and_a_ww(cfg):
     modes = ModeSet.square(cfg.simulation.n_modes)
     model = assemble_exchange_model(cfg.coefficients, cfg.domain, modes)
-    return modes, model.partition(cfg.observer.measured_field)[3]
+    return modes, model.diagonals(cfg.observer.measured_field)[2]
 
 
 def _kernel(d, t_horizon):
@@ -71,7 +71,7 @@ def _sweep_runs_eigvalsh(cfg):
     C_ij = K_ij / sqrt(K_ii K_jj) above eps times the largest: below that, the
     rank-(q r) part of W = O'O * K puts W within the bound of _per_position
     of a singular matrix, and the sweep writes 0 with no eigensolve."""
-    d = np.diag(_modes_and_a_ww(cfg)[1])
+    d = _modes_and_a_ww(cfg)[1]
     k = _kernel(d, cfg.observer.gramian_horizon)
     lam = np.linalg.eigvalsh(k / np.sqrt(np.outer(np.diag(k), np.diag(k))))
     return len(cfg.sensors) * np.count_nonzero(lam > np.finfo(float).eps * lam[-1]) >= d.size
@@ -83,8 +83,8 @@ def _per_position(cfg, rows):
     n eps sum_s max_i c_si^2 K_ii, the distance of a numerically singular
     Gramian's smallest eigenvalue from 0 (sensing._kernel_rank)."""
     modes, a_ww = _modes_and_a_ww(cfg)
-    groups = group_values(np.diag(a_ww), modes)
-    k_diag = np.diag(_kernel(np.diag(a_ww), cfg.observer.gramian_horizon))
+    groups = group_values(a_ww, modes)
+    k_diag = np.diag(_kernel(a_ww, cfg.observer.gramian_horizon))
     out = []
     for row in rows:
         sensor = _at(cfg.sensors[0], row.b1, row.b2)
@@ -179,7 +179,7 @@ def _oracle_min_eigs(cfg, rows, dps=150):
     out = []
     with mpmath.workdps(dps):
         t_horizon = mpmath.mpf(cfg.observer.gramian_horizon)
-        d = [mpmath.mpf(float(v)) for v in np.diag(a_ww)]
+        d = [mpmath.mpf(float(v)) for v in a_ww]
         k = [[mpmath.expm1((a + b) * t_horizon) / (a + b) if a + b else t_horizon for b in d] for a in d]
         for row in rows:
             c = output_matrix((_at(cfg.sensors[0], row.b1, row.b2), *cfg.sensors[1:]), cfg.domain, modes)
@@ -217,7 +217,7 @@ def test_graded_kernel_keeps_the_eigensolve():
     # large smallest eigenvalues to many digits; the bound would also admit 0.
     # W is positive semidefinite, so a negative eigvalsh value is written as 0
     cfg = _oracle_cfg(2, 1, 6.0, 8.0, True, "pointwise")
-    lam = np.linalg.eigvalsh(_kernel(np.diag(_modes_and_a_ww(cfg)[1]), 6.0))
+    lam = np.linalg.eigvalsh(_kernel(_modes_and_a_ww(cfg)[1], 6.0))
     assert np.count_nonzero(lam > lam.size * np.finfo(float).eps * lam[-1]) < lam.size
     assert _sweep_runs_eigvalsh(cfg)
     rows = placement_sweep(cfg, 3).rows
@@ -301,7 +301,7 @@ def test_predicate_flags_only_offending_modes(n_side, tall, beta, kind, snap, p,
         sensor = PointwiseSensor((b1, b2))
         flagged = nonstrategic_pointwise_predicate(sensor, domain, modes).modes
     model = assemble_exchange_model(Coefficients(1.0, 0.1, beta), domain, modes)
-    groups = group_values(np.diag(model.A22), modes)
+    groups = group_values(model.a22, modes)
     report = strategic_rank_test(output_matrix([sensor], domain, modes), groups)
     assert set(flagged) <= set(report.offending_modes())
     if flagged:

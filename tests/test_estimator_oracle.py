@@ -61,11 +61,11 @@ def _fields(n, mf):
 def dense_reduced(model, c, gain, u, x0, phi0, dt, steps, mf):
     n = model.n_modes
     f_red, g_y, g_u = estimator_matrices(model, gain, measured_field=mf)
-    a_mm, a_mw, a_wm, a_ww, b_m, b_w = model.partition(mf)
-    z = np.zeros((n, n))
-    m = np.block([[a_mm, a_mw, z], [a_wm, a_ww, z], [g_y, z, f_red]])
-    b = np.vstack([b_m, b_w, g_u]) if model.n_inputs else None
     meas, unmeas = _fields(n, mf)
+    a, stacked_b = model.stacked_a(), model.stacked_b()
+    z = np.zeros((n, n))
+    m = np.block([[a[meas, meas], a[meas, unmeas], z], [a[unmeas, meas], a[unmeas, unmeas], z], [g_y, z, f_red]])
+    b = np.vstack([stacked_b[meas], stacked_b[unmeas], g_u]) if model.n_inputs else None
     states, k = _guarded_dense(m, b, np.concatenate([x0[meas], x0[unmeas], phi0]), steps, dt, u)
     x = np.empty((states.shape[0], 2 * n))
     x[:, meas], x[:, unmeas] = states[:, :n], states[:, n:2 * n]
@@ -131,7 +131,7 @@ CASES = dict(
 def test_reduced_matches_dense_cosimulation(seed, n_side, q, mf, beta, actuated):
     rng, model, sensors, c, u = _case(seed, n_side, q, beta, actuated)
     n = model.n_modes
-    _, _, _, a_ww, _, _ = model.partition(mf)
+    a_ww = model.diagonals(mf)[2]
     gain = ObserverGain(H=0.5 * rng.standard_normal((n, q)), split=split_unstable_stable(a_ww),
                         target_margin=1.0, closed_loop_eigs=np.zeros(n), residual=0.0, sensor_matrix=c)
     x0 = rng.standard_normal(2 * n)
@@ -168,8 +168,8 @@ def test_diverging_run_truncates_at_dense_index():
     n = model.n_modes
     x0 = np.full(2 * n, 10.0)
     dt, steps = 0.05, 240
-    reduced_gain = ObserverGain(H=np.zeros((n, 1)), split=split_unstable_stable(model.A22),
-                                target_margin=1.0, closed_loop_eigs=np.diag(model.A22),
+    reduced_gain = ObserverGain(H=np.zeros((n, 1)), split=split_unstable_stable(model.a22),
+                                target_margin=1.0, closed_loop_eigs=model.a22,
                                 residual=float("nan"), sensor_matrix=c)
     with no_dense_propagator():
         traj = simulate_reduced_order(model, blind, reduced_gain, None, x0, np.zeros(n), dt, dt * steps)

@@ -47,7 +47,7 @@ def make_model(beta, n=2):
 
 def make_gain(model, sensors, target_margin=1.0, margin=0.0):
     c = output_matrix(sensors, model.domain, model.mode_set)
-    split = split_unstable_stable(model.A22, margin)
+    split = split_unstable_stable(model.a22, margin)
     obs = reduced_output_map(model, c)
     return c, design_gain(obs, split, target_margin, sensor_matrix=c)
 
@@ -57,23 +57,23 @@ STRATEGIC_PAIR = [PointwiseSensor((0.23, 0.31)), PointwiseSensor((0.57, 0.43))]
 
 class TestSplit:
     def test_beta3_one_unstable(self):
-        split = split_unstable_stable(make_model(3.0).A22, 0.0)
+        split = split_unstable_stable(make_model(3.0).a22, 0.0)
         assert split.j_unstable == 1
         assert split.eigenvalues[split.unstable[0]] == pytest.approx(3 - 0.2 * PI2, abs=1e-12)
 
     def test_beta6_three_unstable(self):
         model = make_model(6.0)
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         assert split.j_unstable == 3
         unstable_modes = {model.mode_set.modes[k] for k in split.unstable}
         assert unstable_modes == {ModeIndex(1, 1), ModeIndex(1, 2), ModeIndex(2, 1)}
 
     def test_beta1_all_stable(self):
-        split = split_unstable_stable(make_model(1.0).A22, 0.0)
+        split = split_unstable_stable(make_model(1.0).a22, 0.0)
         assert split.j_unstable == 0
 
     def test_partition_is_exhaustive(self):
-        split = split_unstable_stable(make_model(6.0, n=3).A22, 0.5)
+        split = split_unstable_stable(make_model(6.0, n=3).a22, 0.5)
         assert sorted(split.unstable + split.stable) == list(range(9))
 
     def test_symmetric_block_uses_eigenbasis(self):
@@ -86,7 +86,7 @@ class TestSplit:
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError, match="margin must be >= 0"):
-            split_unstable_stable(make_model(3.0).A22, margin=-1)
+            split_unstable_stable(make_model(3.0).a22, margin=-1)
 
 
 class TestDesignGain:
@@ -101,7 +101,7 @@ class TestDesignGain:
         model = make_model(3.0)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
         with pytest.raises(ValueError, match="target_margin must be > 0"):
-            design_gain(reduced_output_map(model, c), split_unstable_stable(model.A22), target_margin)
+            design_gain(reduced_output_map(model, c), split_unstable_stable(model.a22), target_margin)
 
     def test_no_unstable_modes_zero_gain(self):
         model = make_model(1.0)
@@ -142,7 +142,7 @@ class TestDesignGain:
         # TOL_DETECT lets the residual test pass, and that mode stays unstable.
         model = make_model(6.0)
         c = output_matrix([PointwiseSensor((0.5, 0.43))], UNIT, model.mode_set)
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         monkeypatch.setattr(observer, "TOL_DETECT", 10.0)
         with pytest.raises(GainDesignError, match="misses the prescribed margin"):
             design_gain(reduced_output_map(model, c), split, 1.0)
@@ -159,7 +159,7 @@ class TestDesignGain:
         assert 0 < abs(blind) < 1e-15 * np.abs(c).max()
         groups = group_modes_by_eigenvalue(model)
         assert not strategic_rank_test(c, groups).strategic
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         with pytest.raises(NotDetectableError, match="smallest singular value") as err:
             design_gain(reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
         assert err.value.blind_positions == (model.mode_set.position(ModeIndex(1, 1)),)
@@ -179,15 +179,17 @@ class TestDesignGain:
         model = make_model(beta, n=3)
         c = output_matrix([PointwiseSensor(loc) for loc in locations], UNIT, model.mode_set)
         if kind == "reduced":
-            block, obs_map = model.A22, reduced_output_map(model, c)
+            block, obs_map = model.a22, reduced_output_map(model, c)
+            dense_block = np.diag(block)
         else:
             block, obs_map = model.stacked_a(), np.hstack([c, np.zeros_like(c)])
+            dense_block = block
         split = split_unstable_stable(block, 0.0)
         try:
             gain = design_gain(obs_map, split, target_margin)
         except NotDetectableError:
             assume(False)
-        dense = np.sort_complex(np.linalg.eigvals(block - gain.H @ obs_map))[::-1]
+        dense = np.sort_complex(np.linalg.eigvals(dense_block - gain.H @ obs_map))[::-1]
         scale = max(1.0, float(np.abs(dense).max()))
         assert np.abs(gain.closed_loop_eigs - dense).max() <= 1e-10 * scale
 
@@ -199,7 +201,7 @@ class TestDesignGain:
             model = make_model(beta, n=3)
             groups = group_modes_by_eigenvalue(model)
             unstable_groups = [g for g in groups if g.value >= 0.0]
-            split = split_unstable_stable(model.A22, 0.0)
+            split = split_unstable_stable(model.a22, 0.0)
             for sensors in random_sensor_configs(seed=21, n_configs=25, q_choices=q_choices):
                 c = output_matrix(sensors, UNIT, model.mode_set)
                 rank_ok = strategic_rank_test(c, unstable_groups).strategic
@@ -215,26 +217,26 @@ class TestEstimatorMatrices:
     def test_zero_gain_reduces_to_plant_blocks(self):
         model = make_model(1.0)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         gain = design_gain(reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
         assert not gain.H.any()
         f_red, g_y, g_u = estimator_matrices(model, gain)
-        assert np.array_equal(f_red, model.A22)
-        assert np.array_equal(g_y, model.A21)
+        assert np.array_equal(f_red, np.diag(model.a22))
+        assert np.array_equal(g_y, np.diag(model.a12))
         assert np.array_equal(g_u, model.B2)
 
     def test_single_mode_symbolic(self):
-        # One mode, one sensor with unit output coefficient: with A12 = -1,
+        # One mode, one sensor with unit output coefficient: with a12 = -1,
         # F_red = (1 - 0.2 pi^2) + h.
         model = assemble_exchange_model(Coefficients(1.0, 0.1, 1.0), UNIT, ModeSet((ModeIndex(1, 1),)))
         h = 0.7
         c = np.array([[1.0]])
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         gain = ObserverGain(H=np.array([[h]]), split=split, target_margin=1.0,
                             closed_loop_eigs=np.zeros(1), residual=0.0, sensor_matrix=c)
         f_red, g_y, g_u = estimator_matrices(model, gain)
         assert f_red[0, 0] == pytest.approx((1 - 0.2 * PI2) + h, abs=1e-12)
-        a22, a12, a11, a21 = model.A22[0, 0], -1.0, model.A11[0, 0], -1.0
+        a22, a12, a11, a21 = model.a22[0], -1.0, model.a11[0], -1.0
         assert g_y[0, 0] == pytest.approx(a22 * h - h * a12 * h - h * a11 + a21, abs=1e-12)
 
     def test_gain_identity(self):
@@ -243,11 +245,11 @@ class TestEstimatorMatrices:
         rng = np.random.default_rng(8)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
         h = rng.standard_normal((9, 2))
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         gain = ObserverGain(H=h, split=split, target_margin=1.0,
                             closed_loop_eigs=np.zeros(9), residual=0.0, sensor_matrix=c)
         f_red, _, _ = estimator_matrices(model, gain)
-        assert np.allclose(model.A22 - f_red, (h @ c) @ model.A12, atol=1e-13)
+        assert np.allclose(np.diag(model.a22) - f_red, (h @ c) @ np.diag(model.a12), atol=1e-13)
 
 
 class TestSimulateReduced:
@@ -267,7 +269,7 @@ class TestSimulateReduced:
         rng = np.random.default_rng(4)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
         h = rng.standard_normal((9, 2))
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         gain = ObserverGain(H=h, split=split, target_margin=1.0,
                             closed_loop_eigs=np.zeros(9), residual=0.0, sensor_matrix=c)
         x0 = rng.standard_normal(18)
@@ -306,9 +308,9 @@ class TestSimulateReduced:
         with pytest.raises(NotDetectableError):
             make_gain(model, blind)
         c = output_matrix(blind, UNIT, model.mode_set)
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         gain = ObserverGain(H=np.zeros((4, 1)), split=split, target_margin=1.0,
-                            closed_loop_eigs=np.diag(model.A22), residual=float("nan"),
+                            closed_loop_eigs=model.a22, residual=float("nan"),
                             sensor_matrix=c)
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal(8)
@@ -325,7 +327,7 @@ class TestSimulateReduced:
         # of near-equal exponentials and bends the log-linear fit
         model = make_model(3.0)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         x0 = np.array([0.3, -0.2, 0.4, 0.1, 1.0, 0.6, 0.5, 0.4])
         for alpha in (0.5, 1.0, 3.0):
             gain = design_gain(reduced_output_map(model, c), split, alpha, sensor_matrix=c)
@@ -400,9 +402,9 @@ class TestSimulateReduced:
         model = make_model(6.0)
         blind = [PointwiseSensor((0.5, 0.43))]
         c = output_matrix(blind, UNIT, model.mode_set)
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         gain = ObserverGain(H=np.zeros((4, 1)), split=split, target_margin=1.0,
-                            closed_loop_eigs=np.diag(model.A22), residual=float("nan"),
+                            closed_loop_eigs=model.a22, residual=float("nan"),
                             sensor_matrix=c)
         x0 = np.full(8, 10.0)
         traj = simulate_reduced_order(model, blind, gain, None, x0, np.zeros(4), 0.05, 12.0)

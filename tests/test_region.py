@@ -147,7 +147,7 @@ class TestGammaErrorNorm:
         from regobs import design_gain, output_matrix, reduced_output_map
 
         c = output_matrix(sensors, UNIT, model.mode_set)
-        split = split_unstable_stable(model.A22, 0.0)
+        split = split_unstable_stable(model.a22, 0.0)
         gain = design_gain(reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
         x0 = np.array([0.3, -0.2, 0.4, 0.1, 1.0, 0.1, 0.1, 0.1])
         traj = simulate_reduced_order(model, sensors, gain, None, x0, -gain.H @ (c @ x0[:4]), 0.01, 5.0)

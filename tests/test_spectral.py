@@ -136,28 +136,31 @@ class TestModeSet:
 class TestAssembly:
     def test_paper_coefficients_single_mode(self):
         model = assemble_exchange_model(Coefficients(1.0, 0.1, 1.0), UNIT, ModeSet((ModeIndex(1, 1),)))
-        assert model.A22[0, 0] == pytest.approx(1 - 0.2 * PI2, abs=1e-12)
-        assert model.A12[0, 0] == pytest.approx(-1.0, abs=1e-15)
+        assert model.a22[0] == pytest.approx(1 - 0.2 * PI2, abs=1e-12)
+        assert model.a12[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_zero_coupling_decouples(self):
         model = assemble_exchange_model(Coefficients(1.0, 0.1, 0.0), UNIT, ModeSet.square(2))
-        assert not model.A12.any()
-        assert not model.A21.any()
+        assert not model.a12.any()
+        a = model.stacked_a()
+        assert not a[:4, 4:].any() and not a[4:, :4].any()
 
     def test_beta3_a22_diagonal(self):
         model = assemble_exchange_model(Coefficients(1.0, 0.1, 3.0), UNIT, ModeSet.square(2))
         expected = [3 - 0.1 * 2 * PI2, 3 - 0.1 * 5 * PI2, 3 - 0.1 * 5 * PI2, 3 - 0.1 * 8 * PI2]
-        assert np.diag(model.A22) == pytest.approx(expected, abs=1e-12)
+        assert model.a22 == pytest.approx(expected, abs=1e-12)
 
     def test_block_structure_entrywise(self):
         coeffs = Coefficients(2.0, 0.5, 1.7)
         modes = ModeSet.square(3)
         model = assemble_exchange_model(coeffs, UNIT, modes)
         lam = eigenvalues(modes, UNIT)
-        assert np.allclose(model.A11, np.diag(2.0 * lam + 1.7))
-        assert np.allclose(model.A22, np.diag(0.5 * lam + 1.7))
-        assert np.allclose(model.A12, -1.7 * np.eye(len(modes)))
-        assert np.allclose(model.A21, model.A12)
+        n = len(modes)
+        a = model.stacked_a()
+        assert np.allclose(a[:n, :n], np.diag(2.0 * lam + 1.7))
+        assert np.allclose(a[n:, n:], np.diag(0.5 * lam + 1.7))
+        assert np.allclose(a[:n, n:], -1.7 * np.eye(n))
+        assert np.allclose(a[n:, :n], a[:n, n:])
         assert model.B1.shape == (9, 0)
 
     def test_requires_positive_diffusion(self):
@@ -221,15 +224,6 @@ LAZY_SCIPY_SITES = {
         "from regobs.spectral import Propagator\n"
         "prop = Propagator(np.array([[-1.0, 0.4], [0.3, -2.0]]), 0.05, np.array([[1.0], [0.5]]))\n"
         "result = [prop.E, prop.Phi]\n"
-    ),
-    "observability_gramian": (
-        "from regobs.sensing import observability_gramian\n"
-        "result = [observability_gramian(np.array([[-1.0, 0.5], [0.0, -2.0]]), np.array([[1.0, 0.3]]), 2.0)]\n"
-    ),
-    "split_unstable_stable": (
-        "from regobs.observer import split_unstable_stable\n"
-        "split = split_unstable_stable(np.array([[1.0, 2.0], [0.0, -3.0]]), margin=0.5)\n"
-        "result = [split.eigenvalues, split.basis, np.array(split.unstable)]\n"
     ),
 }
 

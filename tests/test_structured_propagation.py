@@ -74,7 +74,7 @@ def _unstable_rows_gain(split, h_u):
 
 def _dense_error(kind, model, c, h, e0, dt, steps, mf):
     _, obs_map, _ = _estimator_maps(kind, model, c, mf)
-    block = model.partition(mf)[3] if kind == "reduced" else model.stacked_a()
+    block = np.diag(model.diagonals(mf)[2]) if kind == "reduced" else model.stacked_a()
     return Propagator(block - h @ obs_map, dt).run(e0, steps)
 
 
@@ -114,7 +114,7 @@ def test_closed_form_plant_matches_dense(seed, n_side, beta, alpha, gamma, dt, i
     u = {"none": None, "constant": rng.uniform(-2.0, 2.0, p),
          "schedule": rng.uniform(-2.0, 2.0, (steps, p))}[inputs]
     if zero_rate:
-        a, b, d = np.diag(model.A11).copy(), np.diag(model.A12).copy(), np.diag(model.A22).copy()
+        a, b, d = model.a11.copy(), model.a12.copy(), model.a22.copy()
         a[0] = b[0] = d[0] = rng.uniform(0.5, 3.0)
         pairs = ModePairs.of_blocks(a, b, d)
         assert pairs.rates[n] == 0.0
@@ -203,7 +203,7 @@ def test_diverging_zero_gain_truncates_at_dense_index(seed, n_side, beta, scale,
     n = model.n_modes
     x0 = scale * rng.standard_normal(2 * n)
     dt, steps = 0.05, 300
-    _, _, _, a_ww, _, _ = model.partition(mf)
+    a_ww = model.diagonals(mf)[2]
     reduced = ObserverGain(H=np.zeros((n, 1)), split=split_unstable_stable(a_ww), target_margin=1.0,
                            closed_loop_eigs=np.zeros(n), residual=float("nan"), sensor_matrix=c)
     full = ObserverGain(H=np.zeros((2 * n, 1)), split=split_unstable_stable(model.mode_pairs),
@@ -245,7 +245,7 @@ def test_zero_start_on_unstable_modes_stays_zero_past_overflow(mf):
 
     sensors = [PointwiseSensor((0.3, 0.6))]
     c = output_matrix(sensors, UNIT, model.mode_set)
-    _, _, _, a_ww, _, _ = model.partition(mf)
+    a_ww = model.diagonals(mf)[2]
     reduced = ObserverGain(H=np.zeros((n, 1)), split=split_unstable_stable(a_ww), target_margin=1.0,
                            closed_loop_eigs=np.zeros(n), residual=float("nan"), sensor_matrix=c)
     full = ObserverGain(H=np.zeros((2 * n, 1)), split=split_unstable_stable(model.mode_pairs),
