@@ -140,7 +140,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     gram = region_gram(norm_region, cfg.domain, model.mode_set)
 
     x0 = _initial_state(cfg, model.n_modes)
-    x = _plant_trajectory(model, None, x0, sim.dt, sim.t_final)
+    x = _plant_trajectory(model, x0, sim.dt, sim.t_final)
 
     wanted = ("reduced", "full") if cfg.observer.estimators == "both" else (cfg.observer.estimators,)
     summaries: dict[str, EstimatorSummary] = {}

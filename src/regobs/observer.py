@@ -9,15 +9,15 @@ residual above tolerance therefore signals that the sensor suite cannot
 stabilize the error dynamics (NotDetectableError).
 
 Both estimators are built so that the estimation error obeys autonomous
-dynamics e' = F e.  A simulation propagates the plant and the error exactly
-and recovers the estimator state from the two, so the discrete trajectory
-satisfies the continuous error dynamics at the sample instants.  The plant
-is n independent 2 x 2 mode blocks with closed-form exponentials, and a
-piecewise-constant input adds its closed-form zero-order-hold response in
-the same eigen coordinates.  In the coordinates of the split F is diagonal
-outside the rows where the gain is nonzero, so the error follows from scalar
-exponentials, one exponential of the order of those rows and their coupling
-to the rest: J rows for a designed gain, every row for a dense one.
+dynamics e' = F e, which a known input would leave unchanged; the plant is
+therefore simulated without one.  A simulation propagates the plant and the
+error exactly and recovers the estimator state from the two, so the discrete
+trajectory satisfies the continuous error dynamics at the sample instants.
+The plant is n independent 2 x 2 mode blocks with closed-form exponentials.
+In the coordinates of the split F is diagonal outside the rows where the
+gain is nonzero, so the error follows from scalar exponentials, one
+exponential of the order of those rows and their coupling to the rest: J
+rows for a designed gain, every row for a dense one.
 """
 
 from __future__ import annotations
@@ -102,11 +102,15 @@ def split_unstable_stable(block, margin: float = 0.0) -> UnstableSplit:
     block is the vector of a diagonal block, which keeps its natural mode
     coordinates; a symmetric matrix, diagonalized orthogonally; or the
     ModePairs of the stacked exchange matrix (ModalModel.mode_pairs), which
-    brings its closed-form eigenbasis.  Any other matrix raises ValueError.
+    brings its closed-form eigenbasis.  Any other matrix, or a non-finite
+    eigenvalue, which no comparison would place on either side, raises
+    ValueError.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     eigs, basis = _eigenpairs(block)
+    if not np.isfinite(eigs).all():
+        raise ValueError("a block to split must have finite eigenvalues")
     order = sorted(range(len(eigs)), key=lambda k: (-eigs[k], k))
     unstable = tuple(k for k in order if eigs[k] >= -margin)
     stable = tuple(k for k in order if eigs[k] < -margin)
@@ -225,20 +229,18 @@ def reduced_output_map(model: ModalModel, c: np.ndarray, measured_field: int = 1
 
 
 def estimator_matrices(model: ModalModel, gain: ObserverGain, *, measured_field: int = 1):
-    """Reduced-estimator coefficient matrices (F_red, G_y, G_u).
+    """Reduced-estimator coefficient matrices (F_red, G_y).
 
     With HC = H @ C (the gain factored through the sensors, C =
     gain.sensor_matrix):
 
         F_red = A_ww - HC A_mw
         G_y   = A_ww HC - HC A_mw HC - HC A_mm + A_wm   (applied to the measured field)
-        G_u   = B_w - HC B_m
 
     The A blocks are diagonal vectors (ModalModel.diagonals), A_wm = A_mw, so
     each product with one is a broadcast, equal to the dense product bit for bit.
     """
     a_mm, a_mw, a_ww = model.diagonals(measured_field)
-    b_m, b_w = (model.B1, model.B2) if measured_field == 1 else (model.B2, model.B1)
     c = gain.sensor_matrix
     if c is None:
         raise ValueError("estimator matrices need the sensor matrix the gain factors through")
@@ -248,8 +250,7 @@ def estimator_matrices(model: ModalModel, gain: ObserverGain, *, measured_field:
     f_red[diagonal] += a_ww
     g_y = a_ww[:, None] * hc - (hc * a_mw) @ hc - hc * a_mm
     g_y[diagonal] += a_mw
-    g_u = b_w - hc @ b_m
-    return f_red, g_y, g_u
+    return f_red, g_y
 
 
 @dataclass(eq=False)
@@ -317,29 +318,15 @@ def _estimator_maps(kind: str, model: ModalModel, c: np.ndarray, measured_field:
     return model.mode_pairs, c_full, c_full
 
 
-def _input_drive(model: ModalModel, u, steps: int) -> np.ndarray | None:
-    """Zero-order-hold drive B u_k (steps, 2n) of the plant, None without
-    input; u is None, a constant (p,) vector or a (steps, p) schedule."""
-    if u is None:
-        return None
-    u = np.asarray(u, dtype=float)
-    p = model.n_inputs
-    if u.shape not in ((p,), (steps, p)):
-        raise ValueError(f"u must have shape ({p},) or ({steps}, {p}), got {u.shape}")
-    return np.broadcast_to(u, (steps, p)) @ model.stacked_b().T
-
-
-def _plant_trajectory(model: ModalModel, u, x0: np.ndarray, dt: float, t_final: float) -> np.ndarray:
-    """Exact samples (steps + 1, 2n) of the plant x' = A x + B u, u held
-    constant over each step: closed-form per-mode 2 x 2 exponentials and
-    their zero-order-hold input response."""
+def _plant_trajectory(model: ModalModel, x0: np.ndarray, dt: float, t_final: float) -> np.ndarray:
+    """Exact samples (steps + 1, 2n) of the plant x' = A x by closed-form
+    per-mode 2 x 2 exponentials."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != 2 * model.n_modes:
         raise ValueError("x0 must stack both fields, shape (2 n_modes,)")
     steps = _steps(dt, t_final)
-    drive = _input_drive(model, u, steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        return model.mode_pairs.samples(x0, dt, steps, drive)
+        return model.mode_pairs.samples(x0, dt, steps)
 
 
 def _identity(x):
@@ -448,27 +435,26 @@ def simulate_reduced_order(
     model: ModalModel,
     sensors,
     gain: ObserverGain,
-    u,
     x0: np.ndarray,
     phi0: np.ndarray,
     dt: float,
     t_final: float,
+    *,
     measured_field: int = 1,
     region=None,
     norm_weight: str = "l2",
 ) -> Trajectory:
     """Simulate the plant with the reduced-order estimator.
 
-    The estimator state phi obeys phi' = F_red phi + G_y x_m + G_u u, with the
+    The estimator state phi obeys phi' = F_red phi + G_y x_m, with the
     measured-field injection synthesized exactly from the plant dynamics (the
     auxiliary output is algebraic in the modal states, never differenced).
     The recovered estimate is x2_hat = phi + H y and its error obeys
-    e' = F_red e exactly at the sample instants.  u is None, a constant (p,)
-    input or a (steps, p) schedule, held over each step; t_final must be a
-    whole number of dt steps.
+    e' = F_red e exactly at the sample instants.  t_final must be a whole
+    number of dt steps.
     """
     c = output_matrix(sensors, model.domain, model.mode_set)
-    x = _plant_trajectory(model, u, x0, dt, t_final)
+    x = _plant_trajectory(model, x0, dt, t_final)
     meas, _ = _field_slices(model.n_modes, measured_field)
     xhat0 = np.asarray(phi0, dtype=float).reshape(model.n_modes) + gain.H @ (c @ x[0, meas])
     return _simulate("reduced", model, c, gain, x, xhat0, dt, measured_field,
@@ -479,24 +465,24 @@ def simulate_full_order(
     model: ModalModel,
     sensors,
     gain: ObserverGain,
-    u,
     x0: np.ndarray,
     xhat0: np.ndarray,
     dt: float,
     t_final: float,
+    *,
     measured_field: int = 1,
     region=None,
     norm_weight: str = "l2",
 ) -> Trajectory:
     """Simulate the plant with the full-order estimator
-    z_hat' = A z_hat + B u + H (y - C_full z_hat); the stacked error obeys
+    z_hat' = A z_hat + H (y - C_full z_hat); the stacked error obeys
     e' = (A - H C_full) e exactly at the sample instants.
 
-    err_gamma combines both field errors, sqrt(|e1|_G^2 + |e2|_G^2).  u and
-    t_final are as in simulate_reduced_order.
+    err_gamma combines both field errors, sqrt(|e1|_G^2 + |e2|_G^2).  t_final
+    is as in simulate_reduced_order.
     """
     c = output_matrix(sensors, model.domain, model.mode_set)
-    x = _plant_trajectory(model, u, x0, dt, t_final)
+    x = _plant_trajectory(model, x0, dt, t_final)
     xhat0 = np.asarray(xhat0, dtype=float).reshape(2 * model.n_modes)
     return _simulate("full", model, c, gain, x, xhat0, dt, measured_field,
                      _region_gram(model, region), norm_weight)

@@ -151,15 +151,11 @@ def region_gram(region, domain: Domain, modes: ModeSet) -> np.ndarray:
     return phi.T @ (w[:, None] * phi)
 
 
-def error_norm_series(err_coeffs: np.ndarray, domain: Domain, modes: ModeSet, region, weight: str = "l2") -> np.ndarray:
-    """Region-restricted norm of each row e of err_coeffs (T, n_modes):
-    sqrt(e'Ge) for l2, sqrt(sum sob (Ge)^2) for sobolev_half (G = region_gram)."""
-    return gram_norm_series(err_coeffs, region_gram(region, domain, modes), domain, modes, weight)
-
-
 def gram_norm_series(err_coeffs: np.ndarray, gram: np.ndarray, domain: Domain, modes: ModeSet,
                      weight: str = "l2") -> np.ndarray:
-    """error_norm_series for a region whose Gram matrix G is already built."""
+    """Region-restricted norm of each row e of err_coeffs (T, n_modes):
+    sqrt(e'Ge) for l2, sqrt(sum sob (Ge)^2) for sobolev_half, where G is the
+    region's Gram matrix (region_gram)."""
     if weight not in NORM_WEIGHTS:
         raise ValueError(f"unknown norm weight {weight!r}; expected one of {NORM_WEIGHTS}")
     err = np.atleast_2d(np.asarray(err_coeffs, dtype=float))
@@ -176,7 +172,7 @@ def gram_norm_series(err_coeffs: np.ndarray, gram: np.ndarray, domain: Domain, m
 def gamma_error_norm(x: np.ndarray, x_hat: np.ndarray, domain: Domain, modes: ModeSet, region, weight: str = "l2") -> float:
     """Region-restricted norm of the estimation error x_hat - x."""
     err = np.asarray(x_hat, dtype=float) - np.asarray(x, dtype=float)
-    return float(error_norm_series(err[None, :], domain, modes, region, weight)[0])
+    return float(gram_norm_series(err[None, :], region_gram(region, domain, modes), domain, modes, weight)[0])
 
 
 @dataclass(frozen=True)

@@ -191,11 +191,6 @@ def output_matrix(sensors, domain: Domain, modes: ModeSet) -> np.ndarray:
     return np.vstack(rows)
 
 
-def input_matrix(actuators, domain: Domain, modes: ModeSet) -> np.ndarray:
-    """Modal actuator columns (n_modes x p); descriptors mirror sensors."""
-    return output_matrix(actuators, domain, modes).T
-
-
 def _lattice_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, ys):
     """Output rows of the sensor moved to each point of the lattice xs x ys
     (its location, or its support's centre): yields, for each x, the

@@ -135,6 +135,8 @@ class Coefficients:
     beta_couple: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha_diff, self.gamma_diff, self.beta_couple))):
+            raise ValueError("coefficients must be finite")
         if self.alpha_diff <= 0 or self.gamma_diff <= 0:
             raise ValueError("diffusion coefficients must be positive")
 
@@ -149,7 +151,8 @@ class ModalModel:
         [diag(a11) diag(a12)]   with a11 = alpha*lam + beta, a22 = gamma*lam + beta
         [diag(a12) diag(a22)]        a12 = -beta, the coupling in both equations
 
-    B1, B2 map p actuator inputs into each field (zero columns by default).
+    The system is autonomous: a known input would leave the estimation error,
+    and so every reported number, unchanged.
     """
 
     domain: Domain
@@ -159,16 +162,10 @@ class ModalModel:
     a11: np.ndarray
     a12: np.ndarray
     a22: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
 
     @property
     def n_modes(self) -> int:
         return len(self.mode_set)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.B1.shape[1]
 
     def stacked_a(self) -> np.ndarray:
         """The dense 2n x 2n matrix of the dynamics, built from the diagonals:
@@ -184,9 +181,6 @@ class ModalModel:
         block per mode, made of the diagonals."""
         return ModePairs.of_blocks(self.a11, self.a12, self.a22)
 
-    def stacked_b(self) -> np.ndarray:
-        return np.vstack([self.B1, self.B2])
-
     def diagonals(self, measured_field: int = 1):
         """Diagonals (a_mm, a_mw, a_ww) of the measured field's own block, of
         the coupling and of the unmeasured field's block."""
@@ -197,68 +191,30 @@ class ModalModel:
         raise ValueError("measured_field must be 1 or 2")
 
 
-def assemble_exchange_model(
-    coefficients: Coefficients,
-    domain: Domain,
-    modes: ModeSet,
-    b1: np.ndarray | None = None,
-    b2: np.ndarray | None = None,
-) -> ModalModel:
-    """Assemble the modal exchange model on the given mode set.
-
-    Optional b1, b2 are modal actuator columns (n x p), e.g. produced by
-    ``sensing.input_matrix`` from zone/pointwise actuator descriptors; both
-    default to zero columns (autonomous system, u == 0).
-    """
+def assemble_exchange_model(coefficients: Coefficients, domain: Domain, modes: ModeSet) -> ModalModel:
+    """Assemble the modal exchange model on the given mode set."""
     lam = eigenvalues(modes, domain)
-    n = len(modes)
     beta = coefficients.beta_couple
-    if b1 is None and b2 is None:
-        b1 = np.zeros((n, 0))
-        b2 = np.zeros((n, 0))
-    else:
-        p = b1.shape[1] if b1 is not None else b2.shape[1]
-        b1 = np.zeros((n, p)) if b1 is None else np.asarray(b1, dtype=float)
-        b2 = np.zeros((n, p)) if b2 is None else np.asarray(b2, dtype=float)
-        if b1.shape != (n, p) or b2.shape != (n, p):
-            raise ValueError("actuator matrices must have shape (n_modes, p)")
     return ModalModel(
         domain=domain,
         coefficients=coefficients,
         mode_set=modes,
         eigenvalues=lam,
         a11=coefficients.alpha_diff * lam + beta,
-        a12=np.full(n, -beta),
+        a12=np.full(len(modes), -beta),
         a22=coefficients.gamma_diff * lam + beta,
-        B1=b1,
-        B2=b2,
     )
 
 
-def exp_samples(rates: np.ndarray, z0: np.ndarray, dt: float, steps: int,
-                drive: np.ndarray | None = None) -> np.ndarray:
+def exp_samples(rates: np.ndarray, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     """Samples at t_k = k dt, k = 0..steps, of the decoupled scalar dynamics
-    z' = diag(rates) z + w, z(0) = z0, where w is held at drive[k] over
-    [t_k, t_{k+1}) (zero-order hold; drive (steps, N), None for w = 0);
-    shape (steps + 1, len(rates)).
+    z' = diag(rates) z, z(0) = z0; shape (steps + 1, len(rates)).
 
-    The free response is one broadcast of z0 * exp(rates t_k); a coordinate
-    that starts at 0 stays exactly 0 there, also where its exponential would
-    overflow.  The forced response adds the elementwise recursion
-    f_{k+1} = exp(rates dt) f_k + phi drive[k], f_0 = 0, with
-    phi = (exp(rates dt) - 1) / rates, which is dt at a rate of exactly 0."""
+    One broadcast of z0 * exp(rates t_k); a coordinate that starts at 0 stays
+    exactly 0, also where its exponential would overflow."""
     z = np.zeros((steps + 1, rates.shape[0]))
     live = np.flatnonzero(z0)
     z[:, live] = np.exp(np.outer(dt * np.arange(steps + 1), rates[live])) * z0[live]
-    if drive is not None:
-        moving = rates != 0
-        phi = np.full(rates.shape, float(dt))
-        phi[moving] = np.expm1(rates[moving] * dt) / rates[moving]
-        decay, push = np.exp(rates * dt), drive * phi
-        forced = np.zeros(rates.shape[0])
-        for k in range(steps):
-            forced = decay * forced + push[k]
-            z[k + 1] += forced
     return z
 
 
@@ -301,13 +257,9 @@ class ModePairs:
         zp, zm = z[..., :self.n], z[..., self.n:]
         return np.concatenate([self.cos * zp - self.sin * zm, self.sin * zp + self.cos * zm], axis=-1)
 
-    def samples(self, x0: np.ndarray, dt: float, steps: int, drive: np.ndarray | None = None) -> np.ndarray:
-        """Exact samples (steps + 1, 2n) of x' = M x + w, where w is held at
-        drive[k] (steps, 2n) over [t_k, t_{k+1}) (None for w = 0); row 0 is x0
-        itself."""
-        if drive is not None:
-            drive = self.to_eigen(drive)
-        x = self.from_eigen(exp_samples(self.rates, self.to_eigen(x0), dt, steps, drive))
+    def samples(self, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
+        """Exact samples (steps + 1, 2n) of x' = M x; row 0 is x0 itself."""
+        x = self.from_eigen(exp_samples(self.rates, self.to_eigen(x0), dt, steps))
         x[0] = x0
         return x
 
@@ -411,20 +363,13 @@ def _few_rows_step(f_rr: np.ndarray, f_rs: np.ndarray, d_s: np.ndarray, dt: floa
 
 
 class Propagator:
-    """Exact one-step propagator of dx/dt = M x + B u under zero-order hold,
-    by one dense matrix exponential.  It is the engine of propagate() and the
-    test oracle of the structured closed forms (ModePairs, exp_samples,
-    propagate_few_rows) that every simulation uses.
-
-    E = exp(M dt) and Phi = int_0^dt exp(M s) ds B are computed once from the
-    augmented-matrix exponential
-
-        exp([[M, B], [0, 0]] dt) = [[E, Phi], [0, I]]
-
-    which avoids inverting a possibly singular M.
+    """Exact one-step propagator x(t + dt) = E x(t), E = exp(M dt), of
+    dx/dt = M x by one dense matrix exponential.  It is the engine of
+    propagate() and the test oracle of the structured closed forms
+    (ModePairs, exp_samples, propagate_few_rows) that every simulation uses.
     """
 
-    def __init__(self, m: np.ndarray, dt: float, b: np.ndarray | None = None):
+    def __init__(self, m: np.ndarray, dt: float):
         # imported on use: loading scipy.linalg is most of the CLI's start-up
         from scipy.linalg import expm
 
@@ -434,64 +379,31 @@ class Propagator:
         if dt <= 0:
             raise ValueError("dt must be > 0")
         self.dt = float(dt)
-        n = m.shape[0]
-        self.n = n
-        if b is not None and b.size and b.shape[1] > 0:
-            b = np.asarray(b, dtype=float)
-            if b.shape[0] != n:
-                raise ValueError("B row count must match M")
-            p = b.shape[1]
-            aug = np.zeros((n + p, n + p))
-            aug[:n, :n] = m
-            aug[:n, n:] = b
-            ea = expm(aug * dt)
-            self.E = ea[:n, :n]
-            self.Phi = ea[:n, n:]
-        else:
-            self.E = expm(m * dt)
-            self.Phi = np.zeros((n, 0))
+        self.n = m.shape[0]
+        self.E = expm(m * dt)
 
-    def step(self, state: np.ndarray, u=None) -> np.ndarray:
-        out = self.E @ state
-        if u is not None and self.Phi.shape[1]:
-            out = out + self.Phi @ np.asarray(u, dtype=float)
-        return out
+    def step(self, state: np.ndarray) -> np.ndarray:
+        return self.E @ state
 
-    def run(self, state0: np.ndarray, steps: int, u=None) -> np.ndarray:
+    def run(self, state0: np.ndarray, steps: int) -> np.ndarray:
         """Propagate `steps` steps; returns array of shape (steps + 1, n)."""
-        x = np.asarray(state0, dtype=float).reshape(self.n)
         out = np.empty((steps + 1, self.n))
-        out[0] = x
+        out[0] = np.asarray(state0, dtype=float).reshape(self.n)
         for k in range(steps):
-            uk = _input_at(u, k, self.Phi.shape[1])
-            out[k + 1] = self.step(out[k], uk)
+            out[k + 1] = self.step(out[k])
         return out
 
 
-def _input_at(u, k: int, p: int):
-    if u is None or p == 0:
-        return None
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        return u
-    return u[k]
-
-
-def propagate(model_or_matrix, state0, dt: float, steps: int, u=None, b=None) -> np.ndarray:
+def propagate(model_or_matrix, state0, dt: float, steps: int) -> np.ndarray:
     """Exact trajectory of the model (or any square matrix) from state0.
 
-    For a ModalModel the state stacks both fields, [x1; x2], and inputs act
-    through the stacked [B1; B2].  `u` is piecewise constant: None, a constant
-    (p,) vector, or a (steps, p) array.
+    For a ModalModel the state stacks both fields, [x1; x2].
     """
     if isinstance(model_or_matrix, ModalModel):
         m = model_or_matrix.stacked_a()
-        if b is None:
-            b = model_or_matrix.stacked_b()
     else:
         m = np.atleast_2d(np.asarray(model_or_matrix, dtype=float))
     state0 = np.asarray(state0, dtype=float).reshape(-1)
     if state0.shape[0] != m.shape[0]:
         raise ValueError("state dimension does not match the system matrix")
-    prop = Propagator(m, dt, b if (b is not None and b.shape[1] > 0) else None)
-    return prop.run(state0, steps, u)
+    return Propagator(m, dt).run(state0, steps)

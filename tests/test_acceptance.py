@@ -150,9 +150,9 @@ def _beta3_pipeline():
 
 def test_criterion_5_reduced_error_dynamics():
     cfg, model, c, gain, x0, phi0 = _beta3_pipeline()
-    traj = simulate_reduced_order(model, cfg.sensors, gain, None, x0, phi0,
+    traj = simulate_reduced_order(model, cfg.sensors, gain, x0, phi0,
                                   cfg.simulation.dt, cfg.simulation.t_final)
-    f_red, _, _ = estimator_matrices(model, gain)
+    f_red, _ = estimator_matrices(model, gain)
     e = traj.x2_hat - traj.x2
     worst = 0.0
     for k, t in enumerate(traj.times):

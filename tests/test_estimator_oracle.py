@@ -1,13 +1,12 @@
 """The plant-plus-error simulation against the dense co-simulation oracle.
 
 The oracle stacks the plant with the estimator state, [x_m; x_w; phi] with
-phi' = F_red phi + G_y x_m + G_u u for the reduced-order estimator and
-[x; z_hat] with z_hat' = A z_hat + B u + H C_full (x - z_hat) for the
-full-order one, and propagates the stack with one dense Propagator, stepping
-and guarding sample by sample.  It also keeps G_y and G_u of
-estimator_matrices verified.  The simulations run under no_dense_propagator:
-random dense gains and actuated plants take the same structured path as
-designed gains without input.
+phi' = F_red phi + G_y x_m for the reduced-order estimator and [x; z_hat]
+with z_hat' = A z_hat + H C_full (x - z_hat) for the full-order one, and
+propagates the stack with one dense Propagator, stepping and guarding sample
+by sample.  It also keeps F_red and G_y of estimator_matrices verified.  The
+simulations run under no_dense_propagator: random dense gains take the same
+structured path as designed gains.
 """
 
 import numpy as np
@@ -22,11 +21,8 @@ from regobs import (
     ObserverGain,
     PointwiseSensor,
     Propagator,
-    Rect,
-    ZoneSensor,
     assemble_exchange_model,
     estimator_matrices,
-    input_matrix,
     output_matrix,
     simulate_full_order,
     simulate_reduced_order,
@@ -39,14 +35,14 @@ UNIT = Domain()
 RTOL = 1e-10
 
 
-def _guarded_dense(m, b, s0, steps, dt, u):
+def _guarded_dense(m, s0, steps, dt):
     """Step the stacked system; stop before the first state that is
     non-finite or exceeds MAX_STATE_NORM.  Returns the kept states and the
     failing sample index (None when the run completes)."""
-    prop = Propagator(m, dt, b)
+    prop = Propagator(m, dt)
     out = [s0]
     for k in range(steps):
-        nxt = prop.step(out[-1], u)
+        nxt = prop.step(out[-1])
         if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > MAX_STATE_NORM:
             return np.array(out), k + 1
         out.append(nxt)
@@ -58,15 +54,14 @@ def _fields(n, mf):
     return (first, second) if mf == 1 else (second, first)
 
 
-def dense_reduced(model, c, gain, u, x0, phi0, dt, steps, mf):
+def dense_reduced(model, c, gain, x0, phi0, dt, steps, mf):
     n = model.n_modes
-    f_red, g_y, g_u = estimator_matrices(model, gain, measured_field=mf)
+    f_red, g_y = estimator_matrices(model, gain, measured_field=mf)
     meas, unmeas = _fields(n, mf)
-    a, stacked_b = model.stacked_a(), model.stacked_b()
+    a = model.stacked_a()
     z = np.zeros((n, n))
     m = np.block([[a[meas, meas], a[meas, unmeas], z], [a[unmeas, meas], a[unmeas, unmeas], z], [g_y, z, f_red]])
-    b = np.vstack([stacked_b[meas], stacked_b[unmeas], g_u]) if model.n_inputs else None
-    states, k = _guarded_dense(m, b, np.concatenate([x0[meas], x0[unmeas], phi0]), steps, dt, u)
+    states, k = _guarded_dense(m, np.concatenate([x0[meas], x0[unmeas], phi0]), steps, dt)
     x = np.empty((states.shape[0], 2 * n))
     x[:, meas], x[:, unmeas] = states[:, :n], states[:, n:2 * n]
     phi = states[:, 2 * n:]
@@ -74,15 +69,14 @@ def dense_reduced(model, c, gain, u, x0, phi0, dt, steps, mf):
     return x, phi, x_w_hat, np.abs(x_w_hat - x[:, unmeas]), k
 
 
-def dense_full(model, c, gain, u, x0, xhat0, dt, steps, mf):
+def dense_full(model, c, gain, x0, xhat0, dt, steps, mf):
     n = model.n_modes
     meas, unmeas = _fields(n, mf)
     c_full = np.zeros((c.shape[0], 2 * n))
     c_full[:, meas] = c
     a, hc = model.stacked_a(), gain.H @ c_full
     m = np.block([[a, np.zeros_like(a)], [hc, a - hc]])
-    b = np.vstack([model.stacked_b()] * 2) if model.n_inputs else None
-    states, k = _guarded_dense(m, b, np.concatenate([x0, xhat0]), steps, dt, u)
+    states, k = _guarded_dense(m, np.concatenate([x0, xhat0]), steps, dt)
     x, zhat = states[:, :2 * n], states[:, 2 * n:]
     return x, zhat, zhat[:, unmeas], np.abs(zhat[:, unmeas] - x[:, unmeas]), k
 
@@ -105,15 +99,13 @@ def _assert_matches(traj, x, est, x_w_hat, abs_err, k, dt):
     _assert_close(traj.mode_abs_err, abs_err, "per-mode error")
 
 
-def _case(seed, n_side, q, beta, actuated):
+def _case(seed, n_side, q, beta):
     rng = np.random.default_rng(seed)
     modes = ModeSet.square(n_side)
-    b1 = input_matrix([ZoneSensor(Rect(0.3, 0.7, 0.2, 0.6))], UNIT, modes) if actuated else None
-    model = assemble_exchange_model(Coefficients(1.0, 0.1, beta), UNIT, modes, b1=b1)
+    model = assemble_exchange_model(Coefficients(1.0, 0.1, beta), UNIT, modes)
     sensors = [PointwiseSensor(tuple(rng.uniform(0.1, 0.9, 2))) for _ in range(q)]
     c = output_matrix(sensors, UNIT, modes)
-    u = np.array([rng.uniform(-2.0, 2.0)]) if actuated else None
-    return rng, model, sensors, c, u
+    return rng, model, sensors, c
 
 
 CASES = dict(
@@ -122,14 +114,13 @@ CASES = dict(
     q=st.sampled_from([1, 2]),
     mf=st.sampled_from([1, 2]),
     beta=st.floats(0.5, 6.0),
-    actuated=st.booleans(),
 )
 
 
 @settings(max_examples=40, deadline=None)
 @given(**CASES)
-def test_reduced_matches_dense_cosimulation(seed, n_side, q, mf, beta, actuated):
-    rng, model, sensors, c, u = _case(seed, n_side, q, beta, actuated)
+def test_reduced_matches_dense_cosimulation(seed, n_side, q, mf, beta):
+    rng, model, sensors, c = _case(seed, n_side, q, beta)
     n = model.n_modes
     a_ww = model.diagonals(mf)[2]
     gain = ObserverGain(H=0.5 * rng.standard_normal((n, q)), split=split_unstable_stable(a_ww),
@@ -138,14 +129,14 @@ def test_reduced_matches_dense_cosimulation(seed, n_side, q, mf, beta, actuated)
     phi0 = rng.standard_normal(n)
     dt, steps = 0.05, 30
     with no_dense_propagator():
-        traj = simulate_reduced_order(model, sensors, gain, u, x0, phi0, dt, dt * steps, measured_field=mf)
-    _assert_matches(traj, *dense_reduced(model, c, gain, u, x0, phi0, dt, steps, mf), dt)
+        traj = simulate_reduced_order(model, sensors, gain, x0, phi0, dt, dt * steps, measured_field=mf)
+    _assert_matches(traj, *dense_reduced(model, c, gain, x0, phi0, dt, steps, mf), dt)
 
 
 @settings(max_examples=40, deadline=None)
 @given(**CASES)
-def test_full_matches_dense_cosimulation(seed, n_side, q, mf, beta, actuated):
-    rng, model, sensors, c, u = _case(seed, n_side, q, beta, actuated)
+def test_full_matches_dense_cosimulation(seed, n_side, q, mf, beta):
+    rng, model, sensors, c = _case(seed, n_side, q, beta)
     n = model.n_modes
     a = model.stacked_a()
     gain = ObserverGain(H=0.5 * rng.standard_normal((2 * n, q)), split=split_unstable_stable(a),
@@ -154,8 +145,8 @@ def test_full_matches_dense_cosimulation(seed, n_side, q, mf, beta, actuated):
     xhat0 = rng.standard_normal(2 * n)
     dt, steps = 0.05, 30
     with no_dense_propagator():
-        traj = simulate_full_order(model, sensors, gain, u, x0, xhat0, dt, dt * steps, measured_field=mf)
-    _assert_matches(traj, *dense_full(model, c, gain, u, x0, xhat0, dt, steps, mf), dt)
+        traj = simulate_full_order(model, sensors, gain, x0, xhat0, dt, dt * steps, measured_field=mf)
+    _assert_matches(traj, *dense_full(model, c, gain, x0, xhat0, dt, steps, mf), dt)
 
 
 def test_diverging_run_truncates_at_dense_index():
@@ -172,15 +163,15 @@ def test_diverging_run_truncates_at_dense_index():
                                 target_margin=1.0, closed_loop_eigs=model.a22,
                                 residual=float("nan"), sensor_matrix=c)
     with no_dense_propagator():
-        traj = simulate_reduced_order(model, blind, reduced_gain, None, x0, np.zeros(n), dt, dt * steps)
-    oracle = dense_reduced(model, c, reduced_gain, None, x0, np.zeros(n), dt, steps, 1)
+        traj = simulate_reduced_order(model, blind, reduced_gain, x0, np.zeros(n), dt, dt * steps)
+    oracle = dense_reduced(model, c, reduced_gain, x0, np.zeros(n), dt, steps, 1)
     assert oracle[-1] is not None and oracle[-1] < steps
     _assert_matches(traj, *oracle, dt)
 
     full_gain = ObserverGain(H=np.zeros((2 * n, 1)), split=split_unstable_stable(model.stacked_a()),
                              target_margin=1.0, closed_loop_eigs=np.zeros(2 * n), residual=float("nan"))
     with no_dense_propagator():
-        traj = simulate_full_order(model, blind, full_gain, None, x0, np.zeros(2 * n), dt, dt * steps)
-    oracle = dense_full(model, c, full_gain, None, x0, np.zeros(2 * n), dt, steps, 1)
+        traj = simulate_full_order(model, blind, full_gain, x0, np.zeros(2 * n), dt, dt * steps)
+    oracle = dense_full(model, c, full_gain, x0, np.zeros(2 * n), dt, steps, 1)
     assert oracle[-1] is not None and oracle[-1] < steps
     _assert_matches(traj, *oracle, dt)

@@ -35,6 +35,7 @@ from regobs import (
     strategic_rank_test,
 )
 from regobs import observer
+from regobs.spectral import ModePairs
 
 UNIT = Domain()
 PI2 = math.pi**2
@@ -87,6 +88,18 @@ class TestSplit:
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError, match="margin must be >= 0"):
             split_unstable_stable(make_model(3.0).a22, margin=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        # a NaN fails both ">= -margin" and "< -margin": it would be in neither part
+        a22 = make_model(3.0).a22.copy()
+        a22[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            split_unstable_stable(a22)
+        with np.errstate(invalid="ignore"):
+            pairs = ModePairs.of_blocks(a22, np.full(4, -3.0), a22)
+        with pytest.raises(ValueError, match="finite"):
+            split_unstable_stable(pairs)
 
 
 class TestDesignGain:
@@ -220,10 +233,9 @@ class TestEstimatorMatrices:
         split = split_unstable_stable(model.a22, 0.0)
         gain = design_gain(reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
         assert not gain.H.any()
-        f_red, g_y, g_u = estimator_matrices(model, gain)
+        f_red, g_y = estimator_matrices(model, gain)
         assert np.array_equal(f_red, np.diag(model.a22))
         assert np.array_equal(g_y, np.diag(model.a12))
-        assert np.array_equal(g_u, model.B2)
 
     def test_single_mode_symbolic(self):
         # One mode, one sensor with unit output coefficient: with a12 = -1,
@@ -234,7 +246,7 @@ class TestEstimatorMatrices:
         split = split_unstable_stable(model.a22, 0.0)
         gain = ObserverGain(H=np.array([[h]]), split=split, target_margin=1.0,
                             closed_loop_eigs=np.zeros(1), residual=0.0, sensor_matrix=c)
-        f_red, g_y, g_u = estimator_matrices(model, gain)
+        f_red, g_y = estimator_matrices(model, gain)
         assert f_red[0, 0] == pytest.approx((1 - 0.2 * PI2) + h, abs=1e-12)
         a22, a12, a11, a21 = model.a22[0], -1.0, model.a11[0], -1.0
         assert g_y[0, 0] == pytest.approx(a22 * h - h * a12 * h - h * a11 + a21, abs=1e-12)
@@ -248,7 +260,7 @@ class TestEstimatorMatrices:
         split = split_unstable_stable(model.a22, 0.0)
         gain = ObserverGain(H=h, split=split, target_margin=1.0,
                             closed_loop_eigs=np.zeros(9), residual=0.0, sensor_matrix=c)
-        f_red, _, _ = estimator_matrices(model, gain)
+        f_red, _ = estimator_matrices(model, gain)
         assert np.allclose(np.diag(model.a22) - f_red, (h @ c) @ np.diag(model.a12), atol=1e-13)
 
 
@@ -259,7 +271,7 @@ class TestSimulateReduced:
         rng = np.random.default_rng(1)
         x0 = rng.standard_normal(8)
         phi0 = x0[4:] - gain.H @ (c @ x0[:4])
-        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, x0, phi0, 0.01, 2.0, region=REGION)
+        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, x0, phi0, 0.01, 2.0, region=REGION)
         assert np.abs(traj.x2_hat - traj.x2).max() < 1e-10
         assert traj.err_gamma.max() < 1e-10
 
@@ -274,8 +286,8 @@ class TestSimulateReduced:
                             closed_loop_eigs=np.zeros(9), residual=0.0, sensor_matrix=c)
         x0 = rng.standard_normal(18)
         phi0 = rng.standard_normal(9)
-        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, x0, phi0, 0.02, 1.5)
-        f_red, _, _ = estimator_matrices(model, gain)
+        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, x0, phi0, 0.02, 1.5)
+        f_red, _ = estimator_matrices(model, gain)
         e0 = traj.x2_hat[0] - traj.x2[0]
         for k in range(0, traj.times.shape[0], 5):
             oracle = expm(f_red * traj.times[k]) @ e0
@@ -287,7 +299,7 @@ class TestSimulateReduced:
         # initial error with a dominant slow-mode component, so the fit
         # window sees the -1 closed-loop rate rather than the transient
         x0 = np.array([0.3, -0.2, 0.4, 0.1, 1.0, 0.1, 0.1, 0.1])
-        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, x0,
+        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, x0,
                                       -gain.H @ (c @ x0[:4]), 0.01, 5.0, region=REGION)
         fit = fit_decay(traj.times, traj.err_gamma, window=(1.0, 5.0))
         assert abs(fit.alpha_fit - 1.0) <= 0.1
@@ -297,7 +309,7 @@ class TestSimulateReduced:
         c, gain = make_gain(model, STRATEGIC_PAIR)  # J = 0 so H = 0
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal(8)
-        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, x0,
+        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, x0,
                                       np.zeros(4), 0.01, 5.0, region=REGION)
         fit = fit_decay(traj.times, traj.err_gamma, window=(1.0, 5.0))
         assert abs(fit.alpha_fit - abs(1 - 0.2 * PI2)) / abs(1 - 0.2 * PI2) < 0.05
@@ -314,7 +326,7 @@ class TestSimulateReduced:
                             sensor_matrix=c)
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal(8)
-        traj = simulate_reduced_order(model, blind, gain, None, x0, np.zeros(4), 0.01, 3.0)
+        traj = simulate_reduced_order(model, blind, gain, x0, np.zeros(4), 0.01, 3.0)
         col = model.mode_set.position(ModeIndex(2, 1))
         fit = fit_decay(traj.times, traj.mode_abs_err[:, col], window=(0.0, 3.0))
         rate = 6 - 0.5 * PI2
@@ -331,46 +343,18 @@ class TestSimulateReduced:
         x0 = np.array([0.3, -0.2, 0.4, 0.1, 1.0, 0.6, 0.5, 0.4])
         for alpha in (0.5, 1.0, 3.0):
             gain = design_gain(reduced_output_map(model, c), split, alpha, sensor_matrix=c)
-            traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, x0,
+            traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, x0,
                                           -gain.H @ (c @ x0[:4]), 0.01, 5.0, region=REGION)
             fit = fit_decay(traj.times, traj.err_gamma, window=(1.0, 5.0))
             slowest = min(abs(v) for v in np.real(gain.closed_loop_eigs))
             assert fit.alpha_fit >= 0.9 * min(alpha, slowest)
-
-    def test_plant_with_actuator_matches_open_loop(self):
-        from regobs import ZoneSensor, input_matrix
-
-        b1 = input_matrix([ZoneSensor(Rect(0.3, 0.7, 0.3, 0.7))], UNIT, ModeSet.square(2))
-        model = assemble_exchange_model(Coefficients(1.0, 0.1, 3.0), UNIT, ModeSet.square(2), b1=b1)
-        c, gain = make_gain(model, STRATEGIC_PAIR)
-        rng = np.random.default_rng(10)
-        x0 = rng.standard_normal(8)
-        u = np.array([0.8])
-        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, x0, np.zeros(4), 0.01, 1.0)
-        traj_u = simulate_reduced_order(model, STRATEGIC_PAIR, gain, u, x0, np.zeros(4), 0.01, 1.0)
-        open_loop = propagate(model, x0, 0.01, 100, u=u)
-        plant = np.hstack([traj_u.x1, traj_u.x2])
-        assert np.abs(plant - open_loop).max() < 1e-12
-        assert np.abs(traj_u.x1 - traj.x1).max() > 1e-3  # the input actually acts
-
-    @pytest.mark.parametrize("shape", [(103, 1), (99, 1), (2,)])
-    def test_input_shape_checked(self, shape):
-        # 100 steps and one actuator: only a (1,) constant or a (100, 1)
-        # schedule fits; a longer schedule is not cut, a shorter not run out
-        from regobs import ZoneSensor, input_matrix
-
-        b1 = input_matrix([ZoneSensor(Rect(0.3, 0.7, 0.3, 0.7))], UNIT, ModeSet.square(2))
-        model = assemble_exchange_model(Coefficients(1.0, 0.1, 3.0), UNIT, ModeSet.square(2), b1=b1)
-        c, gain = make_gain(model, STRATEGIC_PAIR)
-        with pytest.raises(ValueError, match="u must have shape"):
-            simulate_reduced_order(model, STRATEGIC_PAIR, gain, np.ones(shape), np.ones(8), np.zeros(4), 0.01, 1.0)
 
     def test_horizon_must_be_whole_steps(self):
         # dt = 0.4 does not divide t_final = 1.0; rounding would stop at t = 0.8
         model = make_model(3.0)
         c, gain = make_gain(model, STRATEGIC_PAIR)
         with pytest.raises(ValueError, match="whole number of dt steps"):
-            simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, np.ones(8), np.zeros(4), 0.4, 1.0)
+            simulate_reduced_order(model, STRATEGIC_PAIR, gain, np.ones(8), np.zeros(4), 0.4, 1.0)
 
     @pytest.mark.parametrize("t_final", [0.4, 0.2])
     def test_one_step_horizon_agrees_with_config(self, t_final):
@@ -380,12 +364,12 @@ class TestSimulateReduced:
         c, gain = make_gain(model, STRATEGIC_PAIR)
         text = f"simulation.dt = 0.4\nsimulation.T = {t_final}\n"
         if t_final >= 0.4:
-            traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, np.ones(8), np.zeros(4), 0.4, t_final)
+            traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, np.ones(8), np.zeros(4), 0.4, t_final)
             assert traj.times.tolist() == [0.0, 0.4]
             assert parse_config(text).simulation.t_final == t_final
         else:
             with pytest.raises(ValueError, match="t_final >= dt"):
-                simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, np.ones(8), np.zeros(4), 0.4, t_final)
+                simulate_reduced_order(model, STRATEGIC_PAIR, gain, np.ones(8), np.zeros(4), 0.4, t_final)
             with pytest.raises(ConfigError, match=r"simulation\.T must be >= simulation\.dt"):
                 parse_config(text)
 
@@ -394,7 +378,7 @@ class TestSimulateReduced:
         c, gain = make_gain(model, STRATEGIC_PAIR)
         rng = np.random.default_rng(6)
         x0 = rng.standard_normal(8)
-        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, None, x0, rng.standard_normal(4), 0.01, 1.0)
+        traj = simulate_reduced_order(model, STRATEGIC_PAIR, gain, x0, rng.standard_normal(4), 0.01, 1.0)
         recovered = traj.estimator_state + traj.y @ gain.H.T
         assert np.array_equal(traj.x2_hat, recovered)
 
@@ -407,7 +391,7 @@ class TestSimulateReduced:
                             closed_loop_eigs=model.a22, residual=float("nan"),
                             sensor_matrix=c)
         x0 = np.full(8, 10.0)
-        traj = simulate_reduced_order(model, blind, gain, None, x0, np.zeros(4), 0.05, 12.0)
+        traj = simulate_reduced_order(model, blind, gain, x0, np.zeros(4), 0.05, 12.0)
         assert traj.diverged
         assert traj.times.shape[0] < int(round(12.0 / 0.05)) + 1
         assert "truncated" in traj.divergence_message
@@ -425,7 +409,7 @@ class TestSimulateFullOrder:
         gain = self._full_gain(model, STRATEGIC_PAIR)
         rng = np.random.default_rng(7)
         x0 = rng.standard_normal(8)
-        traj = simulate_full_order(model, STRATEGIC_PAIR, gain, None, x0, x0, 0.01, 2.0, region=REGION)
+        traj = simulate_full_order(model, STRATEGIC_PAIR, gain, x0, x0, 0.01, 2.0, region=REGION)
         assert traj.err_gamma.max() < 1e-9
 
     def test_error_obeys_output_injection_dynamics(self):
@@ -437,7 +421,7 @@ class TestSimulateFullOrder:
         rng = np.random.default_rng(8)
         x0 = rng.standard_normal(8)
         z0 = rng.standard_normal(8)
-        traj = simulate_full_order(model, STRATEGIC_PAIR, gain, None, x0, z0, 0.02, 1.0)
+        traj = simulate_full_order(model, STRATEGIC_PAIR, gain, x0, z0, 0.02, 1.0)
         e0 = z0 - x0
         full_state_err = traj.estimator_state - np.hstack([traj.x1, traj.x2])
         for k in range(0, traj.times.shape[0], 10):
@@ -450,7 +434,7 @@ class TestSimulateFullOrder:
         _, gain = make_gain(model, STRATEGIC_PAIR)
         x0 = np.random.default_rng(10).standard_normal(8)
         with pytest.raises(ValueError, match="full-order gain must have shape"):
-            simulate_full_order(model, STRATEGIC_PAIR, gain, None, x0, x0, 0.01, 1.0)
+            simulate_full_order(model, STRATEGIC_PAIR, gain, x0, x0, 0.01, 1.0)
 
     def test_zero_gain_reproduces_open_loop_plant(self):
         model = make_model(1.0)
@@ -461,6 +445,6 @@ class TestSimulateFullOrder:
         assert not gain.H.any()
         rng = np.random.default_rng(9)
         x0 = rng.standard_normal(8)
-        traj = simulate_full_order(model, STRATEGIC_PAIR, gain, None, x0, x0, 0.01, 1.0)
+        traj = simulate_full_order(model, STRATEGIC_PAIR, gain, x0, x0, 0.01, 1.0)
         open_loop = propagate(model, x0, 0.01, traj.times.shape[0] - 1)
         assert np.abs(traj.estimator_state - open_loop).max() < 1e-12

@@ -27,7 +27,7 @@ from regobs import (
 )
 from regobs import geometry
 from regobs.geometry import edge_segment, gauss_nodes
-from regobs.region import error_norm_series, region_gram, region_quadrature
+from regobs.region import gram_norm_series, region_gram, region_quadrature
 from regobs.observer import ObserverGain, split_unstable_stable
 
 UNIT = Domain()
@@ -150,12 +150,12 @@ class TestGammaErrorNorm:
         split = split_unstable_stable(model.a22, 0.0)
         gain = design_gain(reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
         x0 = np.array([0.3, -0.2, 0.4, 0.1, 1.0, 0.1, 0.1, 0.1])
-        traj = simulate_reduced_order(model, sensors, gain, None, x0, -gain.H @ (c @ x0[:4]), 0.01, 5.0)
+        traj = simulate_reduced_order(model, sensors, gain, x0, -gain.H @ (c @ x0[:4]), 0.01, 5.0)
         err = traj.x2_hat - traj.x2
         region = InternalRectangle(Rect(0.2, 0.8, 0.2, 0.8))
         fits = []
         for weight in ("l2", "sobolev_half"):
-            series = error_norm_series(err, UNIT, model.mode_set, region, weight)
+            series = gram_norm_series(err, region_gram(region, UNIT, model.mode_set), UNIT, model.mode_set, weight)
             fits.append(fit_decay(traj.times, series, window=(1.0, 5.0)).alpha_fit)
         assert abs(fits[0] - fits[1]) / abs(fits[0]) < 0.02
 
@@ -185,12 +185,12 @@ class TestRegionGram:
         else:
             sob = np.sqrt(1.0 + np.abs(eigenvalues(modes, UNIT)))
             nodewise = np.sqrt((((vals * collar.weights) @ eval_matrix(UNIT, modes, collar.points)) ** 2) @ sob)
-        got = error_norm_series(err, UNIT, modes, collar, weight)
+        got = gram_norm_series(err, region_gram(collar, UNIT, modes), UNIT, modes, weight)
         assert np.abs(got - nodewise).max() <= 1e-12 * nodewise.max()
 
     def test_unknown_weight_rejected(self):
         with pytest.raises(ValueError):
-            error_norm_series(np.zeros((1, 4)), UNIT, ModeSet.square(2), FULL_SQUARE, "h1")
+            gram_norm_series(np.zeros((1, 4)), np.eye(4), UNIT, ModeSet.square(2), "h1")
 
 
 class TestCollar:

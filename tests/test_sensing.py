@@ -19,7 +19,6 @@ from regobs import (
     ZoneSensor,
     assemble_exchange_model,
     group_modes_by_eigenvalue,
-    input_matrix,
     nonstrategic_pointwise_predicate,
     nonstrategic_zone_predicate,
     observability_gramian,
@@ -126,11 +125,6 @@ class TestOutputMatrix:
     def test_empty_sensor_list_rejected(self):
         with pytest.raises(ValueError, match="sensor list must be nonempty"):
             output_matrix([], UNIT, ModeSet.square(2))
-
-    def test_input_matrix_is_transpose(self):
-        sensors = [PointwiseSensor((0.3, 0.4)), ZoneSensor(Rect(0.1, 0.3, 0.5, 0.9))]
-        modes = ModeSet.square(2)
-        assert np.array_equal(input_matrix(sensors, UNIT, modes), output_matrix(sensors, UNIT, modes).T)
 
 
 class TestGrouping:

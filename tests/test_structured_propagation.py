@@ -1,9 +1,8 @@
 """Structured exact propagation against the dense Propagator oracle.
 
-Every simulation takes one path: the plant, with or without input, is
-propagated by the closed-form per-mode 2 x 2 exponentials and their
-zero-order-hold input response (spectral.ModePairs), and the estimation
-error by spectral.propagate_few_rows in split coordinates, for designed and
+Every simulation takes one path: the plant is propagated by the closed-form
+per-mode 2 x 2 exponentials (spectral.ModePairs), and the estimation error
+by spectral.propagate_few_rows in split coordinates, for designed and
 arbitrary gains alike.  The dense Propagator is only the reference: every
 structured result here is compared with it to a worst-case relative error of
 RTOL, and no simulation may build one.
@@ -78,8 +77,8 @@ def _dense_error(kind, model, c, h, e0, dt, steps, mf):
     return Propagator(block - h @ obs_map, dt).run(e0, steps)
 
 
-def _dense_plant(model, u, x0, dt, t_final):
-    return propagate(model, x0, dt, int(round(t_final / dt)), u)
+def _dense_plant(model, x0, dt, t_final):
+    return propagate(model, x0, dt, int(round(t_final / dt)))
 
 
 def _dense_error_trajectory(kind, model, c, gain, e0, dt, steps, mf):
@@ -95,37 +94,30 @@ def _stacked_pairs(a, b, d):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_side=st.sampled_from([1, 2, 3]), beta=st.floats(0.0, 8.0),
        alpha=st.floats(0.05, 2.0), gamma=st.floats(0.05, 2.0), dt=st.sampled_from([0.01, 0.05, 0.2]),
-       inputs=st.sampled_from(["none", "constant", "schedule"]),
-       fields=st.sampled_from([(), (1,), (2,), (1, 2)]), zero_rate=st.booleans())
-@example(seed=1, n_side=2, beta=3.0, alpha=1.0, gamma=0.1, dt=0.05, inputs="schedule", fields=(1, 2),
-         zero_rate=True)
-def test_closed_form_plant_matches_dense(seed, n_side, beta, alpha, gamma, dt, inputs, fields, zero_rate):
-    # fields lists the fields the p actuators act on; a zero_rate case
-    # propagates ModePairs.of_blocks directly, with one pair [[s, s], [s, s]],
-    # s > 0, whose eigenvalue mean - hypot(0, s) = 0 is exact, so the input
-    # response takes its phi = dt limit there
+       zero_rate=st.booleans())
+@example(seed=1, n_side=2, beta=3.0, alpha=1.0, gamma=0.1, dt=0.05, zero_rate=True)
+def test_closed_form_plant_matches_dense(seed, n_side, beta, alpha, gamma, dt, zero_rate):
+    # a zero_rate case propagates ModePairs.of_blocks directly, with one pair
+    # [[s, s], [s, s]], s > 0, whose eigenvalue mean - hypot(0, s) = 0 is
+    # exact: the free response there is constant, exp(0 t) = 1
     rng = np.random.default_rng(seed)
     modes = ModeSet.square(n_side)
-    n, p = len(modes), int(rng.integers(1, 3)) if fields else 0
-    b1, b2 = (rng.standard_normal((n, p)) if f in fields else None for f in (1, 2))
-    model = assemble_exchange_model(Coefficients(alpha, gamma, beta), UNIT, modes, b1=b1, b2=b2)
+    n = len(modes)
+    model = assemble_exchange_model(Coefficients(alpha, gamma, beta), UNIT, modes)
     x0 = rng.standard_normal(2 * n)
     steps = 40
-    u = {"none": None, "constant": rng.uniform(-2.0, 2.0, p),
-         "schedule": rng.uniform(-2.0, 2.0, (steps, p))}[inputs]
     if zero_rate:
         a, b, d = model.a11.copy(), model.a12.copy(), model.a22.copy()
         a[0] = b[0] = d[0] = rng.uniform(0.5, 3.0)
         pairs = ModePairs.of_blocks(a, b, d)
         assert pairs.rates[n] == 0.0
-        drive = None if u is None else np.broadcast_to(u, (steps, p)) @ model.stacked_b().T
         with no_dense_propagator():
-            x = pairs.samples(x0, dt, steps, drive)
-        ref = propagate(_stacked_pairs(a, b, d), x0, dt, steps, u, b=model.stacked_b())
+            x = pairs.samples(x0, dt, steps)
+        ref = propagate(_stacked_pairs(a, b, d), x0, dt, steps)
     else:
         with no_dense_propagator():
-            x = _plant_trajectory(model, u, x0, dt, dt * steps)
-        ref = propagate(model, x0, dt, steps, u)
+            x = _plant_trajectory(model, x0, dt, dt * steps)
+        ref = propagate(model, x0, dt, steps)
     _assert_close(x, ref)
     assert np.array_equal(x[0], x0)
 
@@ -210,10 +202,10 @@ def test_diverging_zero_gain_truncates_at_dense_index(seed, n_side, beta, scale,
                         target_margin=1.0, closed_loop_eigs=np.zeros(2 * n), residual=float("nan"))
     phi0, xhat0 = rng.standard_normal(n), rng.standard_normal(2 * n)
     with no_dense_propagator():
-        traj_r = simulate_reduced_order(model, sensors, reduced, None, x0, phi0, dt, dt * steps, mf)
-        traj_f = simulate_full_order(model, sensors, full, None, x0, xhat0, dt, dt * steps, mf)
-    for traj, oracle in ((traj_r, dense_reduced(model, c, reduced, None, x0, phi0, dt, steps, mf)),
-                         (traj_f, dense_full(model, c, full, None, x0, xhat0, dt, steps, mf))):
+        traj_r = simulate_reduced_order(model, sensors, reduced, x0, phi0, dt, dt * steps, measured_field=mf)
+        traj_f = simulate_full_order(model, sensors, full, x0, xhat0, dt, dt * steps, measured_field=mf)
+    for traj, oracle in ((traj_r, dense_reduced(model, c, reduced, x0, phi0, dt, steps, mf)),
+                         (traj_f, dense_full(model, c, full, x0, xhat0, dt, steps, mf))):
         x, est, x_w_hat, abs_err, k = oracle
         assert k is not None and traj.divergence_message.startswith("state norm exceeded")
         assert f"at t index {k};" in traj.divergence_message
@@ -240,7 +232,7 @@ def test_zero_start_on_unstable_modes_stays_zero_past_overflow(mf):
     x0[np.concatenate([growing, growing])] = 0.0
     dt, steps = 0.5, 200
     with no_dense_propagator():
-        x = _plant_trajectory(model, None, x0, dt, dt * steps)
+        x = _plant_trajectory(model, x0, dt, dt * steps)
     _assert_close(x, propagate(model, x0, dt, steps))
 
     sensors = [PointwiseSensor((0.3, 0.6))]
@@ -252,10 +244,10 @@ def test_zero_start_on_unstable_modes_stays_zero_past_overflow(mf):
                         target_margin=1.0, closed_loop_eigs=np.zeros(2 * n), residual=float("nan"))
     x_w0 = x0[n:] if mf == 1 else x0[:n]
     with no_dense_propagator():
-        traj_r = simulate_reduced_order(model, sensors, reduced, None, x0, x_w0, dt, dt * steps, mf)
-        traj_f = simulate_full_order(model, sensors, full, None, x0, x0, dt, dt * steps, mf)
-    for traj, oracle in ((traj_r, dense_reduced(model, c, reduced, None, x0, x_w0, dt, steps, mf)),
-                         (traj_f, dense_full(model, c, full, None, x0, x0, dt, steps, mf))):
+        traj_r = simulate_reduced_order(model, sensors, reduced, x0, x_w0, dt, dt * steps, measured_field=mf)
+        traj_f = simulate_full_order(model, sensors, full, x0, x0, dt, dt * steps, measured_field=mf)
+    for traj, oracle in ((traj_r, dense_reduced(model, c, reduced, x0, x_w0, dt, steps, mf)),
+                         (traj_f, dense_full(model, c, full, x0, x0, dt, steps, mf))):
         x_ref, est, x_w_hat, abs_err, k = oracle
         assert k is None and not traj.diverged
         assert traj.times.shape[0] == steps + 1
