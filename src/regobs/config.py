@@ -23,7 +23,7 @@ from .geometry import EDGES, Domain, Rect, edge_segment
 from .observer import _steps
 from .region import NORM_WEIGHTS, BoundarySegment, InternalRectangle
 from .sensing import PointwiseSensor, ZoneSensor, _check_sensor
-from .spectral import Coefficients
+from .spectral import Coefficients, ModeIndex, ModeSet, assemble_exchange_model
 
 ESTIMATOR_CHOICES = ("reduced", "full", "both")
 ESTIMATOR_INIT_CHOICES = ("zero", "truth")
@@ -264,8 +264,12 @@ def parse_config(text: str) -> ExperimentConfig:
     coefficients = _section(entries, "coefficients")
     region, collar_radius = _parse_region(entries, domain)
     sensors = _parse_sensors(entries, domain)
-    return ExperimentConfig(domain, coefficients, region, collar_radius, sensors,
-                            *(_section(entries, section) for section in ("observer", "simulation", "output")))
+    observer, simulation, output = (_section(entries, section) for section in ("observer", "simulation", "output"))
+    # the extreme modes bound every diagonal and rate of the run's model
+    n = simulation.n_modes
+    corners = ModeSet(tuple(dict.fromkeys((ModeIndex(1, 1), ModeIndex(n, n)))))
+    _make("coefficients", assemble_exchange_model, coefficients, domain, corners)
+    return ExperimentConfig(domain, coefficients, region, collar_radius, sensors, observer, simulation, output)
 
 
 def _parse_region(entries, domain: Domain):

@@ -23,7 +23,7 @@ from .observer import (
     design_gain,
     split_unstable_stable,
 )
-from .region import BoundarySegment, DecayFit, build_collar, fit_decay, region_gram
+from .region import BoundarySegment, DecayFit, build_collar, fit_decay, region_operator
 from .sensing import (
     PointwiseSensor,
     StrategicReport,
@@ -137,7 +137,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     sim = cfg.simulation
     strategic = strategic_rank_test(c, groups)
     norm_region, region_note = _norm_region(cfg)
-    gram = region_gram(norm_region, cfg.domain, model.mode_set)
+    gram = region_operator(norm_region, cfg.domain, model.mode_set)
 
     x0 = _initial_state(cfg, model.n_modes)
     x = _plant_trajectory(model, x0, sim.dt, sim.t_final)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .region import gram_norm_series, region_gram
+from .region import gram_norm_series, region_operator
 from .sensing import TOL_RANK, output_matrix
 from .spectral import ModalModel, ModePairs, propagate_few_rows
 
@@ -380,7 +380,8 @@ def _simulate(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x
     and the error, phi = x_w + e - H y or z_hat = x + e.  The run is
     truncated before the first sample at which the plant or the estimator
     state is non-finite or exceeds MAX_STATE_NORM in sup-norm.  gram is the
-    target region's Gram matrix (region.region_gram) for err_gamma, or None.
+    target region's Gram matrix (region.region_operator) for err_gamma, or
+    None; the full estimator's two field errors are read as views of e.
     """
     n = model.n_modes
     meas, unmeas = _field_slices(n, measured_field)
@@ -421,14 +422,14 @@ def _simulate(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x
         divergence_message=msg,
     )
     if gram is not None:
-        fields = e if kind == "reduced" else np.vstack([e[:, :n], e[:, n:]])
-        norms = gram_norm_series(fields, gram, model.domain, model.mode_set, norm_weight)
-        traj.err_gamma = np.sqrt(np.sum(norms.reshape(-1, e.shape[0]) ** 2, axis=0))
+        fields = (e,) if kind == "reduced" else (e[:, :n], e[:, n:])
+        norms = np.array([gram_norm_series(f, gram, model.domain, model.mode_set, norm_weight) for f in fields])
+        traj.err_gamma = np.sqrt(np.sum(norms**2, axis=0))
     return traj
 
 
-def _region_gram(model: ModalModel, region):
-    return None if region is None else region_gram(region, model.domain, model.mode_set)
+def _region_operator(model: ModalModel, region):
+    return None if region is None else region_operator(region, model.domain, model.mode_set)
 
 
 def simulate_reduced_order(
@@ -458,7 +459,7 @@ def simulate_reduced_order(
     meas, _ = _field_slices(model.n_modes, measured_field)
     xhat0 = np.asarray(phi0, dtype=float).reshape(model.n_modes) + gain.H @ (c @ x[0, meas])
     return _simulate("reduced", model, c, gain, x, xhat0, dt, measured_field,
-                     _region_gram(model, region), norm_weight)
+                     _region_operator(model, region), norm_weight)
 
 
 def simulate_full_order(
@@ -485,4 +486,4 @@ def simulate_full_order(
     x = _plant_trajectory(model, x0, dt, t_final)
     xhat0 = np.asarray(xhat0, dtype=float).reshape(2 * model.n_modes)
     return _simulate("full", model, c, gain, x, xhat0, dt, measured_field,
-                     _region_gram(model, region), norm_weight)
+                     _region_operator(model, region), norm_weight)

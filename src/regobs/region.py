@@ -7,6 +7,13 @@ modal Sobolev surrogate (weights sqrt(1 + |lambda_m|) on indicator-projected
 coefficients) as an option.  On a fixed truncation all these norms are
 equivalent, so decay-rate and convergence statements do not depend on the
 choice.
+
+The Gram matrix of an internal rectangle is the Kronecker product of two 1-D
+sine Grams, so a run applies it in that form (SeparableGram, from
+region_operator): G e costs two small matrix products per sample and no n x n
+matrix is built.  Collars and boundary segments keep the dense quadrature
+Gram, and region_gram stays the dense form of every region, the oracle of
+the separable one.
 """
 
 from __future__ import annotations
@@ -133,38 +140,91 @@ def _sine_gram_1d(n: int, alpha: float, length: float, lo: float, hi: float) -> 
     return np.array([[_sine_product_integral(ai, -ai * alpha, ak, -ak * alpha, lo, hi) for ak in a] for ai in a])
 
 
+@dataclass(frozen=True, eq=False)
+class SeparableGram:
+    """Gram matrix of an internal rectangle in separable form,
+
+        G[m, m'] = scale I1[i_m - 1, i_m' - 1] I2[j_m - 1, j_m' - 1],
+
+    held as the 1-D sine Grams i1 (max_i x max_i) and i2 (max_j x max_j) and
+    scale = 4/(L1 L2).  Mode m sits in cell cells[m] = (i_m - 1) max_j + j_m - 1
+    of the row-major (max_i, max_j) grid; no mode order is assumed.
+    """
+
+    i1: np.ndarray
+    i2: np.ndarray
+    scale: float
+    cells: np.ndarray
+
+    @property
+    def _is_grid(self) -> bool:
+        # the modes fill the grid in row-major order, as ModeSet.square does
+        return self.cells.size == self.i1.shape[0] * self.i2.shape[0] and \
+            bool((self.cells == np.arange(self.cells.size)).all())
+
+    def project(self, err: np.ndarray) -> np.ndarray:
+        """Rows e G of err (T, n): scale I1^T E I2 for each row's grid E."""
+        t, (ni, nj), is_grid = err.shape[0], (self.i1.shape[0], self.i2.shape[0]), self._is_grid
+        if is_grid:
+            grid = err.reshape(t, ni, nj)
+        else:
+            grid = np.zeros((t, ni * nj))
+            grid[:, self.cells] = err
+            grid = grid.reshape(t, ni, nj)
+        out = (np.matmul(self.scale * self.i1.T, grid).reshape(t * ni, nj) @ self.i2).reshape(t, ni * nj)
+        return out if is_grid else out[:, self.cells]
+
+
+def _rectangle_gram(region: InternalRectangle, domain: Domain, modes: ModeSet) -> SeparableGram:
+    rect = region.rect
+    if not rect.inside(domain):
+        raise ValueError("internal rectangle outside domain")
+    max_j = modes.max_j
+    i1 = _sine_gram_1d(modes.max_i, domain.alpha1, domain.length1, rect.lo1, rect.hi1)
+    i2 = _sine_gram_1d(max_j, domain.alpha2, domain.length2, rect.lo2, rect.hi2)
+    cells = np.array([(m.i - 1) * max_j + m.j - 1 for m in modes])
+    return SeparableGram(i1=i1, i2=i2, scale=4.0 / (domain.length1 * domain.length2), cells=cells)
+
+
 def region_gram(region, domain: Domain, modes: ModeSet) -> np.ndarray:
     """Gram matrix G[m, m'] = int_region phi_m phi_m': exact and separable,
     (4/(L1 L2)) I1[i, i'] I2[j, j'], for an InternalRectangle; the region
     quadrature for a collar or boundary segment."""
     if isinstance(region, InternalRectangle):
-        rect = region.rect
-        if not rect.inside(domain):
-            raise ValueError("internal rectangle outside domain")
-        i1 = _sine_gram_1d(modes.max_i, domain.alpha1, domain.length1, rect.lo1, rect.hi1)
-        i2 = _sine_gram_1d(modes.max_j, domain.alpha2, domain.length2, rect.lo2, rect.hi2)
+        sep = _rectangle_gram(region, domain, modes)
         ii = np.array([m.i - 1 for m in modes])
         jj = np.array([m.j - 1 for m in modes])
-        return 4.0 / (domain.length1 * domain.length2) * i1[np.ix_(ii, ii)] * i2[np.ix_(jj, jj)]
+        return sep.scale * sep.i1[np.ix_(ii, ii)] * sep.i2[np.ix_(jj, jj)]
     pts, w = region_quadrature(region, domain)
     phi = eval_matrix(domain, modes, pts) if pts.shape[0] else np.zeros((0, len(modes)))
     return phi.T @ (w[:, None] * phi)
 
 
-def gram_norm_series(err_coeffs: np.ndarray, gram: np.ndarray, domain: Domain, modes: ModeSet,
+def region_operator(region, domain: Domain, modes: ModeSet):
+    """The region's Gram matrix in the form gram_norm_series applies fastest:
+    a SeparableGram for an InternalRectangle, region_gram otherwise."""
+    if isinstance(region, InternalRectangle):
+        return _rectangle_gram(region, domain, modes)
+    return region_gram(region, domain, modes)
+
+
+def gram_norm_series(err_coeffs: np.ndarray, gram, domain: Domain, modes: ModeSet,
                      weight: str = "l2") -> np.ndarray:
     """Region-restricted norm of each row e of err_coeffs (T, n_modes):
     sqrt(e'Ge) for l2, sqrt(sum sob (Ge)^2) for sobolev_half, where G is the
-    region's Gram matrix (region_gram)."""
+    region's Gram matrix, dense (region_gram) or separable (region_operator)."""
     if weight not in NORM_WEIGHTS:
         raise ValueError(f"unknown norm weight {weight!r}; expected one of {NORM_WEIGHTS}")
-    err = np.atleast_2d(np.asarray(err_coeffs, dtype=float))
-    # Subnormal coefficients (decayed fast modes) change no norm above 1e-300
-    # but make the matrix product several times slower: flush them to zero.
-    err = np.where(np.abs(err) < np.finfo(float).tiny, 0.0, err)
-    projected = err @ gram
+    # a copy, flushed in place: subnormal coefficients (decayed fast modes)
+    # change no norm above 1e-300 but make the matrix products several times
+    # slower
+    err = np.array(err_coeffs, dtype=float, ndmin=2)
+    tiny = np.finfo(float).tiny
+    np.copyto(err, 0.0, where=(err > -tiny) & (err < tiny))
+    projected = gram.project(err) if isinstance(gram, SeparableGram) else err @ gram
     if weight == "l2":
-        return np.sqrt(np.maximum(np.sum(projected * err, axis=1), 0.0))
+        projected *= err
+        return np.sqrt(np.maximum(np.sum(projected, axis=1), 0.0))
     sob = np.sqrt(1.0 + np.abs(eigenvalues(modes, domain)))
     return np.sqrt(np.maximum((projected**2) @ sob, 0.0))
 
@@ -172,7 +232,7 @@ def gram_norm_series(err_coeffs: np.ndarray, gram: np.ndarray, domain: Domain, m
 def gamma_error_norm(x: np.ndarray, x_hat: np.ndarray, domain: Domain, modes: ModeSet, region, weight: str = "l2") -> float:
     """Region-restricted norm of the estimation error x_hat - x."""
     err = np.asarray(x_hat, dtype=float) - np.asarray(x, dtype=float)
-    return float(gram_norm_series(err[None, :], region_gram(region, domain, modes), domain, modes, weight)[0])
+    return float(gram_norm_series(err[None, :], region_operator(region, domain, modes), domain, modes, weight)[0])
 
 
 @dataclass(frozen=True)

@@ -192,30 +192,69 @@ class ModalModel:
 
 
 def assemble_exchange_model(coefficients: Coefficients, domain: Domain, modes: ModeSet) -> ModalModel:
-    """Assemble the modal exchange model on the given mode set."""
-    lam = eigenvalues(modes, domain)
+    """Assemble the modal exchange model on the given mode set.
+
+    Finite coefficients can still overflow a diagonal or a rate of the 2 x 2
+    mode pairs, and a narrow domain the eigenvalues themselves: any of these
+    non-finite raises ValueError.  Each is monotone or convex in the
+    eigenvalue, so on a square mode set the modes (1, 1) and (n, n) bound
+    them all.
+    """
     beta = coefficients.beta_couple
-    return ModalModel(
-        domain=domain,
-        coefficients=coefficients,
-        mode_set=modes,
-        eigenvalues=lam,
-        a11=coefficients.alpha_diff * lam + beta,
-        a12=np.full(len(modes), -beta),
-        a22=coefficients.gamma_diff * lam + beta,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            lam = eigenvalues(modes, domain)
+        except OverflowError:
+            raise ValueError("the Laplacian eigenvalues overflow on this domain and mode set") from None
+        model = ModalModel(
+            domain=domain,
+            coefficients=coefficients,
+            mode_set=modes,
+            eigenvalues=lam,
+            a11=coefficients.alpha_diff * lam + beta,
+            a12=np.full(len(modes), -beta),
+            a22=coefficients.gamma_diff * lam + beta,
+        )
+        # a non-finite diagonal makes its pair's rates non-finite as well
+        finite = all(np.isfinite(r).all() for r in _pair_rates(model.a11, model.a12, model.a22))
+    if not finite:
+        raise ValueError("the model's diagonals or mode-pair rates overflow on this domain and mode set")
+    return model
+
+
+# exp(x) rounds to +0.0 for every x below log(2^-1075) = -745.13
+EXP_ZERO_BELOW = -746.0
 
 
 def exp_samples(rates: np.ndarray, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     """Samples at t_k = k dt, k = 0..steps, of the decoupled scalar dynamics
     z' = diag(rates) z, z(0) = z0; shape (steps + 1, len(rates)).
 
-    One broadcast of z0 * exp(rates t_k); a coordinate that starts at 0 stays
-    exactly 0, also where its exponential would overflow."""
-    z = np.zeros((steps + 1, rates.shape[0]))
+    On the columns where z0 is nonzero this is the broadcast exp(rates t_k) z0,
+    bit for bit, signed zeros included; a column where z0 is 0 stays +0.0,
+    also where its exponential would overflow.  The exponential is evaluated
+    only on the nonzero columns and only where rates t_k >= EXP_ZERO_BELOW:
+    below it exp returns +0.0 anyway, at ten to twenty times the cost of a
+    normal argument, so the product is written as 0.0 z0 directly."""
     live = np.flatnonzero(z0)
-    z[:, live] = np.exp(np.outer(dt * np.arange(steps + 1), rates[live])) * z0[live]
-    return z
+    z = np.outer(dt * np.arange(steps + 1), rates[live])
+    dead = z < EXP_ZERO_BELOW
+    np.exp(z, out=z, where=~dead)
+    np.copyto(z, 0.0, where=dead)
+    z *= z0[live]
+    if live.size == rates.shape[0]:
+        return z
+    full = np.zeros((steps + 1, rates.shape[0]))
+    full[:, live] = z
+    return full
+
+
+def _pair_rates(a: np.ndarray, b: np.ndarray, d: np.ndarray):
+    """Eigenvalues (larger, smaller) of the symmetric 2 x 2 blocks
+    [[a_i, b_i], [b_i, d_i]]: mean +- hypot(half, b), mean = (a + d)/2,
+    half = (a - d)/2."""
+    mean, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+    return mean + r, mean - r
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,11 +276,9 @@ class ModePairs:
     @classmethod
     def of_blocks(cls, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> "ModePairs":
         """Pairs of the blocks [[a_i, b_i], [b_i, d_i]], given as three length-n arrays."""
-        mean, half = 0.5 * (a + d), 0.5 * (a - d)
-        r = np.hypot(half, b)
         # the rotation by theta, tan(2 theta) = b / half, diagonalizes the pair
-        theta = 0.5 * np.arctan2(b, half)
-        return cls(rates=np.concatenate([mean + r, mean - r]), cos=np.cos(theta), sin=np.sin(theta))
+        theta = 0.5 * np.arctan2(b, 0.5 * (a - d))
+        return cls(rates=np.concatenate(_pair_rates(a, b, d)), cos=np.cos(theta), sin=np.sin(theta))
 
     @property
     def n(self) -> int:
@@ -255,7 +292,15 @@ class ModePairs:
     def from_eigen(self, z: np.ndarray) -> np.ndarray:
         """Stacked states V z of eigen coordinates z (..., 2n)."""
         zp, zm = z[..., :self.n], z[..., self.n:]
-        return np.concatenate([self.cos * zp - self.sin * zm, self.sin * zp + self.cos * zm], axis=-1)
+        # written in place with one half-size temporary: a run's sample arrays
+        # are its largest, and each fresh one costs a page fault per 4 KiB
+        x = np.empty(z.shape)
+        x1, x2 = x[..., :self.n], x[..., self.n:]
+        tmp = np.multiply(self.sin, zm)
+        np.subtract(np.multiply(self.cos, zp, out=x1), tmp, out=x1)
+        np.multiply(self.cos, zm, out=tmp)
+        np.add(np.multiply(self.sin, zp, out=x2), tmp, out=x2)
+        return x
 
     def samples(self, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
         """Exact samples (steps + 1, 2n) of x' = M x; row 0 is x0 itself."""

@@ -61,6 +61,22 @@ class TestExitCodes:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert "coefficients.beta_couple must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [("gamma_diff = 0.1", "gamma_diff = 1e307"),
+                                          ("beta_couple = 1.0", "beta_couple = 1e308")])
+    def test_overflowing_coefficients_exit_one(self, tmp_path, capsys, old, new):
+        # finite coefficients whose model overflows: gamma lambda_max (or a
+        # pair rate, beta + beta) is -inf.  Every subcommand rejects them while
+        # it reads the config, where run and sweep used to end with exit 2 and
+        # rank to print -inf groups with exit 0
+        cfg, out = tmp_path / "over.cfg", tmp_path / "out"
+        cfg.write_text((CONFIGS / "exchange_stable.cfg").read_text().replace(old, new))
+        for command in (["run", "--out", str(out)], ["rank"], ["sweep", "--grid", "3", "--out", str(out)]):
+            assert main([command[0], "--config", str(cfg), *command[1:]]) == 1, command
+            captured = capsys.readouterr()
+            assert "error: coefficients: the model's diagonals or mode-pair rates overflow" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+
     def test_horizon_not_whole_steps_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "steps.cfg"
         bad.write_text(BETA3_CONFIG + "simulation.dt = 0.4\nsimulation.T = 1.0\n")

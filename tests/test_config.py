@@ -1,7 +1,7 @@
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from regobs import ConfigError, parse_config, render_config
@@ -21,7 +21,7 @@ from regobs.config import (
 from regobs.geometry import EDGES, Domain, Rect
 from regobs.region import BoundarySegment, InternalRectangle
 from regobs.sensing import PointwiseSensor, ZoneSensor
-from regobs.spectral import Coefficients
+from regobs.spectral import Coefficients, ModeSet, assemble_exchange_model
 
 MINIMAL = """\
 domain.alpha1 = 0.0
@@ -262,9 +262,12 @@ def test_render_parse_roundtrip_property(cfg):
 _KEYS = [f"{section}.{key}" for section, keys in _KNOWN_KEYS.items() if section != "sensor" for key in keys]
 _KEYS += [f"sensor.{k}.{key}" for k in (1, 2) for key in _KNOWN_KEYS["sensor"]]
 _NUMBERS = (st.floats() | st.integers(-3, 10)).map(str) | st.sampled_from(["nan", "-inf", "1e400"])
-# junk, non-finite numbers, negatives, inverted pairs, lists and every choice word
+# finite numbers large enough to overflow a diagonal or a pair rate of the model
+_HUGE = st.floats(1e300, 1.7e308).map(str) | st.sampled_from(["1e307", "-1e308", "1.7976931348623157e308"])
+# junk, non-finite and huge numbers, negatives, inverted pairs, lists and every choice word
 _VALUES = st.one_of(
     _NUMBERS,
+    _HUGE,
     st.lists(_NUMBERS, min_size=1, max_size=5).map(", ".join),
     st.sampled_from(REGION_KINDS + EDGES + SENSOR_KINDS + CONFIG_WEIGHTS + ESTIMATOR_CHOICES
                     + ESTIMATOR_INIT_CHOICES + NORM_CHOICES + ("true", "false")),
@@ -273,6 +276,9 @@ _VALUES = st.one_of(
 
 
 @given(assignment=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=12))
+@example(assignment={"coefficients.gamma_diff": "1e307"})
+@example(assignment={"coefficients.beta_couple": "-1e308"})
+@example(assignment={"coefficients.alpha_diff": "1e306", "simulation.n_modes": "3"})
 def test_known_keys_with_any_values_parse_or_raise_config_error(assignment):
     text = "".join(f"{key} = {value}\n" for key, value in assignment.items())
     try:
@@ -280,3 +286,5 @@ def test_known_keys_with_any_values_parse_or_raise_config_error(assignment):
     except ConfigError:
         return
     assert parse_config(render_config(cfg)) == cfg
+    # a parsed config's model is finite: assembly raises no overflow
+    assemble_exchange_model(cfg.coefficients, cfg.domain, ModeSet.square(cfg.simulation.n_modes))

@@ -27,7 +27,7 @@ from regobs import (
 )
 from regobs import geometry
 from regobs.geometry import edge_segment, gauss_nodes
-from regobs.region import gram_norm_series, region_gram, region_quadrature
+from regobs.region import SeparableGram, gram_norm_series, region_gram, region_operator, region_quadrature
 from regobs.observer import ObserverGain, split_unstable_stable
 
 UNIT = Domain()
@@ -187,6 +187,30 @@ class TestRegionGram:
             nodewise = np.sqrt((((vals * collar.weights) @ eval_matrix(UNIT, modes, collar.points)) ** 2) @ sob)
         got = gram_norm_series(err, region_gram(collar, UNIT, modes), UNIT, modes, weight)
         assert np.abs(got - nodewise).max() <= 1e-12 * nodewise.max()
+
+    @pytest.mark.parametrize("weight", ["l2", "sobolev_half"])
+    @pytest.mark.parametrize("modes", [
+        ModeSet.square(6),
+        ModeSet(tuple(ModeIndex(i, j) for i in range(1, 8) for j in range(1, 5))),  # max_i != max_j
+        ModeSet(tuple(ModeIndex(i, j) for j in range(1, 5) for i in range(1, 8))),  # column-major
+        ModeSet(tuple(ModeIndex(*m) for m in np.random.default_rng(5).permutation(ModeSet.square(5).modes).tolist())),
+        ModeSet(tuple(ModeIndex(i, j) for i in range(1, 8) for j in range(1, 8) if i + j <= 8)),  # not a grid
+    ], ids=["square", "non-square", "column-major", "shuffled", "triangle"])
+    def test_separable_norm_matches_dense_gram(self, weight, modes):
+        # the run's separable contraction against the dense n x n Gram
+        domain = Domain(0.0, 1.0, 0.0, 1.3)
+        region = InternalRectangle(Rect(0.13, 0.58, 0.71, 1.17))
+        operator = region_operator(region, domain, modes)
+        assert isinstance(operator, SeparableGram)
+        err = np.random.default_rng(7).standard_normal((6, len(modes)))
+        err[1] = 0.0
+        err[2, ::3] = 1e-310  # subnormal: flushed by both forms
+        before = err.copy()
+        got = gram_norm_series(err, operator, domain, modes, weight)
+        ref = gram_norm_series(err, region_gram(region, domain, modes), domain, modes, weight)
+        assert (np.abs(got - ref) <= 1e-13 * ref).all()
+        assert got[1] == 0.0
+        assert err.tobytes() == before.tobytes()
 
     def test_unknown_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from conftest import python_env
@@ -20,6 +22,7 @@ from regobs import (
     eval_matrix,
     propagate,
 )
+from regobs.spectral import EXP_ZERO_BELOW, exp_samples
 
 UNIT = Domain()
 PI2 = math.pi**2
@@ -171,6 +174,70 @@ class TestAssembly:
         # a NaN passes "<= 0" and would reach the split as a NaN eigenvalue
         with pytest.raises(ValueError, match="finite"):
             Coefficients(**{field: value})
+
+    @pytest.mark.parametrize("coefficients", [Coefficients(1.0, 1e307, 1.0), Coefficients(1e306, 0.1, 1.0),
+                                              Coefficients(1.0, 0.1, 1e308), Coefficients(1.0, 0.1, -1e308)])
+    def test_rejects_overflowing_model(self, coefficients):
+        # finite coefficients; a diagonal or a pair rate of mode (8, 8) overflows
+        with pytest.raises(ValueError, match="overflow"):
+            assemble_exchange_model(coefficients, UNIT, ModeSet.square(8))
+
+    def test_rejects_overflowing_eigenvalue(self):
+        with pytest.raises(ValueError, match="eigenvalues overflow"):
+            assemble_exchange_model(Coefficients(), Domain(0.0, 1e-160, 0.0, 1.0), ModeSet.square(2))
+
+    @given(alpha=st.floats(1e-3, 1.7e308), gamma=st.floats(1e-3, 1.7e308), beta=st.floats(-1.7e308, 1.7e308),
+           n=st.integers(1, 6))
+    def test_extreme_modes_bound_the_model(self, alpha, gamma, beta, n):
+        # the config's rule: the square set overflows exactly when its modes
+        # (1, 1) and (n, n) do
+        def overflows(modes):
+            try:
+                assemble_exchange_model(Coefficients(alpha, gamma, beta), UNIT, modes)
+            except ValueError:
+                return True
+            return False
+
+        corners = ModeSet(tuple(dict.fromkeys((ModeIndex(1, 1), ModeIndex(n, n)))))
+        assert overflows(corners) == overflows(ModeSet.square(n))
+
+
+# Exponents reached at the last sample: below EXP_ZERO_BELOW, in the band
+# where exp is subnormal, ordinary ones, and past overflow (709.8).  The
+# earlier samples then cross every band between 0 and that exponent.
+_FINAL_EXPONENTS = st.one_of(st.floats(-800.0, EXP_ZERO_BELOW), st.floats(-745.2, -708.0),
+                             st.floats(-60.0, 60.0), st.floats(700.0, 800.0),
+                             st.sampled_from([EXP_ZERO_BELOW, -745.13, -744.44, 709.78, 709.79]))
+_STARTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 5e-324, -1.0]))
+
+
+class TestExpSamples:
+    @given(data=st.data(), steps=st.integers(1, 40), dt=st.floats(1e-3, 1.0), n=st.integers(1, 8))
+    @example(data=None, steps=20, dt=0.5, n=4)
+    def test_matches_naive_broadcast_bit_for_bit(self, data, steps, dt, n):
+        if data is None:
+            # every band in one call, with zero starts on a decaying and an
+            # overflowing column and a negative start on a vanishing one
+            rates, z0 = np.array([-80.0, -74.0, 80.0, -3.0]), np.array([0.0, -2.0, -0.0, 1.5])
+        else:
+            rates = np.array([data.draw(_FINAL_EXPONENTS) for _ in range(n)]) / (steps * dt)
+            z0 = np.array([data.draw(_STARTS) for _ in range(n)])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 on the zero columns
+            ref = np.exp(np.outer(dt * np.arange(steps + 1), rates)) * z0
+            got = exp_samples(rates, z0, dt, steps)
+        live = z0 != 0
+        assert got.shape == ref.shape
+        assert got[:, live].tobytes() == ref[:, live].tobytes()
+        # a column that starts at 0 (or -0) stays +0.0, also past overflow
+        assert not got[:, ~live].view(np.int64).any()
+
+    def test_numpy_exp_is_positive_zero_below_the_cut(self):
+        # exp_samples writes 0.0 * z0 where the exponent is below
+        # EXP_ZERO_BELOW; a numpy whose exp differs there fails here
+        x = np.concatenate([np.linspace(-800.0, EXP_ZERO_BELOW, 2_000_001),
+                            np.nextafter(EXP_ZERO_BELOW, -np.inf) - np.arange(1000) * 2e-13])
+        assert x.max() == EXP_ZERO_BELOW
+        assert not np.exp(x).view(np.int64).any()
 
 
 class TestPropagate:

@@ -41,7 +41,7 @@ from regobs import (
 )
 from regobs import harness, observer, spectral
 from regobs.observer import _error_trajectory, _estimator_maps, _full_sensor_matrix, _plant_trajectory
-from regobs.region import region_gram
+from regobs.region import SeparableGram, region_operator
 from regobs.spectral import ModePairs, _one_row_step, propagate_few_rows
 from conftest import BETA3_CONFIG, no_dense_propagator
 from test_estimator_oracle import dense_full, dense_reduced
@@ -407,14 +407,15 @@ def test_shipped_configs_match_dense_path_without_propagator(name, tmp_path, mon
 
 
 def test_both_estimators_share_one_gram_matrix(monkeypatch):
+    # the region operator, a SeparableGram for this rectangle, is built once
     calls = []
 
     def counting(*args):
-        calls.append(args)
-        return region_gram(*args)
+        calls.append(region_operator(*args))
+        return calls[-1]
 
-    monkeypatch.setattr(harness, "region_gram", counting)
-    monkeypatch.setattr(observer, "region_gram", counting)
+    monkeypatch.setattr(harness, "region_operator", counting)
+    monkeypatch.setattr(observer, "region_operator", counting)
     _, trajs = run_experiment(parse_config(BETA3_CONFIG + "observer.estimators = both\n"))
     assert set(trajs) == {"reduced", "full"}
-    assert len(calls) == 1
+    assert len(calls) == 1 and isinstance(calls[0], SeparableGram)
