@@ -3,7 +3,6 @@ sine-product integrals shared by the basis, sensor and region code."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,13 +115,13 @@ def gauss_nodes(lo: float, hi: float, n: int):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _cos_integral(k: float, e: float, lo: float, hi: float) -> float:
-    # int_lo^hi cos(k x + e) dx, with the k -> 0 limit handled exactly
-    if abs(k) < 1e-14:
-        return (hi - lo) * math.cos(e)
-    return (math.sin(k * hi + e) - math.sin(k * lo + e)) / k
+def _cos_integral(k, e, lo: float, hi: float) -> np.ndarray:
+    # int_lo^hi cos(k x + e) dx elementwise, with the k -> 0 limit handled exactly
+    small = np.abs(k) < 1e-14
+    k = np.where(small, 1.0, k)
+    return np.where(small, (hi - lo) * np.cos(e), (np.sin(k * hi + e) - np.sin(k * lo + e)) / k)
 
 
-def _sine_product_integral(a: float, b: float, c: float, d: float, lo: float, hi: float) -> float:
-    # int_lo^hi sin(a x + b) sin(c x + d) dx via product-to-sum
+def _sine_product_integral(a, b, c, d, lo: float, hi: float) -> np.ndarray:
+    # int_lo^hi sin(a x + b) sin(c x + d) dx elementwise, via product-to-sum
     return 0.5 * (_cos_integral(a - c, b - d, lo, hi) - _cos_integral(a + c, b + d, lo, hi))

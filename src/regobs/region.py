@@ -1,5 +1,10 @@
-"""Target-region geometry, trace restriction, region-restricted error norms,
-and exponential decay-rate fitting.
+"""Target-region geometry, region-restricted error norms, and exponential
+decay-rate fitting.
+
+Every Dirichlet mode vanishes on the boundary, so a boundary segment Gamma
+has no norm of its own here: a run measures the error on its internal
+collar (build_collar), the proxy of Zerrik, Badraoui and El Jai (1999), and
+a segment passed where a region is expected is a TypeError.
 
 The exact fractional trace norm is out of scope; the default metric is the
 L2 norm of the restricted field, read off the region's Gram matrix, with a
@@ -11,9 +16,8 @@ choice.
 The Gram matrix of an internal rectangle is the Kronecker product of two 1-D
 sine Grams, so a run applies it in that form (SeparableGram, from
 region_operator): G e costs two small matrix products per sample and no n x n
-matrix is built.  Collars and boundary segments keep the dense quadrature
-Gram, and region_gram stays the dense form of every region, the oracle of
-the separable one.
+matrix is built.  Collars keep the dense quadrature Gram, and region_gram
+stays the dense form of every region, the oracle of the separable one.
 """
 
 from __future__ import annotations
@@ -83,17 +87,11 @@ class CollarRegion:
 def region_quadrature(region, domain: Domain):
     """Quadrature nodes (K, 2) and weights (K,) of a region.
 
-    BoundarySegment: 1-d Gauss-Legendre along the edge; InternalRectangle:
-    tensor nodes; CollarRegion: its precomputed filtered tensor rule.
+    InternalRectangle: tensor nodes; CollarRegion: its precomputed filtered
+    tensor rule.
     """
     if isinstance(region, CollarRegion):
         return region.points, region.weights
-    if isinstance(region, BoundarySegment):
-        a, b = edge_segment(domain, region.edge, region.lo, region.hi)
-        s, w = gauss_nodes(0.0, 1.0, region.n_quad)
-        pts = np.outer(1.0 - s, a) + np.outer(s, b)
-        length = math.hypot(b[0] - a[0], b[1] - a[1])
-        return pts, w * length
     if isinstance(region, InternalRectangle):
         rect = region.rect
         if not rect.inside(domain):
@@ -102,7 +100,8 @@ def region_quadrature(region, domain: Domain):
         ys, wy = gauss_nodes(rect.lo2, rect.hi2, region.n_quad)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()]), np.outer(wx, wy).ravel()
-    raise TypeError(f"unsupported region {type(region).__name__}")
+    raise TypeError(f"unsupported region {type(region).__name__}: every Dirichlet mode vanishes on a "
+                    "boundary segment, so measure it on its collar, build_collar(segment, radius, domain)")
 
 
 def build_collar(gamma: BoundarySegment, radius: float, domain: Domain) -> CollarRegion:
@@ -126,18 +125,10 @@ def build_collar(gamma: BoundarySegment, radius: float, domain: Domain) -> Colla
                         points=pts[member], weights=w[member])
 
 
-def restrict_trace(coeffs: np.ndarray, domain: Domain, modes: ModeSet, region) -> np.ndarray:
-    """Eigenfunction expansion evaluated at the region quadrature nodes."""
-    pts, _ = region_quadrature(region, domain)
-    if pts.shape[0] == 0:
-        return np.zeros(0)
-    return eval_matrix(domain, modes, pts) @ np.asarray(coeffs, dtype=float)
-
-
 def _sine_gram_1d(n: int, alpha: float, length: float, lo: float, hi: float) -> np.ndarray:
     # I[i-1, k-1] = int_lo^hi sin(i pi (x - alpha)/L) sin(k pi (x - alpha)/L) dx
-    a = [i * math.pi / length for i in range(1, n + 1)]
-    return np.array([[_sine_product_integral(ai, -ai * alpha, ak, -ak * alpha, lo, hi) for ak in a] for ai in a])
+    a = (np.arange(1, n + 1) * math.pi / length)[:, None]
+    return _sine_product_integral(a, -a * alpha, a.T, -a.T * alpha, lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +180,7 @@ def _rectangle_gram(region: InternalRectangle, domain: Domain, modes: ModeSet) -
 def region_gram(region, domain: Domain, modes: ModeSet) -> np.ndarray:
     """Gram matrix G[m, m'] = int_region phi_m phi_m': exact and separable,
     (4/(L1 L2)) I1[i, i'] I2[j, j'], for an InternalRectangle; the region
-    quadrature for a collar or boundary segment."""
+    quadrature for a collar."""
     if isinstance(region, InternalRectangle):
         sep = _rectangle_gram(region, domain, modes)
         ii = np.array([m.i - 1 for m in modes])

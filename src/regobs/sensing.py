@@ -75,23 +75,14 @@ def _check_sensor(sensor: SensorSpec, domain: Domain) -> None:
             raise ValueError("pointwise sensor location outside open domain")
 
 
-def _sine_integral(k: int, alpha: float, length: float, lo: float, hi: float) -> float:
-    # int_lo^hi sin(k pi (x - alpha)/L) dx
-    c = k * math.pi / length
-    return (math.cos(c * (lo - alpha)) - math.cos(c * (hi - alpha))) / c
-
-
-def _axis_integrals(weight: str, ks, alpha: float, length: float, lo: float, hi: float) -> list[float]:
-    """int_lo^hi sin(k pi (x - alpha)/L) f(x) dx for each k, f the factor of a
-    closed-form zone weight on this axis (1, or the sine bump over [lo, hi])."""
-    out = []
-    for k in ks:
-        if weight == "uniform":
-            out.append(_sine_integral(k, alpha, length, lo, hi))
-        else:
-            a, w = k * math.pi / length, hi - lo
-            out.append(_sine_product_integral(a, -a * alpha, math.pi / w, -math.pi * lo / w, lo, hi))
-    return out
+def _axis_integrals(weight: str, ks, alpha: float, length: float, lo: float, hi: float) -> np.ndarray:
+    """Array of int_lo^hi sin(k pi (x - alpha)/L) f(x) dx over ks, f the factor
+    of a closed-form zone weight on this axis (1, or the sine bump over [lo, hi])."""
+    a = np.asarray(ks, dtype=float) * math.pi / length
+    if weight == "uniform":
+        return (np.cos(a * (lo - alpha)) - np.cos(a * (hi - alpha))) / a
+    w = hi - lo
+    return _sine_product_integral(a, -a * alpha, math.pi / w, -math.pi * lo / w, lo, hi)
 
 
 # (theta - sin theta)/theta^2 = theta sum_n (-theta^2)^n/(2n + 3)!, to round-off for theta < 1
@@ -140,7 +131,7 @@ def _axis_factors(sensor: SensorSpec, axis: int, ks, alpha: float, length: float
         return np.sin(np.pi * (np.asarray(ks, dtype=float) * ((lo - alpha) / length)))[:, None]
     if sensor.weight == "tabulated":
         return _hat_integrals(ks, alpha, length, lo, hi, np.shape(sensor.samples)[axis])
-    return np.array(_axis_integrals(sensor.weight, ks, alpha, length, lo, hi))[:, None]
+    return _axis_integrals(sensor.weight, ks, alpha, length, lo, hi)[:, None]
 
 
 def _sensor_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, spans1, spans2):
@@ -155,7 +146,6 @@ def _sensor_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, spans1, spa
     """
     ki, pos_i = np.unique([m.i for m in modes], return_inverse=True)
     kj, pos_j = np.unique([m.j for m in modes], return_inverse=True)
-    ki, kj = ki.tolist(), kj.tolist()
     samples = _weight_samples(sensor)
     norm = 2.0 / math.sqrt(domain.length1 * domain.length2)
     a2 = np.stack([_axis_factors(sensor, 1, kj, domain.alpha2, domain.length2, lo, hi)[pos_j]

@@ -94,6 +94,8 @@ STALE_FORMS = {
     "the actuator block model.B1": (AttributeError, "B1", lambda: MODEL.B1),
     "model.stacked_b": (AttributeError, "stacked_b", lambda: MODEL.stacked_b()),
     "importing input_matrix": (ImportError, "input_matrix", lambda: exec("from regobs import input_matrix", {})),
+    "importing restrict_trace": (
+        ImportError, "restrict_trace", lambda: exec("from regobs import restrict_trace", {})),
     "estimator_matrices unpacked with G_u": (ValueError, "unpack", _unpack_three_estimator_matrices),
 }
 

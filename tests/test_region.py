@@ -22,7 +22,6 @@ from regobs import (
     gamma_error_norm,
     load_config,
     output_matrix,
-    restrict_trace,
     simulate_reduced_order,
 )
 from regobs import geometry
@@ -67,42 +66,12 @@ class TestGaussNodes:
         assert gauss_nodes(0.0, 1.0, 64)[0].any()
 
 
-class TestRestrictTrace:
-    def test_dirichlet_boundary_trace_vanishes(self):
-        modes = ModeSet.square(3)
-        coeffs = np.arange(1.0, 10.0)
-        segment = BoundarySegment("bottom", 0.1, 0.9)
-        values = restrict_trace(coeffs, UNIT, modes, segment)
-        assert np.abs(values).max() < 1e-12
-
-    def test_single_mode_at_center(self):
-        modes = ModeSet((ModeIndex(1, 1),))
-        region = InternalRectangle(Rect(0.0, 1.0, 0.0, 1.0), n_quad=3)
-        pts, _ = region_quadrature(region, UNIT)
-        values = restrict_trace(np.array([0.7]), UNIT, modes, region)
-        center = np.argmin(np.abs(pts - 0.5).sum(axis=1))
-        assert values[center] == pytest.approx(
-            0.7 * 2 * math.sin(math.pi * pts[center, 0]) * math.sin(math.pi * pts[center, 1]), abs=1e-12
-        )
-
-    def test_mixed_field_point_value(self):
-        # c1 phi_11 + c2 phi_21 at (0.25, 0.5) = sqrt(2) c1 + 2 c2
-        modes = ModeSet((ModeIndex(1, 1), ModeIndex(2, 1)))
-        c1, c2 = 0.4, -1.3
-        from regobs import eval_matrix
-
-        val = (eval_matrix(UNIT, modes, [(0.25, 0.5)]) @ np.array([c1, c2]))[0]
-        assert val == pytest.approx(math.sqrt(2) * c1 + 2 * c2, abs=1e-12)
-
-    def test_linearity(self):
-        modes = ModeSet.square(3)
-        rng = np.random.default_rng(0)
-        x, y = rng.standard_normal(9), rng.standard_normal(9)
-        a, b = 1.7, -0.4
-        region = InternalRectangle(Rect(0.1, 0.6, 0.2, 0.9), n_quad=8)
-        lhs = restrict_trace(a * x + b * y, UNIT, modes, region)
-        rhs = a * restrict_trace(x, UNIT, modes, region) + b * restrict_trace(y, UNIT, modes, region)
-        assert np.abs(lhs - rhs).max() < 1e-12
+def test_mixed_field_point_value():
+    # c1 phi_11 + c2 phi_21 at (0.25, 0.5) = sqrt(2) c1 + 2 c2
+    modes = ModeSet((ModeIndex(1, 1), ModeIndex(2, 1)))
+    c1, c2 = 0.4, -1.3
+    val = (eval_matrix(UNIT, modes, [(0.25, 0.5)]) @ np.array([c1, c2]))[0]
+    assert val == pytest.approx(math.sqrt(2) * c1 + 2 * c2, abs=1e-12)
 
 
 class TestGammaErrorNorm:
@@ -290,13 +259,16 @@ class TestCollar:
         gamma = BoundarySegment("bottom", 0.25, 0.75)
         collar = build_collar(gamma, 0.1, UNIT)
         zero = np.zeros(9)
+        a, b = edge_segment(UNIT, gamma.edge, gamma.lo, gamma.hi)
+        s = np.linspace(0.0, 1.0, 33)
+        on_gamma = eval_matrix(UNIT, modes, np.outer(1.0 - s, a) + np.outer(s, b))
         assert gamma_error_norm(zero, zero, UNIT, modes, collar) == 0.0
-        assert np.abs(restrict_trace(zero, UNIT, modes, gamma)).max() == 0.0
+        assert np.abs(on_gamma @ zero).max() == 0.0
         rng = np.random.default_rng(2)
         for _ in range(10):
             coeffs = rng.standard_normal(9)
             collar_norm = gamma_error_norm(zero, coeffs, UNIT, modes, collar)
-            trace_sup = np.abs(restrict_trace(coeffs, UNIT, modes, gamma)).max()
+            trace_sup = np.abs(on_gamma @ coeffs).max()
             if collar_norm < 1e-12 * np.linalg.norm(coeffs):
                 assert trace_sup < 1e-9 * np.linalg.norm(coeffs)
 
@@ -344,10 +316,23 @@ class TestFitDecay:
 
 
 class TestRegionValidation:
+    def test_segment_region_is_type_error(self):
+        # every Dirichlet mode vanishes on the boundary, so a segment has no
+        # Gram matrix or norm of its own: the run measures its collar
+        modes = ModeSet.square(3)
+        coeffs = np.arange(1.0, 10.0)
+        for edge in ("bottom", "top", "left", "right"):
+            segment = BoundarySegment(edge, 0.1, 0.9)
+            for call in (lambda: region_gram(segment, UNIT, modes),
+                         lambda: region_operator(segment, UNIT, modes),
+                         lambda: gamma_error_norm(np.zeros(9), coeffs, UNIT, modes, segment)):
+                with pytest.raises(TypeError, match="build_collar"):
+                    call()
+
     def test_segment_outside_edge(self):
         seg = BoundarySegment("bottom", -0.5, 0.5)
         with pytest.raises(ValueError):
-            region_quadrature(seg, UNIT)
+            build_collar(seg, 0.1, UNIT)
 
     def test_rect_outside_domain(self):
         region = InternalRectangle(Rect(0.5, 1.5, 0.0, 1.0))

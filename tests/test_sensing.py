@@ -67,8 +67,10 @@ class TestOutputMatrix:
 
     def test_closed_form_matches_quadrature(self):
         modes = ModeSet.square(4)
-        for weight in ("uniform", "separable_sine"):
-            sensor = ZoneSensor(Rect(0.13, 0.57, 0.22, 0.91), weight=weight)
+        sensors = [ZoneSensor(Rect(0.13, 0.57, 0.22, 0.91), weight=w) for w in ("uniform", "separable_sine")]
+        # widths L/2 and L/4: the bump's frequency equals mode 2's, then mode 4's
+        sensors.append(ZoneSensor(Rect(0.25, 0.75, 0.5, 0.75), weight="separable_sine"))
+        for sensor in sensors:
             closed = output_matrix([sensor], UNIT, modes)[0]
             quad = zone_row_quadrature(sensor, UNIT, modes, 32)
             assert np.abs(closed - quad).max() < 1e-9
