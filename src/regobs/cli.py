@@ -71,8 +71,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     result = placement_sweep(cfg, args.grid)
     path = emit_sweep(result, args.out or cfg.output.directory)
-    n_strategic = sum(1 for row in result.rows if row.strategic)
-    print(f"sweep complete: {len(result.rows)} positions, {n_strategic} strategic")
+    print(f"sweep complete: {result.strategic.size} positions, {result.strategic.sum()} strategic")
     print(f"outputs: {path}")
     return 0
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .spectral import ModeSet, assemble_exchange_model
 CONFIG_ECHO_BEGIN = "--- config ---"
 CONFIG_ECHO_END = "--- end config ---"
 _BLOCK_CELLS = 1 << 13  # cells formatted at a time: the formatter holds ~320 bytes per cell
+_SWEEP_CHUNK_ENTRIES = 1 << 13  # output-matrix entries a sweep rank-tests at a time
 
 
 def _fmt(value) -> str:
@@ -209,10 +212,28 @@ class SweepRow:
     triggered: tuple
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepResult:
-    grid_n: int
-    rows: tuple[SweepRow, ...]
+    """The placement lattice as columns: position (b1[a], b2[b]) has the
+    verdict strategic[a, b], the eigenvalue min_gramian_eig[a, b] and the
+    flagged modes triggered[a][b]."""
+
+    b1: np.ndarray
+    b2: np.ndarray
+    strategic: np.ndarray
+    min_gramian_eig: np.ndarray
+    triggered: list
+
+    @cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """One SweepRow per position, row-major (b1 outer), built when read."""
+        b2 = self.b2.tolist()
+        return tuple(
+            SweepRow(b1=x, b2=y, strategic=s, min_gramian_eig=e, triggered=t)
+            for x, flags, eigs, trig in zip(self.b1.tolist(), self.strategic.tolist(),
+                                             self.min_gramian_eig.tolist(), self.triggered)
+            for y, s, e, t in zip(b2, flags, eigs, trig)
+        )
 
 
 def _feasible_interval(cfg: ExperimentConfig, sensor):
@@ -233,14 +254,17 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     remaining sensors stay fixed.  Each position records the strategic
     verdict, the smallest observability-Gramian eigenvalue of the
     unmeasured-field block, and the closed-form predicate triggers.  The
-    positions are evaluated one lattice row (fixed b1) at a time, each row
-    with stacked calls; a row bounds the stacks' memory.  When q sensors
-    times the numerical rank r of the Gramian kernel's correlation fall short
-    of the n modes (sensing._kernel_rank), every Gramian is singular to
-    within n eps sum_s max_i c_si^2 K_ii, and the eigenvalue is written as 0.0
-    with no eigensolve; otherwise a negative eigvalsh value, round-off of a
-    positive semidefinite W, is written as 0.0.  Raises ConfigError when
-    observer.gramian_horizon is so long that the Gramian overflows.
+    positions are rank-tested and checked for Gramian overflow in chunks of
+    whole lattice rows (fixed b1), as many rows as keep a chunk's output
+    matrices within _SWEEP_CHUNK_ENTRIES entries and at least one.  When q
+    sensors times the numerical rank r of the Gramian kernel's correlation
+    fall short of the n modes (sensing._kernel_rank), every Gramian is
+    singular to within n eps sum_s max_i c_si^2 K_ii, and the eigenvalue is
+    written as 0.0 with no eigensolve; otherwise the Gramians are formed and
+    eigensolved one lattice row at a time, and a negative eigvalsh value,
+    round-off of a positive semidefinite W, is written as 0.0.  Raises
+    ConfigError when observer.gramian_horizon is so long that the Gramian
+    overflows.
     """
     if grid_n < 2:
         raise ConfigError("sweep grid must be >= 2")
@@ -254,8 +278,7 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     fracs = [k / (grid_n + 1) for k in range(1, grid_n + 1)]
     xs = [lo1 + (hi1 - lo1) * f for f in fracs]
     ys = [lo2 + (hi2 - lo2) * f for f in fracs]
-    fixed = np.broadcast_to(fixed, (grid_n, *fixed.shape))
-    triggered = _lattice_triggered(varied, cfg.domain, modes, xs, ys)
+    q, n = len(cfg.sensors), len(modes)
     layout = _group_layout(groups)
     too_long = f"observer.gramian_horizon = {horizon!r} is too long: "
     try:
@@ -263,27 +286,29 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     except ValueError as exc:
         raise ConfigError(too_long + str(exc)) from None
     # q r < n: every Gramian is numerically singular (_kernel_rank)
-    singular = len(cfg.sensors) * _kernel_rank(k) < len(modes)
-    rows = []
-    for b1, varied_rows, row_triggered in zip(xs, _lattice_rows(varied, cfg.domain, modes, xs, ys), triggered):
-        c = np.concatenate([varied_rows[:, None, :], fixed], axis=1)
-        *_, strategic = _stacked_rank_test(c, layout)
+    singular = q * _kernel_rank(k) < n
+    strategic = np.zeros((grid_n, grid_n), dtype=bool)
+    min_eig = np.zeros((grid_n, grid_n))
+    lattice = _lattice_rows(varied, cfg.domain, modes, xs, ys)
+    chunk = max(1, _SWEEP_CHUNK_ENTRIES // (grid_n * q * n))
+    for start in range(0, grid_n, chunk):
+        varied_rows = np.stack(list(islice(lattice, chunk))).reshape(-1, 1, n)
+        span = slice(start, start + len(varied_rows) // grid_n)
+        c = np.concatenate([varied_rows, np.broadcast_to(fixed, (len(varied_rows), q - 1, n))], axis=1)
+        strategic[span] = _stacked_rank_test(c, layout)[3].reshape(-1, grid_n)
         with np.errstate(over="ignore"):
             # |W_ij| <= sqrt(W_ii W_jj), so W overflows where its diagonal does
             if not np.isfinite(np.sum(c * c, axis=1) * np.diag(k)).all():
                 raise ConfigError(f"{too_long}observability Gramian overflows at t_horizon = {horizon!r}")
-        min_eig = np.zeros(grid_n)
         if not singular:
-            w = np.swapaxes(c, 1, 2) @ c
-            w *= k  # W = (c'c) * K in place, as observability_gramian forms it
-            # W is positive semidefinite: a negative eigvalsh value is round-off,
-            # and 0 is never farther from the true eigenvalue than it is
-            min_eig = np.maximum(np.linalg.eigvalsh(w)[:, 0], 0.0)
-        rows.extend(
-            SweepRow(b1=b1, b2=b2, strategic=bool(s), min_gramian_eig=float(e), triggered=t)
-            for b2, s, e, t in zip(ys, strategic, min_eig, row_triggered)
-        )
-    return SweepResult(grid_n=grid_n, rows=tuple(rows))
+            for row_c, row_eig in zip(c.reshape(-1, grid_n, q, n), min_eig[span]):
+                w = np.swapaxes(row_c, 1, 2) @ row_c
+                w *= k  # W = (c'c) * K in place, as observability_gramian forms it
+                # W is positive semidefinite: a negative eigvalsh value is round-off,
+                # and 0 is never farther from the true eigenvalue than it is
+                np.maximum(np.linalg.eigvalsh(w)[:, 0], 0.0, out=row_eig)
+    return SweepResult(b1=np.array(xs), b2=np.array(ys), strategic=strategic, min_gramian_eig=min_eig,
+                       triggered=_lattice_triggered(varied, cfg.domain, modes, xs, ys))
 
 
 # --- file emission -------------------------------------------------------------
@@ -359,13 +384,22 @@ def _write_gain_csv(path, cfg, kind, gain):
 
 
 def emit_sweep(result: SweepResult, out_dir: str) -> str:
+    """Write sweep.csv, one line per position, row-major (b1 outer); each
+    coordinate and each distinct set of triggered modes is formatted once."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")
+    b2 = [_fmt(y) for y in result.b2]
+    trig = {}
+    lines = ["b1,b2,strategic,min_gramian_eig,triggered_modes\n"]
+    for x, flags, eigs, row_triggered in zip(result.b1, result.strategic.tolist(),
+                                             result.min_gramian_eig.tolist(), result.triggered):
+        b1 = _fmt(x)
+        for y, s, e, t in zip(b2, flags, eigs, row_triggered):
+            if t not in trig:
+                trig[t] = ";".join(f"{m.i}.{m.j}" for m in t)
+            lines.append(f"{b1},{y},{int(s)},{e!r},{trig[t]}\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("b1,b2,strategic,min_gramian_eig,triggered_modes\n")
-        for row in result.rows:
-            trig = ";".join(f"{m.i}.{m.j}" for m in row.triggered)
-            fh.write(f"{_fmt(row.b1)},{_fmt(row.b2)},{int(row.strategic)},{_fmt(row.min_gramian_eig)},{trig}\n")
+        fh.write("".join(lines))
     return path
 
 

@@ -75,9 +75,10 @@ def _check_sensor(sensor: SensorSpec, domain: Domain) -> None:
             raise ValueError("pointwise sensor location outside open domain")
 
 
-def _axis_integrals(weight: str, ks, alpha: float, length: float, lo: float, hi: float) -> np.ndarray:
+def _axis_integrals(weight: str, ks, alpha: float, length: float, lo, hi) -> np.ndarray:
     """Array of int_lo^hi sin(k pi (x - alpha)/L) f(x) dx over ks, f the factor
-    of a closed-form zone weight on this axis (1, or the sine bump over [lo, hi])."""
+    of a closed-form zone weight on this axis (1, or the sine bump over [lo, hi]);
+    lo and hi may be arrays broadcast against ks."""
     a = np.asarray(ks, dtype=float) * math.pi / length
     if weight == "uniform":
         return (np.cos(a * (lo - alpha)) - np.cos(a * (hi - alpha))) / a
@@ -89,10 +90,11 @@ def _axis_integrals(weight: str, ks, alpha: float, length: float, lo: float, hi:
 _ODD_SERIES = np.array([(-1) ** n / math.factorial(2 * n + 3) for n in range(9)])
 
 
-def _hat_integrals(ks, alpha: float, length: float, lo: float, hi: float, n: int) -> np.ndarray:
-    """A[k, a] = int_lo^hi sin(k pi (x - alpha)/L) u_a(x) dx for the hat
-    functions u_a of n uniform nodes x_a on [lo, hi], whose combination
-    sum_a s_a u_a is the linear interpolant of the samples s_a.
+def _hat_integrals(ks, alpha: float, length: float, lo, hi, n: int) -> np.ndarray:
+    """A[s, k, a] = int_lo^hi sin(k pi (x - alpha)/L) u_a(x) dx for each span
+    [lo[s, 0], hi[s, 0]] of the (S, 1) columns lo and hi and the hat functions
+    u_a of n uniform nodes x_a on it, whose combination sum_a s_a u_a is the
+    linear interpolant of the samples s_a.
 
     With w = k pi/L, node spacing h and theta = w h, an interior hat gives
     h sinc^2(theta/2) sin(w (x_a - alpha)); the half hats at the ends give half
@@ -101,15 +103,15 @@ def _hat_integrals(ks, alpha: float, length: float, lo: float, hi: float, n: int
     term is summed as its series below theta = 1.
     """
     w = np.asarray(ks, dtype=float)[:, None] * (math.pi / length)
-    h = (hi - lo) / (n - 1)
-    phase = w * (np.linspace(lo, hi, n) - alpha)
+    h = ((hi - lo) / (n - 1))[..., None]
+    phase = w * (np.linspace(lo, hi, n, axis=-1) - alpha)
     theta = w * h
     out = h * (np.sin(theta / 2) / (theta / 2)) ** 2 * np.sin(phase)
-    out[:, [0, -1]] *= 0.5
-    odd = h * np.where(theta < 1.0, theta * np.polynomial.polynomial.polyval(theta**2, _ODD_SERIES),
-                       (theta - np.sin(theta)) / theta**2)[:, 0]
-    out[:, 0] += odd * np.cos(phase[:, 0])
-    out[:, -1] -= odd * np.cos(phase[:, -1])
+    out[..., [0, -1]] *= 0.5
+    odd = h[..., 0] * np.where(theta < 1.0, theta * np.polynomial.polynomial.polyval(theta**2, _ODD_SERIES),
+                               (theta - np.sin(theta)) / theta**2)[..., 0]
+    out[..., 0] += odd * np.cos(phase[..., 0])
+    out[..., -1] -= odd * np.cos(phase[..., -1])
     return out
 
 
@@ -121,17 +123,21 @@ def _weight_samples(sensor: SensorSpec) -> np.ndarray:
     return np.ones((1, 1))
 
 
-def _axis_factors(sensor: SensorSpec, axis: int, ks, alpha: float, length: float, lo: float, hi: float) -> np.ndarray:
-    """A[k, a] = int sin(k pi (x - alpha)/L) u_a(x) dx over the sensor's
-    extent [lo, hi] on one axis, for each k in ks: the sine at the point for a
-    pointwise sensor (lo == hi), the closed-form integral for the uniform and
-    sine-bump weights, the hat integrals of the sample grid for a tabulated one.
+def _axis_factors(sensor: SensorSpec, axis: int, ks, alpha: float, length: float, lo, hi) -> np.ndarray:
+    """A[s, k, a] = int sin(k pi (x - alpha)/L) u_a(x) dx over the sensor's
+    extent [lo[s], hi[s]] on one axis (lo, hi float arrays), for each span s
+    and each k in ks: the sine at the point for a pointwise sensor
+    (lo == hi), the closed-form integral for the uniform and sine-bump
+    weights, the hat integrals of the sample grid for a tabulated one.  Every
+    span goes through the same elementwise expressions, so each A[s] has the
+    bits of a one-span call.
     """
+    lo, hi = lo[:, None], hi[:, None]
     if isinstance(sensor, PointwiseSensor):
-        return np.sin(np.pi * (np.asarray(ks, dtype=float) * ((lo - alpha) / length)))[:, None]
+        return np.sin(np.pi * (np.asarray(ks, dtype=float) * ((lo - alpha) / length)))[..., None]
     if sensor.weight == "tabulated":
         return _hat_integrals(ks, alpha, length, lo, hi, np.shape(sensor.samples)[axis])
-    return _axis_integrals(sensor.weight, ks, alpha, length, lo, hi)[:, None]
+    return _axis_integrals(sensor.weight, ks, alpha, length, lo, hi)[..., None]
 
 
 def _sensor_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, spans1, spans2):
@@ -141,17 +147,17 @@ def _sensor_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, spans1, spa
 
     Every weight is separable, f = sum_ab S_ab u_a(x) v_b(y), so
     row[m] = (2/sqrt(L1 L2)) sum_ab A1[i_m, a] S_ab A2[j_m, b] with the
-    per-axis factors A of _axis_factors.  The second-axis factors are taken
+    per-axis factors A of _axis_factors, taken for all spans of an axis at
     once; for one-term weights the row is (norm A1) A2, product by product.
     """
     ki, pos_i = np.unique([m.i for m in modes], return_inverse=True)
     kj, pos_j = np.unique([m.j for m in modes], return_inverse=True)
     samples = _weight_samples(sensor)
     norm = 2.0 / math.sqrt(domain.length1 * domain.length2)
-    a2 = np.stack([_axis_factors(sensor, 1, kj, domain.alpha2, domain.length2, lo, hi)[pos_j]
-                   for lo, hi in spans2])
-    for lo, hi in spans1:
-        left = ((norm * _axis_factors(sensor, 0, ki, domain.alpha1, domain.length1, lo, hi)) @ samples)[pos_i]
+    (lo1, hi1), (lo2, hi2) = np.array(spans1, dtype=float).T, np.array(spans2, dtype=float).T
+    a2 = _axis_factors(sensor, 1, kj, domain.alpha2, domain.length2, lo2, hi2)[:, pos_j]
+    a1 = norm * _axis_factors(sensor, 0, ki, domain.alpha1, domain.length1, lo1, hi1)
+    for left in (a1 @ samples)[:, pos_i]:
         # summed term by term from the first, so a one-term row keeps its signed zeros
         rows = left[:, 0] * a2[..., 0]
         for b in range(1, samples.shape[1]):

@@ -61,11 +61,11 @@ class ModeSet:
     def position(self, mode: ModeIndex) -> int:
         return self.modes.index(ModeIndex(*mode))
 
-    @property
+    @cached_property
     def max_i(self) -> int:
         return max(m.i for m in self.modes)
 
-    @property
+    @cached_property
     def max_j(self) -> int:
         return max(m.j for m in self.modes)
 

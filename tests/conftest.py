@@ -168,3 +168,13 @@ def reference_trajectory_csv(path, cfg, primary, full, reduced):
         fh.write(",".join(header) + "\n")
         for cells in zip(times, column(primary), column(full), column(reduced), modal):
             fh.write(",".join(cells) + "\n")
+
+
+def reference_sweep_csv(path, result):
+    """sweep.csv written one line per SweepRow with a `repr` per float cell,
+    the oracle of emit_sweep."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("b1,b2,strategic,min_gramian_eig,triggered_modes\n")
+        for row in result.rows:
+            modes = ";".join(f"{m.i}.{m.j}" for m in row.triggered)
+            fh.write(f"{row.b1!r},{row.b2!r},{int(row.strategic)},{row.min_gramian_eig!r},{modes}\n")

@@ -28,7 +28,9 @@ from regobs import (
     strategic_rank_test,
 )
 from regobs import harness, sensing
+from regobs.cli import main
 from regobs.sensing import ModeGroup, group_values
+from regobs.spectral import ModeIndex
 
 BASE = "coefficients.beta_couple = 3.0\nsimulation.n_modes = 4\nobserver.gramian_horizon = 2.0\n"
 TALL = "domain.beta2 = 1.3\n"
@@ -306,3 +308,85 @@ def test_predicate_flags_only_offending_modes(n_side, tall, beta, kind, snap, p,
     assert set(flagged) <= set(report.offending_modes())
     if flagged:
         assert not report.strategic
+
+
+@pytest.mark.parametrize("modes", [ModeSet.square(5), ModeSet(tuple(ModeIndex(i, j) for j in (2, 5, 1) for i in (3, 1)))],
+                         ids=["square", "scattered"])
+@pytest.mark.parametrize("kind", ["pointwise", "uniform", "separable_sine",
+                                  "tabulated_symmetric", "tabulated_asymmetric"])
+def test_lattice_rows_equal_output_matrix_bit_for_bit(kind, modes):
+    # the lattice takes each axis's factors for all its spans at once; every
+    # row must keep the bits, signed zeros included, of the one-sensor call
+    domain = Domain(0.1, 1.1, -0.2, 1.1)
+    sensor = _varied(kind)
+    xs = [0.3 + 0.55 * k / 6 for k in range(7)]
+    ys = [0.1 + 0.7 * k / 4 for k in range(5)] + [0.45]  # y = 0.45 is the axis midpoint: a nodal line
+    for x, rows in zip(xs, sensing._lattice_rows(sensor, domain, modes, xs, ys)):
+        assert rows.shape == (len(ys), len(modes))
+        for y, row in zip(ys, rows):
+            expected = output_matrix([_at(sensor, x, y)], domain, modes)[0]
+            assert row.tobytes() == expected.tobytes()
+
+
+def _count_rank_tests(cfg, grid_n):
+    with mock.patch.object(harness, "_stacked_rank_test", wraps=sensing._stacked_rank_test) as rank_test:
+        result = placement_sweep(cfg, grid_n)
+    return rank_test.call_count, result
+
+
+def test_sweep_rank_tests_lattice_rows_in_chunks():
+    # N = 8, one sensor: a lattice row of 33 positions holds 33 x 64 entries,
+    # so a chunk of 2^13 entries takes 3 rows and the 33 rows take 11 calls
+    cfg = parse_config("simulation.n_modes = 8\n" + TALL + "sensor.1.kind = pointwise\nsensor.1.location = 0.3, 0.4\n")
+    assert harness._SWEEP_CHUNK_ENTRIES == 1 << 13
+    assert _count_rank_tests(cfg, 33)[0] == 11
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_sweep_takes_one_call_per_row_over_budget(monkeypatch, q):
+    # a single lattice row larger than the budget is a chunk of its own, and
+    # the chunking changes no verdict and no eigenvalue; q = 2 eigensolves
+    cfg = dataclasses.replace(parse_config(BASE + TALL), sensors=(_varied("pointwise"), FIXED)[:q])
+    assert _sweep_runs_eigvalsh(cfg) == (q == 2)
+    grid_n = 6
+    calls, result = _count_rank_tests(cfg, grid_n)
+    assert calls == 1
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK_ENTRIES", grid_n * q * 16 - 1)
+    calls, small = _count_rank_tests(cfg, grid_n)
+    assert calls == grid_n
+    assert np.array_equal(small.strategic, result.strategic)
+    assert small.min_gramian_eig.tobytes() == result.min_gramian_eig.tobytes()
+
+
+@pytest.mark.parametrize("domain", ["", TALL], ids=["unit_square", "tall"])
+@pytest.mark.parametrize("kind", ["pointwise", "uniform", "separable_sine",
+                                  "tabulated_symmetric", "tabulated_asymmetric"])
+def test_chunked_rows_match_per_position_loop(kind, domain):
+    # N = 4 and a fixed second sensor: a lattice row of 17 positions holds
+    # 17 x 2 x 16 entries, so chunks of 15 rows leave a last chunk of 2
+    cfg = dataclasses.replace(parse_config(BASE + domain), sensors=(_varied(kind), FIXED))
+    grid_n = 17
+    assert grid_n % (harness._SWEEP_CHUNK_ENTRIES // (grid_n * 2 * 16)) == 2
+    calls, result = _count_rank_tests(cfg, grid_n)
+    assert calls == 2
+    rows = result.rows
+    assert len(rows) == grid_n**2
+    reference = _per_position(cfg, rows)
+    assert [row.strategic for row in rows] == [r[0] for r in reference]
+    assert [row.triggered for row in rows] == [r[4] for r in reference]
+    runs_eigvalsh = _sweep_runs_eigvalsh(cfg)
+    for row, (_, min_eig, trace, bound, _) in zip(rows, reference):
+        assert abs(row.min_gramian_eig - min_eig) <= 1e-12 * trace
+        if not runs_eigvalsh:
+            assert row.min_gramian_eig == 0.0 and abs(min_eig) <= bound
+
+
+def test_cli_sweep_builds_no_sweep_row(tmp_path):
+    # the CLI counts verdicts from the strategic array and emit_sweep reads
+    # the columns, so no per-position object is made
+    path = tmp_path / "sweep.cfg"
+    path.write_text(BASE + TALL + "sensor.1.kind = pointwise\nsensor.1.location = 0.3, 0.4\n")
+    with mock.patch.object(harness, "SweepRow", side_effect=AssertionError("SweepRow built")) as row:
+        assert main(["sweep", "--config", str(path), "--grid", "5", "--out", str(tmp_path / "out")]) == 0
+    assert row.call_count == 0
+    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 26

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import BETA3_CONFIG, reference_trajectory_csv
+from conftest import BETA3_CONFIG, reference_sweep_csv, reference_trajectory_csv
 from regobs import ConfigError, parse_config, run_experiment
 from regobs.harness import (
     _write_gain_csv,
@@ -220,6 +220,28 @@ class TestSweep:
         emit_sweep(placement_sweep(cfg, 5), str(tmp_path / "a"))
         emit_sweep(placement_sweep(cfg, 5), str(tmp_path / "b"))
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", ["triggered", "clamped"])
+    def test_sweep_csv_matches_repr_reference(self, tmp_path, case):
+        # "triggered": positions on the nodal lines x = 1/2 and y = 1/2 flag
+        # modes; "clamped": five sensors put every Gramian through eigvalsh,
+        # and its negative round-off is written as 0.0
+        if case == "triggered":
+            text = SWEEP_CONFIG
+        else:
+            text = "coefficients.beta_couple = 8.0\nsimulation.n_modes = 4\nobserver.gramian_horizon = 6.0\n" + "".join(
+                f"sensor.{k}.kind = pointwise\nsensor.{k}.location = {b1}, {b2}\n" for k, (b1, b2) in
+                enumerate([(0.23, 0.31), (0.57, 0.43), (0.71, 0.19), (0.37, 0.83), (0.11, 0.62)], start=1))
+        result = placement_sweep(parse_config(text), 9)
+        rows = result.rows
+        if case == "triggered":
+            assert len({row.triggered for row in rows}) > 2
+        else:
+            assert any(row.min_gramian_eig == 0.0 for row in rows)
+            assert any(row.min_gramian_eig > 0.0 for row in rows)
+        emit_sweep(result, str(tmp_path))
+        reference_sweep_csv(tmp_path / "reference.csv", result)
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_sweep_csv_format(self, tmp_path):
         cfg = parse_config(SWEEP_CONFIG)

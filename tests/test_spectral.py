@@ -134,6 +134,15 @@ class TestModeSet:
         with pytest.raises(ValueError):
             ModeSet((ModeIndex(0, 1),))
 
+    def test_extents_are_computed_once(self):
+        # max_i and max_j are cached on the frozen set and take no part in
+        # its equality or hash
+        modes = ModeSet((ModeIndex(7, 2), ModeIndex(1, 1), ModeIndex(3, 9)))
+        assert (modes.max_i, modes.max_j) == (7, 9)
+        assert {"max_i", "max_j"} <= set(vars(modes))
+        fresh = ModeSet(modes.modes)
+        assert modes == fresh and hash(modes) == hash(fresh)
+
 
 class TestAssembly:
     def test_paper_coefficients_single_mode(self):
