@@ -7,6 +7,7 @@ error (including a problem too large to allocate), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -27,6 +28,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(1)
 
 
+@functools.cache  # one parser per process; _Parser.error looks sys.stderr up when it is called
 def _build_parser() -> _Parser:
     parser = _Parser(prog="regobs", description="Regional boundary observability toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -283,27 +282,30 @@ class StrategicReport:
 def _singular_values(blocks: np.ndarray) -> np.ndarray:
     """Singular values of a stack of matrices, descending along the last axis.
 
-    A block with one row or one column has a single singular value, its
-    Euclidean norm; it is taken after dividing by the largest |entry|, so
-    squares of tiny entries cannot underflow, and for a 1 x 1 block it is |c|
-    exactly.  Blocks with at least two rows and two columns go to LAPACK's svd.
+    A block with one row or one column has a single singular value: |c| for a
+    1 x 1 block, else the Euclidean norm along its one long axis, taken after
+    dividing by the largest |entry| so that squares of tiny entries cannot
+    underflow.  Blocks with at least two rows and two columns go to LAPACK's svd.
     """
     if min(blocks.shape[-2:]) != 1:
         return np.linalg.svd(blocks, compute_uv=False)
-    peak = np.abs(blocks).max(axis=(-2, -1), initial=0.0)
-    unit = blocks / np.where(peak > 0, peak, 1.0)[..., None, None]
-    return (peak * np.sqrt(np.sum(unit * unit, axis=(-2, -1))))[..., None]
+    vec = blocks.reshape(blocks.shape[:-2] + (-1,))
+    if vec.shape[-1] == 1:
+        return np.abs(vec)
+    peak = np.abs(vec).max(axis=-1, initial=0.0)
+    unit = vec / np.where(peak > 0, peak, 1.0)[..., None]
+    return (peak * np.sqrt(np.sum(unit * unit, axis=-1)))[..., None]
 
 
 def _group_layout(groups):
     """The groups by multiplicity, as _stacked_rank_test takes them: for each
-    distinct multiplicity m, the indices ks of the G_m groups of that size
+    distinct multiplicity m, the index array ks of the G_m groups of that size
     and their (G_m, m) column positions; and every group's multiplicity.  A
     sweep builds it once for all its stacks."""
     by_mult: dict[int, list[int]] = {}
     for k, group in enumerate(groups):
         by_mult.setdefault(group.multiplicity, []).append(k)
-    return ([(ks, np.array([groups[k].positions for k in ks])) for ks in by_mult.values()],
+    return ([(np.array(ks), np.array([groups[k].positions for k in ks])) for ks in by_mult.values()],
             np.array([group.multiplicity for group in groups], dtype=int))
 
 
@@ -315,23 +317,24 @@ def _stacked_rank_test(stack: np.ndarray, layout):
     the scaled Euclidean norm as its only singular value, every other block
     one batched svd.
 
-    Returns the (P, len(groups)) ranks, each group's (P, k) singular values,
-    the (P, len(groups)) mask of offending groups and the (P,) verdicts.
+    Returns the (P, len(groups)) ranks, the (P, G_m, k) singular values of each
+    multiplicity in layout (none without rows), the offending mask and verdicts.
     """
     by_mult, mult = layout
     p, q = stack.shape[:2]
-    ranks = np.zeros((p, mult.size), dtype=int)
-    svals = [np.zeros((p, 0))] * mult.size
+    ranks = np.zeros((mult.size, p), dtype=int)  # group-major: each group's ranks are one row
+    svals = []
     if q:
         scale = _singular_values(stack)[:, 0]
+        threshold = np.where(scale > 0, TOL_RANK * scale, np.inf)[:, None, None]  # inf: rank 0
         for ks, cols in by_mult:
             s = _singular_values(np.swapaxes(stack[:, :, cols], 1, 2))
-            ranks[:, ks] = np.where(scale[:, None] > 0, np.sum(s > (TOL_RANK * scale)[:, None, None], axis=-1), 0)
-            for g, k in enumerate(ks):
-                svals[k] = s[:, g]
-    offending = ranks < mult
+            above = s > threshold
+            ranks[ks] = (above[..., 0] if above.shape[-1] == 1 else np.sum(above, axis=-1)).T
+            svals.append(s)
+    offending = ranks.T < mult
     strategic = (q >= mult.max(initial=0)) & ~offending.any(axis=1)
-    return ranks, svals, offending, strategic
+    return ranks.T, svals, offending, strategic
 
 
 def strategic_rank_test(c: np.ndarray, groups) -> StrategicReport:
@@ -345,9 +348,12 @@ def strategic_rank_test(c: np.ndarray, groups) -> StrategicReport:
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     groups = list(groups)
-    ranks, svals, offending, strategic = _stacked_rank_test(c[None], _group_layout(groups))
+    layout = _group_layout(groups)
+    ranks, svals, offending, strategic = _stacked_rank_test(c[None], layout)
+    group_svals = {k: tuple(row) for (ks, _), s in zip(layout[0], svals)
+                   for k, row in zip(ks.tolist(), s[0].tolist())}
     blocks = tuple(
-        GroupRank(group=group, rank=int(ranks[0, k]), singular_values=tuple(float(s) for s in svals[k][0]))
+        GroupRank(group=group, rank=int(ranks[0, k]), singular_values=group_svals.get(k, ()))
         for k, group in enumerate(groups)
     )
     return StrategicReport(
@@ -431,15 +437,6 @@ class PredicateResult:
     axis_denominators: tuple[int | None, int | None]
 
 
-def _axis_denominator(ratio: float, max_den: int) -> int | None:
-    """Denominator of the best rational approximation p/q, q <= max_den,
-    when it sits within TOL_RAT of the ratio; None otherwise."""
-    frac = Fraction(ratio).limit_denominator(max_den)
-    if abs(ratio - float(frac)) <= TOL_RAT:
-        return frac.denominator
-    return None
-
-
 def _vanishing_modes(modes: ModeSet, q1: int | None, q2: int | None) -> PredicateResult:
     hit = tuple(
         m for m in modes
@@ -448,11 +445,25 @@ def _vanishing_modes(modes: ModeSet, q1: int | None, q2: int | None) -> Predicat
     return PredicateResult(triggered=bool(hit), modes=hit, axis_denominators=(q1, q2))
 
 
+def _axis_denominators(ratios, max_den: int) -> list[int | None]:
+    """Denominator of the fraction p/q, q <= max_den, within TOL_RAT of each
+    ratio r, or None: the smallest q with |r - rint(r q)/q| <= TOL_RAT, one
+    array test over all ratios and q.  Fractions with denominators at most
+    max_den lie 1/max_den^2 or more apart, far above 2 TOL_RAT, so at most one
+    hits: Fraction.limit_denominator's best approximation, whose lowest-terms
+    denominator is the smallest q that hits and whose p/q is the same IEEE
+    quotient for every multiple of it."""
+    r = np.asarray(ratios, dtype=float)[:, None]
+    q = np.arange(1, max_den + 1, dtype=float)
+    hit = np.abs(r - np.rint(r * q) / q) <= TOL_RAT
+    return [int(k) + 1 if h else None for k, h in zip(hit.argmax(axis=1), hit.any(axis=1))]
+
+
 def _centre_denominators(domain: Domain, modes: ModeSet, xs, ys):
-    """_axis_denominator of each coordinate's ratio along its axis: q1 for
+    """_axis_denominators of the coordinates' ratios along their axes: q1 for
     each x in xs, q2 for each y in ys."""
-    q1 = [_axis_denominator((x - domain.alpha1) / domain.length1, modes.max_i) for x in xs]
-    q2 = [_axis_denominator((y - domain.alpha2) / domain.length2, modes.max_j) for y in ys]
+    q1 = _axis_denominators((np.asarray(xs, dtype=float) - domain.alpha1) / domain.length1, modes.max_i)
+    q2 = _axis_denominators((np.asarray(ys, dtype=float) - domain.alpha2) / domain.length2, modes.max_j)
     return q1, q2
 
 
@@ -469,8 +480,8 @@ def nonstrategic_pointwise_predicate(sensor: PointwiseSensor, domain: Domain, mo
     """Modes blind to a pointwise sensor: phi_ij(b) = 0 exactly when
     i (b1 - alpha1)/L1 or j (b2 - alpha2)/L2 is an integer.
 
-    Rational detection uses continued-fraction convergents with denominator
-    bounded by the per-axis truncation, within TOL_RAT.
+    Rational detection finds the fraction within TOL_RAT of each ratio whose
+    denominator is bounded by the per-axis truncation (_axis_denominators).
     """
     _check_sensor(sensor, domain)
     b1, b2 = sensor.location
@@ -498,8 +509,8 @@ def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, y
     point of the lattice xs x ys: for each x, the flagged modes of every
     (x, y), all () where the predicate does not apply.
 
-    The same flags as the predicates, with the denominators found once per
-    distinct coordinate and the flagged modes once per distinct pair of them.
+    The same flags as the predicates, with the denominators from one array
+    test per axis, and the flags and rows once per distinct pair and q1.
     """
     if isinstance(sensor, ZoneSensor):
         try:
@@ -511,5 +522,6 @@ def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, y
         xs = [0.5 * ((x - h1) + (x + h1)) for x in xs]
         ys = [0.5 * ((y - h2) + (y + h2)) for y in ys]
     q1s, q2s = _centre_denominators(domain, modes, xs, ys)
-    flagged = {pair: _vanishing_modes(modes, *pair).modes for pair in {(q1, q2) for q1 in q1s for q2 in q2s}}
-    return [[flagged[q1, q2] for q2 in q2s] for q1 in q1s]
+    flagged = {q1: {q2: _vanishing_modes(modes, q1, q2).modes for q2 in set(q2s)} for q1 in set(q1s)}
+    rows = {q1: [flags[q2] for q2 in q2s] for q1, flags in flagged.items()}
+    return [rows[q1].copy() for q1 in q1s]

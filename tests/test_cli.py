@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import BETA3_CONFIG, STABLE_CONFIG, python_env
-from regobs import __version__
+from regobs import __version__, cli
 from regobs.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -223,6 +225,31 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == 9
         assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
+
+
+class TestParserCache:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("simulation.n_modes = 3\nsensor.1.kind = pointwise\nsensor.1.location = 0.3, 0.3\n")
+        calls = (["sweep", "--config", str(cfg), "--grid", "3", "--out", str(tmp_path / "out")],
+                 ["sweep", "--config", str(cfg)],
+                 ["version"])
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append((main(argv), capsys.readouterr()))
+        assert [code for code, _ in alone] == [0, 1, 0]
+        assert "error: the following arguments are required: --grid" in alone[1][1].err
+
+        cli._build_parser.cache_clear()
+        # the parser is built while stderr points elsewhere; the usage error
+        # must still reach the stderr captured at its own call
+        with contextlib.redirect_stderr(io.StringIO()) as elsewhere:
+            assert (main(calls[0]), capsys.readouterr()) == alone[0]
+        for argv, expected in zip(calls[1:], alone[1:]):
+            assert (main(argv), capsys.readouterr()) == expected
+        assert elsewhere.getvalue() == ""
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestSubprocessEntry:

@@ -1,10 +1,11 @@
+import fractions
 import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import python_env, random_sensor_configs, zone_row_quadrature
@@ -23,11 +24,15 @@ from regobs import (
     nonstrategic_zone_predicate,
     observability_gramian,
     output_matrix,
+    parse_config,
+    placement_sweep,
     strategic_rank_test,
 )
 from regobs.geometry import gauss_nodes
 from regobs.sensing import (
     TOL_RANK,
+    TOL_RAT,
+    _axis_denominators,
     _group_layout,
     _lattice_triggered,
     _singular_values,
@@ -272,6 +277,24 @@ def test_rank_test_matches_svd_of_every_block(q, tall, n_side, seed):
         assert np.array_equal(ranks, unscaled[0]) and np.array_equal(strategic, unscaled[3])
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e-160])
+def test_report_singular_values_are_each_blocks(q, scale):
+    # N = 8 on the unit square has groups of multiplicity 1 to 4, so the
+    # blocks are 1 x 1, row and column vectors and full svd blocks; one
+    # suite of each size sits on nodal lines, where blocks are round-off
+    modes = ModeSet.square(8)
+    groups = group_modes_by_eigenvalue(model_with_beta(3.0, n=8))
+    rng = np.random.default_rng(q)
+    for points in (rng.uniform(0.05, 0.95, (q, 2)), np.full((q, 2), 0.5) + rng.uniform(0, 1e-3, (q, 2))):
+        c = scale * output_matrix([PointwiseSensor(tuple(p)) for p in points.tolist()], UNIT, modes)
+        report = strategic_rank_test(c, groups)
+        for block in report.blocks:
+            expected = _singular_values(c[:, list(block.group.positions)])
+            assert np.array(block.singular_values).tobytes() == expected.tobytes()
+            assert all(type(s) is float for s in block.singular_values)
+
+
 def _symmetrized_closed_form(d, obs, t_horizon):
     """The diagonal Gramian with an explicit (W + W')/2 pass: the reference
     the closed form must equal bit for bit."""
@@ -464,3 +487,68 @@ class TestPredicates:
                 assert not report.strategic
                 for k in hits:
                     assert k in report.offending
+
+
+def _limit_denominator(ratio, max_den):
+    """The oracle: the best approximation p/q, q <= max_den, of the ratio
+    (Fraction.limit_denominator), kept when it lies within TOL_RAT."""
+    frac = fractions.Fraction(ratio).limit_denominator(max_den)
+    return frac.denominator if abs(ratio - float(frac)) <= TOL_RAT else None
+
+
+def _assert_matches_oracle(ratios, max_den):
+    found = _axis_denominators(ratios, max_den)
+    assert found == [_limit_denominator(r, max_den) for r in ratios]
+    assert all(q is None or type(q) is int for q in found)
+    return found
+
+
+class TestAxisDenominators:
+    @settings(max_examples=200, deadline=None)
+    @given(ratios=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40), max_den=st.integers(1, 96))
+    @example(ratios=[0.0, 1.0], max_den=1)
+    @example(ratios=[0.0, 1.0], max_den=96)
+    def test_random_ratios(self, ratios, max_den):
+        _assert_matches_oracle(ratios, max_den)
+
+    def test_every_exact_fraction(self):
+        for max_den in range(1, 97):
+            pairs = [(p, q) for q in range(1, max_den + 1) for p in range(q + 1)]
+            found = _assert_matches_oracle([p / q for p, q in pairs], max_den)
+            assert found == [q // math.gcd(p, q) for p, q in pairs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.integers(1, 96), p_share=st.floats(0.0, 1.0), sign=st.sampled_from((-1.0, 1.0)),
+           side=st.sampled_from((-1.0, 1.0)), max_den=st.integers(1, 96))
+    def test_ratios_either_side_of_the_tolerance(self, q, p_share, sign, side, max_den):
+        p = round(p_share * q)
+        ratio = p / q + sign * TOL_RAT * (1 + side * 1e-6)
+        (found,) = _assert_matches_oracle([ratio], max_den)
+        if q <= max_den:
+            assert found == (q // math.gcd(p, q) if side < 0 else None)
+
+    def test_every_fraction_either_side_of_the_tolerance(self):
+        pairs = [(p, q) for q in range(1, 97) for p in range(q + 1)]
+        for sign in (-1.0, 1.0):
+            for side in (-1.0, 1.0):
+                found = _assert_matches_oracle([p / q + sign * TOL_RAT * (1 + side * 1e-6) for p, q in pairs], 96)
+                assert found == [q // math.gcd(p, q) if side < 0 else None for p, q in pairs]
+
+    def test_grid33_sweep_constructs_no_fraction(self):
+        cfg = parse_config("domain.beta2 = 1.3\nsensor.1.kind = pointwise\nsensor.1.location = 0.3, 0.4\n")
+        original = vars(fractions.Fraction)["__new__"]
+        made = []
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return original.__func__(cls, *args, **kwargs)
+
+        fractions.Fraction.__new__ = staticmethod(counting_new)
+        try:
+            result = placement_sweep(cfg, 33)
+            assert made == []
+            fractions.Fraction(0.25)  # the count sees a construction
+            assert made == [(0.25,)]
+        finally:
+            fractions.Fraction.__new__ = original
+        assert result.strategic.size == 33 * 33 and any(any(row) for row in result.triggered)
