@@ -55,7 +55,7 @@ class Rect:
 
     @property
     def center(self) -> tuple[float, float]:
-        return (0.5 * (self.lo1 + self.hi1), 0.5 * (self.lo2 + self.hi2))
+        return (_midpoint(self.lo1, self.hi1), _midpoint(self.lo2, self.hi2))
 
     @property
     def half_widths(self) -> tuple[float, float]:
@@ -69,6 +69,11 @@ class Rect:
             and domain.alpha2 <= self.lo2
             and self.hi2 <= domain.beta2
         )
+
+
+def _midpoint(lo, hi):
+    """Centre 0.5 (lo + hi) of the span [lo, hi], elementwise on arrays."""
+    return 0.5 * (lo + hi)
 
 
 def edge_segment(domain: Domain, edge: str, lo: float, hi: float):

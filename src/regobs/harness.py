@@ -35,7 +35,8 @@ from .sensing import (
     _lattice_rows,
     _lattice_triggered,
     _stacked_rank_test,
-    group_values,
+    group_modes_by_eigenvalue,
+    observability_gramian,
     output_matrix,
     strategic_rank_test,
 )
@@ -95,7 +96,7 @@ def _observed_model(cfg: ExperimentConfig, sensors):
     modes = ModeSet.square(cfg.simulation.n_modes)
     model = assemble_exchange_model(cfg.coefficients, cfg.domain, modes)
     a_ww = model.diagonals(cfg.observer.measured_field)[2]
-    groups = group_values(a_ww, modes)
+    groups = group_modes_by_eigenvalue(model, cfg.observer.measured_field)
     c = output_matrix(sensors, cfg.domain, modes) if sensors else np.zeros((0, len(modes)))
     return model, a_ww, groups, c
 
@@ -302,8 +303,7 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
                 raise ConfigError(f"{too_long}observability Gramian overflows at t_horizon = {horizon!r}")
         if not singular:
             for row_c, row_eig in zip(c.reshape(-1, grid_n, q, n), min_eig[span]):
-                w = np.swapaxes(row_c, 1, 2) @ row_c
-                w *= k  # W = (c'c) * K in place, as observability_gramian forms it
+                w = observability_gramian(a_ww, row_c, horizon)
                 # W is positive semidefinite: a negative eigvalsh value is round-off,
                 # and 0 is never farther from the true eigenvalue than it is
                 np.maximum(np.linalg.eigvalsh(w)[:, 0], 0.0, out=row_eig)

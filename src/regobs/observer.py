@@ -102,20 +102,20 @@ def split_unstable_stable(block, margin: float = 0.0) -> UnstableSplit:
     block is the vector of a diagonal block, which keeps its natural mode
     coordinates; a symmetric matrix, diagonalized orthogonally; or the
     ModePairs of the stacked exchange matrix (ModalModel.mode_pairs), which
-    brings its closed-form eigenbasis.  Any other matrix, or a non-finite
-    eigenvalue, which no comparison would place on either side, raises
-    ValueError.
+    brings its closed-form eigenbasis.  Any other matrix, or a NaN margin or
+    non-finite eigenvalue, which no comparison would place on either side,
+    raises ValueError.  Each side lists its directions by descending
+    eigenvalue, ties by index.
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
+    if not margin >= 0:
+        raise ValueError(f"margin must be >= 0, got {margin!r}")
     eigs, basis = _eigenpairs(block)
     if not np.isfinite(eigs).all():
         raise ValueError("a block to split must have finite eigenvalues")
-    order = sorted(range(len(eigs)), key=lambda k: (-eigs[k], k))
-    unstable = tuple(k for k in order if eigs[k] >= -margin)
-    stable = tuple(k for k in order if eigs[k] < -margin)
-    return UnstableSplit(eigenvalues=eigs, unstable=unstable, stable=stable,
-                         margin=margin, basis=basis)
+    order = np.argsort(-eigs, kind="stable")
+    unstable = eigs[order] >= -margin
+    return UnstableSplit(eigenvalues=eigs, unstable=tuple(order[unstable].tolist()),
+                         stable=tuple(order[~unstable].tolist()), margin=margin, basis=basis)
 
 
 @dataclass(eq=False)
@@ -162,8 +162,8 @@ def design_gain(obs_map: np.ndarray, split: UnstableSplit, target_margin: float,
     optionally records the raw C used to factor the gain through the
     measurements.
     """
-    if target_margin <= 0:
-        raise ValueError("target_margin must be > 0")
+    if not target_margin > 0:
+        raise ValueError(f"target_margin must be > 0, got {target_margin!r}")
     obs_map = np.atleast_2d(np.asarray(obs_map, dtype=float))
     n = split.eigenvalues.shape[0]
     q = obs_map.shape[0]

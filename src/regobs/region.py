@@ -4,7 +4,10 @@ decay-rate fitting.
 Every Dirichlet mode vanishes on the boundary, so a boundary segment Gamma
 has no norm of its own here: a run measures the error on its internal
 collar (build_collar), the proxy of Zerrik, Badraoui and El Jai (1999), and
-a segment passed where a region is expected is a TypeError.
+a segment passed where a region is expected is a TypeError.  A collar is
+the nodes of a tensor rule over its bounding box that lie within its radius
+of the segment (geometry.segment_distance), with their weights; it holds no
+other membership test.
 
 The exact fractional trace norm is out of scope; the default metric is the
 L2 norm of the restricted field, read off the region's Gram matrix, with a
@@ -17,7 +20,9 @@ The Gram matrix of an internal rectangle is the Kronecker product of two 1-D
 sine Grams, so a run applies it in that form (SeparableGram, from
 region_operator): G e costs two small matrix products per sample and no n x n
 matrix is built.  Collars keep the dense quadrature Gram, and region_gram
-stays the dense form of every region, the oracle of the separable one.
+stays the dense form of every region, the oracle of the separable one.  A
+run takes the norm of every sample at once (gram_norm_series);
+gamma_error_norm is the public norm of one estimate's error.
 """
 
 from __future__ import annotations
@@ -68,20 +73,14 @@ RegionSpec = BoundarySegment | InternalRectangle
 @dataclass(frozen=True)
 class CollarRegion:
     """Internal collar of a boundary segment: points of the domain within
-    distance `radius` of the segment.  Quadrature uses tensor nodes over the
-    bounding box, filtered by membership."""
+    distance `radius` of the segment, held as the quadrature nodes and
+    weights that build_collar keeps."""
 
     gamma: BoundarySegment
     radius: float
     domain: Domain
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-
-    def contains(self, point) -> bool:
-        if not self.domain.contains(point, closed=False):
-            return False
-        a, b = edge_segment(self.domain, self.gamma.edge, self.gamma.lo, self.gamma.hi)
-        return bool(segment_distance(point, a, b) < self.radius)
 
 
 def region_quadrature(region, domain: Domain):
@@ -108,8 +107,8 @@ def build_collar(gamma: BoundarySegment, radius: float, domain: Domain) -> Colla
     """Collar of a boundary segment, on gamma.n_quad tensor nodes per axis of
     its bounding box; radius may exceed the domain size, in which case the
     collar degenerates to (a superset of) the whole domain."""
-    if radius <= 0:
-        raise ValueError("collar radius must be > 0")
+    if not radius > 0:
+        raise ValueError(f"collar radius must be > 0, got {radius!r}")
     a, b = edge_segment(domain, gamma.edge, gamma.lo, gamma.hi)
     lo1 = max(domain.alpha1, min(a[0], b[0]) - radius)
     hi1 = min(domain.beta1, max(a[0], b[0]) + radius)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, Rect, _sine_product_integral
+from .geometry import Domain, Rect, _midpoint, _sine_product_integral
 from .spectral import ModalModel, ModeIndex, ModeSet
 
 ZONE_WEIGHTS = ("uniform", "separable_sine", "tabulated")
@@ -164,6 +164,23 @@ def _sensor_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, spans1, spa
         yield rows
 
 
+def _extent(sensor: SensorSpec):
+    """The sensor's extent on each axis, as one-span lists: its support's
+    sides, or (b, b) at a pointwise sensor's location b."""
+    if isinstance(sensor, PointwiseSensor):
+        b1, b2 = sensor.location
+        return [(b1, b1)], [(b2, b2)]
+    r = sensor.rect
+    return [(r.lo1, r.hi1)], [(r.lo2, r.hi2)]
+
+
+def _lattice_spans(sensor: SensorSpec, xs, ys):
+    """The sensor's extents moved to each point of the lattice xs x ys (its
+    location, or its support's centre): the spans of each x, of each y."""
+    h1, h2 = (0.0, 0.0) if isinstance(sensor, PointwiseSensor) else sensor.rect.half_widths
+    return [(x - h1, x + h1) for x in xs], [(y - h2, y + h2) for y in ys]
+
+
 def output_matrix(sensors, domain: Domain, modes: ModeSet) -> np.ndarray:
     """Modal output operator C (q x n_modes) of a sensor suite.
 
@@ -176,13 +193,7 @@ def output_matrix(sensors, domain: Domain, modes: ModeSet) -> np.ndarray:
     rows = []
     for sensor in sensors:
         _check_sensor(sensor, domain)
-        if isinstance(sensor, PointwiseSensor):
-            b1, b2 = sensor.location
-            spans = [(b1, b1)], [(b2, b2)]
-        else:
-            r = sensor.rect
-            spans = [(r.lo1, r.hi1)], [(r.lo2, r.hi2)]
-        rows.append(next(_sensor_rows(sensor, domain, modes, *spans))[0])
+        rows.append(next(_sensor_rows(sensor, domain, modes, *_extent(sensor)))[0])
     return np.vstack(rows)
 
 
@@ -191,10 +202,7 @@ def _lattice_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, ys):
     (its location, or its support's centre): yields, for each x, the
     (len(ys), n_modes) rows of the points (x, y), equal to output_matrix's.
     """
-    h1, h2 = (0.0, 0.0) if isinstance(sensor, PointwiseSensor) else sensor.rect.half_widths
-    spans1 = [(x - h1, x + h1) for x in xs]
-    spans2 = [(y - h2, y + h2) for y in ys]
-    return _sensor_rows(sensor, domain, modes, spans1, spans2)
+    return _sensor_rows(sensor, domain, modes, *_lattice_spans(sensor, xs, ys))
 
 
 # --- eigenvalue grouping and the strategic rank condition ---------------------
@@ -214,35 +222,31 @@ class ModeGroup:
 
 
 def group_values(values: np.ndarray, modes: ModeSet) -> list[ModeGroup]:
+    """Groups of the values in descending order, ties by position: a value
+    within TOL_GROUP (relative, floor 1) of the current group's first value
+    joins that group, any other starts the next."""
     values = np.asarray(values, dtype=float)
-    order = sorted(range(len(values)), key=lambda k: (-values[k], k))
+    order = np.argsort(-values, kind="stable")
     groups: list[list[int]] = []
-    for k in order:
-        if groups:
-            ref = values[groups[-1][0]]
-            if abs(values[k] - ref) <= TOL_GROUP * max(1.0, abs(ref)):
-                groups[-1].append(k)
-                continue
-        groups.append([k])
+    for k, value in zip(order.tolist(), values[order].tolist()):
+        if groups and abs(value - ref) <= TOL_GROUP * max(1.0, abs(ref)):
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+            ref = value
     groups = [sorted(idx) for idx in groups]
     return [ModeGroup(float(values[idx[0]]), tuple(idx), tuple(modes.modes[k] for k in idx)) for idx in groups]
 
 
-def group_modes_by_eigenvalue(model: ModalModel, block: str = "a22") -> list[ModeGroup]:
-    """Group modes whose eigenvalues of the chosen diagonal block coincide.
+def group_modes_by_eigenvalue(model: ModalModel, measured_field: int = 1) -> list[ModeGroup]:
+    """Group the modes whose eigenvalues of the unmeasured field's block
+    a_ww (ModalModel.diagonals) coincide: the groups of the strategic rank
+    test of sensors on field measured_field.
 
     Groups are ordered by descending eigenvalue, so unstable clusters come
     first; group multiplicity is the cluster size.
     """
-    if block == "a22":
-        values = model.a22
-    elif block == "a11":
-        values = model.a11
-    elif block == "laplacian":
-        values = model.eigenvalues
-    else:
-        raise ValueError("block must be 'a11', 'a22' or 'laplacian'")
-    return group_values(values, model.mode_set)
+    return group_values(model.diagonals(measured_field)[2], model.mode_set)
 
 
 @dataclass(frozen=True)
@@ -391,8 +395,8 @@ def observability_gramian(d: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
     vector, and when W is not finite (a horizon too long for the growth
     rates d).
     """
-    if t_horizon <= 0:
-        raise ValueError("t_horizon must be > 0")
+    if not t_horizon > 0:
+        raise ValueError(f"t_horizon must be > 0, got {t_horizon!r}")
     d = np.asarray(d, dtype=float)
     if d.ndim != 1:
         raise ValueError(f"observability_gramian takes the diagonal of M as a vector, got shape {d.shape}")
@@ -437,12 +441,8 @@ class PredicateResult:
     axis_denominators: tuple[int | None, int | None]
 
 
-def _vanishing_modes(modes: ModeSet, q1: int | None, q2: int | None) -> PredicateResult:
-    hit = tuple(
-        m for m in modes
-        if (q1 is not None and m.i % q1 == 0) or (q2 is not None and m.j % q2 == 0)
-    )
-    return PredicateResult(triggered=bool(hit), modes=hit, axis_denominators=(q1, q2))
+def _vanishing_modes(modes: ModeSet, q1: int | None, q2: int | None) -> tuple[ModeIndex, ...]:
+    return tuple(m for m in modes if (q1 is not None and m.i % q1 == 0) or (q2 is not None and m.j % q2 == 0))
 
 
 def _axis_denominators(ratios, max_den: int) -> list[int | None]:
@@ -459,21 +459,34 @@ def _axis_denominators(ratios, max_den: int) -> list[int | None]:
     return [int(k) + 1 if h else None for k, h in zip(hit.argmax(axis=1), hit.any(axis=1))]
 
 
-def _centre_denominators(domain: Domain, modes: ModeSet, xs, ys):
-    """_axis_denominators of the coordinates' ratios along their axes: q1 for
-    each x in xs, q2 for each y in ys."""
-    q1 = _axis_denominators((np.asarray(xs, dtype=float) - domain.alpha1) / domain.length1, modes.max_i)
-    q2 = _axis_denominators((np.asarray(ys, dtype=float) - domain.alpha2) / domain.length2, modes.max_j)
-    return q1, q2
+def _nodal_rule(sensor: SensorSpec, domain: Domain, modes: ModeSet, spans1, spans2):
+    """The closed-form predicate for the sensor on each extent pair of
+    spans1 x spans2 (_extent, _lattice_spans): the denominators q1 and q2 of
+    the centres of the spans along their axes (_axis_denominators), and
+    flagged[q1][q2], the modes blind there, i a multiple of q1 or j of q2,
+    once per distinct pair.  A pointwise sensor's span (b, b) has the centre
+    b itself, bit for bit.
 
-
-def _require_symmetric(sensor: ZoneSensor) -> None:
-    if sensor.weight == "tabulated":
+    Raises PredicateInapplicableError for a tabulated weight that is not
+    exactly symmetric about the support centre: the flags rest on rows that
+    vanish exactly, and a weight asymmetric by any amount leaves them nonzero.
+    """
+    if isinstance(sensor, ZoneSensor) and sensor.weight == "tabulated":
         arr = np.asarray(sensor.samples, dtype=float)
-        # exact: the predicate's flags rest on rows that vanish exactly, and a
-        # weight asymmetric by any amount leaves those rows nonzero
         if not (np.array_equal(arr, arr[::-1, :]) and np.array_equal(arr, arr[:, ::-1])):
             raise PredicateInapplicableError("zone weight is not symmetric about the support center")
+    (lo1, hi1), (lo2, hi2) = np.array(spans1, dtype=float).T, np.array(spans2, dtype=float).T
+    q1s = _axis_denominators((_midpoint(lo1, hi1) - domain.alpha1) / domain.length1, modes.max_i)
+    q2s = _axis_denominators((_midpoint(lo2, hi2) - domain.alpha2) / domain.length2, modes.max_j)
+    flagged = {q1: {q2: _vanishing_modes(modes, q1, q2) for q2 in set(q2s)} for q1 in set(q1s)}
+    return q1s, q2s, flagged
+
+
+def _predicate(sensor: SensorSpec, domain: Domain, modes: ModeSet) -> PredicateResult:
+    _check_sensor(sensor, domain)
+    (q1,), (q2,), flagged = _nodal_rule(sensor, domain, modes, *_extent(sensor))
+    hit = flagged[q1][q2]
+    return PredicateResult(triggered=bool(hit), modes=hit, axis_denominators=(q1, q2))
 
 
 def nonstrategic_pointwise_predicate(sensor: PointwiseSensor, domain: Domain, modes: ModeSet) -> PredicateResult:
@@ -483,10 +496,7 @@ def nonstrategic_pointwise_predicate(sensor: PointwiseSensor, domain: Domain, mo
     Rational detection finds the fraction within TOL_RAT of each ratio whose
     denominator is bounded by the per-axis truncation (_axis_denominators).
     """
-    _check_sensor(sensor, domain)
-    b1, b2 = sensor.location
-    (q1,), (q2,) = _centre_denominators(domain, modes, [b1], [b2])
-    return _vanishing_modes(modes, q1, q2)
+    return _predicate(sensor, domain, modes)
 
 
 def nonstrategic_zone_predicate(sensor: ZoneSensor, domain: Domain, modes: ModeSet) -> PredicateResult:
@@ -497,11 +507,7 @@ def nonstrategic_zone_predicate(sensor: ZoneSensor, domain: Domain, modes: ModeS
     Raises PredicateInapplicableError for a non-symmetric weight; callers fall
     back to the rank test.
     """
-    _check_sensor(sensor, domain)
-    _require_symmetric(sensor)
-    cx, cy = sensor.rect.center
-    (q1,), (q2,) = _centre_denominators(domain, modes, [cx], [cy])
-    return _vanishing_modes(modes, q1, q2)
+    return _predicate(sensor, domain, modes)
 
 
 def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, ys):
@@ -509,19 +515,12 @@ def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, y
     point of the lattice xs x ys: for each x, the flagged modes of every
     (x, y), all () where the predicate does not apply.
 
-    The same flags as the predicates, with the denominators from one array
-    test per axis, and the flags and rows once per distinct pair and q1.
+    The predicates' own rule on the lattice's spans, with each row of flags
+    built once per distinct q1.
     """
-    if isinstance(sensor, ZoneSensor):
-        try:
-            _require_symmetric(sensor)
-        except PredicateInapplicableError:
-            return [[()] * len(ys) for _ in xs]
-        # the moved support's centre, computed as Rect.center does
-        h1, h2 = sensor.rect.half_widths
-        xs = [0.5 * ((x - h1) + (x + h1)) for x in xs]
-        ys = [0.5 * ((y - h2) + (y + h2)) for y in ys]
-    q1s, q2s = _centre_denominators(domain, modes, xs, ys)
-    flagged = {q1: {q2: _vanishing_modes(modes, q1, q2).modes for q2 in set(q2s)} for q1 in set(q1s)}
+    try:
+        q1s, q2s, flagged = _nodal_rule(sensor, domain, modes, *_lattice_spans(sensor, xs, ys))
+    except PredicateInapplicableError:
+        return [[()] * len(ys) for _ in xs]
     rows = {q1: [flags[q2] for q2 in q2s] for q1, flags in flagged.items()}
     return [rows[q1].copy() for q1 in q1s]

@@ -4,7 +4,11 @@ and exact propagation of the resulting linear time-invariant dynamics.
 The spatial operator is the Laplacian on a rectangle with homogeneous
 Dirichlet conditions.  Both fields of the exchange system are expanded in the
 same product-sine basis, so every block operator is diagonal over one shared
-mode ordering and is held as the vector of its diagonal.
+mode ordering and is held as the vector of its diagonal.  Propagation is in
+closed form throughout: per-mode 2 x 2 exponentials for the plant
+(ModePairs), scalar exponentials (exp_samples) and a few coupled rows
+(propagate_few_rows) for the estimation error.  Only the last, for two rows
+or more, takes a matrix exponential.
 """
 
 from __future__ import annotations
@@ -82,27 +86,11 @@ def eigenvalues(modes: ModeSet, domain: Domain) -> np.ndarray:
     return np.array([eigenvalue(m, domain) for m in modes], dtype=float)
 
 
-def eigenfunction_eval(mode: ModeIndex, domain: Domain, point) -> float:
-    """L2-normalized product-sine eigenfunction evaluated at one point.
-
-    The point must lie in the closed rectangle; values on the boundary are 0.
-    """
-    if not domain.contains(point, closed=True):
-        raise ValueError(f"point {point} outside domain")
-    i, j = mode
-    x, y = point
-    c = 2.0 / math.sqrt(domain.length1 * domain.length2)
-    return (
-        c
-        * math.sin(i * math.pi * (x - domain.alpha1) / domain.length1)
-        * math.sin(j * math.pi * (y - domain.alpha2) / domain.length2)
-    )
-
-
 def eval_matrix(domain: Domain, modes: ModeSet, points: np.ndarray) -> np.ndarray:
     """Evaluation matrix Phi with Phi[k, m] = phi_m(points[k]), vectorized.
 
-    points: array of shape (K, 2) inside the closed rectangle.  Each axis
+    points: array of shape (K, 2) inside the closed rectangle; a point
+    outside it, or with a NaN coordinate, raises ValueError.  Each axis
     takes one table of sines, sin(pi x_k i) for i = 1..max_i, which the modes
     gather by index: the same operations as the per-mode outer products, so
     the same bits, with max_i + max_j sines per point instead of 2 n_modes.
@@ -112,8 +100,9 @@ def eval_matrix(domain: Domain, modes: ModeSet, points: np.ndarray) -> np.ndarra
         raise ValueError("points must have shape (K, 2)")
     xs = (pts[:, 0] - domain.alpha1) / domain.length1
     ys = (pts[:, 1] - domain.alpha2) / domain.length2
-    if xs.min() < -1e-12 or xs.max() > 1 + 1e-12 or ys.min() < -1e-12 or ys.max() > 1 + 1e-12:
-        raise ValueError("evaluation point outside domain")
+    # written so that a NaN coordinate, which fails every comparison, fails it
+    if not (xs.min() >= -1e-12 and xs.max() <= 1 + 1e-12 and ys.min() >= -1e-12 and ys.max() <= 1 + 1e-12):
+        raise ValueError("points must lie in the closed domain and not be NaN")
     ii = np.array([m.i - 1 for m in modes])
     jj = np.array([m.j - 1 for m in modes])
     sin_x = np.sin(np.pi * np.outer(xs, np.arange(1.0, modes.max_i + 1)))
@@ -167,17 +156,10 @@ class ModalModel:
     def n_modes(self) -> int:
         return len(self.mode_set)
 
-    def stacked_a(self) -> np.ndarray:
-        """The dense 2n x 2n matrix of the dynamics, built from the diagonals:
-        the engine of propagate(model) and the oracle of the tests."""
-        n = self.n_modes
-        a, i = np.zeros((2 * n, 2 * n)), np.arange(n)
-        a[i, i], a[i, n + i], a[n + i, i], a[n + i, n + i] = self.a11, self.a12, self.a12, self.a22
-        return a
-
     @cached_property
     def mode_pairs(self) -> "ModePairs":
-        """Closed-form eigendecomposition of stacked_a(): one symmetric 2 x 2
+        """Closed-form eigendecomposition of the stacked 2n x 2n dynamics
+        [[diag(a11), diag(a12)], [diag(a12), diag(a22)]]: one symmetric 2 x 2
         block per mode, made of the diagonals."""
         return ModePairs.of_blocks(self.a11, self.a12, self.a22)
 
@@ -405,50 +387,3 @@ def _few_rows_step(f_rr: np.ndarray, f_rs: np.ndarray, d_s: np.ndarray, dt: floa
     blocks[:, j + 1, 0] = 1.0
     gamma[near] = expm(blocks)[:, :j, j]
     return step, gamma
-
-
-class Propagator:
-    """Exact one-step propagator x(t + dt) = E x(t), E = exp(M dt), of
-    dx/dt = M x by one dense matrix exponential.  It is the engine of
-    propagate() and the test oracle of the structured closed forms
-    (ModePairs, exp_samples, propagate_few_rows) that every simulation uses.
-    """
-
-    def __init__(self, m: np.ndarray, dt: float):
-        # imported on use: loading scipy.linalg is most of the CLI's start-up
-        from scipy.linalg import expm
-
-        m = np.atleast_2d(np.asarray(m, dtype=float))
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("M must be square")
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
-        self.dt = float(dt)
-        self.n = m.shape[0]
-        self.E = expm(m * dt)
-
-    def step(self, state: np.ndarray) -> np.ndarray:
-        return self.E @ state
-
-    def run(self, state0: np.ndarray, steps: int) -> np.ndarray:
-        """Propagate `steps` steps; returns array of shape (steps + 1, n)."""
-        out = np.empty((steps + 1, self.n))
-        out[0] = np.asarray(state0, dtype=float).reshape(self.n)
-        for k in range(steps):
-            out[k + 1] = self.step(out[k])
-        return out
-
-
-def propagate(model_or_matrix, state0, dt: float, steps: int) -> np.ndarray:
-    """Exact trajectory of the model (or any square matrix) from state0.
-
-    For a ModalModel the state stacks both fields, [x1; x2].
-    """
-    if isinstance(model_or_matrix, ModalModel):
-        m = model_or_matrix.stacked_a()
-    else:
-        m = np.atleast_2d(np.asarray(model_or_matrix, dtype=float))
-    state0 = np.asarray(state0, dtype=float).reshape(-1)
-    if state0.shape[0] != m.shape[0]:
-        raise ValueError("state dimension does not match the system matrix")
-    return Propagator(m, dt).run(state0, steps)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.interpolate import RegularGridInterpolator
+from scipy.linalg import expm
 
 import regobs
-from regobs import PointwiseSensor, parse_config, spectral
+from regobs import ModalModel, PointwiseSensor, parse_config
 from regobs.geometry import gauss_nodes
+from regobs.sensing import TOL_GROUP, ModeGroup
 from regobs.spectral import ModeSet, eval_matrix
 
 # Property tests draw the same examples on every run by default, seeded from
@@ -99,15 +101,82 @@ def python_env():
     return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
+def stacked_a(model: ModalModel) -> np.ndarray:
+    """The dense 2n x 2n matrix of the model's dynamics, built from its
+    diagonals: [[diag(a11), diag(a12)], [diag(a12), diag(a22)]]."""
+    n = model.n_modes
+    a, i = np.zeros((2 * n, 2 * n)), np.arange(n)
+    a[i, i], a[i, n + i], a[n + i, i], a[n + i, n + i] = model.a11, model.a12, model.a12, model.a22
+    return a
+
+
+class Propagator:
+    """Exact one-step propagator x(t + dt) = E x(t), E = exp(M dt), of
+    dx/dt = M x by one dense matrix exponential: the oracle of the
+    closed forms (ModePairs, exp_samples, propagate_few_rows) that every
+    simulation uses."""
+
+    def __init__(self, m: np.ndarray, dt: float):
+        m = np.atleast_2d(np.asarray(m, dtype=float))
+        if m.shape[0] != m.shape[1]:
+            raise ValueError("M must be square")
+        if dt <= 0:
+            raise ValueError("dt must be > 0")
+        self.dt = float(dt)
+        self.n = m.shape[0]
+        self.E = expm(m * dt)
+
+    def step(self, state: np.ndarray) -> np.ndarray:
+        return self.E @ state
+
+    def run(self, state0: np.ndarray, steps: int) -> np.ndarray:
+        """Propagate `steps` steps; returns array of shape (steps + 1, n)."""
+        out = np.empty((steps + 1, self.n))
+        out[0] = np.asarray(state0, dtype=float).reshape(self.n)
+        for k in range(steps):
+            out[k + 1] = self.step(out[k])
+        return out
+
+
+def propagate(model_or_matrix, state0, dt: float, steps: int) -> np.ndarray:
+    """Dense exact trajectory of the model (its state stacks both fields,
+    [x1; x2]) or of any square matrix, from state0."""
+    if isinstance(model_or_matrix, ModalModel):
+        m = stacked_a(model_or_matrix)
+    else:
+        m = np.atleast_2d(np.asarray(model_or_matrix, dtype=float))
+    state0 = np.asarray(state0, dtype=float).reshape(-1)
+    if state0.shape[0] != m.shape[0]:
+        raise ValueError("state dimension does not match the system matrix")
+    return Propagator(m, dt).run(state0, steps)
+
+
 @contextmanager
 def no_dense_propagator():
-    """Fail if a dense spectral.Propagator is built inside the block; run
-    dense oracles outside it."""
+    """Fail if a dense Propagator is built inside the block; run dense
+    oracles outside it."""
     def refuse(self, *args, **kwargs):
         raise AssertionError("dense Propagator built inside a simulation")
 
-    with mock.patch.object(spectral.Propagator, "__init__", refuse):
+    with mock.patch.object(Propagator, "__init__", refuse):
         yield
+
+
+def reference_groups(values, modes):
+    """Eigenvalue groups by a Python sort on the key (-value, position) and a
+    chain over the sorted values, the oracle of sensing.group_values."""
+    values = np.asarray(values, dtype=float)
+    order = sorted(range(len(values)), key=lambda k: (-values[k], k))
+    groups: list[list[int]] = []
+    for k in order:
+        if groups:
+            ref = values[groups[-1][0]]
+            if abs(values[k] - ref) <= TOL_GROUP * max(1.0, abs(ref)):
+                groups[-1].append(k)
+                continue
+        groups.append([k])
+    groups = [sorted(idx) for idx in groups]
+    return [ModeGroup(float(values[idx[0]]), tuple(idx), tuple(modes.modes[k] for k in idx)) for idx in groups]
 
 
 def _weight_values(sensor, pts):

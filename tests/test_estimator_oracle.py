@@ -20,7 +20,6 @@ from regobs import (
     ModeSet,
     ObserverGain,
     PointwiseSensor,
-    Propagator,
     assemble_exchange_model,
     estimator_matrices,
     output_matrix,
@@ -29,7 +28,7 @@ from regobs import (
     split_unstable_stable,
 )
 from regobs.observer import MAX_STATE_NORM
-from conftest import no_dense_propagator
+from conftest import Propagator, no_dense_propagator, stacked_a
 
 UNIT = Domain()
 RTOL = 1e-10
@@ -58,7 +57,7 @@ def dense_reduced(model, c, gain, x0, phi0, dt, steps, mf):
     n = model.n_modes
     f_red, g_y = estimator_matrices(model, gain, measured_field=mf)
     meas, unmeas = _fields(n, mf)
-    a = model.stacked_a()
+    a = stacked_a(model)
     z = np.zeros((n, n))
     m = np.block([[a[meas, meas], a[meas, unmeas], z], [a[unmeas, meas], a[unmeas, unmeas], z], [g_y, z, f_red]])
     states, k = _guarded_dense(m, np.concatenate([x0[meas], x0[unmeas], phi0]), steps, dt)
@@ -74,7 +73,7 @@ def dense_full(model, c, gain, x0, xhat0, dt, steps, mf):
     meas, unmeas = _fields(n, mf)
     c_full = np.zeros((c.shape[0], 2 * n))
     c_full[:, meas] = c
-    a, hc = model.stacked_a(), gain.H @ c_full
+    a, hc = stacked_a(model), gain.H @ c_full
     m = np.block([[a, np.zeros_like(a)], [hc, a - hc]])
     states, k = _guarded_dense(m, np.concatenate([x0, xhat0]), steps, dt)
     x, zhat = states[:, :2 * n], states[:, 2 * n:]
@@ -138,7 +137,7 @@ def test_reduced_matches_dense_cosimulation(seed, n_side, q, mf, beta):
 def test_full_matches_dense_cosimulation(seed, n_side, q, mf, beta):
     rng, model, sensors, c = _case(seed, n_side, q, beta)
     n = model.n_modes
-    a = model.stacked_a()
+    a = stacked_a(model)
     gain = ObserverGain(H=0.5 * rng.standard_normal((2 * n, q)), split=split_unstable_stable(a),
                         target_margin=1.0, closed_loop_eigs=np.zeros(2 * n), residual=0.0)
     x0 = rng.standard_normal(2 * n)
@@ -168,7 +167,7 @@ def test_diverging_run_truncates_at_dense_index():
     assert oracle[-1] is not None and oracle[-1] < steps
     _assert_matches(traj, *oracle, dt)
 
-    full_gain = ObserverGain(H=np.zeros((2 * n, 1)), split=split_unstable_stable(model.stacked_a()),
+    full_gain = ObserverGain(H=np.zeros((2 * n, 1)), split=split_unstable_stable(stacked_a(model)),
                              target_margin=1.0, closed_loop_eigs=np.zeros(2 * n), residual=float("nan"))
     with no_dense_propagator():
         traj = simulate_full_order(model, blind, full_gain, x0, np.zeros(2 * n), dt, dt * steps)

@@ -1,7 +1,7 @@
 """The modal model holds each diagonal block as a vector: no step from
 assembly to the estimator maps allocates an n x n array, and every product
-with a block taken as a broadcast of its vector equals the dense product
-with stacked_a()'s block bit for bit."""
+with a block taken as a broadcast of its vector equals the product with
+that block of the dense matrix (conftest.stacked_a) bit for bit."""
 
 import tracemalloc
 
@@ -22,6 +22,7 @@ from regobs import (
     split_unstable_stable,
 )
 from regobs.observer import _estimator_maps
+from conftest import stacked_a
 
 UNIT = Domain()
 
@@ -58,7 +59,7 @@ def test_vector_forms_equal_dense_forms(beta, alpha, gamma, n_side, mf, q, seed)
     model = assemble_exchange_model(Coefficients(alpha, gamma, beta), UNIT, modes)
     c = rng.standard_normal((q, n))
     meas, unmeas = (slice(0, n), slice(n, 2 * n)) if mf == 1 else (slice(n, 2 * n), slice(0, n))
-    a = model.stacked_a()
+    a = stacked_a(model)
     a_mm, a_mw, a_wm, a_ww = a[meas, meas], a[meas, unmeas], a[unmeas, meas], a[unmeas, unmeas]
     assert np.array_equal(reduced_output_map(model, c, mf), c @ a_mw)
 

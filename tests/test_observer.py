@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_sensor_configs
+from conftest import propagate, random_sensor_configs, stacked_a
 from regobs import (
     Coefficients,
     ConfigError,
@@ -27,7 +27,6 @@ from regobs import (
     group_modes_by_eigenvalue,
     output_matrix,
     parse_config,
-    propagate,
     reduced_output_map,
     simulate_full_order,
     simulate_reduced_order,
@@ -89,6 +88,12 @@ class TestSplit:
         with pytest.raises(ValueError, match="margin must be >= 0"):
             split_unstable_stable(make_model(3.0).a22, margin=-1)
 
+    def test_nan_margin_rejected(self):
+        # a NaN margin fails both ">= -margin" and "< -margin": every
+        # direction would be in neither part
+        with pytest.raises(ValueError, match="margin must be >= 0"):
+            split_unstable_stable(make_model(3.0).a22, math.nan)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_eigenvalue_rejected(self, bad):
         # a NaN fails both ">= -margin" and "< -margin": it would be in neither part
@@ -109,7 +114,7 @@ class TestDesignGain:
         assert gain.H[0, 0] == pytest.approx(-2.026, abs=1e-12)
         assert gain.closed_loop_eigs[0] == pytest.approx(-1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("target_margin", [0.0, -1.0])
+    @pytest.mark.parametrize("target_margin", [0.0, -1.0, math.nan])
     def test_nonpositive_target_margin_rejected(self, target_margin):
         model = make_model(3.0)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
@@ -144,7 +149,7 @@ class TestDesignGain:
         model = make_model(3.0)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
         c_full = np.hstack([c, np.zeros_like(c)])
-        a = model.stacked_a()
+        a = stacked_a(model)
         split = split_unstable_stable(a, 0.0)
         assert split.j_unstable == 1
         gain = design_gain(c_full, split, 1.0, sensor_matrix=c_full)
@@ -177,7 +182,7 @@ class TestDesignGain:
             design_gain(reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
         assert err.value.blind_positions == (model.mode_set.position(ModeIndex(1, 1)),)
         c_full = np.hstack([c, np.zeros_like(c)])
-        a = model.stacked_a()
+        a = stacked_a(model)
         with pytest.raises(NotDetectableError):
             design_gain(c_full, split_unstable_stable(a, 0.0), 1.0, sensor_matrix=c_full)
 
@@ -195,7 +200,7 @@ class TestDesignGain:
             block, obs_map = model.a22, reduced_output_map(model, c)
             dense_block = np.diag(block)
         else:
-            block, obs_map = model.stacked_a(), np.hstack([c, np.zeros_like(c)])
+            block, obs_map = stacked_a(model), np.hstack([c, np.zeros_like(c)])
             dense_block = block
         split = split_unstable_stable(block, 0.0)
         try:
@@ -401,7 +406,7 @@ class TestSimulateFullOrder:
     def _full_gain(self, model, sensors, margin=1.0):
         c = output_matrix(sensors, UNIT, model.mode_set)
         c_full = np.hstack([c, np.zeros_like(c)])
-        split = split_unstable_stable(model.stacked_a(), 0.0)
+        split = split_unstable_stable(stacked_a(model), 0.0)
         return design_gain(c_full, split, margin, sensor_matrix=c_full)
 
     def test_identical_initialization_zero_error(self):
@@ -417,7 +422,7 @@ class TestSimulateFullOrder:
         gain = self._full_gain(model, STRATEGIC_PAIR)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
         c_full = np.hstack([c, np.zeros_like(c)])
-        f = model.stacked_a() - gain.H @ c_full
+        f = stacked_a(model) - gain.H @ c_full
         rng = np.random.default_rng(8)
         x0 = rng.standard_normal(8)
         z0 = rng.standard_normal(8)
@@ -440,7 +445,7 @@ class TestSimulateFullOrder:
         model = make_model(1.0)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
         c_full = np.hstack([c, np.zeros_like(c)])
-        split = split_unstable_stable(model.stacked_a(), 0.0)
+        split = split_unstable_stable(stacked_a(model), 0.0)
         gain = design_gain(c_full, split, 1.0, sensor_matrix=c_full)
         assert not gain.H.any()
         rng = np.random.default_rng(9)

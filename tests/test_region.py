@@ -186,15 +186,24 @@ class TestRegionGram:
             gram_norm_series(np.zeros((1, 4)), np.eye(4), UNIT, ModeSet.square(2), "h1")
 
 
+def scalar_distance(point, a, b):
+    px, py = point
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    t = min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)))
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def in_collar(collar, point):
+    """Membership of one point in a collar, in scalar arithmetic: inside the
+    open domain and nearer to the segment than the radius."""
+    gamma = collar.gamma
+    a, b = edge_segment(collar.domain, gamma.edge, gamma.lo, gamma.hi)
+    return collar.domain.contains(point, closed=False) and scalar_distance(point, a, b) < collar.radius
+
+
 class TestCollar:
     def test_members_match_scalar_distance_rule(self):
-        def scalar_distance(point, a, b):
-            px, py = point
-            (ax, ay), (bx, by) = a, b
-            dx, dy = bx - ax, by - ay
-            t = min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)))
-            return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
         cfg = load_config(str(COLLAR_CONFIG))
         gamma, radius, domain = cfg.region, cfg.collar_radius, cfg.domain
         collar = build_collar(gamma, radius, domain)
@@ -211,21 +220,22 @@ class TestCollar:
         assert 0 < member.sum() < member.size
         assert np.array_equal(collar.points, pts[member])
         assert np.array_equal(collar.weights, np.outer(wx, wy).ravel()[member])
-        assert all(collar.contains(p) for p in collar.points[::17])
+        assert all(in_collar(collar, p) for p in collar.points[::17])
 
     def test_membership_examples(self):
         gamma = BoundarySegment("bottom", 0.25, 0.75)
         collar = build_collar(gamma, 0.1, UNIT)
-        assert collar.contains((0.5, 0.05))
-        assert not collar.contains((0.9, 0.05))  # distance ~0.158 > 0.1
-        assert not collar.contains((0.5, -0.01))
+        nearest = lambda p: np.hypot(*(collar.points - p).T).min()
+        assert nearest((0.5, 0.05)) < 0.01  # a member: nodes all round it
+        assert nearest((0.9, 0.05)) > 0.05  # ~0.158 from the segment, 0.058 from the collar
+        assert (collar.points[:, 1] > 0).all()  # nothing outside the domain
 
     def test_all_quadrature_points_are_members(self):
         gamma = BoundarySegment("left", 0.2, 0.6)
         collar = build_collar(gamma, 0.15, UNIT)
         assert collar.points.shape[0] > 0
         for p in collar.points[::37]:
-            assert collar.contains(p)
+            assert in_collar(collar, p)
 
     def test_segment_coverage(self):
         # every point of the segment is within radius of some collar node
@@ -243,7 +253,7 @@ class TestCollar:
         ys, wy = gauss_nodes(0.0, 0.15, 16)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()])
-        member = np.array([collar.contains(p) for p in pts])
+        member = np.array([in_collar(collar, p) for p in pts])
         assert 0 < member.sum() < member.size
         assert np.array_equal(collar.points, pts[member])
         assert np.array_equal(collar.weights, np.outer(wx, wy).ravel()[member])
@@ -275,6 +285,11 @@ class TestCollar:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             build_collar(BoundarySegment("bottom", 0.2, 0.8), 0.0, UNIT)
+
+    def test_rejects_nan_radius(self):
+        # "distance < nan" holds nowhere: the collar would have no node and norm 0
+        with pytest.raises(ValueError, match="collar radius must be > 0"):
+            build_collar(BoundarySegment("bottom", 0.2, 0.8), math.nan, UNIT)
 
 
 class TestFitDecay:

@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import math
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import python_env, random_sensor_configs, zone_row_quadrature
+from conftest import python_env, random_sensor_configs, reference_groups, zone_row_quadrature
 from regobs import (
     Coefficients,
     Domain,
@@ -30,6 +31,7 @@ from regobs import (
 )
 from regobs.geometry import gauss_nodes
 from regobs.sensing import (
+    TOL_GROUP,
     TOL_RANK,
     TOL_RAT,
     _axis_denominators,
@@ -132,6 +134,30 @@ class TestOutputMatrix:
     def test_empty_sensor_list_rejected(self):
         with pytest.raises(ValueError, match="sensor list must be nonempty"):
             output_matrix([], UNIT, ModeSet.square(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_side=st.integers(1, 8), tall=st.booleans(), mf=st.sampled_from([1, 2]), alpha=st.floats(0.05, 2.0),
+       gamma=st.floats(0.05, 2.0), beta=st.floats(-8.0, 8.0),
+       nudges=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16),
+                                 st.sampled_from([-1.0, 1.0]) | st.floats(-2.0, 2.0), st.booleans()), max_size=6))
+@example(n_side=4, tall=False, mf=1, alpha=1.0, gamma=0.1, beta=3.0, nudges=[])
+@example(n_side=2, tall=True, mf=2, alpha=1.0, gamma=0.1, beta=3.0, nudges=[(0, 1, 1.0, True), (2, 1, -1.0, False)])
+def test_grouping_matches_sort_and_chain_oracle(n_side, tall, mf, alpha, gamma, beta, nudges):
+    # each nudge puts one value u TOL_GROUP (relative, floor 1) from another,
+    # |u| <= 2, so values fall on both sides of a group's edge and chains of
+    # near values form; a nudge from a value first set to 0 with u = +-1 lies
+    # exactly on the edge, and the unit square adds exact ties
+    domain = Domain(0.0, 1.0, 0.0, 1.3) if tall else UNIT
+    model = assemble_exchange_model(Coefficients(alpha, gamma, beta), domain, ModeSet.square(n_side))
+    values = model.diagonals(mf)[2].copy()
+    for dst, src, u, zero in nudges:
+        if zero:
+            values[src % values.size] = 0.0
+        ref = values[src % values.size]
+        values[dst % values.size] = ref + u * TOL_GROUP * max(1.0, abs(ref))
+    nudged = dataclasses.replace(model, **{"a22" if mf == 1 else "a11": values})
+    assert group_modes_by_eigenvalue(nudged, mf) == reference_groups(values, model.mode_set)
 
 
 class TestGrouping:
@@ -336,6 +362,11 @@ class TestGramian:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             observability_gramian(np.ones(2), np.eye(2), 0.0)
+
+    def test_rejects_nan_horizon(self):
+        # not as an overflow: a NaN horizon is no horizon at all
+        with pytest.raises(ValueError, match="t_horizon must be > 0"):
+            observability_gramian(np.ones(2), np.eye(2), math.nan)
 
     def test_closed_form_zero_sum_limit(self):
         # d_i + d_j = 0 gives the integral of 1 over [0, T]: exactly T O'O

@@ -8,19 +8,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from conftest import python_env
+from conftest import Propagator, propagate, python_env, stacked_a
 from regobs import (
     Coefficients,
     Domain,
     ModeIndex,
     ModeSet,
-    Propagator,
     assemble_exchange_model,
-    eigenfunction_eval,
     eigenvalue,
     eigenvalues,
     eval_matrix,
-    propagate,
 )
 from regobs.spectral import EXP_ZERO_BELOW, exp_samples
 
@@ -74,17 +71,28 @@ class TestEigenvalue:
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def phi(mode, point):
+    return eval_matrix(UNIT, ModeSet((ModeIndex(*mode),)), [point])[0, 0]
+
+
 class TestEigenfunction:
     def test_center_values(self):
-        assert eigenfunction_eval(ModeIndex(1, 1), UNIT, (0.5, 0.5)) == pytest.approx(2.0, abs=1e-14)
-        assert eigenfunction_eval(ModeIndex(2, 1), UNIT, (0.5, 0.5)) == pytest.approx(0.0, abs=1e-14)
+        assert phi((1, 1), (0.5, 0.5)) == pytest.approx(2.0, abs=1e-14)
+        assert phi((2, 1), (0.5, 0.5)) == pytest.approx(0.0, abs=1e-14)
 
     def test_quarter_point(self):
-        assert eigenfunction_eval(ModeIndex(1, 1), UNIT, (0.25, 0.25)) == pytest.approx(1.0, abs=1e-14)
+        assert phi((1, 1), (0.25, 0.25)) == pytest.approx(1.0, abs=1e-14)
 
     def test_outside_domain(self):
-        with pytest.raises(ValueError):
-            eigenfunction_eval(ModeIndex(1, 1), UNIT, (1.5, 0.5))
+        with pytest.raises(ValueError, match="points"):
+            phi((1, 1), (1.5, 0.5))
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+    def test_nan_point_is_rejected(self, point):
+        # a NaN coordinate fails every comparison, so a guard written as
+        # "outside" passes it and returns a NaN row
+        with pytest.raises(ValueError, match="points"):
+            eval_matrix(UNIT, ModeSet.square(2), [(0.25, 0.25), point])
 
     def test_orthonormality_by_quadrature(self):
         modes = ModeSet.square(4)
@@ -153,7 +161,7 @@ class TestAssembly:
     def test_zero_coupling_decouples(self):
         model = assemble_exchange_model(Coefficients(1.0, 0.1, 0.0), UNIT, ModeSet.square(2))
         assert not model.a12.any()
-        a = model.stacked_a()
+        a = stacked_a(model)
         assert not a[:4, 4:].any() and not a[4:, :4].any()
 
     def test_beta3_a22_diagonal(self):
@@ -167,7 +175,7 @@ class TestAssembly:
         model = assemble_exchange_model(coeffs, UNIT, modes)
         lam = eigenvalues(modes, UNIT)
         n = len(modes)
-        a = model.stacked_a()
+        a = stacked_a(model)
         assert np.allclose(a[:n, :n], np.diag(2.0 * lam + 1.7))
         assert np.allclose(a[n:, n:], np.diag(0.5 * lam + 1.7))
         assert np.allclose(a[:n, n:], -1.7 * np.eye(n))
@@ -278,10 +286,10 @@ class TestPropagate:
             propagate(np.eye(2), [1.0, 2.0, 3.0], dt=0.1, steps=1)
 
 
-# Each call below reaches one of the places that import scipy.linalg on use.
-# propagate_few_rows needs it for two rows or more.  F's rows 0 and 1 have
-# F_RR = [[0.5, 0.3], [0, 1]], whose eigenvalue 0.5 equals the rate of
-# coordinate 2, so that column of Gamma is read off a Van Loan block
+# Each call below reaches a place that imports scipy.linalg on use; the only
+# one is propagate_few_rows, which needs it for two rows or more.  F's rows
+# 0 and 1 have F_RR = [[0.5, 0.3], [0, 1]], whose eigenvalue 0.5 equals the
+# rate of coordinate 2, so that column of Gamma is read off a Van Loan block
 # exponential; the column of coordinate 3 takes the resolvent.
 LAZY_SCIPY_SITES = {
     "propagate_few_rows": (
@@ -290,17 +298,12 @@ LAZY_SCIPY_SITES = {
         "rates = np.array([9.0, 7.0, 0.5, -40.0])\n"
         "result = [propagate_few_rows(rates, [0, 1], f_rows, np.array([1.0, -0.5, 0.25, 2.0]), 0.1, 20)]\n"
     ),
-    "Propagator": (
-        "from regobs.spectral import Propagator\n"
-        "prop = Propagator(np.array([[-1.0, 0.4], [0.3, -2.0]]), 0.05)\n"
-        "result = [prop.E]\n"
-    ),
 }
 
 
 @pytest.mark.parametrize("site", sorted(LAZY_SCIPY_SITES))
 def test_lazy_scipy_import_sites_run_cold(site, tmp_path):
-    # conftest loads scipy.linalg here (through scipy.interpolate), so only a
+    # conftest loads scipy.linalg here (for its dense oracle), so only a
     # fresh process shows that importing regobs leaves it out, that the site
     # loads it itself, and that the cold call gives the same bits.
     code = LAZY_SCIPY_SITES[site]

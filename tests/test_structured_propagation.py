@@ -26,14 +26,12 @@ from regobs import (
     NotDetectableError,
     ObserverGain,
     PointwiseSensor,
-    Propagator,
     UnstableSplit,
     assemble_exchange_model,
     design_gain,
     load_config,
     output_matrix,
     parse_config,
-    propagate,
     run_experiment,
     simulate_full_order,
     simulate_reduced_order,
@@ -43,7 +41,7 @@ from regobs import harness, observer, spectral
 from regobs.observer import _error_trajectory, _estimator_maps, _full_sensor_matrix, _plant_trajectory
 from regobs.region import SeparableGram, region_operator
 from regobs.spectral import ModePairs, _one_row_step, propagate_few_rows
-from conftest import BETA3_CONFIG, no_dense_propagator
+from conftest import BETA3_CONFIG, Propagator, no_dense_propagator, propagate, stacked_a
 from test_estimator_oracle import dense_full, dense_reduced
 
 UNIT = Domain()
@@ -73,7 +71,7 @@ def _unstable_rows_gain(split, h_u):
 
 def _dense_error(kind, model, c, h, e0, dt, steps, mf):
     _, obs_map, _ = _estimator_maps(kind, model, c, mf)
-    block = np.diag(model.diagonals(mf)[2]) if kind == "reduced" else model.stacked_a()
+    block = np.diag(model.diagonals(mf)[2]) if kind == "reduced" else stacked_a(model)
     return Propagator(block - h @ obs_map, dt).run(e0, steps)
 
 
@@ -265,7 +263,7 @@ def test_stacked_split_matches_eigh(seed, n_side, beta, margin, target_margin):
     # eigh split: same sorted spectrum, same gain H = V_u h_u
     rng = np.random.default_rng(seed)
     model = _model(beta, n_side)
-    a = model.stacked_a()
+    a = stacked_a(model)
     split = split_unstable_stable(model.mode_pairs, margin)
     w, v = np.linalg.eigh(a)
     scale = np.abs(w).max()
