@@ -6,6 +6,7 @@ or absolute paths, so identical config text produces byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,8 +20,8 @@ from .observer import (
     NotDetectableError,
     _estimator_maps,
     _field_slices,
-    _plant_trajectory,
     _simulate,
+    _steps,
     _zero_gain,
     design_gain,
     split_unstable_stable,
@@ -46,6 +47,7 @@ CONFIG_ECHO_BEGIN = "--- config ---"
 CONFIG_ECHO_END = "--- end config ---"
 _BLOCK_CELLS = 1 << 13  # cells formatted at a time: the formatter holds ~320 bytes per cell
 _SWEEP_CHUNK_ENTRIES = 1 << 13  # output-matrix entries a sweep rank-tests at a time
+_OPTIONAL_OUTPUTS = ("gain.csv", "error_decay.svg")  # files a run writes only in some cases
 
 
 def _fmt(value) -> str:
@@ -144,11 +146,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     gram = region_operator(norm_region, cfg.domain, model.mode_set)
 
     x0 = _initial_state(cfg, model.n_modes)
-    x = _plant_trajectory(model, x0, sim.dt, sim.t_final)
-
     wanted = ("reduced", "full") if cfg.observer.estimators == "both" else (cfg.observer.estimators,)
     summaries: dict[str, EstimatorSummary] = {}
-    trajectories = {}
+    estimators, gains = {}, {}
 
     for kind in wanted:
         block, obs_map, sensor_matrix = _estimator_maps(kind, model, c, mf)
@@ -164,17 +164,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             detail = str(exc)
 
         xhat0 = truth0 if sim.estimator_init == "truth" else np.zeros_like(truth0)
-        traj = _simulate(kind, model, c, gain, x, xhat0, sim.dt, mf, gram, cfg.output.norm)
-        summary = EstimatorSummary(
+        estimators[kind], gains[kind] = (gain, xhat0 - truth0), gain
+        summaries[kind] = EstimatorSummary(
             kind=kind,
             j_unstable=split.j_unstable,
             not_detectable=not_detectable,
             detail=detail,
             closed_loop_eigs=tuple(float(v) for v in np.real(gain.closed_loop_eigs)),
             achieved_margin=gain.achieved_margin,
-            diverged=traj.diverged,
-            divergence_message=traj.divergence_message,
         )
+
+    primary = "reduced" if "reduced" in summaries else "full"
+    trajectories = _simulate(model, c, x0, sim.dt, _steps(sim.dt, sim.t_final), estimators, measured_field=mf,
+                             gram=gram, norm_weight=cfg.output.norm, keep_modes=(primary,))
+    for kind, traj in trajectories.items():
+        summary = summaries[kind]
+        summary.diverged, summary.divergence_message = traj.diverged, traj.divergence_message
         if traj.err_gamma is not None and traj.err_gamma.size:
             summary.err_first = float(traj.err_gamma[0])
             summary.err_last = float(traj.err_gamma[-1])
@@ -185,10 +190,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
                 summary.decay_fit = fit_decay(traj.times, traj.err_gamma, window=(t_lo, t_hi))
             except ValueError:
                 summary.decay_fit = None
-        summaries[kind] = summary
-        trajectories[kind] = (traj, gain)
 
-    primary = "reduced" if "reduced" in summaries else "full"
     report = RunReport(
         config_echo=render_config(cfg),
         strategic=strategic,
@@ -197,8 +199,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         region_note=region_note,
     )
     if out_dir is not None:
-        report.manifest = emit_outputs(report, trajectories, cfg, out_dir)
-    return report, {k: t for k, (t, _) in trajectories.items()}
+        report.manifest = emit_outputs(report, {k: (t, gains[k]) for k, t in trajectories.items()}, cfg, out_dir)
+    return report, trajectories
 
 
 # --- placement sweep ----------------------------------------------------------
@@ -316,7 +318,10 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
 
 def emit_outputs(report: RunReport, trajectories, cfg: ExperimentConfig, out_dir: str) -> tuple[str, ...]:
     """Write trajectory.csv, gain.csv (when the design succeeded), the
-    optional error_decay.svg, and summary.txt; returns the manifest."""
+    optional error_decay.svg, and summary.txt; returns the manifest.  A
+    gain.csv or error_decay.svg that an earlier run left in out_dir and this
+    run does not write is removed, so the directory holds the manifest's
+    files and any file of another name untouched."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = []
 
@@ -335,6 +340,10 @@ def emit_outputs(report: RunReport, trajectories, cfg: ExperimentConfig, out_dir
                         primary_traj.times, primary_traj.err_gamma, report.decay_fit)
         manifest.append("error_decay.svg")
 
+    for name in _OPTIONAL_OUTPUTS:
+        if name not in manifest:
+            with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+                os.remove(os.path.join(out_dir, name))
     manifest.append("summary.txt")
     report.manifest = tuple(manifest)
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
@@ -343,26 +352,30 @@ def emit_outputs(report: RunReport, trajectories, cfg: ExperimentConfig, out_dir
 
 
 def _write_trajectory_csv(path, cfg, primary, full, reduced):
+    """trajectory.csv: per sample, t, the error series of the primary, full
+    and reduced estimators and the primary's per-mode errors, formatted one
+    block of rows at a time; a divergence truncates a series, and its
+    missing samples are empty cells."""
     modes = ModeSet.square(cfg.simulation.n_modes)
     header = ["t", "err_gamma", "err_full_order", "err_reduced_order"]
     header += [f"e_{m.i}_{m.j}" for m in modes]
     rows = max(traj.times.shape[0] for traj in (primary, full, reduced) if traj is not None)
-    table = np.zeros((rows, len(header)))
-    # a divergence truncates a series; its missing samples are empty cells
-    empty = np.zeros(table.shape, dtype=bool)
-    table[:, 0] = np.arange(rows) * cfg.simulation.dt
-    for col, traj in enumerate((primary, full, reduced), start=1):
-        values = () if traj is None or traj.err_gamma is None else traj.err_gamma
-        table[:len(values), col] = values
-        empty[len(values):, col] = True
-    modal = primary.mode_abs_err
-    table[:modal.shape[0], 4:] = modal
-    empty[modal.shape[0]:, 4:] = True
+    columns = [(col, () if traj is None or traj.err_gamma is None else traj.err_gamma)
+               for col, traj in enumerate((primary, full, reduced), start=1)]
+    columns.append((slice(4, None), primary.mode_abs_err))
     block = max(1, _BLOCK_CELLS // len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, block):
-            fh.write(format_rows(table[start:start + block], empty[start:start + block]))
+            stop = min(start + block, rows)
+            table = np.zeros((stop - start, len(header)))
+            empty = np.zeros(table.shape, dtype=bool)
+            table[:, 0] = np.arange(start, stop) * cfg.simulation.dt
+            for cells, values in columns:
+                part = values[start:stop]
+                table[:len(part), cells] = part
+                empty[len(part):, cells] = True
+            fh.write(format_rows(table, empty))
 
 
 def _write_gain_csv(path, cfg, kind, gain):

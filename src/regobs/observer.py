@@ -18,6 +18,19 @@ In the coordinates of the split F is diagonal outside the rows where the
 gain is nonzero, so the error follows from scalar exponentials, one
 exponential of the order of those rows and their coupling to the rest: J
 rows for a designed gain, every row for a dense one.
+
+A simulation runs through time in blocks of samples, each at most
+_TIME_BLOCK_CELLS cells of the stacked state: every block of plant rows is
+made once, shared by the estimators, and reduced at once with each
+estimator's error rows into what the caller keeps.  A run
+(harness.run_experiment) keeps the error series err_gamma and its primary
+estimator's per-mode errors, so no array of every sample of the state
+exists; simulate_reduced_order and simulate_full_order collect the same
+blocks into a whole Trajectory.  Every product behind err_gamma and the
+per-mode errors is taken row by row, so they do not depend on the block
+size.  The divergence check compares the estimator state, formed with
+products over the block, with MAX_STATE_NORM; its index could move with
+the block size only for a sample within rounding of that bound.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ import numpy as np
 
 from .region import gram_norm_series, region_operator
 from .sensing import TOL_RANK, output_matrix
-from .spectral import ModalModel, ModePairs, propagate_few_rows
+from .spectral import ModalModel, ModePairs, few_rows_blocks
 
 MAX_STATE_NORM = 1e12
 # A gain design is not detectable when its unstable-block residual exceeds
@@ -257,24 +270,33 @@ def estimator_matrices(model: ModalModel, gain: ObserverGain, *, measured_field:
 class Trajectory:
     """Time-sampled record of one estimator simulation.
 
-    x1/x2 are the true modal states; estimator_state is z_hat (full order,
-    both fields stacked) or phi (reduced order); x2_hat is the recovered
-    estimate of the unmeasured field (phi + H y in the reduced case);
-    mode_abs_err are per-mode absolute errors of that estimate.  err_gamma is
-    attached when a region is supplied.
+    x1/x2 are the true modal states; y the measurements; estimator_state is
+    z_hat (full order, both fields stacked) or phi (reduced order); x2_hat is
+    the recovered estimate of the unmeasured field (phi + H y in the reduced
+    case); mode_abs_err are per-mode absolute errors of that estimate.
+    err_gamma is attached when a region is supplied.  simulate_reduced_order
+    and simulate_full_order fill every field.  A run (run_experiment) keeps
+    only what it reports, times, err_gamma and, for its primary estimator,
+    mode_abs_err, and leaves the other arrays None.
     """
 
     kind: str
     times: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    y: np.ndarray
-    estimator_state: np.ndarray
-    x2_hat: np.ndarray
-    mode_abs_err: np.ndarray
+    x1: np.ndarray | None = None
+    x2: np.ndarray | None = None
+    y: np.ndarray | None = None
+    estimator_state: np.ndarray | None = None
+    x2_hat: np.ndarray | None = None
+    mode_abs_err: np.ndarray | None = None
     err_gamma: np.ndarray | None = None
     diverged: bool = False
     divergence_message: str = ""
+
+
+# A simulation makes its samples one block of rows at a time, each block at
+# most this many cells of the stacked state (rows x 2 n_modes) and at least
+# one row: 256 KiB per block array.
+_TIME_BLOCK_CELLS = 1 << 15
 
 
 def _steps(dt: float, t_final: float) -> int:
@@ -286,6 +308,14 @@ def _steps(dt: float, t_final: float) -> int:
     if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ValueError("t_final must be a whole number of dt steps")
     return int(round(steps))
+
+
+def _row_blocks(steps: int, n: int):
+    """Row ranges (start, stop) that cover samples 0..steps in order, each of
+    at most _TIME_BLOCK_CELLS // 2n rows and at least one."""
+    size = max(1, _TIME_BLOCK_CELLS // (2 * n))
+    for start in range(0, steps + 1, size):
+        yield start, min(start + size, steps + 1)
 
 
 def _field_slices(n: int, measured_field: int):
@@ -318,31 +348,28 @@ def _estimator_maps(kind: str, model: ModalModel, c: np.ndarray, measured_field:
     return model.mode_pairs, c_full, c_full
 
 
-def _plant_trajectory(model: ModalModel, x0: np.ndarray, dt: float, t_final: float) -> np.ndarray:
-    """Exact samples (steps + 1, 2n) of the plant x' = A x by closed-form
-    per-mode 2 x 2 exponentials."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != 2 * model.n_modes:
-        raise ValueError("x0 must stack both fields, shape (2 n_modes,)")
-    steps = _steps(dt, t_final)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return model.mode_pairs.samples(x0, dt, steps)
+def _plant_blocks(model: ModalModel, x0: np.ndarray, dt: float, steps: int):
+    """Exact samples of the plant x' = A x, as (start, rows) per block of
+    _row_blocks, by closed-form per-mode 2 x 2 exponentials."""
+    for start, stop in _row_blocks(steps, model.n_modes):
+        yield start, model.mode_pairs.samples(x0, dt, stop - 1, start)
 
 
 def _identity(x):
     return x
 
 
-def _error_trajectory(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, e0: np.ndarray,
-                      dt: float, steps: int, measured_field: int) -> np.ndarray:
-    """Exact samples of the estimation error e' = F e, F = block - H obs_map.
+def _error_blocks(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, e0: np.ndarray,
+                  dt: float, steps: int, measured_field: int):
+    """Exact samples of the estimation error e' = F e, F = block - H obs_map,
+    one block of rows per range of _row_blocks.
 
     In split coordinates (the modes for the reduced estimator, the per-mode
     2 x 2 eigenbasis ModalModel.mode_pairs for the full one) block is
     diagonal, so F equals it outside the rows where the gain is nonzero and
-    propagate_few_rows applies to any gain: a designed gain has the J
-    unstable rows, a dense one all of them.  Rows below GAIN_ROUNDOFF of the
-    largest are round-off of forming H and count as zero.
+    few_rows_blocks applies to any gain: a designed gain has the J unstable
+    rows, a dense one all of them.  Rows below GAIN_ROUNDOFF of the largest
+    are round-off of forming H and count as zero.
     """
     block, obs_map, _ = _estimator_maps(kind, model, c, measured_field)
     if kind == "reduced":
@@ -354,82 +381,143 @@ def _error_trajectory(kind: str, model: ModalModel, c: np.ndarray, gain: Observe
     rows = np.flatnonzero(size > GAIN_ROUNDOFF * size.max(initial=0.0))
     f_rows = -hz[rows] @ to_split(obs_map)
     f_rows[np.arange(rows.size), rows] += rates[rows]
-    e = from_split(propagate_few_rows(rates, rows, f_rows, to_split(e0), dt, steps))
-    e[0] = e0
-    return e
+    bounds = _row_blocks(steps, model.n_modes)
+    z_blocks = few_rows_blocks(rates, rows, f_rows, to_split(e0), dt, _row_blocks(steps, model.n_modes))
+    for (start, _), z in zip(bounds, z_blocks):
+        e = from_split(z)
+        if start == 0:
+            e[0] = e0
+        yield e
 
 
-def _diverged_at(*states: np.ndarray) -> int | None:
-    """First sample index after t = 0 at which a state is non-finite or its
-    sup-norm exceeds MAX_STATE_NORM; None when there is none."""
-    bad = np.zeros(states[0].shape[0], dtype=bool)
-    for s in states:
-        bad |= ~np.isfinite(s).all(axis=1) | (np.abs(s).max(axis=1) > MAX_STATE_NORM)
-    hits = np.flatnonzero(bad[1:])
-    return int(hits[0]) + 1 if hits.size else None
+def _bad_rows(state: np.ndarray) -> np.ndarray:
+    """Rows of a block that are non-finite or exceed MAX_STATE_NORM in sup-norm."""
+    return ~np.isfinite(state).all(axis=1) | (np.abs(state).max(axis=1) > MAX_STATE_NORM)
 
 
-def _simulate(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x: np.ndarray,
-              xhat0: np.ndarray, dt: float, measured_field: int, gram, norm_weight: str) -> Trajectory:
-    """Estimator run on a plant trajectory x from `_plant_trajectory`.
+class _Run:
+    """One estimator along a simulation, reduced block by block into the
+    arrays its Trajectory keeps and stopped before the first sample after
+    t = 0 at which the plant or the estimator state diverges."""
 
-    xhat0 is the initial estimate of the unmeasured field (reduced) or of the
-    stacked state (full).  The estimation error obeys the autonomous dynamics
-    e' = F e, with F = A_ww - H C A_mw (reduced) or A - H C_full (full), and
-    is propagated exactly; the estimator state is recovered from the plant
-    and the error, phi = x_w + e - H y or z_hat = x + e.  The run is
-    truncated before the first sample at which the plant or the estimator
-    state is non-finite or exceeds MAX_STATE_NORM in sup-norm.  gram is the
-    target region's Gram matrix (region.region_operator) for err_gamma, or
-    None; the full estimator's two field errors are read as views of e.
-    """
-    n = model.n_modes
-    meas, unmeas = _field_slices(n, measured_field)
-    h = gain.H
-    if kind == "reduced":
-        estimated = unmeas
-    else:
-        if h.shape != (2 * n, c.shape[0]):
+    def __init__(self, kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, e0: np.ndarray,
+                 dt: float, steps: int, measured_field: int, *, keep_states: bool, keep_modes: bool,
+                 norms: bool):
+        n, rows = model.n_modes, steps + 1
+        self.kind, self.model, self.h = kind, model, gain.H
+        if kind == "full" and self.h.shape != (2 * n, c.shape[0]):
             raise ValueError("full-order gain must have shape (2 n_modes, q)")
-        estimated = slice(0, 2 * n)
-    e0 = np.asarray(xhat0, dtype=float).reshape(-1) - x[0, estimated]
+        self.unmeas = _field_slices(n, measured_field)[1]
+        self.estimated = self.unmeas if kind == "reduced" else slice(0, 2 * n)
+        self.errors = _error_blocks(kind, model, c, gain, e0, dt, steps, measured_field)
+        self.stop, self.diverged = 0, False
+        self.err_gamma = np.empty(rows) if norms else None
+        self.mode_abs_err = np.empty((rows, n)) if keep_modes else None
+        self.x = self.y = self.state = self.x2_hat = None
+        if keep_states:
+            self.x, self.y = np.empty((rows, 2 * n)), np.empty((rows, c.shape[0]))
+            self.state = np.empty((rows, n if kind == "reduced" else 2 * n))
+            if kind == "reduced":
+                self.x2_hat = np.empty((rows, n))
+
+    def add(self, start: int, x: np.ndarray, y: np.ndarray, plant_bad: np.ndarray, gram,
+            norm_weight: str) -> bool:
+        """Take the block of samples from `start` on: the plant rows x, the
+        measurements y and the plant's bad rows.  False once diverged."""
+        e = next(self.errors)
+        state = x[:, self.estimated] + e
+        if self.kind == "reduced":
+            state -= y @ self.h.T
+        bad = plant_bad | _bad_rows(state)
+        if start == 0:
+            bad[0] = False
+        hits = np.flatnonzero(bad)
+        kept = int(hits[0]) if hits.size else e.shape[0]
+        self.stop, self.diverged = start + kept, bool(hits.size)
+        rows = slice(start, self.stop)
+        e, state = e[:kept], state[:kept]
+        e_w = e if self.kind == "reduced" else e[:, self.unmeas]
+        if self.err_gamma is not None and kept:
+            domain, modes = self.model.domain, self.model.mode_set
+            fields = (e,) if self.kind == "reduced" else (e[:, :len(modes)], e[:, len(modes):])
+            norms = np.array([gram_norm_series(f, gram, domain, modes, norm_weight) for f in fields])
+            self.err_gamma[rows] = np.sqrt(np.sum(norms**2, axis=0))
+        if self.mode_abs_err is not None:
+            np.abs(e_w, out=self.mode_abs_err[rows])
+        if self.x is not None:
+            self.x[rows], self.y[rows], self.state[rows] = x[:kept], y[:kept], state
+            if self.x2_hat is not None:
+                self.x2_hat[rows] = state + y[:kept] @ self.h.T
+        return not self.diverged
+
+    def trajectory(self, dt: float) -> Trajectory:
+        k, n = self.stop, self.model.n_modes
+        fields = {}
+        if self.x is not None:
+            x, state = self.x[:k], self.state[:k]
+            fields = dict(x1=x[:, :n], x2=x[:, n:], y=self.y[:k], estimator_state=state,
+                          x2_hat=state[:, self.unmeas] if self.x2_hat is None else self.x2_hat[:k])
+        msg = ""
+        if self.diverged:
+            msg = (f"state norm exceeded {MAX_STATE_NORM:.0e} at t index {k}; "
+                   "run truncated (non-detectable dynamics diverge)")
+        return Trajectory(
+            kind=self.kind,
+            times=dt * np.arange(k),
+            mode_abs_err=None if self.mode_abs_err is None else self.mode_abs_err[:k],
+            err_gamma=None if self.err_gamma is None else self.err_gamma[:k],
+            diverged=self.diverged,
+            divergence_message=msg,
+            **fields,
+        )
+
+
+def _simulate(model: ModalModel, c: np.ndarray, x0: np.ndarray, dt: float, steps: int, estimators: dict, *,
+              measured_field: int, gram, norm_weight: str, keep_states: bool = False,
+              keep_modes=("reduced", "full")) -> dict[str, Trajectory]:
+    """Simulate the plant once and every estimator along it, one block of
+    samples at a time; returns a Trajectory per estimator.
+
+    estimators maps a kind, "reduced" or "full", to its (gain, e0), the
+    initial error of the estimate of the unmeasured field or of the stacked
+    state.  Each block of plant rows is made once and shared.  The error
+    obeys the autonomous dynamics e' = F e, with F = A_ww - H C A_mw
+    (reduced) or A - H C_full (full), and is propagated exactly; the
+    estimator state is recovered from the plant and the error, phi = x_w + e
+    - H y or z_hat = x + e, and checked for divergence.  A block is reduced
+    at once into err_gamma (when gram, the target region's operator from
+    region.region_operator, is given), mode_abs_err for the kinds in
+    keep_modes and, with keep_states, the plant, measurement and estimator
+    arrays; a run keeps nothing else, so it holds only its blocks and the
+    series it reports.  An estimator stops before the first sample after
+    t = 0 at which the plant or its state is non-finite or exceeds
+    MAX_STATE_NORM in sup-norm, and the simulation stops once every one has.
+    """
+    meas = _field_slices(model.n_modes, measured_field)[0]
+    runs = {kind: _Run(kind, model, c, gain, e0, dt, steps, measured_field, keep_states=keep_states,
+                       keep_modes=kind in keep_modes, norms=gram is not None)
+            for kind, (gain, e0) in estimators.items()}
+    live = list(runs.values())
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _error_trajectory(kind, model, c, gain, e0, dt, x.shape[0] - 1, measured_field)
-        y = x[:, meas] @ c.T
-        state = x[:, estimated] + e
-        if kind == "reduced":
-            state -= y @ h.T
-    k = _diverged_at(x, state)
-    msg = ""
-    if k is not None:
-        msg = (f"state norm exceeded {MAX_STATE_NORM:.0e} at t index {k}; "
-               "run truncated (non-detectable dynamics diverge)")
-        x, e, y, state = x[:k], e[:k], y[:k], state[:k]
-    if kind == "reduced":
-        x_w_hat, e_w = state + y @ h.T, e
-    else:
-        x_w_hat, e_w = state[:, unmeas], e[:, unmeas]
-    traj = Trajectory(
-        kind=kind,
-        times=dt * np.arange(x.shape[0]),
-        x1=x[:, :n],
-        x2=x[:, n:],
-        y=y,
-        estimator_state=state,
-        x2_hat=x_w_hat,
-        mode_abs_err=np.abs(e_w),
-        diverged=k is not None,
-        divergence_message=msg,
-    )
-    if gram is not None:
-        fields = (e,) if kind == "reduced" else (e[:, :n], e[:, n:])
-        norms = np.array([gram_norm_series(f, gram, model.domain, model.mode_set, norm_weight) for f in fields])
-        traj.err_gamma = np.sqrt(np.sum(norms**2, axis=0))
-    return traj
+        for start, x in _plant_blocks(model, x0, dt, steps):
+            plant_bad = _bad_rows(x)
+            y = x[:, meas] @ c.T
+            live = [run for run in live if run.add(start, x, y, plant_bad, gram, norm_weight)]
+            if not live:
+                break
+    return {kind: run.trajectory(dt) for kind, run in runs.items()}
 
 
 def _region_operator(model: ModalModel, region):
     return None if region is None else region_operator(region, model.domain, model.mode_set)
+
+
+def _initial_plant(model: ModalModel, x0, dt: float, t_final: float):
+    """The stacked initial state x0 as a vector and the number of steps."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape[0] != 2 * model.n_modes:
+        raise ValueError("x0 must stack both fields, shape (2 n_modes,)")
+    return x0, _steps(dt, t_final)
 
 
 def simulate_reduced_order(
@@ -455,11 +543,12 @@ def simulate_reduced_order(
     number of dt steps.
     """
     c = output_matrix(sensors, model.domain, model.mode_set)
-    x = _plant_trajectory(model, x0, dt, t_final)
-    meas, _ = _field_slices(model.n_modes, measured_field)
-    xhat0 = np.asarray(phi0, dtype=float).reshape(model.n_modes) + gain.H @ (c @ x[0, meas])
-    return _simulate("reduced", model, c, gain, x, xhat0, dt, measured_field,
-                     _region_operator(model, region), norm_weight)
+    x0, steps = _initial_plant(model, x0, dt, t_final)
+    meas, unmeas = _field_slices(model.n_modes, measured_field)
+    xhat0 = np.asarray(phi0, dtype=float).reshape(model.n_modes) + gain.H @ (c @ x0[meas])
+    return _simulate(model, c, x0, dt, steps, {"reduced": (gain, xhat0 - x0[unmeas])},
+                     measured_field=measured_field, gram=_region_operator(model, region),
+                     norm_weight=norm_weight, keep_states=True)["reduced"]
 
 
 def simulate_full_order(
@@ -483,7 +572,8 @@ def simulate_full_order(
     is as in simulate_reduced_order.
     """
     c = output_matrix(sensors, model.domain, model.mode_set)
-    x = _plant_trajectory(model, x0, dt, t_final)
+    x0, steps = _initial_plant(model, x0, dt, t_final)
     xhat0 = np.asarray(xhat0, dtype=float).reshape(2 * model.n_modes)
-    return _simulate("full", model, c, gain, x, xhat0, dt, measured_field,
-                     _region_operator(model, region), norm_weight)
+    return _simulate(model, c, x0, dt, steps, {"full": (gain, xhat0 - x0)},
+                     measured_field=measured_field, gram=_region_operator(model, region),
+                     norm_weight=norm_weight, keep_states=True)["full"]

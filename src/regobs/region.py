@@ -27,13 +27,14 @@ gamma_error_norm is the public norm of one estimate's error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import EDGES, Domain, Rect, _sine_product_integral, edge_segment, gauss_nodes, segment_distance
-from .spectral import ModeSet, eval_matrix, eigenvalues
+from .spectral import ModeSet, eigenvalues, eval_matrix, row_products
 
 NORM_WEIGHTS = ("l2", "sobolev_half")
 VALUE_FLOOR = 1e-30
@@ -153,7 +154,8 @@ class SeparableGram:
             bool((self.cells == np.arange(self.cells.size)).all())
 
     def project(self, err: np.ndarray) -> np.ndarray:
-        """Rows e G of err (T, n): scale I1^T E I2 for each row's grid E."""
+        """Rows e G of err (T, n): scale I1^T E I2 for each row's grid E, two
+        matrix products per row."""
         t, (ni, nj), is_grid = err.shape[0], (self.i1.shape[0], self.i2.shape[0]), self._is_grid
         if is_grid:
             grid = err.reshape(t, ni, nj)
@@ -161,7 +163,7 @@ class SeparableGram:
             grid = np.zeros((t, ni * nj))
             grid[:, self.cells] = err
             grid = grid.reshape(t, ni, nj)
-        out = (np.matmul(self.scale * self.i1.T, grid).reshape(t * ni, nj) @ self.i2).reshape(t, ni * nj)
+        out = np.matmul(np.matmul(self.scale * self.i1.T, grid), self.i2).reshape(t, ni * nj)
         return out if is_grid else out[:, self.cells]
 
 
@@ -202,7 +204,10 @@ def gram_norm_series(err_coeffs: np.ndarray, gram, domain: Domain, modes: ModeSe
                      weight: str = "l2") -> np.ndarray:
     """Region-restricted norm of each row e of err_coeffs (T, n_modes):
     sqrt(e'Ge) for l2, sqrt(sum sob (Ge)^2) for sobolev_half, where G is the
-    region's Gram matrix, dense (region_gram) or separable (region_operator)."""
+    region's Gram matrix, dense (region_gram) or separable (region_operator).
+    Every product is taken row by row (SeparableGram.project,
+    spectral.row_products), so a row's norm has the same bits whatever
+    other rows share the call."""
     if weight not in NORM_WEIGHTS:
         raise ValueError(f"unknown norm weight {weight!r}; expected one of {NORM_WEIGHTS}")
     # a copy, flushed in place: subnormal coefficients (decayed fast modes)
@@ -211,12 +216,21 @@ def gram_norm_series(err_coeffs: np.ndarray, gram, domain: Domain, modes: ModeSe
     err = np.array(err_coeffs, dtype=float, ndmin=2)
     tiny = np.finfo(float).tiny
     np.copyto(err, 0.0, where=(err > -tiny) & (err < tiny))
-    projected = gram.project(err) if isinstance(gram, SeparableGram) else err @ gram
+    projected = gram.project(err) if isinstance(gram, SeparableGram) else row_products(err, gram)
     if weight == "l2":
         projected *= err
         return np.sqrt(np.maximum(np.sum(projected, axis=1), 0.0))
+    return np.sqrt(np.maximum(row_products(projected**2, _sobolev_weights(modes, domain)), 0.0))
+
+
+@functools.lru_cache(maxsize=8)
+def _sobolev_weights(modes: ModeSet, domain: Domain) -> np.ndarray:
+    """sqrt(1 + |lambda_m|) per mode, read-only: a run takes the norm of
+    every block of samples, and the eigenvalues cost a Python loop over the
+    modes."""
     sob = np.sqrt(1.0 + np.abs(eigenvalues(modes, domain)))
-    return np.sqrt(np.maximum((projected**2) @ sob, 0.0))
+    sob.flags.writeable = False
+    return sob
 
 
 def gamma_error_norm(x: np.ndarray, x_hat: np.ndarray, domain: Domain, modes: ModeSet, region, weight: str = "l2") -> float:

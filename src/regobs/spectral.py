@@ -8,7 +8,10 @@ mode ordering and is held as the vector of its diagonal.  Propagation is in
 closed form throughout: per-mode 2 x 2 exponentials for the plant
 (ModePairs), scalar exponentials (exp_samples) and a few coupled rows
 (propagate_few_rows) for the estimation error.  Only the last, for two rows
-or more, takes a matrix exponential.
+or more, takes a matrix exponential.  Each evaluates any range of sample
+rows with the same arithmetic, so a simulation can make its samples one
+block of rows at a time (few_rows_blocks carries the coupled rows' state
+from one block to the next).
 """
 
 from __future__ import annotations
@@ -208,27 +211,40 @@ def assemble_exchange_model(coefficients: Coefficients, domain: Domain, modes: M
 EXP_ZERO_BELOW = -746.0
 
 
-def exp_samples(rates: np.ndarray, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """Samples at t_k = k dt, k = 0..steps, of the decoupled scalar dynamics
-    z' = diag(rates) z, z(0) = z0; shape (steps + 1, len(rates)).
+def exp_samples(rates: np.ndarray, z0: np.ndarray, dt: float, steps: int, start: int = 0) -> np.ndarray:
+    """Samples at t_k = k dt, k = start..steps, of the decoupled scalar
+    dynamics z' = diag(rates) z, z(0) = z0; shape (steps + 1 - start, len(rates)).
 
     On the columns where z0 is nonzero this is the broadcast exp(rates t_k) z0,
     bit for bit, signed zeros included; a column where z0 is 0 stays +0.0,
     also where its exponential would overflow.  The exponential is evaluated
     only on the nonzero columns and only where rates t_k >= EXP_ZERO_BELOW:
     below it exp returns +0.0 anyway, at ten to twenty times the cost of a
-    normal argument, so the product is written as 0.0 z0 directly."""
+    normal argument, so the product is written as 0.0 z0 directly.  Every
+    operation is elementwise in t_k = dt k, so a row is the same whichever
+    range it is sampled in."""
     live = np.flatnonzero(z0)
-    z = np.outer(dt * np.arange(steps + 1), rates[live])
+    z = np.outer(dt * np.arange(start, steps + 1), rates[live])
     dead = z < EXP_ZERO_BELOW
     np.exp(z, out=z, where=~dead)
     np.copyto(z, 0.0, where=dead)
     z *= z0[live]
     if live.size == rates.shape[0]:
         return z
-    full = np.zeros((steps + 1, rates.shape[0]))
+    full = np.zeros((z.shape[0], rates.shape[0]))
     full[:, live] = z
     return full
+
+
+def row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a (T, K) and b (K,) or (K, J), each row of a multiplied in a
+    BLAS call of its own.  A product of many rows at once rounds a row
+    differently depending on how many rows share the call and where the row
+    sits in it, so this is the form that gives a row the same bits in any
+    block of rows.  a is laid out in C order first: numpy takes its own loop,
+    which sums in another order, for rows that are not contiguous."""
+    a = np.ascontiguousarray(a)
+    return np.matmul(a.reshape(a.shape[0], 1, a.shape[1]), b)[:, 0]
 
 
 def _pair_rates(a: np.ndarray, b: np.ndarray, d: np.ndarray):
@@ -284,10 +300,12 @@ class ModePairs:
         np.add(np.multiply(self.sin, zp, out=x2), tmp, out=x2)
         return x
 
-    def samples(self, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
-        """Exact samples (steps + 1, 2n) of x' = M x; row 0 is x0 itself."""
-        x = self.from_eigen(exp_samples(self.rates, self.to_eigen(x0), dt, steps))
-        x[0] = x0
+    def samples(self, x0: np.ndarray, dt: float, steps: int, start: int = 0) -> np.ndarray:
+        """Exact samples k = start..steps (steps + 1 - start, 2n) of x' = M x;
+        sample 0 is x0 itself."""
+        x = self.from_eigen(exp_samples(self.rates, self.to_eigen(x0), dt, steps, start))
+        if start == 0:
+            x[0] = x0
         return x
 
 
@@ -297,35 +315,68 @@ NEAR_SPECTRUM = 1e-2
 def propagate_few_rows(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarray,
                        dt: float, steps: int) -> np.ndarray:
     """Exact samples (steps + 1, N) of z' = F z, where F equals diag(rates)
-    outside the few rows `rows` and f_rows (J x N) holds those J rows.
+    outside the few rows `rows` and f_rows (J x N) holds those J rows: the
+    one block of few_rows_blocks that holds every sample."""
+    return next(few_rows_blocks(rates, rows, f_rows, z0, dt, [(0, steps + 1)]))
+
+
+def few_rows_blocks(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarray, dt: float, bounds):
+    """Exact samples of z' = F z, as propagate_few_rows, one block of rows at
+    a time: for each (start, stop) of bounds, ranges that follow each other
+    from 0, the samples k = start..stop - 1, shape (stop - start, N).
 
     The other coordinates S decay as scalars, z_S(t_k) = exp(d_S t_k) z_S(0).
     They drive the J coordinates R through the step recursion
 
         z_R(k + 1) = E z_R(k) + Gamma z_S(k),   E = exp(F_RR dt),
-        Gamma[:, s] = int_0^dt exp(F_RR (dt - tau)) F_RS[:, s] exp(d_s tau) dtau.
+        Gamma[:, s] = int_0^dt exp(F_RR (dt - tau)) F_RS[:, s] exp(d_s tau) dtau,
 
-    Only E and Gamma depend on J.  A run with at most one unstable row needs
-    no matrix function (_one_row_step); J >= 2 rows take _few_rows_step.
+    which carries z_R from one block to the next.  The drive Gamma z_S(k)
+    is formed row by row (row_products), so a sample has the same bits
+    however the rows are split into blocks.  Only E and Gamma depend on J.
+    A run with at most one unstable row needs no matrix function
+    (_one_row_step); J >= 2 rows take _few_rows_step.
     """
     rows = np.asarray(rows, dtype=int)
-    z = exp_samples(rates, z0, dt, steps)
-    if rows.size == 0:
-        return z
-    others = np.setdiff1d(np.arange(rates.shape[0]), rows)
     j = rows.size
-    f_rr, f_rs, d_s = f_rows[:, rows], f_rows[:, others], rates[others]
-    if j == 1:
-        step, gamma = _one_row_step(f_rr, f_rs[0], d_s, dt)
-    else:
-        step, gamma = _few_rows_step(f_rr, f_rs, d_s, dt)
-    drive = z[:, others] @ gamma
-    zr = np.empty((steps + 1, j))
-    zr[0] = z0[rows]
-    for k in range(steps):
-        zr[k + 1] = step @ zr[k] + drive[k]
-    z[:, rows] = zr
-    return z
+    if j:
+        others = np.setdiff1d(np.arange(rates.shape[0]), rows)
+        f_rr, f_rs, d_s = f_rows[:, rows], f_rows[:, others], rates[others]
+        if j == 1:
+            step, gamma = _one_row_step(f_rr, f_rs[0], d_s, dt)
+        else:
+            step, gamma = _few_rows_step(f_rr, f_rs, d_s, dt)
+        z_r = z0[rows]
+    for start, stop in bounds:
+        z = exp_samples(rates, z0, dt, stop - 1, start)
+        if j:
+            drive = row_products(np.take(z, others, axis=1), gamma)
+            if start:
+                z_r = step @ z_r + last_drive
+            block = _row_recursion(step, z_r, drive)
+            z[:, rows] = block
+            z_r, last_drive = block[-1], drive[-1]
+        yield z
+
+
+def _row_recursion(step: np.ndarray, z_r: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """Rows z(0) = z_r and z(k + 1) = step @ z(k) + drive[k] of the J-row
+    recursion, one per row of drive (the last drive row is not used).  One
+    row runs on Python floats: (0.0 + s z) + d has the bits of the numpy
+    step, whose product starts from a +0.0 accumulator, at a tenth of its
+    cost."""
+    if step.shape == (1, 1):
+        s, z = float(step[0, 0]), float(z_r[0])
+        out = [z]
+        for d in drive[:-1, 0].tolist():
+            z = (0.0 + s * z) + d
+            out.append(z)
+        return np.array(out)[:, None]
+    out = np.empty(drive.shape)
+    out[0] = z_r
+    for k in range(drive.shape[0] - 1):
+        out[k + 1] = step @ out[k] + drive[k]
+    return out
 
 
 def _one_row_step(f_rr: np.ndarray, f_s: np.ndarray, d_s: np.ndarray, dt: float):

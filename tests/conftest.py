@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import settings
+import scipy.linalg
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import expm
 
@@ -152,14 +153,26 @@ def propagate(model_or_matrix, state0, dt: float, steps: int) -> np.ndarray:
 
 
 @contextmanager
-def no_dense_propagator():
-    """Fail if a dense Propagator is built inside the block; run dense
-    oracles outside it."""
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("dense Propagator built inside a simulation")
+def no_dense_propagator(rows=1):
+    """Fail if a simulation inside the block takes a matrix exponential it
+    does not need.  Every call of scipy.linalg.expm is counted (the library
+    imports it where it uses it), and the block yields the list of their
+    orders.  A simulation whose gains act on at most one row (rows <= 1)
+    must take none; with J = rows >= 2 gain rows it may take only the J-row
+    step exp(F_RR dt), of order J, and the Van Loan blocks of order J + 2.
+    A dense propagation, of order n_modes or 2 n_modes, fails unless the
+    gain acts on (nearly) every row.  Run dense oracles outside the block."""
+    orders = []
+    expm_in_use = scipy.linalg.expm
 
-    with mock.patch.object(Propagator, "__init__", refuse):
-        yield
+    def counting(a, *args, **kwargs):
+        orders.append(np.shape(a)[-1])
+        return expm_in_use(a, *args, **kwargs)
+
+    with mock.patch.object(scipy.linalg, "expm", counting):
+        yield orders
+    allowed = {rows, rows + 2} if rows >= 2 else set()
+    assert set(orders) <= allowed, f"matrix exponentials of orders {sorted(set(orders))} with {rows} gain rows"
 
 
 def reference_groups(values, modes):

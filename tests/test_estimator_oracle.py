@@ -6,7 +6,8 @@ with z_hat' = A z_hat + H C_full (x - z_hat) for the full-order one, and
 propagates the stack with one dense Propagator, stepping and guarding sample
 by sample.  It also keeps F_red and G_y of estimator_matrices verified.  The
 simulations run under no_dense_propagator: random dense gains take the same
-structured path as designed gains.
+structured path as designed gains, with one exponential over all their
+rows.
 """
 
 import numpy as np
@@ -127,7 +128,7 @@ def test_reduced_matches_dense_cosimulation(seed, n_side, q, mf, beta):
     x0 = rng.standard_normal(2 * n)
     phi0 = rng.standard_normal(n)
     dt, steps = 0.05, 30
-    with no_dense_propagator():
+    with no_dense_propagator(rows=n):
         traj = simulate_reduced_order(model, sensors, gain, x0, phi0, dt, dt * steps, measured_field=mf)
     _assert_matches(traj, *dense_reduced(model, c, gain, x0, phi0, dt, steps, mf), dt)
 
@@ -143,7 +144,7 @@ def test_full_matches_dense_cosimulation(seed, n_side, q, mf, beta):
     x0 = rng.standard_normal(2 * n)
     xhat0 = rng.standard_normal(2 * n)
     dt, steps = 0.05, 30
-    with no_dense_propagator():
+    with no_dense_propagator(rows=2 * n):
         traj = simulate_full_order(model, sensors, gain, x0, xhat0, dt, dt * steps, measured_field=mf)
     _assert_matches(traj, *dense_full(model, c, gain, x0, xhat0, dt, steps, mf), dt)
 

@@ -134,13 +134,16 @@ class TestEmittedFiles(object):
         # missing err_gamma and non-finite values are written as repr has them.
         cfg = parse_config(BETA3_CONFIG + "observer.estimators = both\n")
         _, trajs = run_experiment(cfg)
+        # a run keeps the per-mode errors of its primary estimator only, so the
+        # full estimator's come from a run where it is the primary
+        _, full_only = run_experiment(parse_config(BETA3_CONFIG + "observer.estimators = full\n"))
 
         def truncated(traj, k, **changes):
             return dataclasses.replace(traj, times=traj.times[:k], err_gamma=traj.err_gamma[:k],
                                        mode_abs_err=traj.mode_abs_err[:k].copy(), **changes)
 
         reduced = truncated(trajs["reduced"], 7)
-        full = truncated(trajs["full"], 300)
+        full = truncated(full_only["full"], 300)
         full.mode_abs_err[5, :3] = [math.nan, math.inf, -0.0]
         cases = [(reduced, full, reduced), (full, full, reduced), (reduced, None, reduced),
                  (full, dataclasses.replace(full, err_gamma=None), reduced)]
@@ -169,6 +172,20 @@ class TestEmittedFiles(object):
         report, _ = run_experiment(beta3_config, out_dir=str(tmp_path))
         written = {p.name for p in tmp_path.iterdir()}
         assert written == set(report.manifest)
+
+    def test_rerun_into_one_directory_leaves_only_its_files(self, tmp_path, beta6_blind_config):
+        # a detectable run with a plot, then a NotDetectable run without one:
+        # the second run's gain.csv and error_decay.svg would be stale
+        first = parse_config(BETA3_CONFIG + "output.plot = true\n")
+        report, _ = run_experiment(first, out_dir=str(tmp_path))
+        assert {"gain.csv", "error_decay.svg"} <= set(report.manifest)
+        (tmp_path / "notes.txt").write_text("kept\n")
+        (tmp_path / "gain.csv.bak").write_text("kept\n")
+        report, _ = run_experiment(beta6_blind_config, out_dir=str(tmp_path))
+        assert report.manifest == ("trajectory.csv", "summary.txt")
+        assert {p.name for p in tmp_path.iterdir()} == set(report.manifest) | {"notes.txt", "gain.csv.bak"}
+        assert (tmp_path / "notes.txt").read_text() == (tmp_path / "gain.csv.bak").read_text() == "kept\n"
+        assert "files: trajectory.csv, summary.txt\n" in (tmp_path / "summary.txt").read_text()
 
     def test_summary_echo_reparses_to_equal_config(self, tmp_path, beta3_config):
         run_experiment(beta3_config, out_dir=str(tmp_path))

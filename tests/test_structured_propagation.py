@@ -38,7 +38,7 @@ from regobs import (
     split_unstable_stable,
 )
 from regobs import harness, observer, spectral
-from regobs.observer import _error_trajectory, _estimator_maps, _full_sensor_matrix, _plant_trajectory
+from regobs.observer import _error_blocks, _estimator_maps, _full_sensor_matrix, _plant_blocks, _row_blocks
 from regobs.region import SeparableGram, region_operator
 from regobs.spectral import ModePairs, _one_row_step, propagate_few_rows
 from conftest import BETA3_CONFIG, Propagator, no_dense_propagator, propagate, stacked_a
@@ -75,12 +75,26 @@ def _dense_error(kind, model, c, h, e0, dt, steps, mf):
     return Propagator(block - h @ obs_map, dt).run(e0, steps)
 
 
-def _dense_plant(model, x0, dt, t_final):
-    return propagate(model, x0, dt, int(round(t_final / dt)))
+def _plant_samples(model, x0, dt, steps):
+    """Every plant sample, collected from the simulation's blocks."""
+    return np.concatenate([x for _, x in _plant_blocks(model, x0, dt, steps)])
 
 
-def _dense_error_trajectory(kind, model, c, gain, e0, dt, steps, mf):
-    return _dense_error(kind, model, c, gain.H, e0, dt, steps, mf)
+def _error_samples(kind, model, c, gain, e0, dt, steps, mf):
+    """Every error sample, collected from the simulation's blocks."""
+    return np.concatenate(list(_error_blocks(kind, model, c, gain, e0, dt, steps, mf)))
+
+
+def _dense_plant_blocks(model, x0, dt, steps):
+    x = propagate(model, x0, dt, steps)
+    for start, stop in _row_blocks(steps, model.n_modes):
+        yield start, x[start:stop]
+
+
+def _dense_error_blocks(kind, model, c, gain, e0, dt, steps, mf):
+    e = _dense_error(kind, model, c, gain.H, e0, dt, steps, mf)
+    for start, stop in _row_blocks(steps, model.n_modes):
+        yield e[start:stop]
 
 
 def _stacked_pairs(a, b, d):
@@ -114,7 +128,7 @@ def test_closed_form_plant_matches_dense(seed, n_side, beta, alpha, gamma, dt, z
         ref = propagate(_stacked_pairs(a, b, d), x0, dt, steps)
     else:
         with no_dense_propagator():
-            x = _plant_trajectory(model, x0, dt, dt * steps)
+            x = _plant_samples(model, x0, dt, steps)
         ref = propagate(model, x0, dt, steps)
     _assert_close(x, ref)
     assert np.array_equal(x[0], x0)
@@ -153,8 +167,8 @@ def test_error_propagation_matches_dense(seed, kind, n_side, beta, q, mf, design
                         closed_loop_eigs=np.zeros(h.shape[0]), residual=0.0)
     e0 = rng.standard_normal(h.shape[0])
     dt, steps = 0.05, 40
-    with no_dense_propagator():
-        e = _error_trajectory(kind, model, c, gain, e0, dt, steps, mf)
+    with no_dense_propagator(split.j_unstable):
+        e = _error_samples(kind, model, c, gain, e0, dt, steps, mf)
     _assert_close(e, _dense_error(kind, model, c, h, e0, dt, steps, mf))
 
 
@@ -175,8 +189,8 @@ def test_confluent_target_margin(kind, mf, beta, n_side, q):
     assert -gain.target_margin == rate
     e0 = rng.standard_normal(gain.H.shape[0])
     dt, steps = 0.05, 60
-    with no_dense_propagator():
-        e = _error_trajectory(kind, model, c, gain, e0, dt, steps, mf)
+    with no_dense_propagator(split.j_unstable):
+        e = _error_samples(kind, model, c, gain, e0, dt, steps, mf)
     _assert_close(e, _dense_error(kind, model, c, gain.H, e0, dt, steps, mf))
 
 
@@ -230,7 +244,7 @@ def test_zero_start_on_unstable_modes_stays_zero_past_overflow(mf):
     x0[np.concatenate([growing, growing])] = 0.0
     dt, steps = 0.5, 200
     with no_dense_propagator():
-        x = _plant_trajectory(model, x0, dt, dt * steps)
+        x = _plant_samples(model, x0, dt, steps)
     _assert_close(x, propagate(model, x0, dt, steps))
 
     sensors = [PointwiseSensor((0.3, 0.6))]
@@ -393,8 +407,8 @@ def test_shipped_configs_match_dense_path_without_propagator(name, tmp_path, mon
     # Propagators; the structured run must build none and emit the same files
     cfg = load_config(os.path.join(CONFIG_DIR, name))
     with monkeypatch.context() as dense:
-        dense.setattr(harness, "_plant_trajectory", _dense_plant)
-        dense.setattr(observer, "_error_trajectory", _dense_error_trajectory)
+        dense.setattr(observer, "_plant_blocks", _dense_plant_blocks)
+        dense.setattr(observer, "_error_blocks", _dense_error_blocks)
         ref_report, _ = run_experiment(cfg, str(tmp_path / "ref"))
     with no_dense_propagator():
         report, _ = run_experiment(cfg, str(tmp_path / "fast"))
