@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import __version__
@@ -36,22 +37,37 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="run one experiment and emit files")
     run.add_argument("--config", required=True, help="path to the config file")
     run.add_argument("--out", help="output directory (default: the config's output.directory)")
+    run.set_defaults(func=_cmd_run)
 
     rank = sub.add_parser("rank", help="print the strategic-sensor rank report")
     rank.add_argument("--config", required=True, help="path to the config file")
+    rank.set_defaults(func=_cmd_rank)
 
     sweep = sub.add_parser("sweep", help="sensor placement sweep over an interior lattice")
     sweep.add_argument("--config", required=True, help="path to the config file")
     sweep.add_argument("--grid", required=True, type=int, help="lattice size per axis (>= 2)")
     sweep.add_argument("--out", help="output directory (default: the config's output.directory)")
+    sweep.set_defaults(func=_cmd_sweep)
 
-    sub.add_parser("version", help="print the package version")
+    sub.add_parser("version", help="print the package version").set_defaults(func=_cmd_version)
     return parser
+
+
+def _out_dir(args, cfg) -> str:
+    """--out, or the config's output.directory: one through an existing
+    non-directory can never be written, a usage error before any work."""
+    out = args.out or cfg.output.directory
+    head = os.path.abspath(out)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"output directory {out!r} cannot be made: {head!r} is not a directory")
+    return out
 
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out = args.out or cfg.output.directory
+    out = _out_dir(args, cfg)
     report, _ = run_experiment(cfg, out_dir=out)
     summary = report.estimators[report.primary]
     print(f"run complete: estimator={report.primary} "
@@ -71,31 +87,26 @@ def _cmd_rank(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    out = _out_dir(args, cfg)
     result = placement_sweep(cfg, args.grid)
-    path = emit_sweep(result, args.out or cfg.output.directory)
+    path = emit_sweep(result, out)
     print(f"sweep complete: {result.strategic.size} positions, {result.strategic.sum()} strategic")
     print(f"outputs: {path}")
     return 0
 
 
+def _cmd_version(args) -> int:
+    print(__version__)
+    return 0
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError:
         return 1
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "version":
-            print(__version__)
-            return 0
-        parser.print_usage(sys.stderr)
-        return 1
+        return args.func(args)
     except (ConfigError, FileNotFoundError, MemoryError) as exc:
         # an allocation that numpy refuses at once is a problem too large to run
         print(f"error: {exc}" + (_TOO_LARGE if isinstance(exc, MemoryError) else ""), file=sys.stderr)

@@ -117,6 +117,7 @@ _RULES = {
     "simulation.x0_field1": lambda v, s: _count(v, s["n_modes"] ** 2),
     "simulation.x0_field2": lambda v, s: _count(v, s["n_modes"] ** 2),
     "simulation.estimator_init": ESTIMATOR_INIT_CHOICES,
+    "output.directory": lambda v, s: None if v else "be a nonempty path",
     "output.norm": NORM_CHOICES,
     "output.fit_t_hi": lambda v, s: None if v > s["fit_t_lo"] else "be > output.fit_t_lo",
 }
@@ -362,5 +363,13 @@ def render_config(cfg: ExperimentConfig) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse the config file at path.  A missing one raises FileNotFoundError,
+    any other that cannot be read as UTF-8 text ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {str(path)!r} cannot be read as UTF-8 text: {exc}") from None
+    return parse_config(text)

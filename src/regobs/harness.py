@@ -16,16 +16,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, render_config
 from .floattext import format_rows
-from .observer import (
-    NotDetectableError,
-    _estimator_maps,
-    _field_slices,
-    _simulate,
-    _steps,
-    _zero_gain,
-    design_gain,
-    split_unstable_stable,
-)
+from .observer import _simulate, design_estimator
 from .region import BoundarySegment, DecayFit, build_collar, fit_decay, region_operator
 from .sensing import (
     PointwiseSensor,
@@ -148,35 +139,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     x0 = _initial_state(cfg, model.n_modes)
     wanted = ("reduced", "full") if cfg.observer.estimators == "both" else (cfg.observer.estimators,)
     summaries: dict[str, EstimatorSummary] = {}
-    estimators, gains = {}, {}
-
+    estimators = {}
     for kind in wanted:
-        block, obs_map, sensor_matrix = _estimator_maps(kind, model, c, mf)
-        truth0 = x0[_field_slices(model.n_modes, mf)[1]] if kind == "reduced" else x0
-        split = split_unstable_stable(block, cfg.observer.margin)
-        try:
-            gain = design_gain(obs_map, split, cfg.observer.target_margin, sensor_matrix=sensor_matrix)
-            not_detectable = False
-            detail = "gain placed all unstable modes at the target margin"
-        except NotDetectableError as exc:
-            gain = _zero_gain(obs_map.shape[0], split, cfg.observer.target_margin, exc.residual, sensor_matrix)
-            not_detectable = True
-            detail = str(exc)
-
-        xhat0 = truth0 if sim.estimator_init == "truth" else np.zeros_like(truth0)
-        estimators[kind], gains[kind] = (gain, xhat0 - truth0), gain
+        gain, failure = design_estimator(kind, model, c, cfg.observer.margin, cfg.observer.target_margin,
+                                         measured_field=mf)
+        # the truth (None) or a zero estimate of the estimated coordinates, one per gain row
+        estimators[kind] = (gain, None if sim.estimator_init == "truth" else np.zeros(gain.H.shape[0]))
         summaries[kind] = EstimatorSummary(
             kind=kind,
-            j_unstable=split.j_unstable,
-            not_detectable=not_detectable,
-            detail=detail,
+            j_unstable=gain.split.j_unstable,
+            not_detectable=failure is not None,
+            detail="gain placed all unstable modes at the target margin" if failure is None else str(failure),
             closed_loop_eigs=tuple(float(v) for v in np.real(gain.closed_loop_eigs)),
             achieved_margin=gain.achieved_margin,
         )
 
-    primary = "reduced" if "reduced" in summaries else "full"
-    trajectories = _simulate(model, c, x0, sim.dt, _steps(sim.dt, sim.t_final), estimators, measured_field=mf,
-                             gram=gram, norm_weight=cfg.output.norm, keep_modes=(primary,))
+    trajectories = _simulate(model, c, x0, sim.dt, sim.t_final, estimators, measured_field=mf, gram=gram,
+                             norm_weight=cfg.output.norm)
     for kind, traj in trajectories.items():
         summary = summaries[kind]
         summary.diverged, summary.divergence_message = traj.diverged, traj.divergence_message
@@ -186,20 +165,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             t_hi = cfg.output.fit_t_hi if cfg.output.fit_t_hi is not None else cfg.simulation.t_final
             t_lo = min(cfg.output.fit_t_lo, float(traj.times[-1]))
             t_hi = min(t_hi, float(traj.times[-1]))
-            try:
+            with contextlib.suppress(ValueError):  # too few samples in the window: no fit
                 summary.decay_fit = fit_decay(traj.times, traj.err_gamma, window=(t_lo, t_hi))
-            except ValueError:
-                summary.decay_fit = None
 
     report = RunReport(
         config_echo=render_config(cfg),
         strategic=strategic,
         estimators=summaries,
-        primary=primary,
+        primary=wanted[0],
         region_note=region_note,
     )
     if out_dir is not None:
-        report.manifest = emit_outputs(report, {k: (t, gains[k]) for k, t in trajectories.items()}, cfg, out_dir)
+        report.manifest = emit_outputs(report, {k: (t, estimators[k][0]) for k, t in trajectories.items()}, cfg,
+                                       out_dir)
     return report, trajectories
 
 

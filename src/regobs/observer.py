@@ -19,15 +19,16 @@ gain is nonzero, so the error follows from scalar exponentials, one
 exponential of the order of those rows and their coupling to the rest: J
 rows for a designed gain, every row for a dense one.
 
-A simulation runs through time in blocks of samples, each at most
-_TIME_BLOCK_CELLS cells of the stacked state: every block of plant rows is
-made once, shared by the estimators, and reduced at once with each
-estimator's error rows into what the caller keeps.  A run
-(harness.run_experiment) keeps the error series err_gamma and its primary
-estimator's per-mode errors, so no array of every sample of the state
-exists; simulate_reduced_order and simulate_full_order collect the same
-blocks into a whole Trajectory.  Every product behind err_gamma and the
-per-mode errors is taken row by row, so they do not depend on the block
+A run (harness.run_experiment) takes each estimator's gain from
+design_estimator and simulates them all with _simulate, whose first
+estimator is the primary; simulate_reduced_order and simulate_full_order
+share one body that calls _simulate for a single estimator.  A simulation
+runs through time in blocks of samples, each at most _TIME_BLOCK_CELLS
+cells of the stacked state: every block of plant rows is made once, shared
+by the estimators, and reduced at once with each estimator's error rows
+into err_gamma, the primary's per-mode errors and, for the public
+simulators only, the whole Trajectory.  Every product behind err_gamma and
+the per-mode errors is taken row by row, so they do not depend on the block
 size.  The divergence check compares the estimator state, formed with
 products over the block, with MAX_STATE_NORM; its index could move with
 the block size only for a sample within rounding of that bound.
@@ -277,7 +278,7 @@ class Trajectory:
     err_gamma is attached when a region is supplied.  simulate_reduced_order
     and simulate_full_order fill every field.  A run (run_experiment) keeps
     only what it reports, times, err_gamma and, for its primary estimator,
-    mode_abs_err, and leaves the other arrays None.
+    the first it simulates, mode_abs_err, and leaves the other arrays None.
     """
 
     kind: str
@@ -326,26 +327,35 @@ def _field_slices(n: int, measured_field: int):
     return (first, second) if measured_field == 1 else (second, first)
 
 
-def _full_sensor_matrix(c: np.ndarray, n: int, measured_field: int) -> np.ndarray:
-    """Sensor matrix C_full (q x 2n) of the stacked state: C on the measured
-    field's columns, zero on the other field's."""
-    c_full = np.zeros((c.shape[0], 2 * n))
-    c_full[:, _field_slices(n, measured_field)[0]] = c
-    return c_full
-
-
 def _estimator_maps(kind: str, model: ModalModel, c: np.ndarray, measured_field: int):
     """(block, obs_map, sensor_matrix) of one estimator: the block its gain
     is designed on and its error dynamics start from, the observation map
     the gain multiplies in F = block - H obs_map, and the sensor matrix the
     gain factors through.  The reduced estimator has the diagonal a_ww as a
     vector, C diag(a_mw) and C; the full one the closed-form ModePairs of the
-    stacked matrix and C_full."""
+    stacked matrix and C_full (q x 2n), which is zero on the other field."""
     if kind == "reduced":
         a_ww = model.diagonals(measured_field)[2]
         return a_ww, reduced_output_map(model, c, measured_field), c
-    c_full = _full_sensor_matrix(c, model.n_modes, measured_field)
+    if kind != "full":
+        raise ValueError(f"estimator kind must be 'reduced' or 'full', got {kind!r}")
+    c_full = np.zeros((c.shape[0], 2 * model.n_modes))  # C on the measured field's columns
+    c_full[:, _field_slices(model.n_modes, measured_field)[0]] = c
     return model.mode_pairs, c_full, c_full
+
+
+def design_estimator(kind: str, model: ModalModel, c: np.ndarray, margin: float, target_margin: float, *,
+                     measured_field: int = 1) -> tuple[ObserverGain, NotDetectableError | None]:
+    """Gain of the "reduced" or "full" estimator for the output matrix c:
+    its block is split at margin (split_unstable_stable) and the unstable
+    directions placed at -target_margin (design_gain).  Returns (gain, None),
+    or the open-loop zero gain and the NotDetectableError."""
+    block, obs_map, sensor_matrix = _estimator_maps(kind, model, c, measured_field)
+    split = split_unstable_stable(block, margin)
+    try:
+        return design_gain(obs_map, split, target_margin, sensor_matrix=sensor_matrix), None
+    except NotDetectableError as exc:
+        return _zero_gain(obs_map.shape[0], split, target_margin, exc.residual, sensor_matrix), exc
 
 
 def _plant_blocks(model: ModalModel, x0: np.ndarray, dt: float, steps: int):
@@ -353,10 +363,6 @@ def _plant_blocks(model: ModalModel, x0: np.ndarray, dt: float, steps: int):
     _row_blocks, by closed-form per-mode 2 x 2 exponentials."""
     for start, stop in _row_blocks(steps, model.n_modes):
         yield start, model.mode_pairs.samples(x0, dt, stop - 1, start)
-
-
-def _identity(x):
-    return x
 
 
 def _error_blocks(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, e0: np.ndarray,
@@ -373,7 +379,7 @@ def _error_blocks(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGai
     """
     block, obs_map, _ = _estimator_maps(kind, model, c, measured_field)
     if kind == "reduced":
-        rates, to_split, from_split = block, _identity, _identity
+        rates, to_split, from_split = block, np.asarray, np.asarray  # the modes are the split coordinates
     else:
         rates, to_split, from_split = block.rates, block.to_eigen, block.from_eigen
     hz = to_split(gain.H.T).T
@@ -400,19 +406,21 @@ class _Run:
     arrays its Trajectory keeps and stopped before the first sample after
     t = 0 at which the plant or the estimator state diverges."""
 
-    def __init__(self, kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, e0: np.ndarray,
-                 dt: float, steps: int, measured_field: int, *, keep_states: bool, keep_modes: bool,
-                 norms: bool):
+    def __init__(self, kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x0: np.ndarray, xhat0,
+                 dt: float, steps: int, measured_field: int, gram, norm_weight: str, *, primary: bool,
+                 keep_states: bool):
         n, rows = model.n_modes, steps + 1
         self.kind, self.model, self.h = kind, model, gain.H
         if kind == "full" and self.h.shape != (2 * n, c.shape[0]):
             raise ValueError("full-order gain must have shape (2 n_modes, q)")
+        self.gram, self.norm_weight = gram, norm_weight
         self.unmeas = _field_slices(n, measured_field)[1]
         self.estimated = self.unmeas if kind == "reduced" else slice(0, 2 * n)
+        e0 = (x0[self.estimated] if xhat0 is None else xhat0) - x0[self.estimated]
         self.errors = _error_blocks(kind, model, c, gain, e0, dt, steps, measured_field)
         self.stop, self.diverged = 0, False
-        self.err_gamma = np.empty(rows) if norms else None
-        self.mode_abs_err = np.empty((rows, n)) if keep_modes else None
+        self.err_gamma = None if gram is None else np.empty(rows)
+        self.mode_abs_err = np.empty((rows, n)) if primary else None
         self.x = self.y = self.state = self.x2_hat = None
         if keep_states:
             self.x, self.y = np.empty((rows, 2 * n)), np.empty((rows, c.shape[0]))
@@ -420,8 +428,7 @@ class _Run:
             if kind == "reduced":
                 self.x2_hat = np.empty((rows, n))
 
-    def add(self, start: int, x: np.ndarray, y: np.ndarray, plant_bad: np.ndarray, gram,
-            norm_weight: str) -> bool:
+    def add(self, start: int, x: np.ndarray, y: np.ndarray, plant_bad: np.ndarray) -> bool:
         """Take the block of samples from `start` on: the plant rows x, the
         measurements y and the plant's bad rows.  False once diverged."""
         e = next(self.errors)
@@ -438,9 +445,9 @@ class _Run:
         e, state = e[:kept], state[:kept]
         e_w = e if self.kind == "reduced" else e[:, self.unmeas]
         if self.err_gamma is not None and kept:
-            domain, modes = self.model.domain, self.model.mode_set
-            fields = (e,) if self.kind == "reduced" else (e[:, :len(modes)], e[:, len(modes):])
-            norms = np.array([gram_norm_series(f, gram, domain, modes, norm_weight) for f in fields])
+            n, lam = self.model.n_modes, self.model.eigenvalues
+            fields = (e,) if self.kind == "reduced" else (e[:, :n], e[:, n:])
+            norms = np.array([gram_norm_series(f, self.gram, lam, self.norm_weight) for f in fields])
             self.err_gamma[rows] = np.sqrt(np.sum(norms**2, axis=0))
         if self.mode_abs_err is not None:
             np.abs(e_w, out=self.mode_abs_err[rows])
@@ -472,52 +479,57 @@ class _Run:
         )
 
 
-def _simulate(model: ModalModel, c: np.ndarray, x0: np.ndarray, dt: float, steps: int, estimators: dict, *,
-              measured_field: int, gram, norm_weight: str, keep_states: bool = False,
-              keep_modes=("reduced", "full")) -> dict[str, Trajectory]:
+def _simulate(model: ModalModel, c: np.ndarray, x0: np.ndarray, dt: float, t_final: float, estimators: dict, *,
+              measured_field: int, gram, norm_weight: str, keep_states: bool = False) -> dict[str, Trajectory]:
     """Simulate the plant once and every estimator along it, one block of
     samples at a time; returns a Trajectory per estimator.
 
-    estimators maps a kind, "reduced" or "full", to its (gain, e0), the
-    initial error of the estimate of the unmeasured field or of the stacked
-    state.  Each block of plant rows is made once and shared.  The error
-    obeys the autonomous dynamics e' = F e, with F = A_ww - H C A_mw
-    (reduced) or A - H C_full (full), and is propagated exactly; the
-    estimator state is recovered from the plant and the error, phi = x_w + e
-    - H y or z_hat = x + e, and checked for divergence.  A block is reduced
-    at once into err_gamma (when gram, the target region's operator from
-    region.region_operator, is given), mode_abs_err for the kinds in
-    keep_modes and, with keep_states, the plant, measurement and estimator
-    arrays; a run keeps nothing else, so it holds only its blocks and the
-    series it reports.  An estimator stops before the first sample after
-    t = 0 at which the plant or its state is non-finite or exceeds
+    estimators maps a kind, "reduced" or "full", to its (gain, xhat0), the
+    initial estimate of the unmeasured field or of the stacked state, None
+    for the truth; the initial error is xhat0 - x0 on those coordinates.
+    The first estimator is the primary.  Each block of plant rows is made
+    once and shared.  The error obeys the autonomous dynamics e' = F e, with
+    F = A_ww - H C A_mw (reduced) or A - H C_full (full), and is propagated
+    exactly; the estimator state is recovered from the plant and the error,
+    phi = x_w + e - H y or z_hat = x + e, and checked for divergence.  A
+    block is reduced at once into err_gamma (when gram, the target region's
+    operator from region.region_operator, is given), the primary's
+    mode_abs_err and, with keep_states, the plant, measurement and
+    estimator arrays; a run keeps nothing else, so it holds only its blocks
+    and the series it reports.  An estimator stops before the first sample
+    after t = 0 at which the plant or its state is non-finite or exceeds
     MAX_STATE_NORM in sup-norm, and the simulation stops once every one has.
     """
+    steps = _steps(dt, t_final)
     meas = _field_slices(model.n_modes, measured_field)[0]
-    runs = {kind: _Run(kind, model, c, gain, e0, dt, steps, measured_field, keep_states=keep_states,
-                       keep_modes=kind in keep_modes, norms=gram is not None)
-            for kind, (gain, e0) in estimators.items()}
+    runs = {kind: _Run(kind, model, c, gain, x0, xhat0, dt, steps, measured_field, gram, norm_weight,
+                       primary=k == 0, keep_states=keep_states)
+            for k, (kind, (gain, xhat0)) in enumerate(estimators.items())}
     live = list(runs.values())
     with np.errstate(over="ignore", invalid="ignore"):
         for start, x in _plant_blocks(model, x0, dt, steps):
             plant_bad = _bad_rows(x)
             y = x[:, meas] @ c.T
-            live = [run for run in live if run.add(start, x, y, plant_bad, gram, norm_weight)]
+            live = [run for run in live if run.add(start, x, y, plant_bad)]
             if not live:
                 break
     return {kind: run.trajectory(dt) for kind, run in runs.items()}
 
 
-def _region_operator(model: ModalModel, region):
-    return None if region is None else region_operator(region, model.domain, model.mode_set)
-
-
-def _initial_plant(model: ModalModel, x0, dt: float, t_final: float):
-    """The stacked initial state x0 as a vector and the number of steps."""
+def _simulate_one(kind: str, model: ModalModel, sensors, gain: ObserverGain, x0, initial, dt: float,
+                  t_final: float, measured_field: int, region, norm_weight: str) -> Trajectory:
+    """The body of simulate_reduced_order and simulate_full_order: one
+    estimator started at phi0 (reduced) or xhat0 (full), every field kept."""
+    c, n = output_matrix(sensors, model.domain, model.mode_set), model.n_modes
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != 2 * model.n_modes:
+    if x0.shape[0] != 2 * n:
         raise ValueError("x0 must stack both fields, shape (2 n_modes,)")
-    return x0, _steps(dt, t_final)
+    xhat0 = np.asarray(initial, dtype=float).reshape(n if kind == "reduced" else 2 * n)
+    if kind == "reduced":  # x2_hat = phi + H y
+        xhat0 = xhat0 + gain.H @ (c @ x0[_field_slices(n, measured_field)[0]])
+    gram = None if region is None else region_operator(region, model.domain, model.mode_set)
+    return _simulate(model, c, x0, dt, t_final, {kind: (gain, xhat0)}, measured_field=measured_field,
+                     gram=gram, norm_weight=norm_weight, keep_states=True)[kind]
 
 
 def simulate_reduced_order(
@@ -542,13 +554,8 @@ def simulate_reduced_order(
     e' = F_red e exactly at the sample instants.  t_final must be a whole
     number of dt steps.
     """
-    c = output_matrix(sensors, model.domain, model.mode_set)
-    x0, steps = _initial_plant(model, x0, dt, t_final)
-    meas, unmeas = _field_slices(model.n_modes, measured_field)
-    xhat0 = np.asarray(phi0, dtype=float).reshape(model.n_modes) + gain.H @ (c @ x0[meas])
-    return _simulate(model, c, x0, dt, steps, {"reduced": (gain, xhat0 - x0[unmeas])},
-                     measured_field=measured_field, gram=_region_operator(model, region),
-                     norm_weight=norm_weight, keep_states=True)["reduced"]
+    return _simulate_one("reduced", model, sensors, gain, x0, phi0, dt, t_final, measured_field, region,
+                         norm_weight)
 
 
 def simulate_full_order(
@@ -571,9 +578,5 @@ def simulate_full_order(
     err_gamma combines both field errors, sqrt(|e1|_G^2 + |e2|_G^2).  t_final
     is as in simulate_reduced_order.
     """
-    c = output_matrix(sensors, model.domain, model.mode_set)
-    x0, steps = _initial_plant(model, x0, dt, t_final)
-    xhat0 = np.asarray(xhat0, dtype=float).reshape(2 * model.n_modes)
-    return _simulate(model, c, x0, dt, steps, {"full": (gain, xhat0 - x0)},
-                     measured_field=measured_field, gram=_region_operator(model, region),
-                     norm_weight=norm_weight, keep_states=True)["full"]
+    return _simulate_one("full", model, sensors, gain, x0, xhat0, dt, t_final, measured_field, region,
+                         norm_weight)

@@ -27,7 +27,6 @@ gamma_error_norm is the public norm of one estimate's error.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -200,14 +199,14 @@ def region_operator(region, domain: Domain, modes: ModeSet):
     return region_gram(region, domain, modes)
 
 
-def gram_norm_series(err_coeffs: np.ndarray, gram, domain: Domain, modes: ModeSet,
-                     weight: str = "l2") -> np.ndarray:
+def gram_norm_series(err_coeffs: np.ndarray, gram, lam: np.ndarray, weight: str = "l2") -> np.ndarray:
     """Region-restricted norm of each row e of err_coeffs (T, n_modes):
     sqrt(e'Ge) for l2, sqrt(sum sob (Ge)^2) for sobolev_half, where G is the
-    region's Gram matrix, dense (region_gram) or separable (region_operator).
-    Every product is taken row by row (SeparableGram.project,
-    spectral.row_products), so a row's norm has the same bits whatever
-    other rows share the call."""
+    region's Gram matrix, dense (region_gram) or separable (region_operator),
+    and sob = sqrt(1 + |lam|) of the modes' Laplacian eigenvalues lam
+    (spectral.eigenvalues, ModalModel.eigenvalues).  Every product is taken
+    row by row (SeparableGram.project, spectral.row_products), so a row's
+    norm has the same bits whatever other rows share the call."""
     if weight not in NORM_WEIGHTS:
         raise ValueError(f"unknown norm weight {weight!r}; expected one of {NORM_WEIGHTS}")
     # a copy, flushed in place: subnormal coefficients (decayed fast modes)
@@ -220,23 +219,14 @@ def gram_norm_series(err_coeffs: np.ndarray, gram, domain: Domain, modes: ModeSe
     if weight == "l2":
         projected *= err
         return np.sqrt(np.maximum(np.sum(projected, axis=1), 0.0))
-    return np.sqrt(np.maximum(row_products(projected**2, _sobolev_weights(modes, domain)), 0.0))
-
-
-@functools.lru_cache(maxsize=8)
-def _sobolev_weights(modes: ModeSet, domain: Domain) -> np.ndarray:
-    """sqrt(1 + |lambda_m|) per mode, read-only: a run takes the norm of
-    every block of samples, and the eigenvalues cost a Python loop over the
-    modes."""
-    sob = np.sqrt(1.0 + np.abs(eigenvalues(modes, domain)))
-    sob.flags.writeable = False
-    return sob
+    return np.sqrt(np.maximum(row_products(projected**2, np.sqrt(1.0 + np.abs(lam))), 0.0))
 
 
 def gamma_error_norm(x: np.ndarray, x_hat: np.ndarray, domain: Domain, modes: ModeSet, region, weight: str = "l2") -> float:
     """Region-restricted norm of the estimation error x_hat - x."""
     err = np.asarray(x_hat, dtype=float) - np.asarray(x, dtype=float)
-    return float(gram_norm_series(err[None, :], region_operator(region, domain, modes), domain, modes, weight)[0])
+    gram = region_operator(region, domain, modes)
+    return float(gram_norm_series(err[None, :], gram, eigenvalues(modes, domain), weight)[0])
 
 
 @dataclass(frozen=True)

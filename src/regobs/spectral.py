@@ -79,14 +79,15 @@ class ModeSet:
 
 def eigenvalue(mode: ModeIndex, domain: Domain) -> float:
     """Laplacian eigenvalue -pi^2 (i^2/L1^2 + j^2/L2^2) of the product-sine mode."""
-    i, j = mode
-    if i < 1 or j < 1:
-        raise ValueError("mode indices must be >= 1")
-    return -((i / domain.length1) ** 2 + (j / domain.length2) ** 2) * math.pi**2
+    return float(eigenvalues(ModeSet((ModeIndex(*mode),)), domain)[0])
 
 
 def eigenvalues(modes: ModeSet, domain: Domain) -> np.ndarray:
-    return np.array([eigenvalue(m, domain) for m in modes], dtype=float)
+    """Laplacian eigenvalue of every mode of the set, in its order; one that
+    overflows is -inf."""
+    i = np.array([m.i for m in modes], dtype=float)
+    j = np.array([m.j for m in modes], dtype=float)
+    return -((i / domain.length1) ** 2 + (j / domain.length2) ** 2) * math.pi**2
 
 
 def eval_matrix(domain: Domain, modes: ModeSet, points: np.ndarray) -> np.ndarray:
@@ -187,10 +188,9 @@ def assemble_exchange_model(coefficients: Coefficients, domain: Domain, modes: M
     """
     beta = coefficients.beta_couple
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            lam = eigenvalues(modes, domain)
-        except OverflowError:
-            raise ValueError("the Laplacian eigenvalues overflow on this domain and mode set") from None
+        lam = eigenvalues(modes, domain)
+        if not np.isfinite(lam).all():
+            raise ValueError("the Laplacian eigenvalues overflow on this domain and mode set")
         model = ModalModel(
             domain=domain,
             coefficients=coefficients,

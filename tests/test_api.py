@@ -126,6 +126,7 @@ def test_export_list_matches_public_names():
 # Public names that no CLI command reaches, each with why it stays public.
 UNREACHED_FROM_CLI = {
     "PredicateResult": "what the two predicates return",
+    "eigenvalue": "public entry point: gate criterion 1 (the model takes every mode at once from eigenvalues)",
     "estimator_matrices": "gate reference: criterion 5 and the dense co-simulation oracle",
     "gamma_error_norm": "the public region norm of one estimate's error",
     "nonstrategic_pointwise_predicate": "public entry point: gate criterion 4",
@@ -166,3 +167,18 @@ def test_every_public_name_is_reached_or_listed():
     reached = _reached_from_cli()
     assert sorted(set(regobs.__all__) - reached - set(UNREACHED_FROM_CLI)) == []
     assert sorted(name for name in UNREACHED_FROM_CLI if name in reached or name not in regobs.__all__) == []
+
+
+def test_harness_reaches_observer_only_through_its_two_entry_points():
+    # a run designs each estimator with design_estimator and simulates them
+    # with _simulate: the gain design and the propagation each have one place
+    tree = ast.parse((Path(regobs.__file__).parent / "harness.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("observer", "regobs.observer"):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "regobs"):
+            assert "observer" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert "regobs.observer" not in {alias.name for alias in node.names}
+    assert imported == {"design_estimator", "_simulate"}

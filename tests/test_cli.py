@@ -36,6 +36,43 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["rank", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_config_exit_one(self, tmp_path, capsys, kind):
+        config = tmp_path / "config"
+        if kind == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(BETA3_CONFIG.encode() + b"# \xff\n")
+        out = tmp_path / "out"
+        for command in (["run", "--out", str(out)], ["rank"], ["sweep", "--grid", "3", "--out", str(out)]):
+            assert main([command[0], "--config", str(config), *command[1:]]) == 1, command
+            assert capsys.readouterr().err.startswith(f"error: config {str(config)!r} cannot be read as UTF-8 text")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config"]
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "3"]])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_through_a_file_exit_one_before_any_work(self, tmp_path, beta3_path, capsys, monkeypatch,
+                                                         command, below):
+        # --out names an existing file, or a path under one
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        monkeypatch.setattr(cli, "run_experiment", None)
+        monkeypatch.setattr(cli, "placement_sweep", None)
+        out = taken / below if below else taken
+        assert main([command[0], "--config", beta3_path, *command[1:], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: output directory {str(out)!r} cannot be made: "
+                                           f"{str(taken)!r} is not a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["beta3.cfg", "taken"]
+        assert taken.read_text() == "kept\n"
+
+    def test_write_failure_during_emission_exit_two(self, tmp_path, beta3_path, capsys, monkeypatch):
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "emit_sweep", full_disk)
+        assert main(["sweep", "--config", beta3_path, "--grid", "3", "--out", str(tmp_path / "out")]) == 2
+        assert "runtime failure: [Errno 28] No space left on device" in capsys.readouterr().err
+
     def test_validation_error_exit_one(self, tmp_path, capsys):
         # rejected while the config is read, by rank and run alike
         collar = (CONFIGS / "boundary_collar.cfg").read_text()
@@ -48,6 +85,7 @@ class TestExitCodes:
             BETA3_CONFIG + "region.collar_radius = 0.3\n":
                 "region.collar_radius is not a key of internal_rectangle regions",
             collar + "region.rect = 0.2, 0.8, 0.2, 0.8\n": "region.rect is not a key of boundary_segment regions",
+            BETA3_CONFIG + "output.directory =\n": "output.directory must be a nonempty path",
         }
         bad, out = tmp_path / "bad.cfg", tmp_path / "out"
         for text, message in rejected.items():

@@ -57,6 +57,20 @@ class TestEigenvalue:
         with pytest.raises(ValueError):
             eigenvalue(ModeIndex(0, 1), UNIT)
 
+    @pytest.mark.parametrize("domain", [UNIT, Domain(0.0, 1.0, 0.0, 1.3), Domain(0.1, 0.37, -2.3, 5.9),
+                                        Domain(-1e-3, 3.7e-3, 1.0, 1.0 + 1e-7)])
+    @pytest.mark.parametrize("n", [1, 8, 24, 96])
+    def test_array_form_matches_per_mode_floats(self, domain, n):
+        # the per-mode loop on Python floats that the array expression replaced
+        modes = ModeSet.square(n)
+        loop = [-((i / domain.length1) ** 2 + (j / domain.length2) ** 2) * math.pi**2 for i, j in modes]
+        assert eigenvalues(modes, domain).tobytes() == np.array(loop).tobytes()
+        assert [eigenvalue(m, domain) for m in modes.modes[:50]] == loop[:50]
+
+    def test_overflow_is_minus_inf(self):
+        with np.errstate(over="ignore"):
+            assert eigenvalues(ModeSet.square(2), Domain(0.0, 1e-160, 0.0, 1.0)).tolist() == [-math.inf] * 4
+
     def test_fd_laplacian_residual(self):
         for i in range(1, 5):
             for j in range(1, 5):

@@ -38,7 +38,7 @@ from regobs import (
     split_unstable_stable,
 )
 from regobs import harness, observer, spectral
-from regobs.observer import _error_blocks, _estimator_maps, _full_sensor_matrix, _plant_blocks, _row_blocks
+from regobs.observer import _error_blocks, _estimator_maps, _plant_blocks, _row_blocks
 from regobs.region import SeparableGram, region_operator
 from regobs.spectral import ModePairs, _one_row_step, propagate_few_rows
 from conftest import BETA3_CONFIG, Propagator, no_dense_propagator, propagate, stacked_a
@@ -292,7 +292,7 @@ def test_stacked_split_matches_eigh(seed, n_side, beta, margin, target_margin):
     q = max(split.j_unstable, 1) + 1
     c = output_matrix([PointwiseSensor(tuple(rng.uniform(0.1, 0.9, 2))) for _ in range(q)],
                       UNIT, model.mode_set)
-    c_full = _full_sensor_matrix(c, model.n_modes, 1)
+    c_full = np.hstack([c, np.zeros_like(c)])
     try:
         ref = design_gain(c_full, dense, target_margin)
     except NotDetectableError:
