@@ -54,9 +54,12 @@ def _build_parser() -> _Parser:
 
 
 def _out_dir(args, cfg) -> str:
-    """--out, or the config's output.directory: one through an existing
-    non-directory can never be written, a usage error before any work."""
-    out = args.out or cfg.output.directory
+    """--out, or the config's output.directory when --out is not given: an
+    empty --out, or a directory through an existing non-directory, can never
+    be written, a usage error before any work."""
+    out = cfg.output.directory if args.out is None else args.out
+    if not out:
+        raise ConfigError("--out must be a nonempty path")
     head = os.path.abspath(out)
     while not os.path.exists(head):
         head = os.path.dirname(head)

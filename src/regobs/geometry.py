@@ -54,10 +54,6 @@ class Rect:
             raise ValueError("rect requires hi > lo on both axes")
 
     @property
-    def center(self) -> tuple[float, float]:
-        return (_midpoint(self.lo1, self.hi1), _midpoint(self.lo2, self.hi2))
-
-    @property
     def half_widths(self) -> tuple[float, float]:
         return (0.5 * (self.hi1 - self.lo1), 0.5 * (self.hi2 - self.lo2))
 

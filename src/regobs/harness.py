@@ -9,8 +9,6 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -18,26 +16,13 @@ from .config import ConfigError, ExperimentConfig, render_config
 from .floattext import format_rows
 from .observer import _simulate, design_estimator
 from .region import BoundarySegment, DecayFit, build_collar, fit_decay, region_operator
-from .sensing import (
-    PointwiseSensor,
-    StrategicReport,
-    _group_layout,
-    _horizon_kernel,
-    _kernel_rank,
-    _lattice_rows,
-    _lattice_triggered,
-    _stacked_rank_test,
-    group_modes_by_eigenvalue,
-    observability_gramian,
-    output_matrix,
-    strategic_rank_test,
-)
+from .sensing import (PointwiseSensor, StrategicReport, _lattice_sweep, group_modes_by_eigenvalue, output_matrix,
+                      strategic_rank_test)
 from .spectral import ModeSet, assemble_exchange_model
 
 CONFIG_ECHO_BEGIN = "--- config ---"
 CONFIG_ECHO_END = "--- end config ---"
 _BLOCK_CELLS = 1 << 13  # cells formatted at a time: the formatter holds ~320 bytes per cell
-_SWEEP_CHUNK_ENTRIES = 1 << 13  # output-matrix entries a sweep rank-tests at a time
 _OPTIONAL_OUTPUTS = ("gain.csv", "error_decay.svg")  # files a run writes only in some cases
 
 
@@ -184,15 +169,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
 # --- placement sweep ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    b1: float
-    b2: float
-    strategic: bool
-    min_gramian_eig: float
-    triggered: tuple
-
-
 @dataclass(eq=False)
 class SweepResult:
     """The placement lattice as columns: position (b1[a], b2[b]) has the
@@ -205,23 +181,10 @@ class SweepResult:
     min_gramian_eig: np.ndarray
     triggered: list
 
-    @cached_property
-    def rows(self) -> tuple[SweepRow, ...]:
-        """One SweepRow per position, row-major (b1 outer), built when read."""
-        b2 = self.b2.tolist()
-        return tuple(
-            SweepRow(b1=x, b2=y, strategic=s, min_gramian_eig=e, triggered=t)
-            for x, flags, eigs, trig in zip(self.b1.tolist(), self.strategic.tolist(),
-                                             self.min_gramian_eig.tolist(), self.triggered)
-            for y, s, e, t in zip(b2, flags, eigs, trig)
-        )
-
 
 def _feasible_interval(cfg: ExperimentConfig, sensor):
     d = cfg.domain
-    if isinstance(sensor, PointwiseSensor):
-        return (d.alpha1, d.beta1), (d.alpha2, d.beta2)
-    h1, h2 = sensor.rect.half_widths
+    h1, h2 = (0.0, 0.0) if isinstance(sensor, PointwiseSensor) else sensor.rect.half_widths
     if d.alpha1 + h1 >= d.beta1 - h1 or d.alpha2 + h2 >= d.beta2 - h2:
         raise ConfigError("zone sensor support too wide to sweep inside the domain")
     return (d.alpha1 + h1, d.beta1 - h1), (d.alpha2 + h2, d.beta2 - h2)
@@ -234,18 +197,9 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
     grid_n x grid_n lattice at fractions k/(grid_n + 1) of the feasible span;
     remaining sensors stay fixed.  Each position records the strategic
     verdict, the smallest observability-Gramian eigenvalue of the
-    unmeasured-field block, and the closed-form predicate triggers.  The
-    positions are rank-tested and checked for Gramian overflow in chunks of
-    whole lattice rows (fixed b1), as many rows as keep a chunk's output
-    matrices within _SWEEP_CHUNK_ENTRIES entries and at least one.  When q
-    sensors times the numerical rank r of the Gramian kernel's correlation
-    fall short of the n modes (sensing._kernel_rank), every Gramian is
-    singular to within n eps sum_s max_i c_si^2 K_ii, and the eigenvalue is
-    written as 0.0 with no eigensolve; otherwise the Gramians are formed and
-    eigensolved one lattice row at a time, and a negative eigvalsh value,
-    round-off of a positive semidefinite W, is written as 0.0.  Raises
-    ConfigError when observer.gramian_horizon is so long that the Gramian
-    overflows.
+    unmeasured-field block, and the closed-form predicate triggers, all from
+    sensing._lattice_sweep.  Raises ConfigError when observer.gramian_horizon
+    is so long that the Gramian overflows.
     """
     if grid_n < 2:
         raise ConfigError("sweep grid must be >= 2")
@@ -253,42 +207,15 @@ def placement_sweep(cfg: ExperimentConfig, grid_n: int) -> SweepResult:
         raise ConfigError("sweep requires ≥ 1 sensor")
     model, a_ww, groups, fixed = _observed_model(cfg, cfg.sensors[1:])
     horizon = cfg.observer.gramian_horizon
-    modes = model.mode_set
-    varied = cfg.sensors[0]
-    (lo1, hi1), (lo2, hi2) = _feasible_interval(cfg, varied)
+    (lo1, hi1), (lo2, hi2) = _feasible_interval(cfg, cfg.sensors[0])
     fracs = [k / (grid_n + 1) for k in range(1, grid_n + 1)]
     xs = [lo1 + (hi1 - lo1) * f for f in fracs]
     ys = [lo2 + (hi2 - lo2) * f for f in fracs]
-    q, n = len(cfg.sensors), len(modes)
-    layout = _group_layout(groups)
-    too_long = f"observer.gramian_horizon = {horizon!r} is too long: "
     try:
-        k = _horizon_kernel(a_ww, horizon)
-    except ValueError as exc:
-        raise ConfigError(too_long + str(exc)) from None
-    # q r < n: every Gramian is numerically singular (_kernel_rank)
-    singular = q * _kernel_rank(k) < n
-    strategic = np.zeros((grid_n, grid_n), dtype=bool)
-    min_eig = np.zeros((grid_n, grid_n))
-    lattice = _lattice_rows(varied, cfg.domain, modes, xs, ys)
-    chunk = max(1, _SWEEP_CHUNK_ENTRIES // (grid_n * q * n))
-    for start in range(0, grid_n, chunk):
-        varied_rows = np.stack(list(islice(lattice, chunk))).reshape(-1, 1, n)
-        span = slice(start, start + len(varied_rows) // grid_n)
-        c = np.concatenate([varied_rows, np.broadcast_to(fixed, (len(varied_rows), q - 1, n))], axis=1)
-        strategic[span] = _stacked_rank_test(c, layout)[3].reshape(-1, grid_n)
-        with np.errstate(over="ignore"):
-            # |W_ij| <= sqrt(W_ii W_jj), so W overflows where its diagonal does
-            if not np.isfinite(np.sum(c * c, axis=1) * np.diag(k)).all():
-                raise ConfigError(f"{too_long}observability Gramian overflows at t_horizon = {horizon!r}")
-        if not singular:
-            for row_c, row_eig in zip(c.reshape(-1, grid_n, q, n), min_eig[span]):
-                w = observability_gramian(a_ww, row_c, horizon)
-                # W is positive semidefinite: a negative eigvalsh value is round-off,
-                # and 0 is never farther from the true eigenvalue than it is
-                np.maximum(np.linalg.eigvalsh(w)[:, 0], 0.0, out=row_eig)
-    return SweepResult(b1=np.array(xs), b2=np.array(ys), strategic=strategic, min_gramian_eig=min_eig,
-                       triggered=_lattice_triggered(varied, cfg.domain, modes, xs, ys))
+        columns = _lattice_sweep(cfg.sensors[0], fixed, groups, a_ww, horizon, cfg.domain, model.mode_set, xs, ys)
+    except OverflowError as exc:
+        raise ConfigError(f"observer.gramian_horizon = {horizon!r} is too long: {exc}") from None
+    return SweepResult(np.array(xs), np.array(ys), *columns)
 
 
 # --- file emission -------------------------------------------------------------

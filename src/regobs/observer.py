@@ -552,7 +552,10 @@ def simulate_reduced_order(
     auxiliary output is algebraic in the modal states, never differenced).
     The recovered estimate is x2_hat = phi + H y and its error obeys
     e' = F_red e exactly at the sample instants.  t_final must be a whole
-    number of dt steps.
+    number of dt steps.  A start at the truth, phi0 = x_w(0) - H y(0),
+    returns x_w(0) only to round-off (about 1e-16 relative), so its error
+    series is of that size, not 0; run_experiment with
+    simulation.estimator_init = truth starts from x_w(0) itself and is exact.
     """
     return _simulate_one("reduced", model, sensors, gain, x0, phi0, dt, t_final, measured_field, region,
                          norm_weight)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -26,6 +27,7 @@ TOL_RANK = 1e-10
 TOL_GROUP = 1e-9
 # A coordinate ratio within TOL_RAT of a rational p/q puts a nodal line there.
 TOL_RAT = 1e-9
+_SWEEP_CHUNK_ENTRIES = 1 << 13  # output-matrix entries a sweep rank-tests at a time
 
 
 @dataclass(frozen=True)
@@ -372,15 +374,14 @@ def strategic_rank_test(c: np.ndarray, groups) -> StrategicReport:
 
 def _horizon_kernel(d: np.ndarray, t_horizon: float) -> np.ndarray:
     """K_ij = (e^{(d_i+d_j)T} - 1)/(d_i+d_j), and T where d_i + d_j = 0: the
-    exactly symmetric kernel of the Gramian of M = diag(d) over [0, T].  Raises
-    ValueError when K is not finite (T too long for the growth rates d)."""
+    exactly symmetric kernel of the Gramian of M = diag(d) over [0, T].  An
+    entry too large for a double is inf; K_ij grows with d_i + d_j, so an
+    infinite K_ij makes K_ii or K_jj infinite too."""
     d_sum = d[:, None] + d[None, :]
     k = np.full_like(d_sum, float(t_horizon))
     nz = d_sum != 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         k[nz] = np.expm1(d_sum[nz] * t_horizon) / d_sum[nz]
-    if not np.isfinite(k).all():
-        raise ValueError(f"observability Gramian overflows at t_horizon = {t_horizon!r}")
     return k
 
 
@@ -403,8 +404,8 @@ def observability_gramian(d: np.ndarray, obs: np.ndarray, t_horizon: float) -> n
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     oto = np.swapaxes(obs, -1, -2) @ obs
     # in place: O'O and K are exactly symmetric, so their product is too; an
-    # overflow leaves inf in W, which the check below rejects
-    with np.errstate(over="ignore"):
+    # overflow in either leaves inf or nan in W, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
         w = np.multiply(oto, _horizon_kernel(d, t_horizon), out=oto)
     if not np.isfinite(w).all():
         raise ValueError(f"observability Gramian overflows at t_horizon = {t_horizon!r}")
@@ -524,3 +525,53 @@ def _lattice_triggered(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, y
         return [[()] * len(ys) for _ in xs]
     rows = {q1: [flags[q2] for q2 in q2s] for q1, flags in flagged.items()}
     return [rows[q1].copy() for q1 in q1s]
+
+
+def _lattice_sweep(varied: SensorSpec, fixed: np.ndarray, groups, d: np.ndarray, t_horizon: float,
+                   domain: Domain, modes: ModeSet, xs, ys):
+    """The sensor `varied` moved to each point of the lattice xs x ys beside
+    the fixed output rows `fixed` ((q - 1, n), none for q = 1): the strategic
+    verdicts against `groups` and the smallest eigenvalues of the
+    observability Gramians over [0, t_horizon] of diag(d), both
+    (len(xs), len(ys)) arrays, and the closed-form predicate flags, a list
+    of rows of flagged modes (_lattice_triggered).
+
+    The positions are rank-tested and checked for Gramian overflow in chunks
+    of whole lattice rows (fixed x), as many rows as keep a chunk's output
+    matrices within _SWEEP_CHUNK_ENTRIES entries and at least one.  The
+    horizon kernel K is built once to count the numerical rank r of its
+    correlation (_kernel_rank) and to check overflow.  When q sensors times r
+    fall short of the n modes, every Gramian is singular to within
+    n eps sum_s max_i c_si^2 K_ii, and the eigenvalue is written as 0.0 with
+    no eigensolve.  Otherwise each lattice row's Gramians come from
+    observability_gramian, which builds K again for that row, and are
+    eigensolved together; a negative eigvalsh value, round-off of a positive
+    semidefinite W, is written as 0.0.  Raises OverflowError when a Gramian
+    does not fit in a double.
+    """
+    q, n = len(fixed) + 1, len(modes)
+    layout = _group_layout(groups)
+    k = _horizon_kernel(d, t_horizon)
+    # q r < n: every Gramian is numerically singular; a K that is not finite
+    # fails the overflow check of the first chunk instead
+    singular = np.isfinite(k).all() and q * _kernel_rank(k) < n
+    strategic = np.zeros((len(xs), len(ys)), dtype=bool)
+    min_eig = np.zeros((len(xs), len(ys)))
+    lattice = _lattice_rows(varied, domain, modes, xs, ys)
+    chunk = max(1, _SWEEP_CHUNK_ENTRIES // (len(ys) * q * n))
+    for start in range(0, len(xs), chunk):
+        varied_rows = np.stack(list(islice(lattice, chunk))).reshape(-1, 1, n)
+        span = slice(start, start + len(varied_rows) // len(ys))
+        c = np.concatenate([varied_rows, np.broadcast_to(fixed, (len(varied_rows), q - 1, n))], axis=1)
+        strategic[span] = _stacked_rank_test(c, layout)[3].reshape(-1, len(ys))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # |W_ij| <= sqrt(W_ii W_jj), so W overflows where its diagonal does
+            if not np.isfinite(np.sum(c * c, axis=1) * np.diag(k)).all():
+                raise OverflowError(f"observability Gramian overflows at t_horizon = {t_horizon!r}")
+        if not singular:
+            for row_c, row_eig in zip(c.reshape(-1, len(ys), q, n), min_eig[span]):
+                w = observability_gramian(d, row_c, t_horizon)
+                # W is positive semidefinite: a negative eigvalsh value is round-off,
+                # and 0 is never farther from the true eigenvalue than it is
+                np.maximum(np.linalg.eigvalsh(w)[:, 0], 0.0, out=row_eig)
+    return strategic, min_eig, _lattice_triggered(varied, domain, modes, xs, ys)

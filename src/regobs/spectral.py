@@ -7,11 +7,11 @@ same product-sine basis, so every block operator is diagonal over one shared
 mode ordering and is held as the vector of its diagonal.  Propagation is in
 closed form throughout: per-mode 2 x 2 exponentials for the plant
 (ModePairs), scalar exponentials (exp_samples) and a few coupled rows
-(propagate_few_rows) for the estimation error.  Only the last, for two rows
+(few_rows_blocks) for the estimation error.  Only the last, for two rows
 or more, takes a matrix exponential.  Each evaluates any range of sample
 rows with the same arithmetic, so a simulation can make its samples one
-block of rows at a time (few_rows_blocks carries the coupled rows' state
-from one block to the next).
+block of rows at a time (the coupled rows carry their state from one block
+to the next).
 """
 
 from __future__ import annotations
@@ -312,17 +312,10 @@ class ModePairs:
 NEAR_SPECTRUM = 1e-2
 
 
-def propagate_few_rows(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarray,
-                       dt: float, steps: int) -> np.ndarray:
-    """Exact samples (steps + 1, N) of z' = F z, where F equals diag(rates)
-    outside the few rows `rows` and f_rows (J x N) holds those J rows: the
-    one block of few_rows_blocks that holds every sample."""
-    return next(few_rows_blocks(rates, rows, f_rows, z0, dt, [(0, steps + 1)]))
-
-
 def few_rows_blocks(rates: np.ndarray, rows, f_rows: np.ndarray, z0: np.ndarray, dt: float, bounds):
-    """Exact samples of z' = F z, as propagate_few_rows, one block of rows at
-    a time: for each (start, stop) of bounds, ranges that follow each other
+    """Exact samples of z' = F z, where F equals diag(rates) outside the few
+    rows `rows` and f_rows (J x N) holds those J rows, one block of rows at a
+    time: for each (start, stop) of bounds, ranges that follow each other
     from 0, the samples k = start..stop - 1, shape (stop - start, N).
 
     The other coordinates S decay as scalars, z_S(t_k) = exp(d_S t_k) z_S(0).
@@ -380,7 +373,7 @@ def _row_recursion(step: np.ndarray, z_r: np.ndarray, drive: np.ndarray) -> np.n
 
 
 def _one_row_step(f_rr: np.ndarray, f_s: np.ndarray, d_s: np.ndarray, dt: float):
-    """E (1 x 1) and Gamma (N - 1, 1) of propagate_few_rows for one row,
+    """E (1 x 1) and Gamma (N - 1, 1) of few_rows_blocks for one row,
     F_RR = [[lam]], in closed form: E = exp(lam dt) and
 
         Gamma_s = f_s dt exp(max(lam, d_s) dt) phi1(-|lam - d_s| dt),
@@ -402,7 +395,7 @@ def _one_row_step(f_rr: np.ndarray, f_s: np.ndarray, d_s: np.ndarray, dt: float)
 
 
 def _few_rows_step(f_rr: np.ndarray, f_rs: np.ndarray, d_s: np.ndarray, dt: float):
-    """E and Gamma (N - J, J) of propagate_few_rows for J >= 2 rows.
+    """E and Gamma (N - J, J) of few_rows_blocks for J >= 2 rows.
 
     Column s of Gamma is (E - exp(d_s dt)) (F_RR - d_s)^-1 F_RS[:, s] when
     sigma_min(F_RR - d_s) dt >= NEAR_SPECTRUM, where the difference loses at

@@ -114,7 +114,7 @@ def stacked_a(model: ModalModel) -> np.ndarray:
 class Propagator:
     """Exact one-step propagator x(t + dt) = E x(t), E = exp(M dt), of
     dx/dt = M x by one dense matrix exponential: the oracle of the
-    closed forms (ModePairs, exp_samples, propagate_few_rows) that every
+    closed forms (ModePairs, exp_samples, few_rows_blocks) that every
     simulation uses."""
 
     def __init__(self, m: np.ndarray, dt: float):
@@ -253,10 +253,12 @@ def reference_trajectory_csv(path, cfg, primary, full, reduced):
 
 
 def reference_sweep_csv(path, result):
-    """sweep.csv written one line per SweepRow with a `repr` per float cell,
-    the oracle of emit_sweep."""
+    """sweep.csv written one line per lattice position, row-major (b1 outer),
+    with a `repr` per float cell, the oracle of emit_sweep."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("b1,b2,strategic,min_gramian_eig,triggered_modes\n")
-        for row in result.rows:
-            modes = ";".join(f"{m.i}.{m.j}" for m in row.triggered)
-            fh.write(f"{row.b1!r},{row.b2!r},{int(row.strategic)},{row.min_gramian_eig!r},{modes}\n")
+        for a, b1 in enumerate(result.b1.tolist()):
+            for b, b2 in enumerate(result.b2.tolist()):
+                modes = ";".join(f"{m.i}.{m.j}" for m in result.triggered[a][b])
+                eig = float(result.min_gramian_eig[a, b])
+                fh.write(f"{b1!r},{b2!r},{int(result.strategic[a, b])},{eig!r},{modes}\n")

@@ -171,14 +171,17 @@ def test_every_public_name_is_reached_or_listed():
 
 def test_harness_reaches_observer_only_through_its_two_entry_points():
     # a run designs each estimator with design_estimator and simulates them
-    # with _simulate: the gain design and the propagation each have one place
+    # with _simulate: the gain design and the propagation each have one place.
+    # A sweep evaluates its lattice with sensing._lattice_sweep, the one
+    # private sensing name harness may import
     tree = ast.parse((Path(regobs.__file__).parent / "harness.py").read_text(encoding="utf-8"))
-    imported = set()
+    imported = {"observer": set(), "sensing": set()}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in ("observer", "regobs.observer"):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module in (None, "regobs"):
-            assert "observer" not in {alias.name for alias in node.names}
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "regobs"):
+            assert not set(imported) & {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.removeprefix("regobs.") in imported:
+            imported[node.module.removeprefix("regobs.")].update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            assert "regobs.observer" not in {alias.name for alias in node.names}
-    assert imported == {"design_estimator", "_simulate"}
+            assert not {"regobs.observer", "regobs.sensing"} & {alias.name for alias in node.names}
+    assert imported["observer"] == {"design_estimator", "_simulate"}
+    assert {name for name in imported["sensing"] if name.startswith("_")} == {"_lattice_sweep"}

@@ -27,8 +27,7 @@ from regobs import (
     placement_sweep,
     strategic_rank_test,
 )
-from regobs import harness, sensing
-from regobs.cli import main
+from regobs import sensing
 from regobs.sensing import ModeGroup, group_values
 from regobs.spectral import ModeIndex
 
@@ -79,17 +78,29 @@ def _sweep_runs_eigvalsh(cfg):
     return len(cfg.sensors) * np.count_nonzero(lam > np.finfo(float).eps * lam[-1]) >= d.size
 
 
-def _per_position(cfg, rows):
-    """(strategic, min eig, trace, bound, triggered) of each row's position,
-    one position at a time through the public calls.  bound is
+def _positions(result):
+    """(b1, b2) of each lattice position of a sweep, row-major (b1 outer)."""
+    return [(x, y) for x in result.b1.tolist() for y in result.b2.tolist()]
+
+
+def _columns(result):
+    """The sweep's verdicts, eigenvalues and flags, one per position in the
+    order of _positions."""
+    return (result.strategic.ravel().tolist(), result.min_gramian_eig.ravel().tolist(),
+            [t for row in result.triggered for t in row])
+
+
+def _per_position(cfg, result):
+    """(strategic, min eig, trace, bound, triggered) of each position of the
+    sweep, one position at a time through the public calls.  bound is
     n eps sum_s max_i c_si^2 K_ii, the distance of a numerically singular
     Gramian's smallest eigenvalue from 0 (sensing._kernel_rank)."""
     modes, a_ww = _modes_and_a_ww(cfg)
     groups = group_values(a_ww, modes)
     k_diag = np.diag(_kernel(a_ww, cfg.observer.gramian_horizon))
     out = []
-    for row in rows:
-        sensor = _at(cfg.sensors[0], row.b1, row.b2)
+    for b1, b2 in _positions(result):
+        sensor = _at(cfg.sensors[0], b1, b2)
         c = output_matrix((sensor, *cfg.sensors[1:]), cfg.domain, modes)
         w = observability_gramian(a_ww, c, cfg.observer.gramian_horizon)
         try:
@@ -112,29 +123,28 @@ def test_batched_rows_match_per_position_loop(kind, domain, fixed):
     cfg = parse_config(BASE + domain)
     cfg = dataclasses.replace(cfg, sensors=(_varied(kind), FIXED) if fixed else (_varied(kind),))
     grid_n = 7
-    rows = placement_sweep(cfg, grid_n).rows
-    assert len(rows) == grid_n**2
-    # row-major lattice: b1 is constant along each lattice row
-    assert all(row.b1 == rows[k - k % grid_n].b1 for k, row in enumerate(rows))
-    reference = _per_position(cfg, rows)
-    assert [row.strategic for row in rows] == [r[0] for r in reference]
-    assert [row.triggered for row in rows] == [r[4] for r in reference]
+    result = placement_sweep(cfg, grid_n)
+    assert result.strategic.shape == result.min_gramian_eig.shape == (grid_n, grid_n)
+    assert [len(row) for row in result.triggered] == [grid_n] * grid_n
+    strategic, min_eigs, triggered = _columns(result)
+    reference = _per_position(cfg, result)
+    assert strategic == [r[0] for r in reference]
+    assert triggered == [r[4] for r in reference]
     runs_eigvalsh = _sweep_runs_eigvalsh(cfg)
-    for row, (_, min_eig, trace, bound, _) in zip(rows, reference):
-        assert abs(row.min_gramian_eig - min_eig) <= 1e-12 * trace
+    for swept, (_, min_eig, trace, bound, _) in zip(min_eigs, reference):
+        assert abs(swept - min_eig) <= 1e-12 * trace
         if not runs_eigvalsh:
-            assert row.min_gramian_eig == 0.0 and abs(min_eig) <= bound
+            assert swept == 0.0 and abs(min_eig) <= bound
         elif not fixed:
-            assert row.min_gramian_eig == min_eig
+            assert swept == min_eig
     # one sensor: the unit square's multiplicities exceed q; on the tall
     # domain the lattice k/8 of the span crosses nodal lines, so both verdicts
     # occur where a predicate applies
-    verdicts = {row.strategic for row in rows}
     if not fixed and domain == "":
-        assert verdicts == {False}
+        assert set(strategic) == {False}
     if not fixed and domain == TALL and kind != "tabulated_asymmetric":
-        assert verdicts == {False, True}
-        assert any(row.triggered for row in rows)
+        assert set(strategic) == {False, True}
+        assert any(triggered)
 
 
 def test_sweep_groups_by_multiplicity_once():
@@ -165,16 +175,15 @@ def test_singular_sweep_solves_one_eigenproblem():
 
     def calls(grid_n):
         with (mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig,
-              mock.patch.object(sensing, "_horizon_kernel", wraps=sensing._horizon_kernel) as kernel,
-              mock.patch.object(harness, "_horizon_kernel", kernel)):
-            rows = placement_sweep(cfg, grid_n).rows
-        assert {row.min_gramian_eig for row in rows} == {0.0}
+              mock.patch.object(sensing, "_horizon_kernel", wraps=sensing._horizon_kernel) as kernel):
+            result = placement_sweep(cfg, grid_n)
+        assert set(result.min_gramian_eig.ravel().tolist()) == {0.0}
         return eig.call_count, kernel.call_count
 
     assert calls(3) == calls(9) == (1, 1)
 
 
-def _oracle_min_eigs(cfg, rows, dps=150):
+def _oracle_min_eigs(cfg, result, dps=150):
     """Smallest eigenvalue of each position's Gramian O'O * K, with O the same
     double rows the sweep uses and K and the eigensolve in dps digits."""
     modes, a_ww = _modes_and_a_ww(cfg)
@@ -183,8 +192,8 @@ def _oracle_min_eigs(cfg, rows, dps=150):
         t_horizon = mpmath.mpf(cfg.observer.gramian_horizon)
         d = [mpmath.mpf(float(v)) for v in a_ww]
         k = [[mpmath.expm1((a + b) * t_horizon) / (a + b) if a + b else t_horizon for b in d] for a in d]
-        for row in rows:
-            c = output_matrix((_at(cfg.sensors[0], row.b1, row.b2), *cfg.sensors[1:]), cfg.domain, modes)
+        for b1, b2 in _positions(result):
+            c = output_matrix((_at(cfg.sensors[0], b1, b2), *cfg.sensors[1:]), cfg.domain, modes)
             c = [[mpmath.mpf(float(v)) for v in line] for line in c]
             w = mpmath.matrix([[sum(line[i] * line[j] for line in c) * k[i][j] for j in range(len(d))]
                                for i in range(len(d))])
@@ -207,9 +216,10 @@ def test_min_gramian_eig_within_bound_of_high_precision_oracle(n_side, q, t_hori
     # a written 0 and an eigvalsh value alike lie within n eps sum_s max_i
     # c_si^2 K_ii of the true smallest eigenvalue
     cfg = _oracle_cfg(n_side, q, t_horizon, beta, tall, kind)
-    rows = placement_sweep(cfg, 3).rows
-    for row, truth, (*_, bound, _) in zip(rows, _oracle_min_eigs(cfg, rows), _per_position(cfg, rows)):
-        assert abs(row.min_gramian_eig - truth) <= bound
+    result = placement_sweep(cfg, 3)
+    for swept, truth, (*_, bound, _) in zip(_columns(result)[1], _oracle_min_eigs(cfg, result),
+                                            _per_position(cfg, result)):
+        assert abs(swept - truth) <= bound
 
 
 def test_graded_kernel_keeps_the_eigensolve():
@@ -222,13 +232,13 @@ def test_graded_kernel_keeps_the_eigensolve():
     lam = np.linalg.eigvalsh(_kernel(_modes_and_a_ww(cfg)[1], 6.0))
     assert np.count_nonzero(lam > lam.size * np.finfo(float).eps * lam[-1]) < lam.size
     assert _sweep_runs_eigvalsh(cfg)
-    rows = placement_sweep(cfg, 3).rows
-    truths = _oracle_min_eigs(cfg, rows)
+    result = placement_sweep(cfg, 3)
+    truths = _oracle_min_eigs(cfg, result)
     assert max(truths) > 1e6
-    for row, truth, (_, min_eig, *_) in zip(rows, truths, _per_position(cfg, rows)):
-        assert row.min_gramian_eig == max(min_eig, 0.0)
+    for swept, truth, (_, min_eig, *_) in zip(_columns(result)[1], truths, _per_position(cfg, result)):
+        assert swept == max(min_eig, 0.0)
         if truth > 1:
-            assert abs(row.min_gramian_eig - truth) <= 1e-10 * truth
+            assert abs(swept - truth) <= 1e-10 * truth
 
 
 def test_eigensolved_sweep_writes_no_negative_eigenvalue():
@@ -241,12 +251,12 @@ def test_eigensolved_sweep_writes_no_negative_eigenvalue():
         + "".join(f"sensor.{k}.kind = pointwise\nsensor.{k}.location = {b1}, {b2}\n" for k, (b1, b2) in
                   enumerate([(0.23, 0.31), (0.57, 0.43), (0.71, 0.19), (0.37, 0.83), (0.11, 0.62)], start=1)))
     assert _sweep_runs_eigvalsh(cfg)
-    rows = placement_sweep(cfg, 9).rows
-    reference = _per_position(cfg, rows)
+    result = placement_sweep(cfg, 9)
+    reference = _per_position(cfg, result)
     assert min(min_eig for _, min_eig, *_ in reference) < 0
-    for row, (_, min_eig, _, bound, _) in zip(rows, reference):
-        assert row.min_gramian_eig >= 0.0
-        assert abs(row.min_gramian_eig - max(min_eig, 0.0)) <= bound
+    for swept, (_, min_eig, _, bound, _) in zip(_columns(result)[1], reference):
+        assert swept >= 0.0
+        assert abs(swept - max(min_eig, 0.0)) <= bound
 
 
 @settings(max_examples=25, deadline=None)
@@ -260,17 +270,18 @@ def test_sweep_gramians_match_per_position_loop(q, beta, t_horizon, n_side, tall
                        f"observer.gramian_horizon = {t_horizon!r}\n" + (TALL if tall else ""))
     fixed = (FIXED, PointwiseSensor((0.71, 0.19)))[: q - 1]
     cfg = dataclasses.replace(cfg, sensors=(_varied(kind), *fixed))
-    rows = placement_sweep(cfg, 4).rows
-    reference = _per_position(cfg, rows)
-    assert [row.strategic for row in rows] == [r[0] for r in reference]
-    assert [row.triggered for row in rows] == [r[4] for r in reference]
+    result = placement_sweep(cfg, 4)
+    strategic, min_eigs, triggered = _columns(result)
+    reference = _per_position(cfg, result)
+    assert strategic == [r[0] for r in reference]
+    assert triggered == [r[4] for r in reference]
     runs_eigvalsh = _sweep_runs_eigvalsh(cfg)
-    for row, (_, min_eig, trace, bound, _) in zip(rows, reference):
-        assert abs(row.min_gramian_eig - min_eig) <= 1e-12 * trace
+    for swept, (_, min_eig, trace, bound, _) in zip(min_eigs, reference):
+        assert abs(swept - min_eig) <= 1e-12 * trace
         if not runs_eigvalsh:
-            assert row.min_gramian_eig == 0.0 and abs(min_eig) <= bound
+            assert swept == 0.0 and abs(min_eig) <= bound
         elif q == 1:
-            assert row.min_gramian_eig == min_eig
+            assert swept == min_eig
 
 
 def _fraction(snap, p, d, k):
@@ -329,7 +340,7 @@ def test_lattice_rows_equal_output_matrix_bit_for_bit(kind, modes):
 
 
 def _count_rank_tests(cfg, grid_n):
-    with mock.patch.object(harness, "_stacked_rank_test", wraps=sensing._stacked_rank_test) as rank_test:
+    with mock.patch.object(sensing, "_stacked_rank_test", wraps=sensing._stacked_rank_test) as rank_test:
         result = placement_sweep(cfg, grid_n)
     return rank_test.call_count, result
 
@@ -338,7 +349,7 @@ def test_sweep_rank_tests_lattice_rows_in_chunks():
     # N = 8, one sensor: a lattice row of 33 positions holds 33 x 64 entries,
     # so a chunk of 2^13 entries takes 3 rows and the 33 rows take 11 calls
     cfg = parse_config("simulation.n_modes = 8\n" + TALL + "sensor.1.kind = pointwise\nsensor.1.location = 0.3, 0.4\n")
-    assert harness._SWEEP_CHUNK_ENTRIES == 1 << 13
+    assert sensing._SWEEP_CHUNK_ENTRIES == 1 << 13
     assert _count_rank_tests(cfg, 33)[0] == 11
 
 
@@ -351,7 +362,7 @@ def test_sweep_takes_one_call_per_row_over_budget(monkeypatch, q):
     grid_n = 6
     calls, result = _count_rank_tests(cfg, grid_n)
     assert calls == 1
-    monkeypatch.setattr(harness, "_SWEEP_CHUNK_ENTRIES", grid_n * q * 16 - 1)
+    monkeypatch.setattr(sensing, "_SWEEP_CHUNK_ENTRIES", grid_n * q * 16 - 1)
     calls, small = _count_rank_tests(cfg, grid_n)
     assert calls == grid_n
     assert np.array_equal(small.strategic, result.strategic)
@@ -366,27 +377,17 @@ def test_chunked_rows_match_per_position_loop(kind, domain):
     # 17 x 2 x 16 entries, so chunks of 15 rows leave a last chunk of 2
     cfg = dataclasses.replace(parse_config(BASE + domain), sensors=(_varied(kind), FIXED))
     grid_n = 17
-    assert grid_n % (harness._SWEEP_CHUNK_ENTRIES // (grid_n * 2 * 16)) == 2
+    assert grid_n % (sensing._SWEEP_CHUNK_ENTRIES // (grid_n * 2 * 16)) == 2
     calls, result = _count_rank_tests(cfg, grid_n)
     assert calls == 2
-    rows = result.rows
-    assert len(rows) == grid_n**2
-    reference = _per_position(cfg, rows)
-    assert [row.strategic for row in rows] == [r[0] for r in reference]
-    assert [row.triggered for row in rows] == [r[4] for r in reference]
+    assert result.strategic.shape == (grid_n, grid_n)
+    strategic, min_eigs, triggered = _columns(result)
+    reference = _per_position(cfg, result)
+    assert strategic == [r[0] for r in reference]
+    assert triggered == [r[4] for r in reference]
     runs_eigvalsh = _sweep_runs_eigvalsh(cfg)
-    for row, (_, min_eig, trace, bound, _) in zip(rows, reference):
-        assert abs(row.min_gramian_eig - min_eig) <= 1e-12 * trace
+    for swept, (_, min_eig, trace, bound, _) in zip(min_eigs, reference):
+        assert abs(swept - min_eig) <= 1e-12 * trace
         if not runs_eigvalsh:
-            assert row.min_gramian_eig == 0.0 and abs(min_eig) <= bound
+            assert swept == 0.0 and abs(min_eig) <= bound
 
-
-def test_cli_sweep_builds_no_sweep_row(tmp_path):
-    # the CLI counts verdicts from the strategic array and emit_sweep reads
-    # the columns, so no per-position object is made
-    path = tmp_path / "sweep.cfg"
-    path.write_text(BASE + TALL + "sensor.1.kind = pointwise\nsensor.1.location = 0.3, 0.4\n")
-    with mock.patch.object(harness, "SweepRow", side_effect=AssertionError("SweepRow built")) as row:
-        assert main(["sweep", "--config", str(path), "--grid", "5", "--out", str(tmp_path / "out")]) == 0
-    assert row.call_count == 0
-    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 26

@@ -65,6 +65,16 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["beta3.cfg", "taken"]
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "2"]])
+    def test_empty_out_exit_one_before_any_work(self, tmp_path, capsys, command):
+        # an explicit empty --out is rejected as an empty output.directory is,
+        # not replaced by the config's output.directory
+        config = tmp_path / "beta3.cfg"
+        config.write_text(BETA3_CONFIG + f"output.directory = {tmp_path / 'default'}\n")
+        assert main([command[0], "--config", str(config), *command[1:], "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: --out must be a nonempty path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["beta3.cfg"]
+
     def test_write_failure_during_emission_exit_two(self, tmp_path, beta3_path, capsys, monkeypatch):
         def full_disk(*args):
             raise OSError(28, "No space left on device")
@@ -216,6 +226,11 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--grid", "3", "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 10
+        # a 5 x 5 lattice on the 1 x 1.3 domain: a header and 25 positions
+        cfg.write_text("coefficients.beta_couple = 3.0\nsimulation.n_modes = 4\nobserver.gramian_horizon = 2.0\n"
+                       "domain.beta2 = 1.3\nsensor.1.kind = pointwise\nsensor.1.location = 0.3, 0.4\n")
+        assert main(["sweep", "--config", str(cfg), "--grid", "5", "--out", str(out)]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 26
 
     def test_sweep_rejects_zone_too_wide_to_move(self, tmp_path, capsys):
         # the support spans the whole first axis, so its centre cannot move

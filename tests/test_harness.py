@@ -218,19 +218,19 @@ class TestSweep:
     def test_grid_two_has_four_rows(self):
         cfg = parse_config(SWEEP_CONFIG)
         result = placement_sweep(cfg, 2)
-        assert len(result.rows) == 4
+        assert result.strategic.shape == result.min_gramian_eig.shape == (2, 2)
+        assert [len(row) for row in result.triggered] == [2, 2]
 
     def test_nine_by_nine_predicate_positions(self):
         cfg = parse_config(SWEEP_CONFIG)
         result = placement_sweep(cfg, 9)
-        assert len(result.rows) == 81
-        for row in result.rows:
-            on_nodal_line = math.isclose(row.b1, 0.5) or math.isclose(row.b2, 0.5)
-            assert row.strategic is False or not on_nodal_line
-            if on_nodal_line:
-                assert not row.strategic
-                assert row.triggered
-                assert row.min_gramian_eig < 1e-8
+        assert result.strategic.shape == (9, 9)
+        for a, b1 in enumerate(result.b1.tolist()):
+            for b, b2 in enumerate(result.b2.tolist()):
+                if math.isclose(b1, 0.5) or math.isclose(b2, 0.5):
+                    assert not result.strategic[a, b]
+                    assert result.triggered[a][b]
+                    assert result.min_gramian_eig[a, b] < 1e-8
 
     def test_sweep_deterministic_csv(self, tmp_path):
         cfg = parse_config(SWEEP_CONFIG)
@@ -250,12 +250,11 @@ class TestSweep:
                 f"sensor.{k}.kind = pointwise\nsensor.{k}.location = {b1}, {b2}\n" for k, (b1, b2) in
                 enumerate([(0.23, 0.31), (0.57, 0.43), (0.71, 0.19), (0.37, 0.83), (0.11, 0.62)], start=1))
         result = placement_sweep(parse_config(text), 9)
-        rows = result.rows
         if case == "triggered":
-            assert len({row.triggered for row in rows}) > 2
+            assert len({t for row in result.triggered for t in row}) > 2
         else:
-            assert any(row.min_gramian_eig == 0.0 for row in rows)
-            assert any(row.min_gramian_eig > 0.0 for row in rows)
+            assert (result.min_gramian_eig == 0.0).any()
+            assert (result.min_gramian_eig > 0.0).any()
         emit_sweep(result, str(tmp_path))
         reference_sweep_csv(tmp_path / "reference.csv", result)
         assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -275,11 +274,11 @@ class TestSweep:
         base = TWO_SENSOR_SWEEP.replace("coefficients.beta_couple = 1.0",
                                         "coefficients.beta_couple = 3.0")
         result = placement_sweep(parse_config(base), 5)
-        strategic = [row for row in result.rows if row.strategic][:10]
+        strategic = [(float(result.b1[a]), float(result.b2[b])) for a, b in np.argwhere(result.strategic)][:10]
         assert strategic, "expected at least one strategic position"
-        for row in strategic:
+        for b1, b2 in strategic:
             text = base.replace("sensor.1.location = 0.23, 0.31",
-                                f"sensor.1.location = {row.b1!r}, {row.b2!r}")
+                                f"sensor.1.location = {b1!r}, {b2!r}")
             report, _ = run_experiment(parse_config(text))
             assert not report.not_detectable
 
@@ -298,10 +297,10 @@ class TestSweep:
         )
         cfg = parse_config(text)
         result = placement_sweep(cfg, 3)
-        assert len(result.rows) == 9
+        assert result.strategic.shape == (3, 3)
         # feasible centers stay a half-width away from the boundary
-        for row in result.rows:
-            assert 0.1 <= row.b1 <= 0.9 and 0.1 <= row.b2 <= 0.9
+        for b in (result.b1, result.b2):
+            assert ((0.1 <= b) & (b <= 0.9)).all()
 
 
 class TestSummaryRendering:

@@ -301,16 +301,16 @@ class TestPropagate:
 
 
 # Each call below reaches a place that imports scipy.linalg on use; the only
-# one is propagate_few_rows, which needs it for two rows or more.  F's rows
+# one is few_rows_blocks, which needs it for two rows or more.  F's rows
 # 0 and 1 have F_RR = [[0.5, 0.3], [0, 1]], whose eigenvalue 0.5 equals the
 # rate of coordinate 2, so that column of Gamma is read off a Van Loan block
 # exponential; the column of coordinate 3 takes the resolvent.
 LAZY_SCIPY_SITES = {
-    "propagate_few_rows": (
-        "from regobs.spectral import propagate_few_rows\n"
+    "few_rows_blocks": (
+        "from regobs.spectral import few_rows_blocks\n"
         "f_rows = np.array([[0.5, 0.3, -0.7, 0.2], [0.0, 1.0, 0.4, -0.6]])\n"
         "rates = np.array([9.0, 7.0, 0.5, -40.0])\n"
-        "result = [propagate_few_rows(rates, [0, 1], f_rows, np.array([1.0, -0.5, 0.25, 2.0]), 0.1, 20)]\n"
+        "result = [next(few_rows_blocks(rates, [0, 1], f_rows, np.array([1.0, -0.5, 0.25, 2.0]), 0.1, [(0, 21)]))]\n"
     ),
 }
 

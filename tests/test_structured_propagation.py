@@ -2,7 +2,7 @@
 
 Every simulation takes one path: the plant is propagated by the closed-form
 per-mode 2 x 2 exponentials (spectral.ModePairs), and the estimation error
-by spectral.propagate_few_rows in split coordinates, for designed and
+by spectral.few_rows_blocks in split coordinates, for designed and
 arbitrary gains alike.  The dense Propagator is only the reference: every
 structured result here is compared with it to a worst-case relative error of
 RTOL, and no simulation may build one.
@@ -40,7 +40,7 @@ from regobs import (
 from regobs import harness, observer, spectral
 from regobs.observer import _error_blocks, _estimator_maps, _plant_blocks, _row_blocks
 from regobs.region import SeparableGram, region_operator
-from regobs.spectral import ModePairs, _one_row_step, propagate_few_rows
+from regobs.spectral import ModePairs, _one_row_step, few_rows_blocks
 from conftest import BETA3_CONFIG, Propagator, no_dense_propagator, propagate, stacked_a
 from test_estimator_oracle import dense_full, dense_reduced
 
@@ -330,12 +330,11 @@ def _exact_column(lam, f_s, d_s, dt):
        dt=st.sampled_from([0.01, 0.05, 0.2, 1.0]))
 @example(seed=4, n=5, lam=1.8328690600325714, k=13, sign=1.0, dt=0.2)
 @example(seed=1, n=3, lam=0.5, k=None, sign=1.0, dt=0.05)
+@example(seed=0, n=2, lam=5.0, k=7, sign=-1.0, dt=1.0)
 def test_one_row_closed_form_near_spectrum(seed, n, lam, k, sign, dt):
     # coordinate 0 has the rate d_0 = lam + sign 10^-k (d_0 = lam for k None),
     # where the divided difference in Gamma_0 cancels if formed directly; the
-    # other rates are stable.  The row sits last, so F is lower triangular,
-    # which scipy's expm squares in full; it would take an upper triangular F
-    # through its divided difference of the diagonal, which cancels here.
+    # other rates are stable.  The row sits last, so F is lower triangular.
     rng = np.random.default_rng(seed)
     d = -rng.uniform(0.0, 60.0, n - 1)
     d[0] = lam if k is None else lam + sign * 10.0**-k
@@ -347,12 +346,18 @@ def test_one_row_closed_form_near_spectrum(seed, n, lam, k, sign, dt):
     z0 = rng.standard_normal(n)
     steps = 30
     with mock.patch.object(spectral, "_few_rows_step", side_effect=AssertionError("J = 1 took the general path")):
-        z = propagate_few_rows(rates, [n - 1], f_rows, z0, dt, steps)
+        z = next(few_rows_blocks(rates, [n - 1], f_rows, z0, dt, [(0, steps + 1)]))
         step, gamma = _one_row_step(f_rows[:, -1:], f, d, dt)
     # the dense oracles are exact to the round-off of scaling and squaring,
     # which grows with |lam| dt (about 3e-12 of the Van Loan column at
-    # |lam| dt = 16) and, for the run, with the steps
-    ref = Propagator(dense, dt).run(z0, steps)
+    # |lam| dt = 16) and, for the run, with the steps.  scipy's expm takes
+    # the subdiagonal of a triangular matrix from the divided difference of
+    # its diagonal, which cancels here at n = 2 (3e-9 at the last example
+    # above); a first coordinate that reads coordinate 0 and feeds nothing
+    # back makes the matrix not triangular, so it is squared in full
+    aug = np.zeros((n + 1, n + 1))
+    aug[0, 1], aug[1:, 1:] = 1.0, dense
+    ref = Propagator(aug, dt).run(np.append(0.0, z0), steps)[:, 1:]
     assert np.all(np.abs(z - ref).max(axis=0) <= RTOL * np.abs(ref).max(axis=0))
     assert step.shape == (1, 1) and step[0, 0] == np.exp(lam * dt)
     assert gamma.shape == (n - 1, 1)
@@ -383,7 +388,8 @@ def test_one_row_closed_form_far_separations(row_above):
         resolvent = f[0] * (np.exp(lam * dt) - np.exp(d_s * dt)) / (lam - d_s)
         assert np.isfinite(gamma[0, 0]) and gamma[0, 0] != 0.0
         assert abs(gamma[0, 0] - resolvent) <= 1e-14 * abs(resolvent)
-        z = propagate_few_rows(np.array([d_s, lam]), [1], np.array([[f[0], lam]]), rng.standard_normal(2), dt, 50)
+        z = next(few_rows_blocks(np.array([d_s, lam]), [1], np.array([[f[0], lam]]), rng.standard_normal(2), dt,
+                                 [(0, 51)]))
         assert np.all(np.isfinite(z))
 
 

@@ -36,7 +36,7 @@ from regobs import (
 )
 from regobs import observer
 from regobs.region import BoundarySegment
-from regobs.spectral import _row_recursion, propagate_few_rows
+from regobs.spectral import _row_recursion, few_rows_blocks
 
 ALL_ROWS = 1 << 40
 
@@ -176,8 +176,8 @@ def test_dense_guard_counts_matrix_exponentials():
     # Gamma column needs a Van Loan block of order 4
     f_rows = np.array([[0.5, 0.3, -0.7, 0.2], [0.0, 1.0, 0.4, -0.6]])
     with no_dense_propagator(rows=2) as orders:
-        propagate_few_rows(np.array([9.0, 7.0, 0.5, -40.0]), [0, 1], f_rows, np.array([1.0, -0.5, 0.25, 2.0]),
-                           0.1, 20)
+        next(few_rows_blocks(np.array([9.0, 7.0, 0.5, -40.0]), [0, 1], f_rows, np.array([1.0, -0.5, 0.25, 2.0]),
+                             0.1, [(0, 21)]))
     assert sorted(set(orders)) == [2, 4]
     with no_dense_propagator() as orders:
         report, _ = run_experiment(parse_config(BETA3_CONFIG + "observer.estimators = both\n"))
