@@ -73,11 +73,10 @@ def _midpoint(lo, hi):
 
 
 def edge_segment(domain: Domain, edge: str, lo: float, hi: float):
-    """Endpoints of a boundary segment lying on the named edge of the domain."""
-    if edge not in EDGES:
-        raise ValueError(f"unknown edge {edge!r}; expected one of {EDGES}")
-    if not hi > lo:
-        raise ValueError("segment requires to > from")
+    """Endpoints of the segment [lo, hi] of the named edge of the domain.
+
+    The edge name and lo < hi are a BoundarySegment's, checked when it was
+    built; only the extent against the domain is checked here."""
     if edge in ("bottom", "top"):
         if lo < domain.alpha1 or hi > domain.beta1:
             raise ValueError("segment endpoints outside edge extent")

@@ -59,10 +59,6 @@ class RunReport:
         return self.estimators[self.primary].not_detectable
 
     @property
-    def j_unstable(self) -> int:
-        return self.estimators[self.primary].j_unstable
-
-    @property
     def decay_fit(self) -> DecayFit | None:
         return self.estimators[self.primary].decay_fit
 
@@ -150,7 +146,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             t_hi = cfg.output.fit_t_hi if cfg.output.fit_t_hi is not None else cfg.simulation.t_final
             t_lo = min(cfg.output.fit_t_lo, float(traj.times[-1]))
             t_hi = min(t_hi, float(traj.times[-1]))
-            with contextlib.suppress(ValueError):  # too few samples in the window: no fit
+            with contextlib.suppress(ValueError):  # too few or only floored samples in the window: no fit
                 summary.decay_fit = fit_decay(traj.times, traj.err_gamma, window=(t_lo, t_hi))
 
     report = RunReport(

@@ -72,8 +72,9 @@ class NotDetectableError(RuntimeError):
 class UnstableSplit:
     """Spectral partition of a block: eigendirections with Re >= -margin are
     unstable.  A diagonal block, given as its vector, keeps the modes as
-    coordinates (basis None); otherwise indices refer to the eigenbasis
-    columns, a dense matrix or the ModePairs of the stacked exchange matrix."""
+    coordinates (basis None); otherwise indices refer to the columns of the
+    eigenbasis, the ModePairs of the stacked exchange matrix or, built
+    directly, a dense orthogonal matrix."""
 
     eigenvalues: np.ndarray = field(repr=False)
     unstable: tuple[int, ...]
@@ -95,35 +96,23 @@ class UnstableSplit:
         return len(self.unstable)
 
 
-def _eigenpairs(block):
-    """Eigenvalues and eigenbasis of a split's block: a vector is a diagonal,
-    whose coordinates are the modes themselves (basis None); a symmetric
-    matrix is diagonalized by eigh; a ModePairs brings its own basis."""
-    if isinstance(block, ModePairs):
-        return block.rates, block
-    block = np.atleast_1d(np.array(block, dtype=float))
-    if block.ndim == 1:
-        return block, None
-    if (block.ndim == 2 and block.shape[0] == block.shape[1] and
-            np.allclose(block, block.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(block).max())))):
-        return np.linalg.eigh(block)
-    raise ValueError("a block to split is a diagonal given as a vector, a symmetric matrix or a ModePairs")
-
-
 def split_unstable_stable(block, margin: float = 0.0) -> UnstableSplit:
     """Split a block into unstable and stable eigendirections.
 
-    block is the vector of a diagonal block, which keeps its natural mode
-    coordinates; a symmetric matrix, diagonalized orthogonally; or the
-    ModePairs of the stacked exchange matrix (ModalModel.mode_pairs), which
-    brings its closed-form eigenbasis.  Any other matrix, or a NaN margin or
-    non-finite eigenvalue, which no comparison would place on either side,
-    raises ValueError.  Each side lists its directions by descending
-    eigenvalue, ties by index.
+    block is one of the two forms the model's blocks take: the vector of a
+    diagonal block (ModalModel.diagonals), which keeps its natural mode
+    coordinates, or the ModePairs of the stacked exchange matrix
+    (ModalModel.mode_pairs), which brings its closed-form eigenbasis.  A
+    matrix, a NaN margin or a non-finite eigenvalue, which no comparison
+    would place on either side, raises ValueError.  Each side lists its
+    directions by descending eigenvalue, ties by index.
     """
     if not margin >= 0:
         raise ValueError(f"margin must be >= 0, got {margin!r}")
-    eigs, basis = _eigenpairs(block)
+    basis = block if isinstance(block, ModePairs) else None
+    eigs = block.rates if basis is not None else np.array(block, dtype=float, ndmin=1)
+    if eigs.ndim != 1:
+        raise ValueError("a block to split is a diagonal given as a vector or a ModePairs, not a matrix")
     if not np.isfinite(eigs).all():
         raise ValueError("a block to split must have finite eigenvalues")
     order = np.argsort(-eigs, kind="stable")
@@ -525,6 +514,10 @@ def _simulate_one(kind: str, model: ModalModel, sensors, gain: ObserverGain, x0,
     if x0.shape[0] != 2 * n:
         raise ValueError("x0 must stack both fields, shape (2 n_modes,)")
     xhat0 = np.asarray(initial, dtype=float).reshape(n if kind == "reduced" else 2 * n)
+    # a non-finite start would read as divergence at the first sample
+    for name, value in (("x0", x0), ("phi0" if kind == "reduced" else "xhat0", xhat0), ("gain.H", gain.H)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
     if kind == "reduced":  # x2_hat = phi + H y
         xhat0 = xhat0 + gain.H @ (c @ x0[_field_slices(n, measured_field)[0]])
     gram = None if region is None else region_operator(region, model.domain, model.mode_set)

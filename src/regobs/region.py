@@ -83,26 +83,6 @@ class CollarRegion:
     weights: np.ndarray = field(repr=False)
 
 
-def region_quadrature(region, domain: Domain):
-    """Quadrature nodes (K, 2) and weights (K,) of a region.
-
-    InternalRectangle: tensor nodes; CollarRegion: its precomputed filtered
-    tensor rule.
-    """
-    if isinstance(region, CollarRegion):
-        return region.points, region.weights
-    if isinstance(region, InternalRectangle):
-        rect = region.rect
-        if not rect.inside(domain):
-            raise ValueError("internal rectangle outside domain")
-        xs, wx = gauss_nodes(rect.lo1, rect.hi1, region.n_quad)
-        ys, wy = gauss_nodes(rect.lo2, rect.hi2, region.n_quad)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()]), np.outer(wx, wy).ravel()
-    raise TypeError(f"unsupported region {type(region).__name__}: every Dirichlet mode vanishes on a "
-                    "boundary segment, so measure it on its collar, build_collar(segment, radius, domain)")
-
-
 def build_collar(gamma: BoundarySegment, radius: float, domain: Domain) -> CollarRegion:
     """Collar of a boundary segment, on gamma.n_quad tensor nodes per axis of
     its bounding box; radius may exceed the domain size, in which case the
@@ -179,14 +159,17 @@ def _rectangle_gram(region: InternalRectangle, domain: Domain, modes: ModeSet) -
 
 def region_gram(region, domain: Domain, modes: ModeSet) -> np.ndarray:
     """Gram matrix G[m, m'] = int_region phi_m phi_m': exact and separable,
-    (4/(L1 L2)) I1[i, i'] I2[j, j'], for an InternalRectangle; the region
-    quadrature for a collar."""
+    (4/(L1 L2)) I1[i, i'] I2[j, j'], for an InternalRectangle; the collar's
+    own nodes and weights for a CollarRegion."""
     if isinstance(region, InternalRectangle):
         sep = _rectangle_gram(region, domain, modes)
         ii = np.array([m.i - 1 for m in modes])
         jj = np.array([m.j - 1 for m in modes])
         return sep.scale * sep.i1[np.ix_(ii, ii)] * sep.i2[np.ix_(jj, jj)]
-    pts, w = region_quadrature(region, domain)
+    if not isinstance(region, CollarRegion):
+        raise TypeError(f"unsupported region {type(region).__name__}: every Dirichlet mode vanishes on a "
+                        "boundary segment, so measure it on its collar, build_collar(segment, radius, domain)")
+    pts, w = region.points, region.weights
     phi = eval_matrix(domain, modes, pts) if pts.shape[0] else np.zeros((0, len(modes)))
     return phi.T @ (w[:, None] * phi)
 
@@ -244,8 +227,9 @@ class DecayFit:
 def fit_decay(times, values, window=None) -> DecayFit:
     """Least-squares line on (t, log value); alpha_fit = -slope.
 
-    Non-positive values are floored at 1e-30 and counted in n_floored; fewer
-    than 3 points in the window is a fit error.
+    Values below VALUE_FLOOR (1e-30) are floored there and counted in
+    n_floored; fewer than 3 points in the window, or a window with every
+    value floored, which has no decay to fit, is a fit error.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -258,6 +242,8 @@ def fit_decay(times, values, window=None) -> DecayFit:
     if t.size < 3:
         raise ValueError("decay fit needs at least 3 samples in the window")
     n_floored = int(np.sum(v < VALUE_FLOOR))
+    if n_floored == t.size:
+        raise ValueError("decay fit needs a sample at or above the value floor in the window")
     v = np.maximum(v, VALUE_FLOOR)
     logv = np.log(v)
     slope, intercept = np.polyfit(t, logv, 1)

@@ -199,14 +199,6 @@ def output_matrix(sensors, domain: Domain, modes: ModeSet) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _lattice_rows(sensor: SensorSpec, domain: Domain, modes: ModeSet, xs, ys):
-    """Output rows of the sensor moved to each point of the lattice xs x ys
-    (its location, or its support's centre): yields, for each x, the
-    (len(ys), n_modes) rows of the points (x, y), equal to output_matrix's.
-    """
-    return _sensor_rows(sensor, domain, modes, *_lattice_spans(sensor, xs, ys))
-
-
 # --- eigenvalue grouping and the strategic rank condition ---------------------
 
 
@@ -557,7 +549,7 @@ def _lattice_sweep(varied: SensorSpec, fixed: np.ndarray, groups, d: np.ndarray,
     singular = np.isfinite(k).all() and q * _kernel_rank(k) < n
     strategic = np.zeros((len(xs), len(ys)), dtype=bool)
     min_eig = np.zeros((len(xs), len(ys)))
-    lattice = _lattice_rows(varied, domain, modes, xs, ys)
+    lattice = _sensor_rows(varied, domain, modes, *_lattice_spans(varied, xs, ys))
     chunk = max(1, _SWEEP_CHUNK_ENTRIES // (len(ys) * q * n))
     for start in range(0, len(xs), chunk):
         varied_rows = np.stack(list(islice(lattice, chunk))).reshape(-1, 1, n)

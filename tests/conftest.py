@@ -115,7 +115,16 @@ class Propagator:
     """Exact one-step propagator x(t + dt) = E x(t), E = exp(M dt), of
     dx/dt = M x by one dense matrix exponential: the oracle of the
     closed forms (ModePairs, exp_samples, few_rows_blocks) that every
-    simulation uses."""
+    simulation uses.
+
+    M dt is embedded as [[M dt, 0, e1], [e1^T, 0, 0], [0, 0, 0]] and E is
+    the leading block of its exponential.  scipy's expm writes the
+    off-diagonal of an upper or lower triangular input from a divided
+    difference of its diagonal exponentials, which cancels where two
+    diagonal entries nearly coincide.  The appended row and column keep the
+    input from being triangular either way; the row only reads M's first
+    coordinate and the column feeds it from a constant, so neither reaches
+    the leading block."""
 
     def __init__(self, m: np.ndarray, dt: float):
         m = np.atleast_2d(np.asarray(m, dtype=float))
@@ -125,7 +134,10 @@ class Propagator:
             raise ValueError("dt must be > 0")
         self.dt = float(dt)
         self.n = m.shape[0]
-        self.E = expm(m * dt)
+        embedded = np.zeros((self.n + 2, self.n + 2))
+        embedded[:-2, :-2] = m * dt
+        embedded[-2, 0] = embedded[0, -1] = 1.0
+        self.E = expm(embedded)[:-2, :-2]
 
     def step(self, state: np.ndarray) -> np.ndarray:
         return self.E @ state

@@ -21,6 +21,7 @@ from regobs import (
     ModeSet,
     PointwiseSensor,
     Rect,
+    RunReport,
     ZoneSensor,
     assemble_exchange_model,
     build_collar,
@@ -90,7 +91,11 @@ STALE_FORMS = {
     "observability_gramian of a dense diag(d)": (
         ValueError, "diagonal", lambda: observability_gramian(np.diag(MODEL.a22), C, 2.0)),
     "split_unstable_stable of a non-symmetric matrix": (
-        ValueError, "symmetric", lambda: split_unstable_stable(np.array([[1.0, 2.0], [0.0, -3.0]]))),
+        ValueError, "not a matrix", lambda: split_unstable_stable(np.array([[1.0, 2.0], [0.0, -3.0]]))),
+    "split_unstable_stable of a symmetric matrix": (
+        ValueError, "not a matrix", lambda: split_unstable_stable(np.diag(MODEL.a22))),
+    "RunReport.j_unstable": (AttributeError, "j_unstable", lambda: RunReport(
+        "", strategic_rank_test(C, group_modes_by_eigenvalue(MODEL)), {}, "reduced", "").j_unstable),
     "the actuator block model.B1": (AttributeError, "B1", lambda: MODEL.B1),
     "model.stacked_b": (AttributeError, "stacked_b", lambda: MODEL.stacked_b()),
     "importing input_matrix": (ImportError, "input_matrix", lambda: exec("from regobs import input_matrix", {})),

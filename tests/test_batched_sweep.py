@@ -332,7 +332,7 @@ def test_lattice_rows_equal_output_matrix_bit_for_bit(kind, modes):
     sensor = _varied(kind)
     xs = [0.3 + 0.55 * k / 6 for k in range(7)]
     ys = [0.1 + 0.7 * k / 4 for k in range(5)] + [0.45]  # y = 0.45 is the axis midpoint: a nodal line
-    for x, rows in zip(xs, sensing._lattice_rows(sensor, domain, modes, xs, ys)):
+    for x, rows in zip(xs, sensing._sensor_rows(sensor, domain, modes, *sensing._lattice_spans(sensor, xs, ys))):
         assert rows.shape == (len(ys), len(modes))
         for y, row in zip(ys, rows):
             expected = output_matrix([_at(sensor, x, y)], domain, modes)[0]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BETA3_CONFIG, STABLE_CONFIG, python_env
+from conftest import BETA3_CONFIG, BETA6_BLIND_CONFIG, STABLE_CONFIG, python_env
 from regobs import __version__, cli
 from regobs.cli import main
 
@@ -105,6 +105,28 @@ class TestExitCodes:
                 assert f"error: {message}" in capsys.readouterr().err
                 assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (BETA3_CONFIG + "output.plot = maybe\n", "output.plot must be true or false, got 'maybe'"),
+        (BETA3_CONFIG + "simulation.n_modes = 2.5\n", "simulation.n_modes must be an integer, got '2.5'"),
+        (BETA3_CONFIG.replace("0.23, 0.31", "0.23; 0.31"),
+         "sensor.1.location must be a comma-separated list of numbers"),
+        (BETA3_CONFIG.replace("0.23, 0.31", "0.23, inf"), "sensor.1.location must contain finite numbers only"),
+        (BETA3_CONFIG.replace("region.kind = internal_rectangle\nregion.rect = 0.2, 0.8, 0.2, 0.8\n",
+                              "region.kind = boundary_segment\nregion.edge = bottom\nregion.from = 0.25\n"),
+         "region.from and region.to are required for boundary_segment regions"),
+        (BETA3_CONFIG.replace("sensor.1.location = 0.23, 0.31\n", ""),
+         "sensor.1.location is required for pointwise sensors"),
+        (BETA3_CONFIG.replace("sensor.1.kind = pointwise\nsensor.1.location = 0.23, 0.31\n", "sensor.1.kind = zone\n"),
+         "sensor.1.rect is required for zone sensors"),
+    ], ids=["bool", "integer", "list", "finite_list", "segment_ends", "pointwise_location", "zone_rect"])
+    def test_config_value_error_exit_one(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
     def test_non_finite_number_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "nan.cfg"
         bad.write_text(BETA3_CONFIG.replace("beta_couple = 3.0", "beta_couple = nan"))
@@ -172,6 +194,30 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert "not_detectable=true" in capsys.readouterr().out
+
+    def test_diverging_run_prints_divergence_line(self, tmp_path, capsys):
+        # beta = 6 and a sensor on the x = 1/2 nodal line: the unobserved
+        # unstable mode (2, 1) carries the open-loop error past MAX_STATE_NORM
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(BETA6_BLIND_CONFIG.replace("simulation.T = 3.0", "simulation.T = 9.0"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "divergence: state norm exceeded 1e+12 at t index 494; "
+            "run truncated (non-detectable dynamics diverge)")
+
+    def test_all_floored_fit_window_writes_no_fit(self, tmp_path, capsys):
+        # started at the truth, the reduced estimator's error is exactly 0:
+        # every sample of the fit window is floored, so there is no decay to
+        # fit, no fit line and no plot
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text((CONFIGS / "exchange_detectable.cfg").read_text() + "simulation.estimator_init = truth\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "err_gamma initial = 0.0, final = 0.0" in summary
+        assert "decay fit" not in summary
+        assert sorted(p.name for p in out.iterdir()) == ["gain.csv", "summary.txt", "trajectory.csv"]
 
     def test_one_step_run_exits_zero(self, tmp_path, capsys):
         cfg = tmp_path / "one_step.cfg"

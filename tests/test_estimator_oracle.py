@@ -138,8 +138,7 @@ def test_reduced_matches_dense_cosimulation(seed, n_side, q, mf, beta):
 def test_full_matches_dense_cosimulation(seed, n_side, q, mf, beta):
     rng, model, sensors, c = _case(seed, n_side, q, beta)
     n = model.n_modes
-    a = stacked_a(model)
-    gain = ObserverGain(H=0.5 * rng.standard_normal((2 * n, q)), split=split_unstable_stable(a),
+    gain = ObserverGain(H=0.5 * rng.standard_normal((2 * n, q)), split=split_unstable_stable(model.mode_pairs),
                         target_margin=1.0, closed_loop_eigs=np.zeros(2 * n), residual=0.0)
     x0 = rng.standard_normal(2 * n)
     xhat0 = rng.standard_normal(2 * n)
@@ -168,7 +167,7 @@ def test_diverging_run_truncates_at_dense_index():
     assert oracle[-1] is not None and oracle[-1] < steps
     _assert_matches(traj, *oracle, dt)
 
-    full_gain = ObserverGain(H=np.zeros((2 * n, 1)), split=split_unstable_stable(stacked_a(model)),
+    full_gain = ObserverGain(H=np.zeros((2 * n, 1)), split=split_unstable_stable(model.mode_pairs),
                              target_margin=1.0, closed_loop_eigs=np.zeros(2 * n), residual=float("nan"))
     with no_dense_propagator():
         traj = simulate_full_order(model, blind, full_gain, x0, np.zeros(2 * n), dt, dt * steps)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,13 +77,12 @@ class TestSplit:
         split = split_unstable_stable(make_model(6.0, n=3).a22, 0.5)
         assert sorted(split.unstable + split.stable) == list(range(9))
 
-    def test_symmetric_block_uses_eigenbasis(self):
-        rng = np.random.default_rng(0)
-        sym = rng.standard_normal((5, 5))
-        sym = 0.5 * (sym + sym.T)
-        split = split_unstable_stable(sym, 0.0)
-        assert split.basis is not None
-        assert split.j_unstable == int(np.sum(np.linalg.eigvalsh(sym) >= 0))
+    @pytest.mark.parametrize("block", [np.diag([1.0, -2.0]), np.array([[1.026]]), np.zeros((2, 3))])
+    def test_matrix_block_rejected(self, block):
+        # a block is a diagonal given as a vector or the model's ModePairs;
+        # any matrix, symmetric and 1 x 1 included, is rejected
+        with pytest.raises(ValueError, match="not a matrix"):
+            split_unstable_stable(block, 0.0)
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError, match="margin must be >= 0"):
@@ -109,7 +109,7 @@ class TestSplit:
 
 class TestDesignGain:
     def test_scalar_pole_shift(self):
-        split = split_unstable_stable(np.array([[1.026]]), 0.0)
+        split = split_unstable_stable(np.array([1.026]), 0.0)
         gain = design_gain(np.array([[-1.0]]), split, 1.0)
         assert gain.H[0, 0] == pytest.approx(-2.026, abs=1e-12)
         assert gain.closed_loop_eigs[0] == pytest.approx(-1.0, abs=1e-12)
@@ -149,8 +149,7 @@ class TestDesignGain:
         model = make_model(3.0)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
         c_full = np.hstack([c, np.zeros_like(c)])
-        a = stacked_a(model)
-        split = split_unstable_stable(a, 0.0)
+        split = split_unstable_stable(model.mode_pairs, 0.0)
         assert split.j_unstable == 1
         gain = design_gain(c_full, split, 1.0, sensor_matrix=c_full)
         assert np.max(np.real(gain.closed_loop_eigs)) <= -1.0 + 1e-9
@@ -182,9 +181,8 @@ class TestDesignGain:
             design_gain(reduced_output_map(model, c), split, 1.0, sensor_matrix=c)
         assert err.value.blind_positions == (model.mode_set.position(ModeIndex(1, 1)),)
         c_full = np.hstack([c, np.zeros_like(c)])
-        a = stacked_a(model)
         with pytest.raises(NotDetectableError):
-            design_gain(c_full, split_unstable_stable(a, 0.0), 1.0, sensor_matrix=c_full)
+            design_gain(c_full, split_unstable_stable(model.mode_pairs, 0.0), 1.0, sensor_matrix=c_full)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -200,8 +198,8 @@ class TestDesignGain:
             block, obs_map = model.a22, reduced_output_map(model, c)
             dense_block = np.diag(block)
         else:
-            block, obs_map = stacked_a(model), np.hstack([c, np.zeros_like(c)])
-            dense_block = block
+            block, obs_map = model.mode_pairs, np.hstack([c, np.zeros_like(c)])
+            dense_block = stacked_a(model)
         split = split_unstable_stable(block, 0.0)
         try:
             gain = design_gain(obs_map, split, target_margin)
@@ -402,11 +400,37 @@ class TestSimulateReduced:
         assert "truncated" in traj.divergence_message
 
 
+@pytest.mark.parametrize("kind", ["reduced", "full"])
+@pytest.mark.parametrize("bad", ["x0", "start", "gain.H"])
+def test_non_finite_start_rejected(kind, bad):
+    # a non-finite start is an input error, not the divergence of the run
+    model = make_model(3.0, n=3)
+    c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
+    n = model.n_modes
+    if kind == "reduced":
+        gain = design_gain(reduced_output_map(model, c), split_unstable_stable(model.a22), 1.0, sensor_matrix=c)
+        simulate, start, start_name = simulate_reduced_order, np.zeros(n), "phi0"
+    else:
+        c_full = np.hstack([c, np.zeros_like(c)])
+        gain = design_gain(c_full, split_unstable_stable(model.mode_pairs), 1.0, sensor_matrix=c_full)
+        simulate, start, start_name = simulate_full_order, np.zeros(2 * n), "xhat0"
+    x0 = np.ones(2 * n)
+    if bad == "x0":
+        x0[4] = math.nan
+    elif bad == "start":
+        start[0] = math.inf
+    else:
+        gain.H[0, 0] = math.nan
+    name = start_name if bad == "start" else bad
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite$"):
+        simulate(model, STRATEGIC_PAIR, gain, x0, start, 0.1, 1.0)
+
+
 class TestSimulateFullOrder:
     def _full_gain(self, model, sensors, margin=1.0):
         c = output_matrix(sensors, UNIT, model.mode_set)
         c_full = np.hstack([c, np.zeros_like(c)])
-        split = split_unstable_stable(stacked_a(model), 0.0)
+        split = split_unstable_stable(model.mode_pairs, 0.0)
         return design_gain(c_full, split, margin, sensor_matrix=c_full)
 
     def test_identical_initialization_zero_error(self):
@@ -445,7 +469,7 @@ class TestSimulateFullOrder:
         model = make_model(1.0)
         c = output_matrix(STRATEGIC_PAIR, UNIT, model.mode_set)
         c_full = np.hstack([c, np.zeros_like(c)])
-        split = split_unstable_stable(stacked_a(model), 0.0)
+        split = split_unstable_stable(model.mode_pairs, 0.0)
         gain = design_gain(c_full, split, 1.0, sensor_matrix=c_full)
         assert not gain.H.any()
         rng = np.random.default_rng(9)

@@ -26,7 +26,7 @@ from regobs import (
 )
 from regobs import geometry
 from regobs.geometry import edge_segment, gauss_nodes
-from regobs.region import SeparableGram, gram_norm_series, region_gram, region_operator, region_quadrature
+from regobs.region import SeparableGram, gram_norm_series, region_gram, region_operator
 from regobs.observer import ObserverGain, split_unstable_stable
 
 UNIT = Domain()
@@ -35,8 +35,18 @@ FULL_SQUARE = InternalRectangle(Rect(0.0, 1.0, 0.0, 1.0))
 COLLAR_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "boundary_collar.cfg"
 
 
+def rectangle_rule(region):
+    """Nodes (K, 2) and weights (K,) of the n_quad x n_quad Gauss tensor rule
+    over an internal rectangle: the quadrature oracle of its closed-form Gram."""
+    rect = region.rect
+    xs, wx = gauss_nodes(rect.lo1, rect.hi1, region.n_quad)
+    ys, wy = gauss_nodes(rect.lo2, rect.hi2, region.n_quad)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()]), np.outer(wx, wy).ravel()
+
+
 def quadrature_gram(region, domain, modes):
-    pts, w = region_quadrature(region, domain)
+    pts, w = rectangle_rule(region)
     phi = eval_matrix(domain, modes, pts)
     return phi.T @ (w[:, None] * phi)
 
@@ -97,11 +107,7 @@ class TestGammaErrorNorm:
         # definite, so the restricted norm vanishes only at zero coefficients.
         modes = ModeSet.square(4)
         region = InternalRectangle(Rect(0.55, 0.95, 0.05, 0.45))
-        from regobs import eval_matrix
-
-        pts, w = region_quadrature(region, UNIT)
-        phi = eval_matrix(UNIT, modes, pts)
-        gram = phi.T @ (w[:, None] * phi)
+        gram = quadrature_gram(region, UNIT, modes)
         # restricted modes are nearly dependent on a small region, so lambda_min
         # is tiny (~2e-9 here) but strictly above round-off zero
         assert np.linalg.eigvalsh(gram)[0] > 1e-10
@@ -322,6 +328,16 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
 
+    def test_all_floored_window_has_no_fit(self):
+        # a window whose every value is below VALUE_FLOOR holds no decay; its
+        # line through the floor would report a rate of round-off
+        t = np.arange(0.0, 5.0001, 0.1)
+        v = np.where(t < 1.0, np.exp(-t), 0.0)
+        v[-1] = 1e-31
+        with pytest.raises(ValueError, match="value floor"):
+            fit_decay(t, v, window=(1.0, 5.0))
+        assert fit_decay(t, v, window=(0.5, 5.0)).n_floored == 41
+
     def test_window_selects_samples(self):
         t = np.arange(0.0, 10.0001, 0.1)
         v = np.exp(-1.0 * t) + 5.0 * np.exp(-8.0 * t)
@@ -351,8 +367,6 @@ class TestRegionValidation:
 
     def test_rect_outside_domain(self):
         region = InternalRectangle(Rect(0.5, 1.5, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            region_quadrature(region, UNIT)
         with pytest.raises(ValueError, match="internal rectangle outside domain"):
             region_gram(region, UNIT, ModeSet.square(2))
 

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -298,6 +299,19 @@ class TestPropagate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             propagate(np.eye(2), [1.0, 2.0, 3.0], dt=0.1, steps=1)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-7])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_triangular_near_repeated_diagonal_against_mpmath(self, gap, lower):
+        # scipy's expm of a triangular matrix writes the off-diagonal from a
+        # divided difference of the diagonal exponentials, which cancels here
+        # (4.6e-8 of the largest entry at gap 1e-9); the oracle must not
+        m = np.array([[5.0, 1.0], [0.0, 5.0 - gap]])
+        m = m.T if lower else m
+        with mpmath.workdps(60):
+            exact = np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=float)
+        got = Propagator(m, 1.0).E
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 # Each call below reaches a place that imports scipy.linalg on use; the only
