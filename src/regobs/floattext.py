@@ -3,14 +3,19 @@
 `format_rows` turns a 2-D float64 array into CSV rows in which every cell is
 exactly Python's ``repr(float(v))``: the shortest decimal string that reads
 back as the same double, and of those the nearest, ties to even.  The digits
-come from Ryu (Adams, "Ryū: fast float-to-string conversion", PLDI 2018),
-which finds them with fixed-width integer arithmetic; here that arithmetic
-runs on numpy uint64 arrays, with the 125-bit powers of five held as 32-bit
-limbs.  Each cell is then laid out by gathering, from a small table indexed
-by its layout (sign, digit count, decimal-point position), which columns of
-a fixed template row it keeps.  As ``repr`` does, the text is positional
-when -4 < decpt <= 16 and ``d.ddde±XX`` otherwise.  ±0.0 needs no digits,
-and only non-finite cells go through ``repr`` itself.
+come from the main path of Dragonbox (Jeon, "Dragonbox: A New Floating-Point
+Binary-to-Decimal Conversion Algorithm", 2020), run on numpy uint64 arrays:
+each cell takes one product of (2 fc + 1) 2**beta with the upper half of a
+128-bit cached power of ten, in 32-bit halves, and the few cells whose
+result the lower half could change, or whose rounding needs the fraction,
+take the whole product in Python integers.  A power of two (fc = 0) has a shorter
+interval below it; its digits depend on the exponent alone and are
+tabulated.  Each cell is then laid out by filling a template row, four
+digits at a time from a table of 4-digit words, and gathering, from a small
+table indexed by its layout (sign, digit count, decimal-point position),
+which columns of the row it keeps.  As ``repr`` does, the text is
+positional when -4 < decpt <= 16 and ``d.ddde±XX`` otherwise.  ±0.0 needs
+no digits, and only non-finite cells go through ``repr`` itself.
 
 The tables are built on the first call, not at import.
 """
@@ -18,55 +23,91 @@ The tables are built on the first call, not at import.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
-_M32 = 0xFFFFFFFF
-_POW5_BITS = 125  # bit length of Ryu's multipliers 5^i and 2^k / 5^q
-_LIMB_SHIFT = 96  # every Ryu shift lies in 118..125, so results sit in limbs 3 to 5
+_M32 = np.uint64(0xFFFFFFFF)
+_M52 = np.uint64((1 << 52) - 1)
+_HIDDEN = np.uint64(1 << 52)
+_NEAR = np.uint64(1 << 34)
 
-# A cell is written from one 52-column row: this template with its digits,
-# exponent and text slot filled in.  Its layout keeps the sign, the "0.000"
-# of a small number, the 17 digits (zero-padded on the right) up to the
-# decimal point, the point, the digits after it, the "0" of a whole number's
-# ".0", the exponent "e±XXX", a text slot for non-finite cells, and the
-# separator, or some of them.
-_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"0e+000" + b"    " + b",", dtype=np.uint8)
-_DIGITS1, _POINT, _DIGITS2, _WHOLE, _EXP, _TEXT, _SEP = 6, 23, 24, 41, 42, 47, 51
+# A cell is written from one 52-column row: this template with its digits
+# and tail filled in.  It holds the sign and "0.000" of a small number, the
+# 17 digits ("000" then the first digit, then four 4-digit words) that a
+# positional number shows before its point, the sign, first digit and point
+# of the exponent form, the 16 digits after the first, and a tail that holds
+# "±0.0", the ".0" of a whole number, a non-finite text or the exponent
+# "e±XX(X)", right-aligned before the separator.  Zeros, text and the
+# exponent form keep one or two runs of columns each.
+_TEMPLATE = np.frombuffer(b" -0.0000" + b"0" * 16 + b" -0." + b"0" * 16 + b"0-0.0,  ", dtype=np.uint8)
+_DIGITS1, _POINT, _DIGITS2, _TAIL, _SEP = 7, 27, 28, 44, 49
 _N_DECPT = 20  # positional forms: decpt = -3..16; then 2- and 3-digit exponents
 _PER_SIGN = 17 * (_N_DECPT + 2)  # layouts of one sign, by form and olength 1..17
-_ZERO_KEY = 4 * 17  # the digit 0 at decpt 1, which reads "0.0"
-_TEXT_KEY = 2 * _PER_SIGN  # + k: the first k columns of the text slot
+_TEXT_KEY = 2 * _PER_SIGN  # + 0, 1, 2: nothing, the tail's last 3 or 4 columns
+_EXP_MIN, _EXP_MAX = -324, 308  # decimal exponents of finite nonzero doubles
 
 
 class _Tables(NamedTuple):
-    mul: np.ndarray  # (4, 2047) uint64 limbs of Ryu's multiplier, by biased exponent
-    off: np.ndarray  # Ryu's shift minus _LIMB_SHIFT, by biased exponent
-    q: np.ndarray  # Ryu's q, by biased exponent
-    e10: np.ndarray  # decimal exponent of the unrounded digits, by biased exponent
-    pow5: np.ndarray  # 5**k, k = 0..21
-    pow10: np.ndarray  # 10**k, k = 0..19
-    keep: np.ndarray  # (753, 52) template columns kept, by layout key
+    limbs: np.ndarray  # (4, 2047) Dragonbox's cached 10**k in 32-bit limbs, low first, by biased exponent
+    beta: np.ndarray  # Dragonbox's beta, by biased exponent
+    delta: np.ndarray  # the interval width in units of the digits, by biased exponent
+    e10: np.ndarray  # decimal exponent of the small-divisor digits, by biased exponent
+    short: np.ndarray  # (2047, 2) digits and decimal exponent of 2**(biased - 1075), shorter interval
+    digits_at: np.ndarray  # decimal digits of 2**(b - 1023), by b < 1080
+    pow10: np.ndarray  # 10**k, k = 0..17
+    words: np.ndarray  # the four ASCII digits of 0..9999 as one uint32
+    lead: np.ndarray  # the template word of columns 24..27 with the first digit d = 0..9
+    tails: np.ndarray  # columns 44..51 as 8 bytes, by decimal exponent
+    forms: np.ndarray  # 17 * form - 1, by decimal exponent
+    keep: np.ndarray  # (751, 52) template columns kept, by layout key
 
 
-def _pow5bits(e: int) -> int:
-    """Bit length of 5**e for 0 <= e <= 3528."""
-    return ((e * 1217359) >> 19) + 1
+def _cached_power(k: int) -> int:
+    """ceil(10**k * 2**(127 - floor(log2 10**k))), in [2**127, 2**128)."""
+    q = (k * 1741647) >> 19  # floor(log2 10**k)
+    if k >= 0:
+        num, den = 10**k << max(127 - q, 0), 1 << max(q - 127, 0)
+    else:
+        num, den = 1 << (127 - q), 10**-k
+    return -(-num // den)
 
 
-def _ryu_constants(biased: int) -> tuple[int, int, int, int]:
-    """Ryu's multiplier, shift, q and decimal exponent for one biased
-    binary exponent (d2d with two extra mantissa bits)."""
-    e2 = max(biased, 1) - 1077
-    if e2 >= 0:
-        q = ((e2 * 78913) >> 18) - (e2 > 3)
-        k = _POW5_BITS + _pow5bits(q) - 1
-        return (1 << k) // 5**q + 1, q - e2 + k, q, q
-    q = ((-e2 * 732923) >> 20) - (-e2 > 1)
-    i = -e2 - q
-    k = _pow5bits(i) - _POW5_BITS
-    return (5**i >> k if k >= 0 else 5**i << -k), q - k, q, q + e2
+def _main_constants():
+    """Cached powers as (4, 2047) 32-bit limbs, low first, beta, delta and
+    small-divisor decimal exponent, by biased binary exponent (Dragonbox
+    with kappa = 2)."""
+    e = np.maximum(np.arange(2047), 1) - 1075
+    minus_k = ((e * 315653) >> 20) - 2  # floor(e log10 2) - kappa
+    beta = e + ((-minus_k * 1741647) >> 19)
+    powers = b"".join(_cached_power(k).to_bytes(16, "little") for k in (-minus_k).tolist())
+    limbs = np.frombuffer(powers, dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
+    assert 6 <= beta.min() and beta.max() <= 9  # so (2 fc + 1) 2**beta < 2**63
+    delta = ((limbs[3] << np.uint64(32)) | limbs[2]) >> (63 - beta).astype(np.uint64)
+    return limbs, beta.astype(np.uint64), delta, minus_k + 2
+
+
+def _shorter_digits(biased: int) -> tuple[int, int]:
+    """Digits and decimal exponent of 2**(biased - 1075) with the shorter
+    interval below it, both bounds included (Dragonbox's shorter case)."""
+    e = max(biased, 1) - 1075
+    minus_k = (e * 631305 - 261663) >> 21  # floor(e log10 2 - log10(4/3))
+    beta = e + ((-minus_k * 1741647) >> 19)
+    hi = _cached_power(-minus_k) >> 64
+    xi = (hi - (hi >> 54)) >> (11 - beta)
+    zi = (hi + (hi >> 53)) >> (11 - beta)
+    xi += not 2 <= e <= 3  # the left bound is an integer only for e = 2, 3
+    digits, e10 = zi // 10, minus_k + 1
+    if digits * 10 < xi:
+        digits, e10 = ((hi >> (10 - beta)) + 1) // 2, minus_k
+        if digits % 2 and e == -77:  # the one tie, to even
+            digits -= 1
+        elif digits < xi:
+            digits += 1
+    while digits % 10 == 0:
+        digits, e10 = digits // 10, e10 + 1
+    return digits, e10
 
 
 def _keep(sign: int, olength: int, form: int) -> list[int]:
@@ -74,165 +115,177 @@ def _keep(sign: int, olength: int, form: int) -> list[int]:
     decpt = form - 3; form 20 (21) is the exponent form with two (three)
     exponent digits."""
     decpt = form - 3
-    cols = [0] if sign else []
     if form >= _N_DECPT:
-        cols.append(_DIGITS1)
+        cols = [_POINT - 2] if sign else []
+        cols.append(_POINT - 1)
         if olength > 1:
-            cols += [_POINT, *range(_DIGITS2 + 1, _DIGITS2 + olength)]
-        cols += [_EXP, _EXP + 1, *range(_EXP + 5 - (form - _N_DECPT + 2), _EXP + 5)]
-    elif decpt <= 0:
-        cols += [1, 2, *range(3, 3 - decpt), *range(_DIGITS1, _DIGITS1 + olength)]
+            cols += [_POINT, *range(_DIGITS2, _DIGITS2 + olength - 1)]
+        return cols + [*range(_SEP - (form - _N_DECPT + 4), _SEP + 1)]
+    cols = [1] if sign else []
+    if decpt <= 0:
+        cols += [2, 3, *range(_DIGITS1 + decpt, _DIGITS1 + olength)]
     else:
-        cols += [*range(_DIGITS1, _DIGITS1 + decpt), _POINT, *range(_DIGITS2 + decpt, _DIGITS2 + olength)]
-        if decpt >= olength:
-            cols.append(_WHOLE)
+        cols += range(_DIGITS1, _DIGITS1 + decpt)
+        if decpt < olength:
+            cols += [_POINT, *range(_DIGITS2 + decpt - 1, _DIGITS2 + olength - 1)]
+        else:
+            cols += [_SEP - 2, _SEP - 1]
     return cols + [_SEP]
+
+
+def _tail(exponent: int) -> bytes:
+    """Columns 44..51 of a cell with this decimal exponent: the template's
+    for a positional cell, else the exponent right-aligned before ','."""
+    if -4 <= exponent <= 15:
+        return _TEMPLATE[_TAIL:].tobytes()
+    return f"{'e' if abs(exponent) >= 100 else '0e'}{exponent:+03d},  ".encode()
 
 
 @functools.cache
 def _tables() -> _Tables:
-    mul, shift, q, e10 = zip(*(_ryu_constants(biased) for biased in range(2047)))
-    assert 118 <= min(shift) and max(shift) <= 125
-    layouts = [_keep(sign, olength, form)
-               for sign in (0, 1) for form in range(_N_DECPT + 2) for olength in range(1, 18)]
-    layouts += [[*range(_TEXT, _TEXT + k), _SEP] for k in range(5)]
-    keep = np.zeros((len(layouts), _TEMPLATE.size), dtype=bool)
+    layouts = itertools.chain((_keep(sign, olength, form) for sign in (0, 1) for form in range(_N_DECPT + 2)
+                               for olength in range(1, 18)),
+                              [[_SEP], [*range(_SEP - 3, _SEP + 1)], [*range(_SEP - 4, _SEP + 1)]])
+    keep = np.zeros((_TEXT_KEY + 3, _TEMPLATE.size), dtype=bool)
     for row, cols in zip(keep, layouts):
         row[cols] = True
+    exponents = range(_EXP_MIN, _EXP_MAX + 1)
+    ascii_digits = np.arange(48, 58, dtype=np.uint8)
+    forms = [x + 4 if -4 <= x <= 15 else _N_DECPT + (abs(x) >= 100) for x in exponents]
     return _Tables(
-        mul=np.array([[(m >> (32 * k)) & _M32 for m in mul] for k in range(4)], dtype=np.uint64),
-        off=np.array(shift, dtype=np.uint64) - np.uint64(_LIMB_SHIFT),
-        q=np.array(q, dtype=np.int64),
-        e10=np.array(e10, dtype=np.int64),
-        pow5=np.array([5**k for k in range(22)], dtype=np.uint64),
-        pow10=np.array([10**k for k in range(20)], dtype=np.uint64),
+        *_main_constants(),
+        short=np.fromiter(map(_shorter_digits, range(2047)), dtype=np.dtype((np.int64, 2)), count=2047),
+        digits_at=np.array([len(str(1 << max(b - 1023, 0))) for b in range(1023 + 57)], dtype=np.int64),
+        pow10=np.array([10**k for k in range(18)], dtype=np.uint64),
+        words=np.stack([np.tile(np.repeat(ascii_digits, 10**(3 - k)), 10**k) for k in range(4)], axis=1)
+        .view(np.uint32).ravel(),
+        lead=np.frombuffer("".join(f" -{d}." for d in range(10)).encode(), dtype=np.uint32),
+        tails=np.frombuffer(b"".join(map(_tail, exponents)), dtype=np.uint64),
+        forms=17 * np.array(forms, dtype=np.int64) - 1,
         keep=keep,
     )
 
 
-def _products(m2, mm_shift, mul, off):
-    """floor(m * M / 2**(96 + off)) for m = 4*m2, 4*m2 + 2 and
-    4*m2 - 1 - mm_shift, where m2 < 2**53 and M is given by its 32-bit limbs
-    `mul`: Ryu's vr, vp and vm."""
-    cols = np.zeros((6, m2.size), dtype=np.uint64)
-    for a, part in enumerate((m2 & np.uint64(_M32), m2 >> 32)):
-        for b in range(4):
-            p = part * mul[b]
-            cols[a + b] += p & np.uint64(_M32)
-            cols[a + b + 1] += p >> 32
-    # 4 * m2 * M column by column; each column stays below 2**37
-    cols = cols.view(np.int64) << 2
-    mul = mul.view(np.int64)
-    results = []
-    for step in (0, 2, -1 - mm_shift.astype(np.int64)):
-        limbs = [cols[c] + step * mul[c] for c in range(4)] + [cols[4], cols[5]]
-        for c in range(5):
-            limbs[c + 1] = limbs[c + 1] + (limbs[c] >> 32)  # arithmetic, so borrows carry too
-        low = (limbs[3] & _M32).view(np.uint64) | (limbs[4].view(np.uint64) << 32)
-        results.append((low >> off) | (limbs[5].view(np.uint64) << (64 - off)))
-    return results
+def _wide_products(x, biased, shift, tables: _Tables):
+    """x * c >> shift for each cell, with c its cached power, as (the bits
+    from 64 up, whether the 64 bits below them are all 0); in Python ints,
+    for the few cells that need the whole product."""
+    powers = (l0 | l1 << 32 | l2 << 64 | l3 << 96 for l0, l1, l2, l3 in zip(*tables.limbs[:, biased].tolist()))
+    wide = [(a * c) >> s for a, c, s in zip(x.tolist(), powers, shift.tolist())]
+    return (np.array([w >> 64 for w in wide], dtype=np.uint64),
+            np.array([w & 0xFFFFFFFFFFFFFFFF == 0 for w in wide], dtype=bool))
 
 
 def _shortest(bits, tables: _Tables):
-    """Ryu's d2d on the bit patterns of finite, positive doubles: returns
-    (digits, e10) with digits * 10**e10 the shortest decimal that reads
-    back as the double, and the nearest such, with no trailing zeros."""
-    ieee_m = bits & np.uint64((1 << 52) - 1)
+    """Dragonbox's nearest-to-even binary-to-decimal conversion of the bit
+    patterns of finite, positive doubles: returns (digits, e10) with
+    digits * 10**e10 the shortest decimal that reads back as the double,
+    and the nearest such, with no trailing zeros."""
     biased = (bits >> 52).astype(np.intp)
-    m2 = np.where(biased == 0, ieee_m, ieee_m | np.uint64(1 << 52))
-    even = (m2 & 1) == 0
-    mm_shift = (ieee_m != 0) | (biased <= 1)
-    vr, vp, vm = _products(m2, mm_shift, tables.mul[:, biased], tables.off[biased])
+    two_fc = np.minimum(bits, (bits & _M52) | _HIDDEN) << 1  # a subnormal keeps its bits
+    beta = tables.beta[biased]
+    c1, c2, c3 = (tables.limbs[k][biased] for k in (1, 2, 3))
+    # zi = floor(u c / 2**128), u = (2 fc + 1) 2**beta < 2**63, from u times
+    # the upper half (c3, c2) of c's 32-bit limbs.  What that leaves out
+    # adds to bits 64..127, low, at least u1 c1 and less than that plus
+    # 2**34, so only the cells within 2**34 of a carry, or of low = 0, take
+    # the whole product.
+    u = (two_fc | 1) << beta
+    u0, u1 = u & _M32, u >> 32
+    p01, p10 = u0 * c3, u1 * c2
+    mid = ((u0 * c2) >> 32) + (p01 & _M32) + (p10 & _M32)
+    zi = u1 * c3 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    low = mid << 32
+    low += u1 * c1
+    zi += low < mid << 32
+    near = np.flatnonzero(low + _NEAR <= _NEAR)
+    whole = near  # the cells where z is an integer
+    if near.size:
+        zi[near], is_int = _wide_products(u[near], biased[near], np.full(near.size, 64), tables)
+        whole = near[is_int]
 
-    # Which of vr and the bounds are exact, i.e. lost only zeros to the shift.
-    mv = m2 << 2
-    q = tables.q[biased]
-    up = biased >= 1077
-    vr_tz = np.zeros(bits.size, dtype=bool)
-    vm_tz = np.zeros(bits.size, dtype=bool)
-    small = up & (q <= 21)
-    if small.any():
-        p5 = tables.pow5[np.minimum(q, 21)]
-        mv5 = small & (mv % 5 == 0)
-        vr_tz |= mv5 & (mv % p5 == 0)
-        vm_tz |= small & ~mv5 & even & ((mv - 1 - mm_shift) % p5 == 0)
-        vp -= small & ~mv5 & ~even & ((mv + 2) % p5 == 0)
-    tiny = ~up & (q <= 1)
-    vr_tz |= tiny
-    vm_tz |= tiny & even & mm_shift
-    vp -= tiny & ~even
-    mid = ~up & (q > 1) & (q < 63)
-    vr_tz |= mid & (mv & ((np.uint64(1) << np.minimum(q, 62).astype(np.uint64)) - 1) == 0)
+    # The larger divisor 10**(kappa + 1) gives the digits when a multiple of
+    # it lies in the interval, at most delta below zi.  For odd fc the
+    # right endpoint is excluded, and with it a multiple at zi itself.
+    digits = zi // np.uint64(1000)
+    r = zi - digits * np.uint64(1000)
+    delta = tables.delta[biased]
+    excluded = whole[(r[whole] == 0) & ((two_fc[whole] & np.uint64(2)) != 0)]
+    digits[excluded] -= np.uint64(1)
+    r[excluded] = 1000
+    big = r < delta
+    # Otherwise the smaller divisor 10**kappa: the digits of y, within half
+    # a unit of z - delta / 2, rounded to nearest, ties to even.
+    dist = r + np.uint64(50) - (delta >> 1)  # wraps where big, which takes digits as they are
+    step = dist // np.uint64(100)
+    small = digits * np.uint64(10) + step
+    # r = delta compares the fractions of z and of the left endpoint x, and
+    # a dist divisible by 100 rounds by the parity of y and whether y is an
+    # integer: both from 2 f c and one whole product for the two subsets
+    tie = np.flatnonzero(r == delta)
+    exact = np.flatnonzero((r >= delta) & (dist == step * np.uint64(100)))
+    if tie.size or exact.size:
+        sub = np.concatenate([tie, exact])
+        two_f = two_fc[sub]
+        two_f[:tie.size] -= np.uint64(1)
+        high, is_integer = _wide_products(two_f, biased[sub], 64 - beta[sub], tables)
+        odd = (high & 1) == 1
+        even = (two_fc[tie] & np.uint64(2)) == 0
+        big[tie] = odd[:tie.size] | (is_integer[:tie.size] & even)
+        ends = small[exact]
+        ends -= odd[tie.size:] | (is_integer[tie.size:] & ((ends & 1) == 1))  # dist is even
+        small[exact] = ends
+    digits = np.where(big, digits, small)
+    e10 = tables.e10[biased] + big
 
-    # Remove the digits that leave a decimal inside the interval, then any
-    # zeros of an included lower bound.
-    removed = np.zeros(bits.size, dtype=np.intp)
-    for scale in tables.pow10[1:]:
-        shorter = vp // scale > vm // scale
-        if not shorter.any():
-            break
-        removed += shorter
-    scale = tables.pow10[removed]
-    below = tables.pow10[np.maximum(removed - 1, 0)]
-    head = vr // below
-    vr_tz &= head * below == vr
-    vm_tz &= vm % scale == 0
-    vr //= scale
-    vp //= scale
-    vm //= scale
-    last = np.where(removed > 0, head - vr * 10, 0).astype(np.uint64)
-    active = np.flatnonzero(vm_tz)
-    active = active[vm[active] % 10 == 0]
-    while active.size:
-        vr_old = vr[active]
-        vr[active] = vr_old // 10
-        vp[active] //= 10
-        vm[active] //= 10
-        vr_tz[active] &= last[active] == 0
-        last[active] = vr_old - 10 * vr[active]
-        removed[active] += 1
-        active = active[vm[active] % 10 == 0]
-    last[vr_tz & (last == 5) & ((vr & 1) == 0)] = 4  # round half to even
-    digits = vr + (((vr == vm) & ~(even & vm_tz)) | (last >= 5))
-    e10 = tables.e10[biased] + removed
-    # a carry can leave trailing zeros; repr prints none
-    active = np.flatnonzero(digits % 10 == 0)
-    while active.size:
-        digits[active] //= 10
-        e10[active] += 1
-        active = active[digits[active] % 10 == 0]
+    shorter = np.flatnonzero(two_fc == _HIDDEN << 1)
+    digits[shorter], e10[shorter] = tables.short[biased[shorter]].T
+
+    # digits of the larger divisor may end in zeros
+    zeros = np.flatnonzero(big & (digits % np.uint64(10) == 0))
+    if zeros.size:
+        ends, removed = digits[zeros], np.zeros(zeros.size, dtype=np.int64)
+        for k in (16, 8, 4, 2, 1):
+            head = ends // tables.pow10[k]
+            hit = head * tables.pow10[k] == ends
+            np.copyto(ends, head, where=hit)
+            removed += k * hit
+        digits[zeros] = ends
+        e10[zeros] += removed
     return digits, e10
 
 
 def _cells(bits, tables: _Tables):
-    """Layout keys and filled template rows of finite, nonzero doubles."""
+    """Layout keys and filled template rows, as (n, 13) uint32, of finite,
+    nonzero doubles."""
     digits, e10 = _shortest(bits & np.uint64((1 << 63) - 1), tables)
-    olength = np.searchsorted(tables.pow10, digits, side="right")
-    decpt = e10 + olength
+    # digits < 2**57 round to a double whose exponent is floor(log2(digits))
+    # or, just below a power of two, one more, which has as many digits
+    olength = tables.digits_at[digits.astype(np.float64).view(np.int64) >> 52]
+    olength += digits >= tables.pow10[olength]
+    exponent = e10 + olength - (1 + _EXP_MIN)
     digits *= tables.pow10[17 - olength]
-    text = np.empty((bits.size, _TEMPLATE.size), dtype=np.uint8)
-    text[:] = _TEMPLATE
-    for c in range(_DIGITS1 + 16, _DIGITS1 - 1, -1):
-        tens = digits // 10
-        text[:, c] = digits - tens * 10 + 48
-        digits = tens
-    text[:, _DIGITS2:_DIGITS2 + 17] = text[:, _DIGITS1:_DIGITS1 + 17]
-    exponent = decpt - 1
-    magnitude = np.abs(exponent)
-    text[exponent < 0, _EXP + 1] = ord("-")
-    text[:, _EXP + 2] = 48 + magnitude // 100
-    text[:, _EXP + 3] = 48 + magnitude // 10 % 10
-    text[:, _EXP + 4] = 48 + magnitude % 10
-    form = np.where((decpt > -4) & (decpt <= 16), decpt + 3, _N_DECPT + (magnitude >= 100))
-    return (bits >> 63).astype(np.intp) * _PER_SIGN + form * 17 + olength - 1, text
+    digits = digits.view(np.int64)
+    first = digits // 10**16
+    rest = digits - first * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    text = np.empty((digits.size, _TEMPLATE.size // 4), dtype=np.uint32)
+    text[:, 0] = _TEMPLATE.view(np.uint32)[0]
+    text[:, 1] = tables.words[first]
+    text[:, 6] = tables.lead[first]
+    for k, half in ((0, high), (2, low)):
+        part = half // 10**4
+        for c, group in ((k, part), (k + 1, half - part * 10**4)):
+            text[:, 2 + c] = text[:, 7 + c] = tables.words[group]
+    text[:, 11:13] = tables.tails[exponent].view(np.uint32).reshape(-1, 2)
+    key = (bits >> 63).astype(np.intp) * _PER_SIGN + tables.forms[exponent] + olength
+    return key, text
 
 
-def format_rows(values, empty=None) -> bytes:
-    """CSV text of a 2-D float64 array: cells joined by ',' and rows ended
-    by '\\n', each cell exactly ``repr(float(v))``, and cells where the
-    optional boolean array `empty` is true left blank.  It holds about 320
-    bytes of memory per cell at its peak, so format large arrays in row
-    blocks."""
+def _layout(values, empty):
+    """The filled template rows and layout keys of every cell of a 2-D
+    float64 array, with a row's last separator a newline."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     cols = values.shape[1]
     flat = values.ravel()
@@ -240,16 +293,26 @@ def format_rows(values, empty=None) -> bytes:
     tables = _tables()
     text = np.empty((flat.size, _TEMPLATE.size), dtype=np.uint8)
     text[:] = _TEMPLATE
-    key = (bits >> 63).astype(np.intp) * _PER_SIGN + _ZERO_KEY
+    key = (bits >> 63).astype(np.intp) + (_TEXT_KEY + 1)
     finite = np.isfinite(flat)
     nonzero = np.flatnonzero(finite & (flat != 0))
     if nonzero.size:
-        key[nonzero], text[nonzero] = _cells(bits[nonzero], tables)
+        key[nonzero], text.view(np.uint32)[nonzero] = _cells(bits[nonzero], tables)
     for k in np.flatnonzero(~finite):
         word = repr(float(flat[k])).encode("ascii")
-        text[k, _TEXT:_TEXT + len(word)] = np.frombuffer(word, dtype=np.uint8)
-        key[k] = _TEXT_KEY + len(word)
+        text[k, _SEP - len(word):_SEP] = np.frombuffer(word, dtype=np.uint8)
+        key[k] = _TEXT_KEY + len(word) - 2
     if empty is not None:
         key[np.asarray(empty, dtype=bool).ravel()] = _TEXT_KEY
     text[cols - 1::cols, _SEP] = ord("\n")
-    return text[tables.keep[key]].tobytes()
+    return text, key
+
+
+def format_rows(values, empty=None) -> bytes:
+    """CSV text of a 2-D float64 array: cells joined by ',' and rows ended
+    by '\\n', each cell exactly ``repr(float(v))``, and cells where the
+    optional boolean array `empty` is true left blank.  It holds about 270
+    bytes of memory per cell at its peak, so format large arrays in row
+    blocks."""
+    text, key = _layout(values, empty)
+    return text[_tables().keep[key]].tobytes()

@@ -22,7 +22,7 @@ from .spectral import ModeSet, assemble_exchange_model
 
 CONFIG_ECHO_BEGIN = "--- config ---"
 CONFIG_ECHO_END = "--- end config ---"
-_BLOCK_CELLS = 1 << 13  # cells formatted at a time: the formatter holds ~320 bytes per cell
+_BLOCK_CELLS = 1 << 13  # cells formatted at a time: the formatter holds ~270 bytes per cell
 _OPTIONAL_OUTPUTS = ("gain.csv", "error_decay.svg")  # files a run writes only in some cases
 
 

@@ -393,13 +393,17 @@ def _bad_rows(state: np.ndarray) -> np.ndarray:
 class _Run:
     """One estimator along a simulation, reduced block by block into the
     arrays its Trajectory keeps and stopped before the first sample after
-    t = 0 at which the plant or the estimator state diverges."""
+    t = 0 at which the plant or the estimator state diverges.  The message
+    blames the plant when the plant crossed the bound and the closed loop
+    is stable, and non-detectable dynamics otherwise."""
 
     def __init__(self, kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x0: np.ndarray, xhat0,
                  dt: float, steps: int, measured_field: int, gram, norm_weight: str, *, primary: bool,
                  keep_states: bool):
         n, rows = model.n_modes, steps + 1
         self.kind, self.model, self.h = kind, model, gain.H
+        # a closed loop with every eigenvalue in the left half-plane decays
+        self.error_decays = gain.achieved_margin > 0
         if kind == "full" and self.h.shape != (2 * n, c.shape[0]):
             raise ValueError("full-order gain must have shape (2 n_modes, q)")
         self.gram, self.norm_weight = gram, norm_weight
@@ -407,7 +411,7 @@ class _Run:
         self.estimated = self.unmeas if kind == "reduced" else slice(0, 2 * n)
         e0 = (x0[self.estimated] if xhat0 is None else xhat0) - x0[self.estimated]
         self.errors = _error_blocks(kind, model, c, gain, e0, dt, steps, measured_field)
-        self.stop, self.diverged = 0, False
+        self.stop, self.diverged, self.plant_diverged = 0, False, False
         self.err_gamma = None if gram is None else np.empty(rows)
         self.mode_abs_err = np.empty((rows, n)) if primary else None
         self.x = self.y = self.state = self.x2_hat = None
@@ -430,6 +434,7 @@ class _Run:
         hits = np.flatnonzero(bad)
         kept = int(hits[0]) if hits.size else e.shape[0]
         self.stop, self.diverged = start + kept, bool(hits.size)
+        self.plant_diverged = self.diverged and bool(plant_bad[kept])
         rows = slice(start, self.stop)
         e, state = e[:kept], state[:kept]
         e_w = e if self.kind == "reduced" else e[:, self.unmeas]
@@ -455,8 +460,9 @@ class _Run:
                           x2_hat=state[:, self.unmeas] if self.x2_hat is None else self.x2_hat[:k])
         msg = ""
         if self.diverged:
-            msg = (f"state norm exceeded {MAX_STATE_NORM:.0e} at t index {k}; "
-                   "run truncated (non-detectable dynamics diverge)")
+            cause = ("the unstable plant diverges" if self.plant_diverged and self.error_decays
+                     else "non-detectable dynamics diverge")
+            msg = f"state norm exceeded {MAX_STATE_NORM:.0e} at t index {k}; run truncated ({cause})"
         return Trajectory(
             kind=self.kind,
             times=dt * np.arange(k),

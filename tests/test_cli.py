@@ -206,6 +206,23 @@ class TestRun:
             "divergence: state norm exceeded 1e+12 at t index 494; "
             "run truncated (non-detectable dynamics diverge)")
 
+    def test_diverging_plant_of_detectable_run_is_named(self, tmp_path, capsys):
+        # five sensors at beta = 8: the gain places all four unstable modes,
+        # so the error decays, while the plant's (1, 1) pair grows past
+        # MAX_STATE_NORM at t = 3.11
+        cfg = tmp_path / "plant.cfg"
+        cfg.write_text("coefficients.beta_couple = 8.0\nsimulation.n_modes = 4\n" + "".join(
+            f"sensor.{k}.kind = pointwise\nsensor.{k}.location = {b1}, {b2}\n" for k, (b1, b2) in
+            enumerate([(0.23, 0.31), (0.57, 0.43), (0.71, 0.19), (0.37, 0.83), (0.89, 0.61)], start=1)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        first, divergence = capsys.readouterr().out.splitlines()[:2]
+        assert "not_detectable=false" in first
+        assert divergence == ("divergence: state norm exceeded 1e+12 at t index 311; "
+                              "run truncated (the unstable plant diverges)")
+        summary = (out / "summary.txt").read_text()
+        assert "decay fit: alpha = 0.99" in summary and "window = [1.0, 3.1]" in summary
+
     def test_all_floored_fit_window_writes_no_fit(self, tmp_path, capsys):
         # started at the truth, the reduced estimator's error is exactly 0:
         # every sample of the fit window is floored, so there is no decay to

@@ -78,3 +78,48 @@ def test_finite_cells_never_reach_repr(monkeypatch):
     values = np.array([[1.5, math.nan, 0.0], [-math.inf, 1e-300, -0.0]])
     assert format_rows(values) == b"1.5,nan,0.0\n-inf,1e-300,-0.0\n"
     assert len(seen) == 2 and not any(math.isfinite(v) for v in seen)
+
+
+def test_every_biased_exponent():
+    # one row of the cached powers per biased exponent, and its mantissa 0
+    # (the shorter interval of a power of two, or a zero)
+    rng = np.random.default_rng(29)
+    mantissas = np.concatenate([[0, 1, 2**52 - 1], rng.integers(0, 2**52, 8)]).astype(np.uint64)
+    bits = (np.arange(2047, dtype=np.uint64)[:, None] << np.uint64(52)) | mantissas
+    bits = np.concatenate([bits.ravel(), bits.ravel() | np.uint64(1 << 63)])
+    assert_repr(bits.view(np.float64))
+
+
+def layout_values() -> list[float]:
+    """Values of every sign, positional decimal point -3..16, exponent of
+    two and three digits, and digit count 1..17."""
+    rng = np.random.default_rng(17)
+    values = []
+    for decpt in [*range(-3, 17), -10, 27, -200, 250]:
+        values += [float(f"{'123456789012345'[:n - 1]}7e{decpt - n}") for n in range(1, 16)]
+        values += (rng.uniform(1.0, 10.0, 40) * 10.0 ** (decpt - 1)).tolist()  # 16 and 17 digits
+    return values + [-v for v in values]
+
+
+def test_every_layout_key():
+    values = layout_values() + [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0]
+    column = np.array(values).reshape(-1, 1)
+    empty = np.zeros(column.shape, dtype=bool)
+    empty[-1] = True
+    _, keys = floattext._layout(column, empty)
+    assert set(keys.tolist()) == set(range(floattext._tables().keep.shape[0]))
+    expected = "".join(f"{repr(v) if not e else ''}\n" for v, e in zip(values, empty.ravel().tolist()))
+    assert format_rows(column, empty).decode("ascii") == expected
+
+
+@given(st.data())
+def test_row_blocks_concatenate(data):
+    # formatting rows in blocks writes the bytes of formatting them at once
+    rows, cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 5))
+    cells = st.lists(st.floats(), min_size=rows * cols, max_size=rows * cols)
+    values = np.array(data.draw(cells), dtype=np.float64).reshape(rows, cols)
+    empty = np.array(data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1)))) if rows > 1 else []
+    bounds = [0, *cuts, rows]
+    blocks = b"".join(format_rows(values[a:b], empty[a:b]) for a, b in zip(bounds, bounds[1:]))
+    assert blocks == format_rows(values, empty)
