@@ -6,16 +6,16 @@ back as the same double, and of those the nearest, ties to even.  The digits
 come from the main path of Dragonbox (Jeon, "Dragonbox: A New Floating-Point
 Binary-to-Decimal Conversion Algorithm", 2020), run on numpy uint64 arrays:
 each cell takes one product of (2 fc + 1) 2**beta with the upper half of a
-128-bit cached power of ten, in 32-bit halves, and the few cells whose
-result the lower half could change, or whose rounding needs the fraction,
-take the whole product in Python integers.  A power of two (fc = 0) has a shorter
-interval below it; its digits depend on the exponent alone and are
-tabulated.  Each cell is then laid out by filling a template row, four
-digits at a time from a table of 4-digit words, and gathering, from a small
-table indexed by its layout (sign, digit count, decimal-point position),
-which columns of the row it keeps.  As ``repr`` does, the text is
-positional when -4 < decpt <= 16 and ``d.ddde±XX`` otherwise.  ±0.0 needs
-no digits, and only non-finite cells go through ``repr`` itself.
+128-bit cached power of ten, in 32-bit halves.  The few cells that this
+leaves unsure (near a carry of the lower half, a tie or an exact midpoint,
+and powers of two, whose interval is shorter below) read their digits from
+``repr``; on trajectory tables they are under 1 % of the cells, though every
+integer near 2**53 is one.  Each cell is then laid out by filling a template
+row, four digits at a time from a table of 4-digit words, and gathering,
+from a small table indexed by its layout (sign, digit count, decimal-point
+position), which columns of the row it keeps.  As ``repr`` does, the text
+is positional when -4 < decpt <= 16 and ``d.ddde±XX`` otherwise.  ±0.0
+needs no digits, and non-finite cells are written as ``repr`` writes them.
 
 The tables are built on the first call, not at import.
 """
@@ -50,11 +50,10 @@ _EXP_MIN, _EXP_MAX = -324, 308  # decimal exponents of finite nonzero doubles
 
 
 class _Tables(NamedTuple):
-    limbs: np.ndarray  # (4, 2047) Dragonbox's cached 10**k in 32-bit limbs, low first, by biased exponent
+    limbs: np.ndarray  # (3, 2047) upper 32-bit limbs of Dragonbox's cached 10**k, low first, by biased exponent
     beta: np.ndarray  # Dragonbox's beta, by biased exponent
     delta: np.ndarray  # the interval width in units of the digits, by biased exponent
     e10: np.ndarray  # decimal exponent of the small-divisor digits, by biased exponent
-    short: np.ndarray  # (2047, 2) digits and decimal exponent of 2**(biased - 1075), shorter interval
     digits_at: np.ndarray  # decimal digits of 2**(b - 1023), by b < 1080
     pow10: np.ndarray  # 10**k, k = 0..17
     words: np.ndarray  # the four ASCII digits of 0..9999 as one uint32
@@ -75,39 +74,18 @@ def _cached_power(k: int) -> int:
 
 
 def _main_constants():
-    """Cached powers as (4, 2047) 32-bit limbs, low first, beta, delta and
-    small-divisor decimal exponent, by biased binary exponent (Dragonbox
-    with kappa = 2)."""
+    """Cached powers as their upper three 32-bit limbs, low first, beta,
+    delta and small-divisor decimal exponent, by biased binary exponent
+    (Dragonbox with kappa = 2); each distinct power is built once."""
     e = np.maximum(np.arange(2047), 1) - 1075
     minus_k = ((e * 315653) >> 20) - 2  # floor(e log10 2) - kappa
     beta = e + ((-minus_k * 1741647) >> 19)
-    powers = b"".join(_cached_power(k).to_bytes(16, "little") for k in (-minus_k).tolist())
-    limbs = np.frombuffer(powers, dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
+    ks, index = np.unique(-minus_k, return_inverse=True)  # 617 distinct powers
+    powers = b"".join(_cached_power(k).to_bytes(16, "little") for k in ks.tolist())
+    limbs = np.frombuffer(powers, dtype="<u4").reshape(-1, 4)[index, 1:].T.astype(np.uint64)
     assert 6 <= beta.min() and beta.max() <= 9  # so (2 fc + 1) 2**beta < 2**63
-    delta = ((limbs[3] << np.uint64(32)) | limbs[2]) >> (63 - beta).astype(np.uint64)
+    delta = ((limbs[2] << np.uint64(32)) | limbs[1]) >> (63 - beta).astype(np.uint64)
     return limbs, beta.astype(np.uint64), delta, minus_k + 2
-
-
-def _shorter_digits(biased: int) -> tuple[int, int]:
-    """Digits and decimal exponent of 2**(biased - 1075) with the shorter
-    interval below it, both bounds included (Dragonbox's shorter case)."""
-    e = max(biased, 1) - 1075
-    minus_k = (e * 631305 - 261663) >> 21  # floor(e log10 2 - log10(4/3))
-    beta = e + ((-minus_k * 1741647) >> 19)
-    hi = _cached_power(-minus_k) >> 64
-    xi = (hi - (hi >> 54)) >> (11 - beta)
-    zi = (hi + (hi >> 53)) >> (11 - beta)
-    xi += not 2 <= e <= 3  # the left bound is an integer only for e = 2, 3
-    digits, e10 = zi // 10, minus_k + 1
-    if digits * 10 < xi:
-        digits, e10 = ((hi >> (10 - beta)) + 1) // 2, minus_k
-        if digits % 2 and e == -77:  # the one tie, to even
-            digits -= 1
-        elif digits < xi:
-            digits += 1
-    while digits % 10 == 0:
-        digits, e10 = digits // 10, e10 + 1
-    return digits, e10
 
 
 def _keep(sign: int, olength: int, form: int) -> list[int]:
@@ -154,7 +132,6 @@ def _tables() -> _Tables:
     forms = [x + 4 if -4 <= x <= 15 else _N_DECPT + (abs(x) >= 100) for x in exponents]
     return _Tables(
         *_main_constants(),
-        short=np.fromiter(map(_shorter_digits, range(2047)), dtype=np.dtype((np.int64, 2)), count=2047),
         digits_at=np.array([len(str(1 << max(b - 1023, 0))) for b in range(1023 + 57)], dtype=np.int64),
         pow10=np.array([10**k for k in range(18)], dtype=np.uint64),
         words=np.stack([np.tile(np.repeat(ascii_digits, 10**(3 - k)), 10**k) for k in range(4)], axis=1)
@@ -166,30 +143,33 @@ def _tables() -> _Tables:
     )
 
 
-def _wide_products(x, biased, shift, tables: _Tables):
-    """x * c >> shift for each cell, with c its cached power, as (the bits
-    from 64 up, whether the 64 bits below them are all 0); in Python ints,
-    for the few cells that need the whole product."""
-    powers = (l0 | l1 << 32 | l2 << 64 | l3 << 96 for l0, l1, l2, l3 in zip(*tables.limbs[:, biased].tolist()))
-    wide = [(a * c) >> s for a, c, s in zip(x.tolist(), powers, shift.tolist())]
-    return (np.array([w >> 64 for w in wide], dtype=np.uint64),
-            np.array([w & 0xFFFFFFFFFFFFFFFF == 0 for w in wide], dtype=bool))
+def _repr_digits(values) -> np.ndarray:
+    """(n, 2) digits and decimal exponent of positive doubles, read from
+    their repr with trailing zeros moved into the exponent."""
+    found = []
+    for v in values.tolist():
+        mantissa, _, exponent = repr(v).partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        text = (whole + fraction).rstrip("0")
+        found.append((int(text), int(exponent or 0) + len(whole) - len(text)))
+    return np.array(found, dtype=np.int64).reshape(-1, 2)
 
 
 def _shortest(bits, tables: _Tables):
-    """Dragonbox's nearest-to-even binary-to-decimal conversion of the bit
-    patterns of finite, positive doubles: returns (digits, e10) with
-    digits * 10**e10 the shortest decimal that reads back as the double,
-    and the nearest such, with no trailing zeros."""
+    """Shortest round-trip decimal of the bit patterns of finite, positive
+    doubles, nearest and ties to even: returns (digits, e10) with digits *
+    10**e10 the decimal, with no trailing zeros.  Dragonbox's main path
+    settles almost every cell; the cells it leaves unsure take their digits
+    from repr."""
     biased = (bits >> 52).astype(np.intp)
     two_fc = np.minimum(bits, (bits & _M52) | _HIDDEN) << 1  # a subnormal keeps its bits
     beta = tables.beta[biased]
-    c1, c2, c3 = (tables.limbs[k][biased] for k in (1, 2, 3))
+    c1, c2, c3 = (limb[biased] for limb in tables.limbs)
     # zi = floor(u c / 2**128), u = (2 fc + 1) 2**beta < 2**63, from u times
     # the upper half (c3, c2) of c's 32-bit limbs.  What that leaves out
     # adds to bits 64..127, low, at least u1 c1 and less than that plus
-    # 2**34, so only the cells within 2**34 of a carry, or of low = 0, take
-    # the whole product.
+    # 2**34, so a cell within 2**34 of a carry, or with low = 0, where z may
+    # be an integer, is unsure.
     u = (two_fc | 1) << beta
     u0, u1 = u & _M32, u >> 32
     p01, p10 = u0 * c3, u1 * c2
@@ -198,48 +178,25 @@ def _shortest(bits, tables: _Tables):
     low = mid << 32
     low += u1 * c1
     zi += low < mid << 32
-    near = np.flatnonzero(low + _NEAR <= _NEAR)
-    whole = near  # the cells where z is an integer
-    if near.size:
-        zi[near], is_int = _wide_products(u[near], biased[near], np.full(near.size, 64), tables)
-        whole = near[is_int]
 
     # The larger divisor 10**(kappa + 1) gives the digits when a multiple of
-    # it lies in the interval, at most delta below zi.  For odd fc the
-    # right endpoint is excluded, and with it a multiple at zi itself.
+    # it lies in the interval, less than delta below zi.
     digits = zi // np.uint64(1000)
     r = zi - digits * np.uint64(1000)
     delta = tables.delta[biased]
-    excluded = whole[(r[whole] == 0) & ((two_fc[whole] & np.uint64(2)) != 0)]
-    digits[excluded] -= np.uint64(1)
-    r[excluded] = 1000
     big = r < delta
     # Otherwise the smaller divisor 10**kappa: the digits of y, within half
-    # a unit of z - delta / 2, rounded to nearest, ties to even.
+    # a unit of z - delta / 2, rounded to nearest.
     dist = r + np.uint64(50) - (delta >> 1)  # wraps where big, which takes digits as they are
     step = dist // np.uint64(100)
-    small = digits * np.uint64(10) + step
-    # r = delta compares the fractions of z and of the left endpoint x, and
-    # a dist divisible by 100 rounds by the parity of y and whether y is an
-    # integer: both from 2 f c and one whole product for the two subsets
-    tie = np.flatnonzero(r == delta)
-    exact = np.flatnonzero((r >= delta) & (dist == step * np.uint64(100)))
-    if tie.size or exact.size:
-        sub = np.concatenate([tie, exact])
-        two_f = two_fc[sub]
-        two_f[:tie.size] -= np.uint64(1)
-        high, is_integer = _wide_products(two_f, biased[sub], 64 - beta[sub], tables)
-        odd = (high & 1) == 1
-        even = (two_fc[tie] & np.uint64(2)) == 0
-        big[tie] = odd[:tie.size] | (is_integer[:tie.size] & even)
-        ends = small[exact]
-        ends -= odd[tie.size:] | (is_integer[tie.size:] & ((ends & 1) == 1))  # dist is even
-        small[exact] = ends
-    digits = np.where(big, digits, small)
+    digits = np.where(big, digits, digits * np.uint64(10) + step)
     e10 = tables.e10[biased] + big
-
-    shorter = np.flatnonzero(two_fc == _HIDDEN << 1)
-    digits[shorter], e10[shorter] = tables.short[biased[shorter]].T
+    # Unsure: r = delta, which compares the fractions of z and of the left
+    # endpoint, a dist divisible by 100, which rounds by the parity of y and
+    # whether it is an integer, and a power of two, whose interval below it
+    # is shorter.
+    unsure = np.flatnonzero((low + _NEAR <= _NEAR) | (r == delta) | (~big & (dist == step * np.uint64(100)))
+                            | (two_fc == _HIDDEN << 1))
 
     # digits of the larger divisor may end in zeros
     zeros = np.flatnonzero(big & (digits % np.uint64(10) == 0))
@@ -252,6 +209,8 @@ def _shortest(bits, tables: _Tables):
             removed += k * hit
         digits[zeros] = ends
         e10[zeros] += removed
+    if unsure.size:
+        digits[unsure], e10[unsure] = _repr_digits(bits[unsure].view(np.float64)).T
     return digits, e10
 
 

@@ -439,10 +439,10 @@ class _Run:
         e, state = e[:kept], state[:kept]
         e_w = e if self.kind == "reduced" else e[:, self.unmeas]
         if self.err_gamma is not None and kept:
-            n, lam = self.model.n_modes, self.model.eigenvalues
-            fields = (e,) if self.kind == "reduced" else (e[:, :n], e[:, n:])
-            norms = np.array([gram_norm_series(f, self.gram, lam, self.norm_weight) for f in fields])
-            self.err_gamma[rows] = np.sqrt(np.sum(norms**2, axis=0))
+            # a full error's two field rows per sample are rows of one call
+            norms = gram_norm_series(e.reshape(-1, self.model.n_modes), self.gram, self.model.eigenvalues,
+                                     self.norm_weight)
+            self.err_gamma[rows] = np.sqrt(np.sum(norms.reshape(kept, -1)**2, axis=1))
         if self.mode_abs_err is not None:
             np.abs(e_w, out=self.mode_abs_err[rows])
         if self.x is not None:

@@ -7,8 +7,10 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from regobs import floattext
+from conftest import BETA3_CONFIG, reference_trajectory_csv
+from regobs import floattext, parse_config, run_experiment
 from regobs.floattext import format_rows
+from regobs.harness import _write_trajectory_csv
 
 LAYOUT_EDGES = [
     1e-4, 1e-5, 1e15, 1e16, 9999999999999998.0, 123456789012345678.0,
@@ -123,3 +125,27 @@ def test_row_blocks_concatenate(data):
     bounds = [0, *cuts, rows]
     blocks = b"".join(format_rows(values[a:b], empty[a:b]) for a, b in zip(bounds, bounds[1:]))
     assert blocks == format_rows(values, empty)
+
+
+def test_trajectory_table_rarely_reaches_repr(monkeypatch, tmp_path):
+    # the main path settles all but a few cells of an N = 24 trajectory
+    # table, and the cells it leaves to repr are written as repr has them
+    cfg = parse_config(BETA3_CONFIG + "simulation.n_modes = 24\nobserver.estimators = both\n")
+    report, trajs = run_experiment(cfg)
+    series = (trajs[report.primary], trajs["full"], trajs["reduced"])
+    seen = []
+
+    def spy(value):
+        seen.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(floattext, "repr", spy, raising=False)
+    _write_trajectory_csv(tmp_path / "trajectory.csv", cfg, *series)
+    monkeypatch.undo()
+    reference_trajectory_csv(tmp_path / "reference.csv", cfg, *series)
+    text = (tmp_path / "trajectory.csv").read_bytes()
+    assert text == (tmp_path / "reference.csv").read_bytes()
+    values = [float(c) for line in text.decode("ascii").splitlines()[1:] for c in line.split(",") if c]
+    nonzero = sum(math.isfinite(v) and v != 0.0 for v in values)
+    reached = sum(math.isfinite(v) for v in seen)
+    assert nonzero > 100_000 and reached < 0.01 * nonzero

@@ -12,7 +12,10 @@ tree's.  Each side formats the table in row blocks of its own
 harness._BLOCK_CELLS, as trajectory.csv is written; the two sides alternate
 R times (default 41), each side first in every other round.  Both sides must
 write the same bytes.  Printed per side: the median and the quartiles of the
-seconds per table, then the base median over the working-tree median.
+seconds per table, then the base median over the working-tree median.  Then
+the cost of the tables that floattext builds on its first call: each side's
+`_tables()` is timed in 9 fresh Python processes, the sides alternating,
+and the median and quartiles are printed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import contextlib
 import importlib.util
 import io
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -37,6 +41,16 @@ sys.path.insert(0, str(ROOT / "src"))
 from same_outputs import _workloads, export_src  # noqa: E402
 
 from regobs.cli import main as regobs_main  # noqa: E402
+
+FRESH_PROCESSES = 9
+FIRST_CALL = """import importlib.util, sys, time
+spec = importlib.util.spec_from_file_location("_floattext", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+start = time.perf_counter()
+module._tables()
+print(time.perf_counter() - start)
+"""
 
 
 def trajectory_table(tmp: Path):
@@ -70,6 +84,18 @@ def load_formatter(src: Path, name: str):
     return module.format_rows
 
 
+def first_call_seconds(src: Path) -> float:
+    """Seconds of floattext._tables() of src in a fresh process."""
+    done = subprocess.run([sys.executable, "-c", FIRST_CALL, str(src / "regobs" / "floattext.py")],
+                          capture_output=True, check=True, text=True)
+    return float(done.stdout)
+
+
+def summary(times) -> str:
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return f"median {median * 1e3:.2f} ms, quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f} ms"
+
+
 def format_table(format_rows, values, empty, cells: int) -> bytes:
     block = max(1, cells // values.shape[1])
     return b"".join(format_rows(values[start:start + block], empty[start:start + block])
@@ -87,6 +113,11 @@ def main(argv=None) -> int:
         base_src = export_src(opts.base, tmp / "base")
         sides = {"base": (load_formatter(base_src, "_base_floattext"), block_cells(base_src)),
                  "work": (load_formatter(ROOT / "src", "_work_floattext"), block_cells(ROOT / "src"))}
+        sources = {"base": base_src, "work": ROOT / "src"}
+        first_call = {side: [] for side in sides}
+        for r in range(FRESH_PROCESSES):
+            for side in (("base", "work") if r % 2 == 0 else ("work", "base")):
+                first_call[side].append(first_call_seconds(sources[side]))
     texts = {side: format_table(fmt, values, empty, cells) for side, (fmt, cells) in sides.items()}
     if texts["base"] != texts["work"]:
         print("the two sides write different bytes")
@@ -100,10 +131,10 @@ def main(argv=None) -> int:
             times[side].append(time.perf_counter() - start)
     print(f"table: {values.shape[0]} x {values.shape[1]} cells, {len(texts['work'])} bytes; {opts.repeats} rounds")
     for side, (_, cells) in sides.items():
-        q1, median, q3 = statistics.quantiles(times[side], n=4)
-        print(f"{side}: median {median * 1e3:.2f} ms, quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f} ms "
-              f"({cells} cells per block)")
+        print(f"{side}: {summary(times[side])} ({cells} cells per block)")
     print(f"base / work: {statistics.median(times['base']) / statistics.median(times['work']):.2f}x")
+    for side in sides:
+        print(f"{side} first-call _tables(): {summary(first_call[side])} ({FRESH_PROCESSES} fresh processes)")
     return 0
 
 

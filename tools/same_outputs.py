@@ -8,8 +8,13 @@ tree's `src/` for every case:
 
 - the variants of every workload in perfbench/workloads.py, which is read
   and not changed;
-- `run`, `rank` and `sweep --grid 9` on each configs/*.cfg and on each
-  extra config given.
+- `run`, `rank` and `sweep --grid 9` on each configs/*.cfg, on each
+  tools/cases/*.cfg and on each extra config given.
+
+The configs under tools/cases/ reach paths that the shipped configs do not:
+J = 2 on a 1 x 1.3 domain with both estimators, a left-edge collar with its
+plot, a non-detectable run truncated at T = 9, and five sensors whose
+unstable plant diverges and whose sweep reports nonzero min_gramian_eig.
 
 Both trees read the same config file.  A case differs when its stdout
 (with the output directory written as <out>), stderr, exit code or any
@@ -49,7 +54,8 @@ def cases(extra_configs):
         for v in range(workloads.N_VARIANTS):
             op = make(v)
             yield f"{workload}/{v}", op.config_text, op.kind, op.extra_args
-    for path in [*sorted((ROOT / "configs").glob("*.cfg")), *map(Path, extra_configs)]:
+    in_repo = [*sorted((ROOT / "configs").glob("*.cfg")), *sorted((ROOT / "tools" / "cases").glob("*.cfg"))]
+    for path in [*in_repo, *map(Path, extra_configs)]:
         text = path.read_text()
         for command, args in COMMANDS:
             yield f"{path.name} {command}", text, command, args
