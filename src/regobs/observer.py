@@ -9,29 +9,26 @@ residual above tolerance therefore signals that the sensor suite cannot
 stabilize the error dynamics (NotDetectableError).
 
 Both estimators are built so that the estimation error obeys autonomous
-dynamics e' = F e, which a known input would leave unchanged; the plant is
-therefore simulated without one.  A simulation propagates the plant and the
-error exactly and recovers the estimator state from the two, so the discrete
-trajectory satisfies the continuous error dynamics at the sample instants.
-The plant is n independent 2 x 2 mode blocks with closed-form exponentials.
-In the coordinates of the split F is diagonal outside the rows where the
-gain is nonzero, so the error follows from scalar exponentials, one
-exponential of the order of those rows and their coupling to the rest: J
-rows for a designed gain, every row for a dense one.
+dynamics e' = F e, whatever the plant and a known input do.  A run
+propagates the error only, exactly, so the discrete trajectory satisfies
+the continuous error dynamics at the sample instants; every output of a run
+is a function of e.  In the coordinates of the split F is diagonal outside
+the rows where the gain is nonzero, so the error follows from scalar
+exponentials, one exponential of the order of those rows and their coupling
+to the rest: J rows for a designed gain, every row for a dense one.
 
 A run (harness.run_experiment) takes each estimator's gain from
 design_estimator and simulates them all with _simulate, whose first
-estimator is the primary; simulate_reduced_order and simulate_full_order
-share one body that calls _simulate for a single estimator.  A simulation
-runs through time in blocks of samples, each at most _TIME_BLOCK_CELLS
-cells of the stacked state: every block of plant rows is made once, shared
-by the estimators, and reduced at once with each estimator's error rows
-into err_gamma, the primary's per-mode errors and, for the public
-simulators only, the whole Trajectory.  Every product behind err_gamma and
-the per-mode errors is taken row by row, so they do not depend on the block
-size.  The divergence check compares the estimator state, formed with
-products over the block, with MAX_STATE_NORM; its index could move with
-the block size only for a sample within rounding of that bound.
+estimator is the primary.  An estimator's error is made in blocks of
+samples, each at most _TIME_BLOCK_CELLS cells of the stacked state, and
+each block is reduced at once into err_gamma and the primary's per-mode
+errors.  Every product behind them is taken row by row, so they do not
+depend on the block size.  The divergence guard reads e: an estimator stops
+before the first sample after t = 0 at which its error is non-finite or
+exceeds MAX_STATE_NORM.  simulate_reduced_order and simulate_full_order
+share one body that reduces the error as a run does, then adds the plant
+(n 2 x 2 mode blocks with closed-form exponentials), its measurements and
+the estimator state on the kept samples.
 """
 
 from __future__ import annotations
@@ -264,10 +261,11 @@ class Trajectory:
     z_hat (full order, both fields stacked) or phi (reduced order); x2_hat is
     the recovered estimate of the unmeasured field (phi + H y in the reduced
     case); mode_abs_err are per-mode absolute errors of that estimate.
-    err_gamma is attached when a region is supplied.  simulate_reduced_order
-    and simulate_full_order fill every field.  A run (run_experiment) keeps
-    only what it reports, times, err_gamma and, for its primary estimator,
-    the first it simulates, mode_abs_err, and leaves the other arrays None.
+    err_gamma is attached when a region is supplied.  The samples end where
+    the error leaves MAX_STATE_NORM (diverged).  simulate_reduced_order and
+    simulate_full_order fill every field.  A run (run_experiment) keeps only
+    what it reports, times, err_gamma and, for its primary estimator, the
+    first it simulates, mode_abs_err, and leaves the other arrays None.
     """
 
     kind: str
@@ -347,13 +345,6 @@ def design_estimator(kind: str, model: ModalModel, c: np.ndarray, margin: float,
         return _zero_gain(obs_map.shape[0], split, target_margin, exc.residual, sensor_matrix), exc
 
 
-def _plant_blocks(model: ModalModel, x0: np.ndarray, dt: float, steps: int):
-    """Exact samples of the plant x' = A x, as (start, rows) per block of
-    _row_blocks, by closed-form per-mode 2 x 2 exponentials."""
-    for start, stop in _row_blocks(steps, model.n_modes):
-        yield start, model.mode_pairs.samples(x0, dt, stop - 1, start)
-
-
 def _error_blocks(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, e0: np.ndarray,
                   dt: float, steps: int, measured_field: int):
     """Exact samples of the estimation error e' = F e, F = block - H obs_map,
@@ -385,136 +376,96 @@ def _error_blocks(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGai
         yield e
 
 
-def _bad_rows(state: np.ndarray) -> np.ndarray:
+def _bad_rows(block: np.ndarray) -> np.ndarray:
     """Rows of a block that are non-finite or exceed MAX_STATE_NORM in sup-norm."""
-    return ~np.isfinite(state).all(axis=1) | (np.abs(state).max(axis=1) > MAX_STATE_NORM)
+    return ~np.isfinite(block).all(axis=1) | (np.abs(block).max(axis=1) > MAX_STATE_NORM)
 
 
 class _Run:
-    """One estimator along a simulation, reduced block by block into the
-    arrays its Trajectory keeps and stopped before the first sample after
-    t = 0 at which the plant or the estimator state diverges.  The message
-    blames the plant when the plant crossed the bound and the closed loop
-    is stable, and non-detectable dynamics otherwise."""
+    """One estimator's error along a simulation, reduced block by block into
+    err_gamma and, for the primary, the per-mode errors |e_w|, and stopped
+    before the first sample after t = 0 at which the error is non-finite or
+    exceeds MAX_STATE_NORM in sup-norm."""
 
     def __init__(self, kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x0: np.ndarray, xhat0,
-                 dt: float, steps: int, measured_field: int, gram, norm_weight: str, *, primary: bool,
-                 keep_states: bool):
+                 dt: float, steps: int, measured_field: int, gram, norm_weight: str, *, primary: bool):
         n, rows = model.n_modes, steps + 1
-        self.kind, self.model, self.h = kind, model, gain.H
-        # a closed loop with every eigenvalue in the left half-plane decays
-        self.error_decays = gain.achieved_margin > 0
-        if kind == "full" and self.h.shape != (2 * n, c.shape[0]):
+        if kind == "full" and gain.H.shape != (2 * n, c.shape[0]):
             raise ValueError("full-order gain must have shape (2 n_modes, q)")
-        self.gram, self.norm_weight = gram, norm_weight
+        self.kind, self.model, self.gram, self.norm_weight = kind, model, gram, norm_weight
         self.unmeas = _field_slices(n, measured_field)[1]
         self.estimated = self.unmeas if kind == "reduced" else slice(0, 2 * n)
         e0 = (x0[self.estimated] if xhat0 is None else xhat0) - x0[self.estimated]
-        self.errors = _error_blocks(kind, model, c, gain, e0, dt, steps, measured_field)
-        self.stop, self.diverged, self.plant_diverged = 0, False, False
+        self.blocks = _error_blocks(kind, model, c, gain, e0, dt, steps, measured_field)
+        self.stop, self.diverged = 0, False
         self.err_gamma = None if gram is None else np.empty(rows)
         self.mode_abs_err = np.empty((rows, n)) if primary else None
-        self.x = self.y = self.state = self.x2_hat = None
-        if keep_states:
-            self.x, self.y = np.empty((rows, 2 * n)), np.empty((rows, c.shape[0]))
-            self.state = np.empty((rows, n if kind == "reduced" else 2 * n))
-            if kind == "reduced":
-                self.x2_hat = np.empty((rows, n))
 
-    def add(self, start: int, x: np.ndarray, y: np.ndarray, plant_bad: np.ndarray) -> bool:
-        """Take the block of samples from `start` on: the plant rows x, the
-        measurements y and the plant's bad rows.  False once diverged."""
-        e = next(self.errors)
-        state = x[:, self.estimated] + e
-        if self.kind == "reduced":
-            state -= y @ self.h.T
-        bad = plant_bad | _bad_rows(state)
-        if start == 0:
-            bad[0] = False
-        hits = np.flatnonzero(bad)
-        kept = int(hits[0]) if hits.size else e.shape[0]
-        self.stop, self.diverged = start + kept, bool(hits.size)
-        self.plant_diverged = self.diverged and bool(plant_bad[kept])
-        rows = slice(start, self.stop)
-        e, state = e[:kept], state[:kept]
-        e_w = e if self.kind == "reduced" else e[:, self.unmeas]
-        if self.err_gamma is not None and kept:
-            # a full error's two field rows per sample are rows of one call
-            norms = gram_norm_series(e.reshape(-1, self.model.n_modes), self.gram, self.model.eigenvalues,
-                                     self.norm_weight)
-            self.err_gamma[rows] = np.sqrt(np.sum(norms.reshape(kept, -1)**2, axis=1))
-        if self.mode_abs_err is not None:
-            np.abs(e_w, out=self.mode_abs_err[rows])
-        if self.x is not None:
-            self.x[rows], self.y[rows], self.state[rows] = x[:kept], y[:kept], state
-            if self.x2_hat is not None:
-                self.x2_hat[rows] = state + y[:kept] @ self.h.T
-        return not self.diverged
+    def errors(self):
+        """Reduce the error one block at a time and yield each block's kept
+        rows, until the run stops."""
+        for e in self.blocks:
+            start, bad = self.stop, _bad_rows(e)
+            if start == 0:
+                bad[0] = False
+            hits = np.flatnonzero(bad)
+            kept = int(hits[0]) if hits.size else e.shape[0]
+            self.stop, self.diverged = start + kept, bool(hits.size)
+            rows, e = slice(start, self.stop), e[:kept]
+            if self.err_gamma is not None and kept:
+                # a full error's two field rows per sample are rows of one call
+                norms = gram_norm_series(e.reshape(-1, self.model.n_modes), self.gram, self.model.eigenvalues,
+                                         self.norm_weight)
+                self.err_gamma[rows] = np.sqrt(np.sum(norms.reshape(kept, -1)**2, axis=1))
+            if self.mode_abs_err is not None:
+                np.abs(e if self.kind == "reduced" else e[:, self.unmeas], out=self.mode_abs_err[rows])
+            yield e
+            if self.diverged:
+                return
 
     def trajectory(self, dt: float) -> Trajectory:
-        k, n = self.stop, self.model.n_modes
-        fields = {}
-        if self.x is not None:
-            x, state = self.x[:k], self.state[:k]
-            fields = dict(x1=x[:, :n], x2=x[:, n:], y=self.y[:k], estimator_state=state,
-                          x2_hat=state[:, self.unmeas] if self.x2_hat is None else self.x2_hat[:k])
-        msg = ""
-        if self.diverged:
-            cause = ("the unstable plant diverges" if self.plant_diverged and self.error_decays
-                     else "non-detectable dynamics diverge")
-            msg = f"state norm exceeded {MAX_STATE_NORM:.0e} at t index {k}; run truncated ({cause})"
-        return Trajectory(
-            kind=self.kind,
-            times=dt * np.arange(k),
-            mode_abs_err=None if self.mode_abs_err is None else self.mode_abs_err[:k],
-            err_gamma=None if self.err_gamma is None else self.err_gamma[:k],
-            diverged=self.diverged,
-            divergence_message=msg,
-            **fields,
-        )
+        k = self.stop
+        msg = (f"state norm exceeded {MAX_STATE_NORM:.0e} at t index {k}; run truncated "
+               "(non-detectable dynamics diverge)") if self.diverged else ""
+        return Trajectory(kind=self.kind, times=dt * np.arange(k),
+                          mode_abs_err=None if self.mode_abs_err is None else self.mode_abs_err[:k],
+                          err_gamma=None if self.err_gamma is None else self.err_gamma[:k],
+                          diverged=self.diverged, divergence_message=msg)
 
 
 def _simulate(model: ModalModel, c: np.ndarray, x0: np.ndarray, dt: float, t_final: float, estimators: dict, *,
-              measured_field: int, gram, norm_weight: str, keep_states: bool = False) -> dict[str, Trajectory]:
-    """Simulate the plant once and every estimator along it, one block of
-    samples at a time; returns a Trajectory per estimator.
+              measured_field: int, gram, norm_weight: str) -> dict[str, Trajectory]:
+    """Propagate every estimator's error exactly, one block of samples at a
+    time; returns a Trajectory per estimator, with no plant or state array.
 
     estimators maps a kind, "reduced" or "full", to its (gain, xhat0), the
     initial estimate of the unmeasured field or of the stacked state, None
     for the truth; the initial error is xhat0 - x0 on those coordinates.
-    The first estimator is the primary.  Each block of plant rows is made
-    once and shared.  The error obeys the autonomous dynamics e' = F e, with
-    F = A_ww - H C A_mw (reduced) or A - H C_full (full), and is propagated
-    exactly; the estimator state is recovered from the plant and the error,
-    phi = x_w + e - H y or z_hat = x + e, and checked for divergence.  A
-    block is reduced at once into err_gamma (when gram, the target region's
-    operator from region.region_operator, is given), the primary's
-    mode_abs_err and, with keep_states, the plant, measurement and
-    estimator arrays; a run keeps nothing else, so it holds only its blocks
-    and the series it reports.  An estimator stops before the first sample
-    after t = 0 at which the plant or its state is non-finite or exceeds
-    MAX_STATE_NORM in sup-norm, and the simulation stops once every one has.
+    The first estimator is the primary.  The error obeys e' = F e, with
+    F = A_ww - H C A_mw (reduced) or A - H C_full (full), whatever the plant
+    does.  Each block is reduced at once into err_gamma (when gram, from
+    region.region_operator, is given) and the primary's mode_abs_err, so a
+    run holds only its blocks and the series it reports.  An estimator stops
+    before the first sample after t = 0 at which its error is non-finite or
+    exceeds MAX_STATE_NORM in sup-norm.
     """
     steps = _steps(dt, t_final)
-    meas = _field_slices(model.n_modes, measured_field)[0]
     runs = {kind: _Run(kind, model, c, gain, x0, xhat0, dt, steps, measured_field, gram, norm_weight,
-                       primary=k == 0, keep_states=keep_states)
+                       primary=k == 0)
             for k, (kind, (gain, xhat0)) in enumerate(estimators.items())}
-    live = list(runs.values())
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, x in _plant_blocks(model, x0, dt, steps):
-            plant_bad = _bad_rows(x)
-            y = x[:, meas] @ c.T
-            live = [run for run in live if run.add(start, x, y, plant_bad)]
-            if not live:
-                break
+        for run in runs.values():
+            for _ in run.errors():
+                pass
     return {kind: run.trajectory(dt) for kind, run in runs.items()}
 
 
 def _simulate_one(kind: str, model: ModalModel, sensors, gain: ObserverGain, x0, initial, dt: float,
                   t_final: float, measured_field: int, region, norm_weight: str) -> Trajectory:
     """The body of simulate_reduced_order and simulate_full_order: one
-    estimator started at phi0 (reduced) or xhat0 (full), every field kept."""
+    estimator started at phi0 (reduced) or xhat0 (full), its error reduced
+    as in a run, then the plant, the measurements and the estimator state
+    added on the kept rows."""
     c, n = output_matrix(sensors, model.domain, model.mode_set), model.n_modes
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != 2 * n:
@@ -524,11 +475,24 @@ def _simulate_one(kind: str, model: ModalModel, sensors, gain: ObserverGain, x0,
     for name, value in (("x0", x0), ("phi0" if kind == "reduced" else "xhat0", xhat0), ("gain.H", gain.H)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
+    meas = _field_slices(n, measured_field)[0]
     if kind == "reduced":  # x2_hat = phi + H y
-        xhat0 = xhat0 + gain.H @ (c @ x0[_field_slices(n, measured_field)[0]])
+        xhat0 = xhat0 + gain.H @ (c @ x0[meas])
     gram = None if region is None else region_operator(region, model.domain, model.mode_set)
-    return _simulate(model, c, x0, dt, t_final, {kind: (gain, xhat0)}, measured_field=measured_field,
-                     gram=gram, norm_weight=norm_weight, keep_states=True)[kind]
+    run = _Run(kind, model, c, gain, x0, xhat0, dt, _steps(dt, t_final), measured_field, gram, norm_weight,
+               primary=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.concatenate(list(run.errors()))
+        x = model.mode_pairs.samples(x0, dt, e.shape[0] - 1)
+        y = x[:, meas] @ c.T
+        state = x[:, run.estimated] + e
+        if kind == "reduced":
+            h_y = y @ gain.H.T
+            state -= h_y
+        x2_hat = state + h_y if kind == "reduced" else state[:, run.unmeas]
+    traj = run.trajectory(dt)
+    traj.x1, traj.x2, traj.y, traj.estimator_state, traj.x2_hat = x[:, :n], x[:, n:], y, state, x2_hat
+    return traj
 
 
 def simulate_reduced_order(
@@ -555,6 +519,11 @@ def simulate_reduced_order(
     returns x_w(0) only to round-off (about 1e-16 relative), so its error
     series is of that size, not 0; run_experiment with
     simulation.estimator_init = truth starts from x_w(0) itself and is exact.
+
+    The samples stop where the error leaves MAX_STATE_NORM, as in a run.
+    The plant arrays on them are exact samples that may exceed the bound,
+    since an unstable plant grows while the error decays; past the float
+    range they are inf, and the state and estimate are then non-finite.
     """
     return _simulate_one("reduced", model, sensors, gain, x0, phi0, dt, t_final, measured_field, region,
                          norm_weight)
@@ -577,8 +546,9 @@ def simulate_full_order(
     z_hat' = A z_hat + H (y - C_full z_hat); the stacked error obeys
     e' = (A - H C_full) e exactly at the sample instants.
 
-    err_gamma combines both field errors, sqrt(|e1|_G^2 + |e2|_G^2).  t_final
-    is as in simulate_reduced_order.
+    err_gamma combines both field errors, sqrt(|e1|_G^2 + |e2|_G^2).  t_final,
+    the stopping rule and the plant arrays, exact samples that may exceed
+    MAX_STATE_NORM, are as in simulate_reduced_order.
     """
     return _simulate_one("full", model, sensors, gain, x0, xhat0, dt, t_final, measured_field, region,
                          norm_weight)

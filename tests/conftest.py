@@ -48,6 +48,13 @@ simulation.T = 3.0
 output.fit_t_lo = 0.0
 """
 
+# Five sensors at beta = 8 (N = 4): the gain places all four unstable modes,
+# so the error decays at the target margin, while the plant's (1, 1) pair
+# grows past MAX_STATE_NORM at t = 3.11.
+FIVE_SENSORS_CONFIG = "coefficients.beta_couple = 8.0\nsimulation.n_modes = 4\n" + "".join(
+    f"sensor.{k}.kind = pointwise\nsensor.{k}.location = {b1}, {b2}\n" for k, (b1, b2) in
+    enumerate([(0.23, 0.31), (0.57, 0.43), (0.71, 0.19), (0.37, 0.83), (0.89, 0.61)], start=1))
+
 # Reference coefficient set: gamma = 0.1, beta = 1; every A22 mode is stable.
 STABLE_CONFIG = """\
 coefficients.gamma_diff = 0.1

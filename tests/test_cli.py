@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BETA3_CONFIG, BETA6_BLIND_CONFIG, STABLE_CONFIG, python_env
+from conftest import BETA3_CONFIG, BETA6_BLIND_CONFIG, FIVE_SENSORS_CONFIG, STABLE_CONFIG, python_env
 from regobs import __version__, cli
 from regobs.cli import main
 
@@ -203,25 +203,23 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[1] == (
-            "divergence: state norm exceeded 1e+12 at t index 494; "
+            "divergence: state norm exceeded 1e+12 at t index 714; "
             "run truncated (non-detectable dynamics diverge)")
 
-    def test_diverging_plant_of_detectable_run_is_named(self, tmp_path, capsys):
-        # five sensors at beta = 8: the gain places all four unstable modes,
-        # so the error decays, while the plant's (1, 1) pair grows past
-        # MAX_STATE_NORM at t = 3.11
+    def test_diverging_plant_of_detectable_run_is_not_truncated(self, tmp_path, capsys):
+        # the plant diverges, but a run reports the error, which decays at
+        # the placed rate over the whole horizon
         cfg = tmp_path / "plant.cfg"
-        cfg.write_text("coefficients.beta_couple = 8.0\nsimulation.n_modes = 4\n" + "".join(
-            f"sensor.{k}.kind = pointwise\nsensor.{k}.location = {b1}, {b2}\n" for k, (b1, b2) in
-            enumerate([(0.23, 0.31), (0.57, 0.43), (0.71, 0.19), (0.37, 0.83), (0.89, 0.61)], start=1)))
+        cfg.write_text(FIVE_SENSORS_CONFIG)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        first, divergence = capsys.readouterr().out.splitlines()[:2]
-        assert "not_detectable=false" in first
-        assert divergence == ("divergence: state norm exceeded 1e+12 at t index 311; "
-                              "run truncated (the unstable plant diverges)")
+        printed = capsys.readouterr().out
+        assert "not_detectable=false" in printed and "divergence" not in printed
         summary = (out / "summary.txt").read_text()
-        assert "decay fit: alpha = 0.99" in summary and "window = [1.0, 3.1]" in summary
+        assert "divergence" not in summary and "window = [1.0, 5.0]" in summary
+        alpha = float(summary.split("decay fit: alpha = ")[1].split(",")[0])
+        target = float(summary.split("observer.target_margin = ")[1].split()[0])
+        assert abs(alpha - target) <= 0.1 * target
 
     def test_all_floored_fit_window_writes_no_fit(self, tmp_path, capsys):
         # started at the truth, the reduced estimator's error is exactly 0:

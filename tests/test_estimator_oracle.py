@@ -1,13 +1,14 @@
-"""The plant-plus-error simulation against the dense co-simulation oracle.
+"""The public simulators against the dense co-simulation oracle.
 
 The oracle stacks the plant with the estimator state, [x_m; x_w; phi] with
 phi' = F_red phi + G_y x_m for the reduced-order estimator and [x; z_hat]
 with z_hat' = A z_hat + H C_full (x - z_hat) for the full-order one, and
-propagates the stack with one dense Propagator, stepping and guarding sample
-by sample.  It also keeps F_red and G_y of estimator_matrices verified.  The
-simulations run under no_dense_propagator: random dense gains take the same
-structured path as designed gains, with one exponential over all their
-rows.
+propagates the stack with one dense Propagator.  It stops where its dense
+error, e0 stepped sample by sample by a Propagator of F, first leaves
+MAX_STATE_NORM; the plant may exceed the bound before that.  It also keeps
+F_red and G_y of estimator_matrices verified.  The simulations run under
+no_dense_propagator: random dense gains take the same structured path as
+designed gains, with one exponential over all their rows.
 """
 
 import numpy as np
@@ -35,18 +36,17 @@ UNIT = Domain()
 RTOL = 1e-10
 
 
-def _guarded_dense(m, s0, steps, dt):
-    """Step the stacked system; stop before the first state that is
-    non-finite or exceeds MAX_STATE_NORM.  Returns the kept states and the
-    failing sample index (None when the run completes)."""
-    prop = Propagator(m, dt)
-    out = [s0]
-    for k in range(steps):
-        nxt = prop.step(out[-1])
-        if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > MAX_STATE_NORM:
-            return np.array(out), k + 1
-        out.append(nxt)
-    return np.array(out), None
+def _guarded_dense(m, s0, f, e0, steps, dt):
+    """Step the error e' = F e from e0 and stop before the first sample
+    after t = 0 at which it is non-finite or exceeds MAX_STATE_NORM; step
+    the stacked system m from s0 over the samples kept.  Returns the kept
+    states and the failing sample index (None when the run completes)."""
+    prop, e = Propagator(f, dt), e0
+    for k in range(1, steps + 1):
+        e = prop.step(e)
+        if not np.all(np.isfinite(e)) or np.abs(e).max() > MAX_STATE_NORM:
+            return Propagator(m, dt).run(s0, k - 1), k
+    return Propagator(m, dt).run(s0, steps), None
 
 
 def _fields(n, mf):
@@ -61,7 +61,8 @@ def dense_reduced(model, c, gain, x0, phi0, dt, steps, mf):
     a = stacked_a(model)
     z = np.zeros((n, n))
     m = np.block([[a[meas, meas], a[meas, unmeas], z], [a[unmeas, meas], a[unmeas, unmeas], z], [g_y, z, f_red]])
-    states, k = _guarded_dense(m, np.concatenate([x0[meas], x0[unmeas], phi0]), steps, dt)
+    e0 = phi0 + gain.H @ (c @ x0[meas]) - x0[unmeas]
+    states, k = _guarded_dense(m, np.concatenate([x0[meas], x0[unmeas], phi0]), f_red, e0, steps, dt)
     x = np.empty((states.shape[0], 2 * n))
     x[:, meas], x[:, unmeas] = states[:, :n], states[:, n:2 * n]
     phi = states[:, 2 * n:]
@@ -76,7 +77,7 @@ def dense_full(model, c, gain, x0, xhat0, dt, steps, mf):
     c_full[:, meas] = c
     a, hc = stacked_a(model), gain.H @ c_full
     m = np.block([[a, np.zeros_like(a)], [hc, a - hc]])
-    states, k = _guarded_dense(m, np.concatenate([x0, xhat0]), steps, dt)
+    states, k = _guarded_dense(m, np.concatenate([x0, xhat0]), a - hc, xhat0 - x0, steps, dt)
     x, zhat = states[:, :2 * n], states[:, 2 * n:]
     return x, zhat, zhat[:, unmeas], np.abs(zhat[:, unmeas] - x[:, unmeas]), k
 

@@ -10,7 +10,7 @@ per-mode errors and its divergence index and message.
 import numpy as np
 import pytest
 
-from conftest import BETA3_CONFIG, BETA6_BLIND_CONFIG
+from conftest import BETA3_CONFIG, BETA6_BLIND_CONFIG, FIVE_SENSORS_CONFIG
 from regobs import (
     ModeSet,
     assemble_exchange_model,
@@ -46,6 +46,8 @@ CASES = {
                                              "observer.measured_field = 2\nsimulation.estimator_init = truth\n",
     "both, diverging": DIVERGING,
     "both, diverging, truth": DIVERGING + "simulation.estimator_init = truth\n",
+    # the plant grows past the bound while both errors decay
+    "both, plant diverges": FIVE_SENSORS_CONFIG + "observer.estimators = both\n",
 }
 
 

@@ -1,6 +1,6 @@
 """Simulations made one block of samples at a time.
 
-A run makes the plant and each estimator's error a block of rows at a time
+A run makes each estimator's error a block of rows at a time
 (observer._TIME_BLOCK_CELLS) and reduces every block at once into the series it
 reports.  Its results must not depend on the block size, and it must hold
 only its blocks and those series: a run never builds a whole-horizon state

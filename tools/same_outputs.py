@@ -13,8 +13,9 @@ tree's `src/` for every case:
 
 The configs under tools/cases/ reach paths that the shipped configs do not:
 J = 2 on a 1 x 1.3 domain with both estimators, a left-edge collar with its
-plot, a non-detectable run truncated at T = 9, and five sensors whose
-unstable plant diverges and whose sweep reports nonzero min_gramian_eig.
+plot, a non-detectable run whose error is truncated before T = 9, and five
+sensors whose error decays while their unstable plant grows past the
+divergence bound, and whose sweep reports nonzero min_gramian_eig.
 
 Both trees read the same config file.  A case differs when its stdout
 (with the output directory written as <out>), stderr, exit code or any
