@@ -43,7 +43,8 @@ _NEAR = np.uint64(1 << 34)
 # exponent form keep one or two runs of columns each.
 _TEMPLATE = np.frombuffer(b" -0.0000" + b"0" * 16 + b" -0." + b"0" * 16 + b"0-0.0,  ", dtype=np.uint8)
 _DIGITS1, _POINT, _DIGITS2, _TAIL, _SEP = 7, 27, 28, 44, 49
-_N_DECPT = 20  # positional forms: decpt = -3..16; then 2- and 3-digit exponents
+_POSITIONAL = range(-4, 16)  # decimal exponents (decpt - 1) that repr writes positionally
+_N_DECPT = len(_POSITIONAL)  # positional forms: decpt = -3..16; then 2- and 3-digit exponents
 _PER_SIGN = 17 * (_N_DECPT + 2)  # layouts of one sign, by form and olength 1..17
 _TEXT_KEY = 2 * _PER_SIGN  # + 0, 1, 2: nothing, the tail's last 3 or 4 columns
 _EXP_MIN, _EXP_MAX = -324, 308  # decimal exponents of finite nonzero doubles
@@ -114,7 +115,7 @@ def _keep(sign: int, olength: int, form: int) -> list[int]:
 def _tail(exponent: int) -> bytes:
     """Columns 44..51 of a cell with this decimal exponent: the template's
     for a positional cell, else the exponent right-aligned before ','."""
-    if -4 <= exponent <= 15:
+    if exponent in _POSITIONAL:
         return _TEMPLATE[_TAIL:].tobytes()
     return f"{'e' if abs(exponent) >= 100 else '0e'}{exponent:+03d},  ".encode()
 
@@ -129,7 +130,7 @@ def _tables() -> _Tables:
         row[cols] = True
     exponents = range(_EXP_MIN, _EXP_MAX + 1)
     ascii_digits = np.arange(48, 58, dtype=np.uint8)
-    forms = [x + 4 if -4 <= x <= 15 else _N_DECPT + (abs(x) >= 100) for x in exponents]
+    forms = [x - _POSITIONAL.start if x in _POSITIONAL else _N_DECPT + (abs(x) >= 100) for x in exponents]
     return _Tables(
         *_main_constants(),
         digits_at=np.array([len(str(1 << max(b - 1023, 0))) for b in range(1023 + 57)], dtype=np.int64),

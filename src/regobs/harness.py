@@ -119,35 +119,33 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
 
     x0 = _initial_state(cfg, model.n_modes)
     wanted = ("reduced", "full") if cfg.observer.estimators == "both" else (cfg.observer.estimators,)
+    t_hi = cfg.output.fit_t_hi if cfg.output.fit_t_hi is not None else sim.t_final
     summaries: dict[str, EstimatorSummary] = {}
-    estimators = {}
-    for kind in wanted:
+    runs = {}
+    for k, kind in enumerate(wanted):
         gain, failure = design_estimator(kind, model, c, cfg.observer.margin, cfg.observer.target_margin,
                                          measured_field=mf)
         # the truth (None) or a zero estimate of the estimated coordinates, one per gain row
-        estimators[kind] = (gain, None if sim.estimator_init == "truth" else np.zeros(gain.H.shape[0]))
-        summaries[kind] = EstimatorSummary(
+        xhat0 = None if sim.estimator_init == "truth" else np.zeros(gain.H.shape[0])
+        traj, _ = _simulate(kind, model, c, gain, x0, xhat0, sim.dt, sim.t_final, measured_field=mf, gram=gram,
+                            norm_weight=cfg.output.norm, primary=k == 0)
+        summary = summaries[kind] = EstimatorSummary(
             kind=kind,
             j_unstable=gain.split.j_unstable,
             not_detectable=failure is not None,
             detail="gain placed all unstable modes at the target margin" if failure is None else str(failure),
             closed_loop_eigs=tuple(float(v) for v in np.real(gain.closed_loop_eigs)),
             achieved_margin=gain.achieved_margin,
+            err_first=float(traj.err_gamma[0]),
+            err_last=float(traj.err_gamma[-1]),
+            diverged=traj.diverged,
+            divergence_message=traj.divergence_message,
         )
-
-    trajectories = _simulate(model, c, x0, sim.dt, sim.t_final, estimators, measured_field=mf, gram=gram,
-                             norm_weight=cfg.output.norm)
-    for kind, traj in trajectories.items():
-        summary = summaries[kind]
-        summary.diverged, summary.divergence_message = traj.diverged, traj.divergence_message
-        if traj.err_gamma is not None and traj.err_gamma.size:
-            summary.err_first = float(traj.err_gamma[0])
-            summary.err_last = float(traj.err_gamma[-1])
-            t_hi = cfg.output.fit_t_hi if cfg.output.fit_t_hi is not None else cfg.simulation.t_final
-            t_lo = min(cfg.output.fit_t_lo, float(traj.times[-1]))
-            t_hi = min(t_hi, float(traj.times[-1]))
-            with contextlib.suppress(ValueError):  # too few or only floored samples in the window: no fit
-                summary.decay_fit = fit_decay(traj.times, traj.err_gamma, window=(t_lo, t_hi))
+        t_end = float(traj.times[-1])
+        window = (min(cfg.output.fit_t_lo, t_end), min(t_hi, t_end))
+        with contextlib.suppress(ValueError):  # too few or only floored samples in the window: no fit
+            summary.decay_fit = fit_decay(traj.times, traj.err_gamma, window=window)
+        runs[kind] = traj, gain
 
     report = RunReport(
         config_echo=render_config(cfg),
@@ -157,9 +155,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         region_note=region_note,
     )
     if out_dir is not None:
-        report.manifest = emit_outputs(report, {k: (t, estimators[k][0]) for k, t in trajectories.items()}, cfg,
-                                       out_dir)
-    return report, trajectories
+        report.manifest = emit_outputs(report, runs, cfg, out_dir)
+    return report, {kind: traj for kind, (traj, _) in runs.items()}
 
 
 # --- placement sweep ----------------------------------------------------------

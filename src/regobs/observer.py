@@ -17,18 +17,18 @@ the rows where the gain is nonzero, so the error follows from scalar
 exponentials, one exponential of the order of those rows and their coupling
 to the rest: J rows for a designed gain, every row for a dense one.
 
-A run (harness.run_experiment) takes each estimator's gain from
-design_estimator and simulates them all with _simulate, whose first
-estimator is the primary.  An estimator's error is made in blocks of
-samples, each at most _TIME_BLOCK_CELLS cells of the stacked state, and
-each block is reduced at once into err_gamma and the primary's per-mode
-errors.  Every product behind them is taken row by row, so they do not
-depend on the block size.  The divergence guard reads e: an estimator stops
-before the first sample after t = 0 at which its error is non-finite or
-exceeds MAX_STATE_NORM.  simulate_reduced_order and simulate_full_order
-share one body that reduces the error as a run does, then adds the plant
-(n 2 x 2 mode blocks with closed-form exponentials), its measurements and
-the estimator state on the kept samples.
+A run (harness.run_experiment) takes one estimator at a time: its gain
+from design_estimator, then its error from one _simulate call, told whether
+it is the primary.  The error is made in blocks of samples, each at most
+_TIME_BLOCK_CELLS cells of the stacked state, and each block is reduced at
+once into err_gamma and, for the primary, the per-mode errors.  Every
+product behind them is taken row by row, so they do not depend on the block
+size.  The divergence guard reads e: an estimator stops before the first
+sample after t = 0 at which its error is non-finite or exceeds
+MAX_STATE_NORM.  simulate_reduced_order and simulate_full_order share one
+body that keeps the error rows of the same _simulate call, then adds the
+plant (n 2 x 2 mode blocks with closed-form exponentials), its measurements
+and the estimator state on the kept samples.
 """
 
 from __future__ import annotations
@@ -264,8 +264,8 @@ class Trajectory:
     err_gamma is attached when a region is supplied.  The samples end where
     the error leaves MAX_STATE_NORM (diverged).  simulate_reduced_order and
     simulate_full_order fill every field.  A run (run_experiment) keeps only
-    what it reports, times, err_gamma and, for its primary estimator, the
-    first it simulates, mode_abs_err, and leaves the other arrays None.
+    what it reports, times, err_gamma and, for its primary estimator (the
+    first of observer.estimators), mode_abs_err; the other arrays are None.
     """
 
     kind: str
@@ -367,97 +367,73 @@ def _error_blocks(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGai
     rows = np.flatnonzero(size > GAIN_ROUNDOFF * size.max(initial=0.0))
     f_rows = -hz[rows] @ to_split(obs_map)
     f_rows[np.arange(rows.size), rows] += rates[rows]
-    bounds = _row_blocks(steps, model.n_modes)
     z_blocks = few_rows_blocks(rates, rows, f_rows, to_split(e0), dt, _row_blocks(steps, model.n_modes))
-    for (start, _), z in zip(bounds, z_blocks):
+    for k, z in enumerate(z_blocks):
         e = from_split(z)
-        if start == 0:
+        if k == 0:
             e[0] = e0
         yield e
 
 
 def _bad_rows(block: np.ndarray) -> np.ndarray:
-    """Rows of a block that are non-finite or exceed MAX_STATE_NORM in sup-norm."""
-    return ~np.isfinite(block).all(axis=1) | (np.abs(block).max(axis=1) > MAX_STATE_NORM)
+    """Rows of a block that are non-finite or exceed MAX_STATE_NORM in
+    sup-norm: a NaN row's max is NaN, which fails the comparison."""
+    return ~(np.abs(block).max(axis=1) <= MAX_STATE_NORM)
 
 
-class _Run:
-    """One estimator's error along a simulation, reduced block by block into
-    err_gamma and, for the primary, the per-mode errors |e_w|, and stopped
-    before the first sample after t = 0 at which the error is non-finite or
-    exceeds MAX_STATE_NORM in sup-norm."""
+def _simulate(kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x0: np.ndarray, xhat0, dt: float,
+              t_final: float, *, measured_field: int, gram, norm_weight: str, primary: bool, keep: bool = False):
+    """Propagate one estimator's error exactly, one block of samples at a
+    time; returns its Trajectory, with no plant or state array, and the kept
+    error rows when keep is set (None otherwise).
 
-    def __init__(self, kind: str, model: ModalModel, c: np.ndarray, gain: ObserverGain, x0: np.ndarray, xhat0,
-                 dt: float, steps: int, measured_field: int, gram, norm_weight: str, *, primary: bool):
-        n, rows = model.n_modes, steps + 1
-        if kind == "full" and gain.H.shape != (2 * n, c.shape[0]):
-            raise ValueError("full-order gain must have shape (2 n_modes, q)")
-        self.kind, self.model, self.gram, self.norm_weight = kind, model, gram, norm_weight
-        self.unmeas = _field_slices(n, measured_field)[1]
-        self.estimated = self.unmeas if kind == "reduced" else slice(0, 2 * n)
-        e0 = (x0[self.estimated] if xhat0 is None else xhat0) - x0[self.estimated]
-        self.blocks = _error_blocks(kind, model, c, gain, e0, dt, steps, measured_field)
-        self.stop, self.diverged = 0, False
-        self.err_gamma = None if gram is None else np.empty(rows)
-        self.mode_abs_err = np.empty((rows, n)) if primary else None
-
-    def errors(self):
-        """Reduce the error one block at a time and yield each block's kept
-        rows, until the run stops."""
-        for e in self.blocks:
-            start, bad = self.stop, _bad_rows(e)
-            if start == 0:
+    kind is "reduced" or "full"; xhat0 is the initial estimate of the
+    unmeasured field or of the stacked state, None for the truth, and the
+    initial error is xhat0 - x0 on those coordinates.  The error obeys
+    e' = F e, with F = A_ww - H C A_mw (reduced) or A - H C_full (full),
+    whatever the plant does.  Each block is reduced at once into err_gamma
+    (when gram, from region.region_operator, is given) and, for the primary,
+    mode_abs_err, so a run holds only its blocks and the series it reports.
+    The estimator stops before the first sample after t = 0 at which its
+    error is non-finite or exceeds MAX_STATE_NORM in sup-norm.
+    """
+    n, steps = model.n_modes, _steps(dt, t_final)
+    if kind == "full" and gain.H.shape != (2 * n, c.shape[0]):
+        raise ValueError("full-order gain must have shape (2 n_modes, q)")
+    unmeas = _field_slices(n, measured_field)[1]
+    estimated = unmeas if kind == "reduced" else slice(0, 2 * n)
+    e0 = (x0[estimated] if xhat0 is None else xhat0) - x0[estimated]
+    err_gamma = None if gram is None else np.empty(steps + 1)
+    mode_abs_err = np.empty((steps + 1, n)) if primary else None
+    kept, stop, diverged = [], 0, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in _error_blocks(kind, model, c, gain, e0, dt, steps, measured_field):
+            bad = _bad_rows(e)
+            if stop == 0:
                 bad[0] = False
             hits = np.flatnonzero(bad)
-            kept = int(hits[0]) if hits.size else e.shape[0]
-            self.stop, self.diverged = start + kept, bool(hits.size)
-            rows, e = slice(start, self.stop), e[:kept]
-            if self.err_gamma is not None and kept:
+            diverged = bool(hits.size)
+            if diverged:
+                e = e[:hits[0]]
+            rows = slice(stop, stop + e.shape[0])
+            stop = rows.stop
+            if err_gamma is not None and e.shape[0]:
                 # a full error's two field rows per sample are rows of one call
-                norms = gram_norm_series(e.reshape(-1, self.model.n_modes), self.gram, self.model.eigenvalues,
-                                         self.norm_weight)
-                self.err_gamma[rows] = np.sqrt(np.sum(norms.reshape(kept, -1)**2, axis=1))
-            if self.mode_abs_err is not None:
-                np.abs(e if self.kind == "reduced" else e[:, self.unmeas], out=self.mode_abs_err[rows])
-            yield e
-            if self.diverged:
-                return
-
-    def trajectory(self, dt: float) -> Trajectory:
-        k = self.stop
-        msg = (f"state norm exceeded {MAX_STATE_NORM:.0e} at t index {k}; run truncated "
-               "(non-detectable dynamics diverge)") if self.diverged else ""
-        return Trajectory(kind=self.kind, times=dt * np.arange(k),
-                          mode_abs_err=None if self.mode_abs_err is None else self.mode_abs_err[:k],
-                          err_gamma=None if self.err_gamma is None else self.err_gamma[:k],
-                          diverged=self.diverged, divergence_message=msg)
-
-
-def _simulate(model: ModalModel, c: np.ndarray, x0: np.ndarray, dt: float, t_final: float, estimators: dict, *,
-              measured_field: int, gram, norm_weight: str) -> dict[str, Trajectory]:
-    """Propagate every estimator's error exactly, one block of samples at a
-    time; returns a Trajectory per estimator, with no plant or state array.
-
-    estimators maps a kind, "reduced" or "full", to its (gain, xhat0), the
-    initial estimate of the unmeasured field or of the stacked state, None
-    for the truth; the initial error is xhat0 - x0 on those coordinates.
-    The first estimator is the primary.  The error obeys e' = F e, with
-    F = A_ww - H C A_mw (reduced) or A - H C_full (full), whatever the plant
-    does.  Each block is reduced at once into err_gamma (when gram, from
-    region.region_operator, is given) and the primary's mode_abs_err, so a
-    run holds only its blocks and the series it reports.  An estimator stops
-    before the first sample after t = 0 at which its error is non-finite or
-    exceeds MAX_STATE_NORM in sup-norm.
-    """
-    steps = _steps(dt, t_final)
-    runs = {kind: _Run(kind, model, c, gain, x0, xhat0, dt, steps, measured_field, gram, norm_weight,
-                       primary=k == 0)
-            for k, (kind, (gain, xhat0)) in enumerate(estimators.items())}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for run in runs.values():
-            for _ in run.errors():
-                pass
-    return {kind: run.trajectory(dt) for kind, run in runs.items()}
+                norms = gram_norm_series(e.reshape(-1, n), gram, model.eigenvalues, norm_weight)
+                err_gamma[rows] = np.sqrt(np.sum(norms.reshape(e.shape[0], -1)**2, axis=1))
+            if mode_abs_err is not None:
+                np.abs(e if kind == "reduced" else e[:, unmeas], out=mode_abs_err[rows])
+            if keep:
+                kept.append(e)
+            if diverged:
+                break
+    msg = (f"state norm exceeded {MAX_STATE_NORM:.0e} at t index {stop}; run truncated "
+           "(non-detectable dynamics diverge)") if diverged else ""
+    traj = Trajectory(kind=kind, times=dt * np.arange(stop),
+                      mode_abs_err=None if mode_abs_err is None else mode_abs_err[:stop],
+                      err_gamma=None if err_gamma is None else err_gamma[:stop],
+                      diverged=diverged, divergence_message=msg)
+    return traj, np.concatenate(kept) if keep else None
 
 
 def _simulate_one(kind: str, model: ModalModel, sensors, gain: ObserverGain, x0, initial, dt: float,
@@ -475,22 +451,22 @@ def _simulate_one(kind: str, model: ModalModel, sensors, gain: ObserverGain, x0,
     for name, value in (("x0", x0), ("phi0" if kind == "reduced" else "xhat0", xhat0), ("gain.H", gain.H)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
-    meas = _field_slices(n, measured_field)[0]
+    meas, unmeas = _field_slices(n, measured_field)
     if kind == "reduced":  # x2_hat = phi + H y
         xhat0 = xhat0 + gain.H @ (c @ x0[meas])
     gram = None if region is None else region_operator(region, model.domain, model.mode_set)
-    run = _Run(kind, model, c, gain, x0, xhat0, dt, _steps(dt, t_final), measured_field, gram, norm_weight,
-               primary=True)
+    traj, e = _simulate(kind, model, c, gain, x0, xhat0, dt, t_final, measured_field=measured_field, gram=gram,
+                        norm_weight=norm_weight, primary=True, keep=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.concatenate(list(run.errors()))
         x = model.mode_pairs.samples(x0, dt, e.shape[0] - 1)
         y = x[:, meas] @ c.T
-        state = x[:, run.estimated] + e
         if kind == "reduced":
             h_y = y @ gain.H.T
-            state -= h_y
-        x2_hat = state + h_y if kind == "reduced" else state[:, run.unmeas]
-    traj = run.trajectory(dt)
+            state = x[:, unmeas] + e - h_y
+            x2_hat = state + h_y
+        else:
+            state = x + e
+            x2_hat = state[:, unmeas]
     traj.x1, traj.x2, traj.y, traj.estimator_state, traj.x2_hat = x[:, :n], x[:, n:], y, state, x2_hat
     return traj
 

@@ -300,12 +300,11 @@ class ModePairs:
         np.add(np.multiply(self.sin, zp, out=x2), tmp, out=x2)
         return x
 
-    def samples(self, x0: np.ndarray, dt: float, steps: int, start: int = 0) -> np.ndarray:
-        """Exact samples k = start..steps (steps + 1 - start, 2n) of x' = M x;
-        sample 0 is x0 itself."""
-        x = self.from_eigen(exp_samples(self.rates, self.to_eigen(x0), dt, steps, start))
-        if start == 0:
-            x[0] = x0
+    def samples(self, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
+        """Exact samples k = 0..steps (steps + 1, 2n) of x' = M x; sample 0 is
+        x0 itself."""
+        x = self.from_eigen(exp_samples(self.rates, self.to_eigen(x0), dt, steps))
+        x[0] = x0
         return x
 
 

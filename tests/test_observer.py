@@ -426,6 +426,24 @@ def test_non_finite_start_rejected(kind, bad):
         simulate(model, STRATEGIC_PAIR, gain, x0, start, 0.1, 1.0)
 
 
+def test_divergence_guard_edge():
+    # exactly the bound is kept, the next double above it and any non-finite
+    # cell are bad: the one-pass rule agrees with the two-pass one
+    bound = observer.MAX_STATE_NORM
+    block = np.array([[0.0, 0.0, 0.0],
+                      [bound, -bound, 1.0],
+                      [-bound, 0.5, bound],
+                      [np.nextafter(bound, math.inf), 0.0, 1.0],
+                      [0.0, -np.nextafter(bound, math.inf), 0.0],
+                      [math.inf, 0.0, 0.0],
+                      [1.0, -math.inf, 2.0],
+                      [1.0, math.nan, 2.0]])
+    two_pass = ~np.isfinite(block).all(axis=1) | (np.abs(block).max(axis=1) > bound)
+    got = observer._bad_rows(block)
+    assert got.tolist() == [False, False, False, True, True, True, True, True]
+    assert np.array_equal(got, two_pass)
+
+
 class TestSimulateFullOrder:
     def _full_gain(self, model, sensors, margin=1.0):
         c = output_matrix(sensors, UNIT, model.mode_set)

@@ -197,8 +197,11 @@ class TestAssembly:
         assert np.allclose(a[n:, :n], a[:n, n:])
 
     def test_requires_positive_diffusion(self):
-        with pytest.raises(ValueError):
-            Coefficients(alpha_diff=-1.0)
+        # zero of either sign is not positive
+        for field in ("alpha_diff", "gamma_diff"):
+            for value in (-1.0, 0.0, -0.0):
+                with pytest.raises(ValueError, match="positive"):
+                    Coefficients(**{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["alpha_diff", "gamma_diff", "beta_couple"])
